@@ -2,8 +2,9 @@
 //
 // After the E2b resolver hoisted per-occurrence lookups, the per-contract
 // engine's remaining O(contracts) redundancy is the YELT walk itself: a
-// C-contract book re-streams the trial structure C×layers times and pays
-// as many fork/join barriers. The batched path (core::PortfolioBatchRunner)
+// C-contract book re-streams the trial structure C times (once per
+// contract; its layers share the walk) and pays as many fork/join
+// barriers. The batched path (core::PortfolioBatchRunner)
 // makes one streamed pass per trial chunk serving every contract's layer
 // stack from hit-compacted resolutions.
 //

@@ -3,7 +3,7 @@
 // The scenario engine's claim (src/scenario, ISSUE 3): S what-if variants
 // of one book share one streamed YELT pass, one set of event→row
 // resolutions, and — under secondary uncertainty, stage 2's dominant FLOP
-// cost — one beta sample per (contract, layer, trial, occurrence) served to
+// cost — one beta sample per (contract, trial, occurrence) served to
 // all S slots. Evaluating the same S variants naively costs S independent
 // run_portfolio_batch runs.
 //

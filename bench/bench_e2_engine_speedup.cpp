@@ -101,8 +101,9 @@ int main() {
   // ---- Resolver ablation: pre-joined event→row column vs the seed's
   // per-occurrence binary search, on a multi-layer threaded workload.
   // Secondary uncertainty off isolates the lookup path (with it on, beta
-  // sampling dominates the kernel and dilutes the hoist); the multi-layer
-  // book is where the resolution amortises across layers.
+  // sampling dominates the kernel and dilutes the hoist). Both paths find
+  // each occurrence's row once per contract, for all of its layers; the
+  // resolver's edge is the O(1) gather and, warm, skipping the build.
   print_banner(std::cout, "E2b: ELT-lookup resolver ablation");
 
   const TrialId ab_trials = bench::scaled_trials(50'000);

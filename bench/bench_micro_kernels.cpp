@@ -57,7 +57,7 @@ void BM_SecondarySample(benchmark::State& state) {
   const Philox4x32 philox(3);
   TrialId trial = 0;
   for (auto _ : state) {
-    auto stream = core::occurrence_stream(philox, 0, 0, trial++, 0);
+    auto stream = core::occurrence_stream(philox, 0, trial++, 0);
     benchmark::DoNotOptimize(sampler.sample(0, stream));
   }
 }

@@ -262,7 +262,6 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
       slot.means = contract.elt().mean_loss().data();
       slot.sampler = engine.secondary_uncertainty ? &samplers[c] : nullptr;
       slot.contract_id = contract.id();
-      slot.layer_id = layer.id;
       slot.terms = layer.terms;
       slot.reinstatements = layer.reinstatements;
       slot.upfront_premium = layer.upfront_premium;

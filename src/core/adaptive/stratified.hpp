@@ -12,7 +12,7 @@
 // The mechanics reuse the repo's one trial kernel: a drawn trial t is
 // computed by core::batch::process_trials(lo = t, hi = t + 1) against the
 // full table's offsets with the engine's global trial_base — which, because
-// every sampling stream is keyed by (contract, layer, trial_base + t, seq),
+// every sampling stream is keyed by (contract, trial_base + t, seq),
 // reproduces trial t's losses bit-identically to a full fixed-budget run.
 // The strata only decide WHICH trials are computed, never what any trial
 // is worth — the "unstratified path is today's sampler" invariant the

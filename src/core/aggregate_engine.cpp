@@ -132,17 +132,18 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
     return run_portfolio_batch(portfolio, source, config);
   }
 
-  // The per-contract lowering: one 1-slot execution plan per (contract,
-  // layer), dispatched in layer-major order on the configured executor so
-  // a layer's ELT stays hot while its trials stream — the legacy engine's
-  // loop nest, now expressed as plans over the one batch kernel. With the
-  // resolver on each slot gathers through the contract's dense pre-joined
-  // row column; off, it binary-searches the ELT per occurrence (the
-  // reference plan flag). Plans are lowered against the first trial block
-  // and re-bound to each subsequent one (an in-memory run is the one-block
-  // special case); per-trial accumulators are sliced by block, and the
-  // block's trial offset rides the sampling stream base, so a streamed run
-  // is bit-identical to the monolithic one.
+  // The per-contract lowering: one execution plan per contract holding all
+  // of its layers, dispatched in contract order on the configured executor
+  // so a contract's ELT stays hot while its trials stream. The layers form
+  // one gather group, so each occurrence is resolved and sampled once and
+  // feeds the whole tower (kStreamKeyVersion). With the resolver on the
+  // group gathers through the contract's dense pre-joined row column; off,
+  // it binary-searches the ELT per occurrence (the reference plan flag).
+  // Plans are lowered against the first trial block and re-bound to each
+  // subsequent one (an in-memory run is the one-block special case);
+  // per-trial accumulators are sliced by block, and the block's trial
+  // offset rides the sampling stream base, so a streamed run is
+  // bit-identical to the monolithic one.
   obs::RunObsScope obs_scope(config.obs);
   obs::Timer timer("engine.per_contract_run");
   static const obs::Counter runs_counter =
@@ -185,7 +186,7 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
 
   const std::uint64_t layer_count = portfolio.layer_count();
   std::vector<batch::Slot> slot_storage(layer_count);
-  std::vector<exec::ExecutionPlan> plans(layer_count);
+  std::vector<exec::ExecutionPlan> plans(portfolio.size());
   bool lowered = false;
 
   std::vector<Money> occurrence_accum;
@@ -222,8 +223,9 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
         resolve_hist.observe(resolve_s);
       }
 
+      const std::size_t first = p;
       for (const auto& layer : contract.layers()) {
-        batch::Slot& slot = slot_storage[p];
+        batch::Slot& slot = slot_storage[p++];
         slot = batch::Slot{};
         slot.elt = &contract.elt();
         if (resolved) {
@@ -239,7 +241,6 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
         slot.reinstatements = layer.reinstatements;
         slot.upfront_premium = layer.upfront_premium;
         slot.contract_id = contract.id();
-        slot.layer_id = layer.id;
         slot.contract_losses =
             config.keep_contract_ylts
                 ? result.contract_ylts[c].mutable_losses().subspan(block.trial_offset,
@@ -250,18 +251,18 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
         slot.reinstatement_prem = result.reinstatement_premium.mutable_losses().subspan(
             block.trial_offset, block_trials);
         slot.occurrence_accum = config.compute_oep ? occurrence_accum.data() : nullptr;
-
-        if (!lowered) {
-          EngineConfig lower_config = config;
-          lower_config.trial_base = base;
-          plans[p] = exec::ExecutionPlan::lower({&slot, 1}, yelt_offsets, block_trials,
-                                                lower_config);
-        } else {
-          plans[p].rebind({&slot, 1}, yelt_offsets, block_trials, base);
-        }
-        lookups += executor->execute(plans[p], philox);
-        ++p;
       }
+
+      const std::span<const batch::Slot> tower(slot_storage.data() + first, p - first);
+      if (!lowered) {
+        EngineConfig lower_config = config;
+        lower_config.trial_base = base;
+        plans[c] = exec::ExecutionPlan::lower(tower, yelt_offsets, block_trials,
+                                              lower_config);
+      } else {
+        plans[c].rebind(tower, yelt_offsets, block_trials, base);
+      }
+      lookups += executor->execute(plans[c], philox);
     }
     lowered = true;
 

@@ -7,11 +7,11 @@
 // alternative views of a single contractual year is used. The output of
 // aggregate analysis is a Year-Loss Table."
 //
-// For every (contract, layer, trial): walk the trial's YELT occurrences,
-// gather each occurrence's ELT row, optionally sample secondary
-// uncertainty, apply per-occurrence terms, sum, apply annual aggregate
-// terms and share, and accumulate into the contract's and the portfolio's
-// YLT.
+// For every (contract, trial): walk the trial's YELT occurrences, gather
+// each occurrence's ELT row, optionally sample secondary uncertainty (one
+// draw per occurrence, shared by every layer of the contract), then per
+// layer apply per-occurrence terms, sum, apply annual aggregate terms and
+// share, and accumulate into the contract's and the portfolio's YLT.
 //
 // There is exactly ONE implementation of that loop in the repo:
 // core::batch::process_trials (src/core/portfolio_batch.hpp). Every entry
@@ -39,7 +39,7 @@
 // Multi-contract books should prefer the portfolio-batched lowering
 // (EngineConfig::batch_contracts / src/core/portfolio_batch.hpp): one
 // streamed YELT pass serves every contract's layer stack, bit-identically,
-// instead of the per-(contract, layer) re-walk this front end plans.
+// instead of the per-contract re-walk this front end plans.
 #pragma once
 
 #include <cstdint>
@@ -166,7 +166,7 @@ struct EngineConfig {
   data::ResolverCache* resolver_cache = nullptr;
   /// Portfolio-batched stage 2 (core::PortfolioBatchRunner): stream each
   /// trial chunk once, serving every contract's layer stack in the same
-  /// pass, instead of re-walking the YELT per (contract, layer). Outputs
+  /// pass, instead of re-walking the YELT per contract. Outputs
   /// are bit-identical either way; batching is the wall-clock win on
   /// multi-contract books and composes with every backend, DeviceSim
   /// included. Implies the resolver (`use_resolver` is ignored on this

@@ -6,31 +6,33 @@
 // long contiguous occurrence range instead of re-starting the vector loop
 // every ~dozen hits) and classifies each gather group:
 //
-//   vector-compact — singleton compact-CSR group with no mask column: the
-//       block's whole hit range is walked in W-wide chunks — rows gathered
-//       (or the pre-sampled ground-up buffer loaded), loss_scale and the
-//       LayerTerms occurrence algebra applied lane-parallel into an
-//       occurrence-loss chunk — and a scalar fold pass then consumes that
-//       chunk IN OCCURRENCE ORDER, advancing a trial cursor over the CSR
-//       offsets, which is what keeps the annual sums and the OEP
-//       accumulator bit-identical to the scalar kernel. The sub-width
-//       remainder of each chunk runs the scalar ops in the same order (the
-//       lane-tail contract).
-//   vector-dense — singleton dense group: row sentinels (kNoLoss) become
+//   vector-compact — compact-CSR group (a contract's layer tower, alone or
+//       with its scenario variants) with no mask column: the block's whole
+//       hit range is walked in W-wide chunks. Each chunk's ground-up
+//       losses are resolved once for the group — the pre-sampled buffer
+//       (secondary on) or a means gather (multi-slot groups) — then each
+//       slot in turn applies its loss_scale and the LayerTerms occurrence
+//       algebra lane-parallel into an occurrence-loss chunk, and a scalar
+//       fold pass consumes that chunk IN OCCURRENCE ORDER, advancing a
+//       trial cursor over the CSR offsets, which is what keeps the annual
+//       sums and the OEP accumulator bit-identical to the scalar kernel.
+//       The sub-width remainder of each chunk runs the scalar ops in the
+//       same order (the lane-tail contract).
+//   vector-dense — dense group of any size: row sentinels (kNoLoss) become
 //       masked-out gather lanes (secondary off) or exact-+0.0 sampled
 //       buffer entries (secondary on) that contribute +0.0 — exactly the
 //       scalar `continue`'s effect on the annual sum, since every
 //       occurrence contribution is non-negative.
-//   scalar — everything else (search gather, mask columns, multi-slot
-//       shared-gather groups) falls back to batch::process_trials for the
-//       (group, block) — same code, so equality across the full feature
-//       matrix holds by construction.
+//   scalar — everything else (search gather, mask columns) falls back to
+//       batch::process_trials for the (group, block) — same code, so
+//       equality across the full feature matrix holds by construction.
 //
 // Shared outputs (the portfolio roll-up, a shared OEP accumulator) see the
 // same per-cell addition order as the scalar kernel: the block loop is
 // outermost and groups run in plan order within it, so for any fixed trial
-// the groups touch that trial's cells in the scalar kernel's group order,
-// and within a (slot, trial) the fold is in occurrence order.
+// the groups touch that trial's cells in the scalar kernel's group order;
+// within a group the slots fold and finish in slot order, and within a
+// (slot, trial) the fold is in occurrence order.
 //
 // Secondary uncertainty on vector slots samples each chunk's hits into a
 // scratch buffer first (detail::fill_ground_up_*_range below, compiled in
@@ -55,6 +57,8 @@ namespace riskan::core::batch {
 /// Lane-utilization telemetry of simd kernel invocations, published by the
 /// SimdExecutor as exec.simd.* counters.
 struct SimdStats {
+  // Occurrence counts are per slot (occurrence × layer evaluations), like
+  // EngineResult::occurrences_processed; sampler counts are per draw.
   std::uint64_t vector_occurrences = 0;  ///< processed in full W-wide chunks
   std::uint64_t tail_occurrences = 0;    ///< scalar sub-width remainders
   std::uint64_t scalar_occurrences = 0;  ///< scalar-fallback groups
@@ -137,7 +141,8 @@ void finish_slot_trials_out(const Slot& s, TrialId t0, TrialId t1, const Money* 
 
 /// Samples the ground-up losses of the compact hit range [k_begin, k_end)
 /// of slot `s` into `out`, under the exact per-occurrence streams the
-/// scalar kernel keys (contract, layer, trial_base + t, seq). `t_first` is
+/// scalar kernel keys (contract, trial_base + t, seq) — once for the whole
+/// gather group, since the layer is not part of the key. `t_first` is
 /// any trial at or before the one containing k_begin; the walk advances it
 /// across the slot's hit offsets. Sampling goes through the batched
 /// SecondarySampler::sample_lanes path; `stats` collects its fast/tail

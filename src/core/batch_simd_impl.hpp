@@ -15,9 +15,10 @@
 //         {Vec values, unsigned found}.
 //
 // Shape: trials are walked in blocks of kTrialBlock; per (group, block)
-// the vector paths compute occurrence losses for the block's contiguous
-// hit range in kOccChunk-sized stack chunks (a pure vector pass — gather,
-// scale, terms, store), then a scalar fold pass consumes each chunk in
+// the vector paths resolve the ground-up losses of the block's contiguous
+// hit range once per kOccChunk-sized stack chunk (sampled or gathered,
+// shared by every slot of the group), then per slot a pure vector pass
+// (scale, terms, store) and a scalar fold pass that consumes the chunk in
 // occurrence order, advancing a trial cursor over the CSR offsets. One
 // extern finish call per (slot, block) flushes the annual sums. This keeps
 // the hot loops long (the per-trial hit count is typically ~a dozen) and
@@ -53,28 +54,38 @@ inline constexpr std::size_t kTrialBlock = 1024;
 /// 2048 Money = 16 KiB each, L1/L2-resident with the gather sources).
 inline constexpr std::size_t kOccChunk = 2048;
 
+/// Trial × slot annual sums one vector group pass keeps on the stack
+/// (32 KiB): groups wider than kGroupAnnuals / kTrialBlock slots walk
+/// their trial block in shorter sub-blocks.
+inline constexpr std::size_t kGroupAnnuals = 4096;
+
 /// How the kernel runs one (group, block).
 enum class GroupClass : std::uint8_t {
-  VecCompact,  ///< singleton compact group, no mask column
-  VecDense,    ///< singleton dense group, secondary off
-  Scalar,      ///< everything else → batch::process_trials fallback
+  VecCompact,  ///< compact group (any size) without mask columns
+  VecDense,    ///< dense group (any size; transform-inert by plan contract)
+  Scalar,      ///< search gather or a mask column → batch::process_trials
 };
 
-inline GroupClass classify(const Slot* gs, std::uint32_t gsize, bool secondary) noexcept {
-  (void)secondary;  // secondary-on now rides both vector paths (batched sampling)
-  if (gsize != 1) {
-    return GroupClass::Scalar;
+inline GroupClass classify(const Slot* gs, std::uint32_t gsize) noexcept {
+  if (gsize > kGroupAnnuals) {
+    return GroupClass::Scalar;  // not even one trial's annuals fit the buffer
   }
-  const Slot& s = gs[0];
-  if (s.gather == Gather::Compact) {
-    // loss_scale / conditioned_ground_up vectorize; a mask column re-keys
-    // sampling per lane and stays scalar.
-    return s.mask_seq == nullptr ? GroupClass::VecCompact : GroupClass::Scalar;
+  switch (gs[0].gather) {
+    case Gather::Dense:
+      return GroupClass::VecDense;
+    case Gather::Search:
+      return GroupClass::Scalar;
+    case Gather::Compact:
+      break;
   }
-  if (s.gather == Gather::Dense) {
-    return GroupClass::VecDense;
+  // loss_scale / conditioned_ground_up vectorize; a mask column re-keys
+  // sampling per lane and stays scalar.
+  for (std::uint32_t i = 0; i < gsize; ++i) {
+    if (gs[i].mask_seq != nullptr) {
+      return GroupClass::Scalar;
+    }
   }
-  return GroupClass::Scalar;
+  return GroupClass::VecCompact;
 }
 
 /// The occurrence algebra on W lanes; see the header contract above.
@@ -90,190 +101,185 @@ inline typename V::Vec occurrence_lanes(const finance::LayerTerms& terms,
   return V::mask_and(V::min(gu, lim), V::gt_mask(gu, ret));
 }
 
-/// One vector-compact (slot, block): chunked vector pass over the block's
-/// hit range, occurrence-order fold with a trial cursor, one batched
-/// finish.
-template <typename V>
-inline void vec_compact_block(const Slot& s, const Philox4x32& philox, bool secondary,
-                              TrialId trial_base, TrialId t0, TrialId t1,
-                              std::span<const std::uint64_t> yelt_offsets,
-                              SimdStats& stats) {
+/// Gathers a chunk's ELT means into `out` — once for the whole group.
+/// Dense rows map kNoLoss to exact +0.0 (masked lanes). Returns the rows
+/// found (dense; 0 for compact).
+template <typename V, bool kDense>
+inline std::uint64_t gather_means(const Money* means, const std::uint32_t* rows,
+                                  std::size_t n, Money* out) {
   constexpr std::size_t W = V::kWidth;
-  alignas(64) Money occ_chunk[kOccChunk];
-  alignas(64) Money gu_chunk[kOccChunk];
-  Money annuals[kTrialBlock];
-  const bool conditioned = s.conditioned_ground_up >= 0.0;
-  for (TrialId t = t0; t < t1; ++t) {
-    annuals[t - t0] = conditioned ? detail::conditioned_annual_slot(s, t) : 0.0;
-  }
-
-  const std::uint64_t h0 = s.hit_offsets[t0];
-  const std::uint64_t h1 = s.hit_offsets[t1];
-  const Money scale = s.loss_scale;
-  const bool scaled = scale != 1.0;
-  const auto vscale = V::broadcast(scale);
-  Money* const accum = s.occurrence_accum;
-  const Money share = s.terms.share;
-
-  TrialId t = t0;  // fold cursor: the trial whose hits are being consumed
-  for (std::uint64_t c0 = h0; c0 < h1; c0 += kOccChunk) {
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kOccChunk, h1 - c0));
-    const std::uint32_t* rows = s.rows + c0;
-    const std::uint32_t* seqs = s.seqs + c0;
-    const Money* gu = gu_chunk;
-    if (secondary) {
-      detail::fill_ground_up_compact_range(s, philox, trial_base, t, c0, c0 + n, gu_chunk,
-                                           stats);
-    }
-
-    std::size_t k = 0;
-    for (; k + W <= n; k += W) {
-      auto v = secondary ? V::load(gu + k) : V::gather(s.means, rows + k);
-      if (scaled) {
-        v = V::mul(v, vscale);
-      }
-      V::store(occ_chunk + k, occurrence_lanes<V>(s.terms, v));
-    }
-    stats.vector_occurrences += k;
-    stats.tail_occurrences += n - k;
-    for (; k < n; ++k) {
-      Money g = secondary ? gu[k] : s.means[rows[k]];
-      if (scaled) {
-        g *= scale;
-      }
-      occ_chunk[k] = finance::apply_occurrence(s.terms, g);
-    }
-
-    // Occurrence-order fold, one CSR trial segment at a time: the annual
-    // sums and the OEP accumulator see the losses exactly as the scalar
-    // loop would, with the annual in a register per segment.
-    std::size_t j = 0;
-    while (j < n) {
-      while (c0 + j >= s.hit_offsets[t + 1]) {
-        ++t;
-      }
-      const std::size_t seg_end =
-          static_cast<std::size_t>(std::min<std::uint64_t>(s.hit_offsets[t + 1] - c0, n));
-      Money a = annuals[t - t0];
-      if (accum != nullptr) {
-        const std::uint64_t trial_begin = yelt_offsets[t];
-        for (; j < seg_end; ++j) {
-          const Money occ = occ_chunk[j];
-          a += occ;
-          if (occ > 0.0) {
-            accum[trial_begin + seqs[j]] += occ * share;
-          }
-        }
-      } else {
-        for (; j < seg_end; ++j) {
-          a += occ_chunk[j];
-        }
-      }
-      annuals[t - t0] = a;
+  std::uint64_t found = 0;
+  std::size_t k = 0;
+  for (; k + W <= n; k += W) {
+    if constexpr (kDense) {
+      const auto mg = V::gather_masked(means, rows + k);
+      found += mg.found;
+      V::store(out + k, mg.values);
+    } else {
+      V::store(out + k, V::gather(means, rows + k));
     }
   }
-  detail::finish_slot_trials_out(s, t0, t1, annuals);
+  for (; k < n; ++k) {
+    if constexpr (kDense) {
+      if (rows[k] == data::ResolvedYelt::kNoLoss) {
+        out[k] = 0.0;
+        continue;
+      }
+      ++found;
+    }
+    out[k] = means[rows[k]];
+  }
+  return found;
 }
 
-/// One vector-dense (slot, block): the block's full occurrence range,
-/// kNoLoss rows as masked gather lanes (secondary off) or sampled into the
-/// ground-up buffer with sentinels as exact +0.0 (secondary on — the fill
-/// and the batched sampler live in portable TUs). Returns the found-lookup
-/// count (scalar parity). Dense slots have inert transforms by plan
-/// contract, so every annual base is 0.
-template <typename V>
-inline std::uint64_t vec_dense_block(const Slot& s, const Philox4x32& philox,
-                                     bool secondary, TrialId trial_base, TrialId t0,
-                                     TrialId t1,
+/// One vector (group, trial range [a0, a1)), gsize × (a1 − a0) ≤
+/// kGroupAnnuals. The range's occurrences — compact: the group's CSR hits;
+/// dense: every occurrence, kNoLoss rows as exact +0.0 lanes — are walked
+/// in kOccChunk chunks. Per chunk the ground-up losses are resolved ONCE
+/// for the group (the batched sampler fill, or a means gather), then each
+/// slot in turn applies its loss scale and terms lane-parallel and folds
+/// the chunk in occurrence order with a trial cursor. Per OEP cell the slots add in slot order, and the slots finish
+/// the range in slot order — the scalar kernel's per-cell order. Returns
+/// the rows found (dense), once per occurrence.
+template <typename V, bool kDense>
+inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
+                                     const Philox4x32& philox, bool secondary,
+                                     TrialId trial_base, TrialId a0, TrialId a1,
                                      std::span<const std::uint64_t> yelt_offsets,
                                      SimdStats& stats) {
   constexpr std::size_t W = V::kWidth;
   alignas(64) Money occ_chunk[kOccChunk];
   alignas(64) Money gu_chunk[kOccChunk];
-  Money annuals[kTrialBlock];
-  std::fill(annuals, annuals + (t1 - t0), 0.0);
+  Money annuals[kGroupAnnuals];
+  const Slot& lead = gs[0];
+  const std::size_t nt = a1 - a0;
+  for (std::size_t i = 0; i < gsize; ++i) {
+    Money* an = annuals + i * nt;
+    if (gs[i].conditioned_ground_up >= 0.0) {
+      for (TrialId t = a0; t < a1; ++t) {
+        an[t - a0] = detail::conditioned_annual_slot(gs[i], t);
+      }
+    } else {
+      std::fill(an, an + nt, 0.0);
+    }
+  }
 
-  const std::uint64_t h0 = yelt_offsets[t0];
-  const std::uint64_t h1 = yelt_offsets[t1];
-  Money* const accum = s.occurrence_accum;
-  const Money share = s.terms.share;
+  const std::uint64_t* offsets = kDense ? yelt_offsets.data() : lead.hit_offsets;
+  const std::uint64_t h0 = offsets[a0];
+  const std::uint64_t h1 = offsets[a1];
   std::uint64_t found = 0;
 
-  TrialId t = t0;
+  TrialId tc = a0;  // the trial holding the chunk's first occurrence
   for (std::uint64_t c0 = h0; c0 < h1; c0 += kOccChunk) {
     const std::size_t n =
         static_cast<std::size_t>(std::min<std::uint64_t>(kOccChunk, h1 - c0));
-    const std::uint32_t* dense = s.dense_rows + c0;
-    const Money* gu = gu_chunk;
+    const std::uint32_t* rows = (kDense ? lead.dense_rows : lead.rows) + c0;
+    while (c0 >= offsets[tc + 1]) {
+      ++tc;
+    }
     if (secondary) {
-      found += detail::fill_ground_up_dense_range(s, philox, trial_base, t, yelt_offsets,
-                                                  c0, c0 + n, gu_chunk, stats);
+      if constexpr (kDense) {
+        found += detail::fill_ground_up_dense_range(lead, philox, trial_base, tc,
+                                                    yelt_offsets, c0, c0 + n, gu_chunk, stats);
+      } else {
+        detail::fill_ground_up_compact_range(lead, philox, trial_base, tc, c0, c0 + n,
+                                             gu_chunk, stats);
+      }
+    } else {
+      found += gather_means<V, kDense>(lead.means, rows, n, gu_chunk);
     }
 
-    std::size_t k = 0;
-    for (; k + W <= n; k += W) {
-      // Masked-out lanes gather (or fill as) exact +0.0;
-      // apply_occurrence(terms, 0) is +0.0 for both retention kinds
+    for (std::size_t i = 0; i < gsize; ++i) {
+      const Slot& s = gs[i];
+      const Money scale = s.loss_scale;
+      const bool scaled = scale != 1.0;
+      const auto vscale = V::broadcast(scale);
+
+      // Vector pass. Masked-out dense lanes gather (or fill as) exact
+      // +0.0; apply_occurrence(terms, 0) is +0.0 for both retention kinds
       // (retention ≥ 0 by terms.validate), and the annual sum is a sum of
       // non-negatives, so adding those lanes in place of the scalar
       // `continue` never changes a bit.
-      if (secondary) {
-        V::store(occ_chunk + k, occurrence_lanes<V>(s.terms, V::load(gu + k)));
-      } else {
-        const auto mg = V::gather_masked(s.means, dense + k);
-        found += mg.found;
-        V::store(occ_chunk + k, occurrence_lanes<V>(s.terms, mg.values));
+      std::size_t k = 0;
+      for (; k + W <= n; k += W) {
+        auto v = V::load(gu_chunk + k);
+        if (scaled) {
+          v = V::mul(v, vscale);
+        }
+        V::store(occ_chunk + k, occurrence_lanes<V>(s.terms, v));
       }
-    }
-    stats.vector_occurrences += k;
-    stats.tail_occurrences += n - k;
-    for (; k < n; ++k) {
-      if (secondary) {
-        occ_chunk[k] = finance::apply_occurrence(s.terms, gu[k]);
-        continue;
+      stats.vector_occurrences += k;
+      stats.tail_occurrences += n - k;
+      for (; k < n; ++k) {
+        occ_chunk[k] = finance::apply_occurrence(s.terms, scaled ? gu_chunk[k] * scale
+                                                                 : gu_chunk[k]);
       }
-      const std::uint32_t row = dense[k];
-      if (row == data::ResolvedYelt::kNoLoss) {
-        occ_chunk[k] = 0.0;
-        continue;
-      }
-      ++found;
-      occ_chunk[k] = finance::apply_occurrence(s.terms, s.means[row]);
-    }
 
-    std::size_t j = 0;
-    while (j < n) {
-      while (c0 + j >= yelt_offsets[t + 1]) {
-        ++t;
-      }
-      const std::size_t seg_end =
-          static_cast<std::size_t>(std::min<std::uint64_t>(yelt_offsets[t + 1] - c0, n));
-      Money a = annuals[t - t0];
-      if (accum != nullptr) {
-        for (; j < seg_end; ++j) {
-          const Money occ = occ_chunk[j];
-          a += occ;
-          if (occ > 0.0) {
-            accum[c0 + j] += occ * share;
+      // Occurrence-order fold, one trial segment at a time: the annual
+      // sums and the OEP accumulator see the losses exactly as the scalar
+      // loop would, with the annual in a register per segment. Zero losses
+      // join their OEP cells too — adding +0.0 to a sum of non-negative
+      // contributions changes no bit — so no loss value steers a branch.
+      Money* const an = annuals + i * nt;
+      Money* const accum = s.occurrence_accum;
+      const Money share = s.terms.share;
+      const std::uint32_t* seqs = kDense ? nullptr : lead.seqs + c0;
+      TrialId t = tc;
+      std::size_t j = 0;
+      while (j < n) {
+        while (c0 + j >= offsets[t + 1]) {
+          ++t;
+        }
+        const std::size_t seg_end =
+            static_cast<std::size_t>(std::min<std::uint64_t>(offsets[t + 1] - c0, n));
+        Money a = an[t - a0];
+        if (accum != nullptr) {
+          const std::uint64_t trial_begin = yelt_offsets[t];
+          for (; j < seg_end; ++j) {
+            const Money occ = occ_chunk[j];
+            a += occ;
+            accum[kDense ? c0 + j : trial_begin + seqs[j]] += occ * share;
+          }
+        } else {
+          for (; j < seg_end; ++j) {
+            a += occ_chunk[j];
           }
         }
-      } else {
-        for (; j < seg_end; ++j) {
-          a += occ_chunk[j];
-        }
+        an[t - a0] = a;
       }
-      annuals[t - t0] = a;
     }
   }
-  detail::finish_slot_trials_out(s, t0, t1, annuals);
+  for (std::size_t i = 0; i < gsize; ++i) {
+    detail::finish_slot_trials_out(gs[i], a0, a1, annuals + i * nt);
+  }
   return found;
 }
 
+/// One vector (group, block): sub-blocks the block's trials so every
+/// slot's annuals fit the stack buffer. Sub-blocking keeps the per-cell
+/// order — for any trial, the group's slots still add in slot order, all
+/// before the next group runs. Returns the found-lookup count per slot
+/// (dense; scalar parity).
+template <typename V, bool kDense>
+inline std::uint64_t vec_group_block(const Slot* gs, std::size_t gsize,
+                                     const Philox4x32& philox, bool secondary,
+                                     TrialId trial_base, TrialId t0, TrialId t1,
+                                     std::span<const std::uint64_t> yelt_offsets,
+                                     SimdStats& stats) {
+  const auto span = static_cast<TrialId>(std::min(kTrialBlock, kGroupAnnuals / gsize));
+  std::uint64_t found = 0;
+  for (TrialId a0 = t0; a0 < t1; a0 += span) {
+    found += vec_group_range<V, kDense>(gs, gsize, philox, secondary, trial_base, a0,
+                                        std::min<TrialId>(t1, a0 + span), yelt_offsets,
+                                        stats);
+  }
+  return found * gsize;
+}
+
 /// The kernel: per (group, trial-block) classification, vector paths for
-/// the singleton compact/dense regimes, batch::process_trials for the
-/// rest. The block loop is outermost and groups run in plan order, so
-/// shared output cells accumulate in the scalar kernel's order.
+/// compact and dense groups, batch::process_trials for the rest. The block
+/// loop is outermost and groups run in plan order, so shared output cells
+/// accumulate in the scalar kernel's order.
 template <typename V>
 std::uint64_t process_trials_simd(std::span<const Slot> slots, std::span<const Group> groups,
                                   std::span<const std::uint64_t> yelt_offsets,
@@ -285,14 +291,14 @@ std::uint64_t process_trials_simd(std::span<const Slot> slots, std::span<const G
     const TrialId b1 = std::min<TrialId>(hi, b0 + static_cast<TrialId>(kTrialBlock));
     for (const Group& group : groups) {
       const Slot* gs = slots.data() + group.begin;
-      switch (classify(gs, group.size, secondary)) {
+      switch (classify(gs, group.size)) {
         case GroupClass::VecCompact:
-          vec_compact_block<V>(gs[0], philox, secondary, trial_base, b0, b1, yelt_offsets,
-                               stats);
+          (void)vec_group_block<V, false>(gs, group.size, philox, secondary, trial_base, b0,
+                                          b1, yelt_offsets, stats);
           break;
         case GroupClass::VecDense:
-          found += vec_dense_block<V>(gs[0], philox, secondary, trial_base, b0, b1,
-                                      yelt_offsets, stats);
+          found += vec_group_block<V, true>(gs, group.size, philox, secondary, trial_base,
+                                            b0, b1, yelt_offsets, stats);
           break;
         case GroupClass::Scalar: {
           // Bit-identical by construction: the scalar kernel itself, one
@@ -303,9 +309,9 @@ std::uint64_t process_trials_simd(std::span<const Slot> slots, std::span<const G
                                   yelt_offsets, philox, secondary, trial_base, b0, b1,
                                   annual_scratch);
           stats.scalar_occurrences +=
-              gs[0].gather == Gather::Compact
-                  ? gs[0].hit_offsets[b1] - gs[0].hit_offsets[b0]
-                  : yelt_offsets[b1] - yelt_offsets[b0];
+              group.size * (gs[0].gather == Gather::Compact
+                                ? gs[0].hit_offsets[b1] - gs[0].hit_offsets[b0]
+                                : yelt_offsets[b1] - yelt_offsets[b0]);
           break;
         }
       }

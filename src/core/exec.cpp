@@ -351,10 +351,6 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
       (void)device_.const_upload(packed.data(), rows * sizeof(DeviceEltRow));
     }
 
-    const std::uint32_t slot_lo = plan.groups[chunk.group_begin].begin;
-    const batch::Group& last_group = plan.groups[chunk.group_end - 1];
-    const std::uint32_t slot_hi = last_group.begin + last_group.size;
-
     std::vector<std::uint64_t> block_found(static_cast<std::size_t>(grid_dim), 0);
     std::vector<std::uint8_t> block_staged(static_cast<std::size_t>(grid_dim), 2);
 
@@ -431,25 +427,23 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
         }
       }
 
-      // ---- The one trial kernel, over this block's trial range. Slots are
-      // copied with staged columns swapped in only when something actually
+      // ---- The one trial kernel, over this block's trial range, one group
+      // at a time (groups in plan order, so every shared output cell sees
+      // the plan-wide kernel's addition order) — the per-group found count
+      // is what the dense/search metering below needs. Slots are copied
+      // with staged columns swapped in only when something actually
       // staged; spill blocks read the plan's slots in place.
       const bool anything_staged = ctx.shared_used() > 0;
       std::vector<Money> annual_scratch(plan.max_group_size);
+      std::vector<batch::Slot> local;
       std::uint64_t found = 0;
-      if (anything_staged) {
-        std::vector<batch::Slot> local(plan.slots.begin() + slot_lo,
-                                       plan.slots.begin() + slot_hi);
-        std::vector<batch::Group> local_groups(plan.groups.begin() + chunk.group_begin,
-                                               plan.groups.begin() + chunk.group_end);
-        for (batch::Group& g : local_groups) {
-          g.begin -= slot_lo;
-        }
-        for (std::uint32_t g = chunk.group_begin; g < chunk.group_end; ++g) {
+      for (std::uint32_t g = chunk.group_begin; g < chunk.group_end; ++g) {
+        const batch::Group& group = plan.groups[g];
+        std::span<const batch::Slot> group_slots(plan.slots.data() + group.begin, group.size);
+        if (anything_staged) {
           const std::uint32_t src = plan.group_source[g];
-          const batch::Group& group = plan.groups[g];
-          for (std::uint32_t i = 0; i < group.size; ++i) {
-            batch::Slot& s = local[group.begin + i - slot_lo];
+          local.assign(group_slots.begin(), group_slots.end());
+          for (batch::Slot& s : local) {
             if (staged_seqs[src] != nullptr) {
               s.seqs = staged_seqs[src];
               s.rows = staged_rows[src];
@@ -461,32 +455,37 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
               s.search_events = staged_events;
             }
           }
+          group_slots = local;
         }
-        found = batch::process_trials(local, local_groups, yelt_offsets, philox,
-                                      plan.secondary, plan.trial_base, first, last,
-                                      annual_scratch);
-      } else {
-        found = batch::process_trials(
-            plan.slots,
-            std::span<const batch::Group>(plan.groups)
-                .subspan(chunk.group_begin, chunk.group_end - chunk.group_begin),
-            yelt_offsets, philox, plan.secondary, plan.trial_base, first, last,
-            annual_scratch);
-      }
-      block_found[static_cast<std::size_t>(ctx.block_id())] = found;
+        const batch::Group whole{0, group.size};
+        const std::uint64_t group_found =
+            batch::process_trials(group_slots, {&whole, 1}, yelt_offsets, philox,
+                                  plan.secondary, plan.trial_base, first, last,
+                                  annual_scratch);
+        found += group_found;
 
-      // ---- Meter the gather/compute traffic analytically, per group.
-      std::uint64_t noncompact_slots = 0;
-      double noncompact_frac = 0.0;
-      for (std::uint32_t g = chunk.group_begin; g < chunk.group_end; ++g) {
+        // ---- Meter the group's gather/compute traffic analytically. The
+        // ground-up loss of an occurrence is gathered (and sampled) once
+        // per group; the occurrence terms and the annual finish run once
+        // per slot.
         const std::uint32_t src = plan.group_source[g];
         const ExecutionPlan::Source& source = plan.sources[src];
-        const batch::Group& group = plan.groups[g];
         const std::size_t elt_rows = source.elt->size();
         const double frac =
             elt_rows == 0 ? 0.0
                           : static_cast<double>(std::min(resident[src], elt_rows)) /
                                 static_cast<double>(elt_rows);
+        const auto meter_rows = [&](std::uint64_t rows) {
+          const auto row_traffic = rows * static_cast<std::uint64_t>(sizeof(DeviceEltRow));
+          const auto const_part =
+              static_cast<std::uint64_t>(frac * static_cast<double>(row_traffic));
+          ctx.meter_const_read(const_part);
+          ctx.meter_global_read(row_traffic - const_part);
+          if (plan.secondary) {
+            ctx.meter_flops(rows * kBetaFlops);
+          }
+          ctx.meter_flops(rows * kOccTermFlops * group.size);
+        };
         if (source.gather == batch::Gather::Compact) {
           const std::uint64_t hits = source.hit_offsets[last] - source.hit_offsets[first];
           const std::uint64_t col_bytes = hits * 2 * sizeof(std::uint32_t);
@@ -495,13 +494,7 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
           } else {
             ctx.meter_global_read(col_bytes);
           }
-          const auto row_traffic = hits * static_cast<std::uint64_t>(sizeof(DeviceEltRow));
-          ctx.meter_const_read(static_cast<std::uint64_t>(frac * row_traffic));
-          ctx.meter_global_read(row_traffic - static_cast<std::uint64_t>(frac * row_traffic));
-          if (plan.secondary) {
-            ctx.meter_flops(hits * kBetaFlops);
-          }
-          ctx.meter_flops(hits * kOccTermFlops * group.size);
+          meter_rows(hits);
           for (std::uint32_t i = 0; i < group.size; ++i) {
             const batch::Slot& s = plan.slots[group.begin + i];
             if (s.occurrence_accum != nullptr) {
@@ -527,35 +520,21 @@ std::uint64_t DeviceSimExecutor::execute(const ExecutionPlan& plan,
             ctx.meter_global_read(col_bytes);
           }
           if (source.gather == batch::Gather::Search) {
-            // Every occurrence binary-searches the table; probes split
-            // between the resident prefix and the global tail.
+            // Every occurrence binary-searches the table once per group;
+            // probes split between the resident prefix and the global tail.
             const std::uint64_t probes = occ * probe_bytes(elt_rows);
             ctx.meter_const_read(static_cast<std::uint64_t>(frac * probes));
             ctx.meter_global_read(probes - static_cast<std::uint64_t>(frac * probes));
           }
-          noncompact_slots += group.size;
-          noncompact_frac = frac;
+          // process_trials counts found lookups per slot; the rows were
+          // found (and sampled) once for the whole group.
+          meter_rows(group_found / group.size);
           ctx.meter_flops((occ_hi > occ_lo ? last - first : 0) * 6 * group.size);
           ctx.meter_global_write((occ_hi > occ_lo ? last - first : 0) * 3 *
                                  sizeof(Money) * group.size);
         }
       }
-      if (noncompact_slots > 0) {
-        // Found-lookup gathers of the dense/search slots: per found row one
-        // packed-row read (const for the resident fraction) plus sampling
-        // and term FLOPs. The per-group split is not tracked — plans are
-        // one noncompact source in practice (the per-layer lowering); a
-        // mix meters under the last source's residency fraction.
-        const auto row_traffic = found * static_cast<std::uint64_t>(sizeof(DeviceEltRow));
-        const auto const_part = static_cast<std::uint64_t>(noncompact_frac *
-                                                           static_cast<double>(row_traffic));
-        ctx.meter_const_read(const_part);
-        ctx.meter_global_read(row_traffic - const_part);
-        if (plan.secondary) {
-          ctx.meter_flops(found * kBetaFlops);
-        }
-        ctx.meter_flops(found * kOccTermFlops);
-      }
+      block_found[static_cast<std::size_t>(ctx.block_id())] = found;
 
       block_staged[static_cast<std::size_t>(ctx.block_id())] = all_staged ? 1 : 0;
     });
@@ -597,10 +576,6 @@ ExecutionPlan ExecutionPlan::lower(std::span<const batch::Slot> slots,
   plan.groups = batch::group_slots(slots);
   for (const batch::Group& g : plan.groups) {
     plan.max_group_size = std::max<std::size_t>(plan.max_group_size, g.size);
-    if (g.size > 1) {
-      RISKAN_REQUIRE(slots[g.begin].gather == batch::Gather::Compact,
-                     "shared-gather groups are compact-mode only");
-    }
   }
 
   plan.group_source.reserve(plan.groups.size());

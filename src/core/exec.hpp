@@ -101,8 +101,8 @@ struct ExecutionPlan {
 
   /// Lowers a finished slot list: groups slots, sizes scratch, validates
   /// gather modes (each slot exactly one mode; dense/search slots must be
-  /// transform-inert singleton groups) and — when config.backend is
-  /// DeviceSim — plans constant-memory residency chunks.
+  /// transform-inert, alone or as a contract's layer tower) and — when
+  /// config.backend is DeviceSim — plans constant-memory residency chunks.
   static ExecutionPlan lower(std::span<const batch::Slot> slots,
                              std::span<const std::uint64_t> yelt_offsets, TrialId trials,
                              const EngineConfig& config);
@@ -128,8 +128,8 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Runs the plan's full trial range through batch::process_trials.
-  /// Returns the kernel's dense/search found-lookup count (0 for all-
-  /// compact plans, whose hit telemetry comes from their resolutions).
+  /// Returns the kernel's dense/search found-lookup count, per slot (0 for
+  /// all-compact plans, whose hit telemetry comes from their resolutions).
   virtual std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) = 0;
 };
 

@@ -39,7 +39,11 @@ Money probable_maximum_loss(const data::YearLossTable& ylt, double return_period
 std::vector<EpPoint> exceedance_curve(const data::YearLossTable& ylt,
                                       std::span<const double> return_periods) {
   RISKAN_REQUIRE(!ylt.empty(), "EP curve of an empty YLT");
-  const auto sorted = sorted_losses(ylt);
+  return exceedance_curve_sorted(sorted_losses(ylt), return_periods);
+}
+
+std::vector<EpPoint> exceedance_curve_sorted(std::span<const double> sorted,
+                                             std::span<const double> return_periods) {
   std::vector<EpPoint> curve;
   curve.reserve(return_periods.size());
   for (const double rp : return_periods) {
@@ -59,8 +63,10 @@ std::vector<double> standard_return_periods() {
 
 RiskSummary summarise(const data::YearLossTable& ylt) {
   RISKAN_REQUIRE(!ylt.empty(), "summary of an empty YLT");
-  const auto sorted = sorted_losses(ylt);
+  return summarise_sorted(sorted_losses(ylt));
+}
 
+RiskSummary summarise_sorted(std::span<const double> sorted) {
   OnlineStats stats;
   for (const double loss : sorted) {
     stats.add(loss);

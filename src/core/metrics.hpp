@@ -47,6 +47,11 @@ struct EpPoint {
 std::vector<EpPoint> exceedance_curve(const data::YearLossTable& ylt,
                                       std::span<const double> return_periods);
 
+/// exceedance_curve over losses already sorted ascending, so one sort can
+/// serve several metrics.
+std::vector<EpPoint> exceedance_curve_sorted(std::span<const double> sorted,
+                                             std::span<const double> return_periods);
+
 /// The standard reporting grid: 2, 5, 10, 25, 50, 100, 250, 500, 1000 years.
 std::vector<double> standard_return_periods();
 
@@ -64,5 +69,8 @@ struct RiskSummary {
 };
 
 RiskSummary summarise(const data::YearLossTable& ylt);
+
+/// summarise over losses already sorted ascending (non-empty).
+RiskSummary summarise_sorted(std::span<const double> sorted);
 
 }  // namespace riskan::core

@@ -19,12 +19,27 @@ namespace riskan::core::batch {
 
 namespace {
 
+/// Slots share a gather group when they read the same columns and draw
+/// the same samples. The layer is deliberately not compared: occurrence
+/// streams are keyed by contract (kStreamKeyVersion in secondary.hpp), so
+/// a contract's whole layer tower — and every scenario variant of it —
+/// shares one draw per occurrence.
 bool same_gather(const Slot& a, const Slot& b) noexcept {
   return a.gather == b.gather && a.hit_offsets == b.hit_offsets && a.seqs == b.seqs &&
          a.rows == b.rows && a.dense_rows == b.dense_rows &&
          a.search_events == b.search_events && a.elt == b.elt && a.means == b.means &&
-         a.sampler == b.sampler && a.contract_id == b.contract_id &&
-         a.layer_id == b.layer_id;
+         a.sampler == b.sampler && a.contract_id == b.contract_id;
+}
+
+/// The ground-up loss of one occurrence of `s`'s contract: a draw from the
+/// contract's occurrence stream, or the ELT mean with sampling off.
+inline Money ground_up_of(const Slot& s, const Philox4x32& philox, bool secondary,
+                          TrialId trial, std::uint32_t seq, std::size_t row) {
+  if (secondary) {
+    auto stream = occurrence_stream(philox, s.contract_id, trial, seq);
+    return s.sampler->sample(row, stream);
+  }
+  return s.means[row];
 }
 
 /// The conditioned occurrence of one (slot, trial), if any: applied before
@@ -33,7 +48,7 @@ inline Money conditioned_annual(const Slot& s, TrialId t) {
   if (s.conditioned_ground_up < 0.0) {
     return 0.0;
   }
-  const Money occ = finance::apply_occurrence(s.terms, s.conditioned_ground_up);
+  const Money occ = finance::occurrence_loss(s.terms, s.conditioned_ground_up);
   if (s.conditioned_accum != nullptr && occ > 0.0) {
     s.conditioned_accum[t] += occ * s.terms.share;
   }
@@ -42,7 +57,7 @@ inline Money conditioned_annual(const Slot& s, TrialId t) {
 
 /// Annual terms + output accumulation of one (slot, trial).
 inline void finish_slot_trial(const Slot& s, TrialId t, Money annual) {
-  const Money consumed = finance::apply_aggregate(s.terms, annual);
+  const Money consumed = finance::aggregate_loss(s.terms, annual);
   const Money net = consumed * s.terms.share;
   if (net > 0.0) {
     if (!s.contract_losses.empty()) {
@@ -54,116 +69,226 @@ inline void finish_slot_trial(const Slot& s, TrialId t, Money annual) {
   }
 }
 
-inline bool inert_transforms(const Slot& s) noexcept {
-  return s.mask_seq == nullptr && s.loss_scale == 1.0 && s.conditioned_ground_up < 0.0;
-}
+/// Trials per block of the kernel's outer loop; occurrences per ground-up
+/// buffer of a sub-block; distinct mask columns a sub-block keeps resolved.
+constexpr TrialId kTrialBlock = 256;
+constexpr std::size_t kChunk = 512;
+constexpr std::size_t kMaskViews = 4;
 
-/// Singleton-group fast path: the base batched engine's regime (every slot
-/// its own gather group). Keeps the annual sum in a register — the grouped
-/// kernel's scratch-array accumulation costs a per-occurrence memory RMW
-/// that shows up at streaming rates — and compiles the transform hooks out
-/// entirely for inert slots (kTransforms = false), so the base path keeps
-/// the pre-scenario kernel's instruction stream.
-template <bool kTransforms>
-inline void process_singleton_trial(const Slot& s, const Philox4x32& philox,
-                                    bool secondary, TrialId trial_base, TrialId t,
-                                    std::uint64_t trial_begin) {
-  Money annual = kTransforms ? conditioned_annual(s, t) : 0.0;
-  const std::uint64_t k_end = s.hit_offsets[t + 1];
-  for (std::uint64_t k = s.hit_offsets[t]; k < k_end; ++k) {
-    const std::uint32_t seq = s.seqs[k];
-    const std::uint32_t row = s.rows[k];
-    std::uint32_t eff_seq = seq;
-    if constexpr (kTransforms) {
-      if (s.mask_seq != nullptr) {
-        const std::uint32_t adjusted = s.mask_seq[trial_begin + seq];
-        if (adjusted == kMaskedOut) {
-          continue;
-        }
-        eff_seq = adjusted;
+/// Ground-up marker of a masked-out occurrence in a mask view. Any negative
+/// loss works: occurrence_loss of it is +0.0 for both retention kinds
+/// (retentions are non-negative), and so is any positive loss_scale of it.
+constexpr Money kNoGroundUp = -1.0;
+
+/// One gather group — a contract's layer tower, with every scenario
+/// variant of it — over trials [t0, t1), t1 − t0 ≤ kTrialBlock.
+///
+/// Whole trials are collected into sub-blocks of at most kChunk positions,
+/// resolving each found occurrence's ground-up loss ONCE — sampled from the
+/// contract's stream, or the ELT mean — with its OEP cell and its trial's
+/// index in the sub-block. Then every slot in turn, in slot order, applies
+/// its transforms and occurrence terms over the whole sub-block in one
+/// branch-free pass, adding each loss to its trial's annual sum (kept per
+/// trial, so no trial's hit count steers a branch) and to its OEP cell,
+/// and finishes the sub-block's trials.
+///
+/// Transforms: a conditioned occurrence seeds each trial's annual sum
+/// before the trial's own occurrences; loss_scale multiplies the ground-up
+/// (× 1.0 is exact); a mask column reads a view of the sub-block in which
+/// excluded occurrences carry kNoGroundUp and shifted ones are re-sampled
+/// under the sequence they have in the physically filtered table. A view
+/// depends only on the column, so scenarios sharing a (deduped) column
+/// share it.
+///
+/// Per output cell the additions keep the trial-major kernel's order: each
+/// OEP cell and each (contract or portfolio, trial) cell sees the group's
+/// slots in slot order, and each annual sum sees its trial's occurrences in
+/// occurrence order. Zero losses join their sums and cells too — adding
+/// +0.0 to a sum of non-negative contributions changes no bit.
+///
+/// `offsets` delimits each trial's positions (hit_offsets for compact,
+/// the YELT offsets for dense/search); `row_at(j)` maps a position to an
+/// ELT row or npos and `seq_at(j, trial_begin)` to its in-trial sequence.
+/// A trial with more than kChunk positions runs alone, chunked, with each
+/// slot's annual sum carried in `annuals` (gsize entries). Returns the rows
+/// found (once per occurrence, not per slot).
+template <typename RowAt, typename SeqAt>
+std::uint64_t process_group_block(const Slot* gs, std::size_t gsize, const Philox4x32& philox,
+                                  bool secondary, TrialId trial_base, TrialId t0, TrialId t1,
+                                  const std::uint64_t* offsets,
+                                  std::span<const std::uint64_t> yelt_offsets,
+                                  const RowAt& row_at, const SeqAt& seq_at, Money* annuals) {
+  const Slot& lead = gs[0];
+  Money gu[kChunk];
+  std::uint64_t cell[kChunk];
+  std::uint32_t seqs[kChunk];
+  std::uint32_t rows[kChunk];
+  std::uint32_t tix[kChunk];
+  Money sums[kTrialBlock];
+  struct MaskView {
+    const std::uint32_t* mask = nullptr;
+    Money gu[kChunk];
+  };
+  MaskView views[kMaskViews];
+  std::size_t next_view = 0;
+
+  // Resolves positions [j, j_end) of trial t into the buffers from index
+  // n; tb is the sub-block's first trial.
+  const auto collect = [&](TrialId t, TrialId tb, std::uint64_t j, std::uint64_t j_end,
+                           std::size_t n) {
+    const std::uint64_t trial_begin = yelt_offsets[t];
+    for (; j < j_end; ++j) {
+      const std::size_t row = row_at(j);
+      if (row == data::EventLossTable::npos) {
+        continue;
+      }
+      const std::uint32_t seq = seq_at(j, trial_begin);
+      gu[n] = ground_up_of(lead, philox, secondary, trial_base + t, seq, row);
+      cell[n] = trial_begin + seq;
+      seqs[n] = seq;
+      rows[n] = static_cast<std::uint32_t>(row);
+      tix[n] = static_cast<std::uint32_t>(t - tb);
+      ++n;
+    }
+    return n;
+  };
+  // The sub-block's ground-up losses as a mask column sees them.
+  const auto mask_view = [&](const std::uint32_t* mask, TrialId tb, std::size_t n) {
+    for (const MaskView& view : views) {
+      if (view.mask == mask) {
+        return static_cast<const Money*>(view.gu);
       }
     }
-    Money ground_up;
-    if (secondary) {
-      auto stream =
-          occurrence_stream(philox, s.contract_id, s.layer_id, trial_base + t, eff_seq);
-      ground_up = s.sampler->sample(row, stream);
-    } else {
-      ground_up = s.means[row];
-    }
-    if constexpr (kTransforms) {
-      if (s.loss_scale != 1.0) {
-        ground_up *= s.loss_scale;
+    MaskView& view = views[next_view];
+    next_view = (next_view + 1) % kMaskViews;
+    view.mask = mask;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::uint32_t adjusted = mask[cell[k]];
+      if (adjusted == kMaskedOut) {
+        view.gu[k] = kNoGroundUp;
+      } else if (adjusted == seqs[k] || !secondary) {
+        view.gu[k] = gu[k];
+      } else {
+        view.gu[k] = ground_up_of(lead, philox, true, trial_base + tb + tix[k], adjusted,
+                                  rows[k]);
       }
     }
-    const Money occ = finance::apply_occurrence(s.terms, ground_up);
-    annual += occ;
-    if (s.occurrence_accum != nullptr && occ > 0.0) {
-      s.occurrence_accum[trial_begin + seq] += occ * s.terms.share;
+    return static_cast<const Money*>(view.gu);
+  };
+  // Adds slot s's occurrence losses of the n buffered occurrences to
+  // trial_sums[tix[k]] and to their OEP cells.
+  const auto apply = [&](const Slot& s, const Money* ground_up, std::size_t n,
+                         Money* trial_sums) {
+    const finance::LayerTerms terms = s.terms;
+    const Money scale = s.loss_scale;
+    Money* const accum = s.occurrence_accum;
+    for (std::size_t k = 0; k < n; ++k) {
+      const Money occ = finance::occurrence_loss(terms, ground_up[k] * scale);
+      trial_sums[tix[k]] += occ;
+      if (accum != nullptr) {
+        accum[cell[k]] += occ * terms.share;
+      }
     }
-  }
-  finish_slot_trial(s, t, annual);
-}
+  };
+  const auto slot_ground_up = [&](const Slot& s, TrialId tb, std::size_t n) {
+    return s.mask_seq == nullptr ? static_cast<const Money*>(gu) : mask_view(s.mask_seq, tb, n);
+  };
 
-/// Dense/search singleton: one trial of a slot that walks the *full*
-/// occurrence range [trial_begin, trial_end) — `row_of(i)` maps the global
-/// occurrence index to an ELT row or npos. This is the legacy per-contract
-/// kernel's loop body (same sampling keys, same accumulation order), kept
-/// as a gather mode of the one trial kernel. Transforms are inert on these
-/// slots by plan contract. Returns the found-lookup count.
-template <typename RowOf>
-inline std::uint64_t process_full_range_trial(const Slot& s, const Philox4x32& philox,
-                                              bool secondary, TrialId trial_base, TrialId t,
-                                              std::uint64_t trial_begin,
-                                              std::uint64_t trial_end, const RowOf& row_of) {
-  Money annual = 0.0;
   std::uint64_t found = 0;
-  for (std::uint64_t i = trial_begin; i < trial_end; ++i) {
-    const std::size_t row = row_of(i);
-    if (row == data::EventLossTable::npos) {
+  TrialId t = t0;
+  while (t < t1) {
+    for (MaskView& view : views) {
+      view.mask = nullptr;
+    }
+    if (offsets[t + 1] - offsets[t] > kChunk) {
+      for (std::size_t i = 0; i < gsize; ++i) {
+        annuals[i] = conditioned_annual(gs[i], t);
+      }
+      for (std::uint64_t j = offsets[t]; j < offsets[t + 1]; j += kChunk) {
+        const std::size_t n =
+            collect(t, t, j, std::min<std::uint64_t>(j + kChunk, offsets[t + 1]), 0);
+        found += n;
+        for (MaskView& view : views) {
+          view.mask = nullptr;
+        }
+        for (std::size_t i = 0; i < gsize; ++i) {
+          apply(gs[i], slot_ground_up(gs[i], t, n), n, annuals + i);
+        }
+      }
+      for (std::size_t i = 0; i < gsize; ++i) {
+        finish_slot_trial(gs[i], t, annuals[i]);
+      }
+      ++t;
       continue;
     }
-    ++found;
-    Money ground_up;
-    if (secondary) {
-      auto stream = occurrence_stream(philox, s.contract_id, s.layer_id, trial_base + t,
-                                      static_cast<std::uint32_t>(i - trial_begin));
-      ground_up = s.sampler->sample(row, stream);
-    } else {
-      ground_up = s.means[row];
+    const TrialId tb = t;
+    std::size_t n = 0;
+    while (t < t1 && n + (offsets[t + 1] - offsets[t]) <= kChunk) {
+      n = collect(t, tb, offsets[t], offsets[t + 1], n);
+      ++t;
     }
-    const Money occ = finance::apply_occurrence(s.terms, ground_up);
-    annual += occ;
-    if (s.occurrence_accum != nullptr && occ > 0.0) {
-      s.occurrence_accum[i] += occ * s.terms.share;
+    found += n;
+    for (std::size_t i = 0; i < gsize; ++i) {
+      const Slot& s = gs[i];
+      // Conditioned occurrences come first: the event has already happened
+      // when the trial year's own occurrences play out.
+      for (TrialId tt = tb; tt < t; ++tt) {
+        sums[tt - tb] = conditioned_annual(s, tt);
+      }
+      apply(s, slot_ground_up(s, tb, n), n, sums);
+      for (TrialId tt = tb; tt < t; ++tt) {
+        finish_slot_trial(s, tt, sums[tt - tb]);
+      }
     }
   }
-  finish_slot_trial(s, t, annual);
   return found;
 }
 
-inline std::uint64_t process_noncompact_trial(const Slot& s, const Philox4x32& philox,
-                                              bool secondary, TrialId trial_base, TrialId t,
-                                              std::uint64_t trial_begin,
-                                              std::uint64_t trial_end) {
-  if (s.gather == Gather::Dense) {
-    const std::uint32_t* dense = s.dense_rows;
-    return process_full_range_trial(
-        s, philox, secondary, trial_base, t, trial_begin, trial_end,
-        [dense](std::uint64_t i) {
-          const std::uint32_t row = dense[i];
-          return row == data::ResolvedYelt::kNoLoss ? data::EventLossTable::npos
-                                                    : static_cast<std::size_t>(row);
-        });
+/// process_group_block over the group's gather mode. Returns the found
+/// lookups of dense/search groups per slot (occurrence × layer
+/// evaluations — the elt_lookups unit); compact groups report 0.
+std::uint64_t process_group(const Slot* gs, std::size_t gsize, const Philox4x32& philox,
+                            bool secondary, TrialId trial_base, TrialId t0, TrialId t1,
+                            std::span<const std::uint64_t> yelt_offsets, Money* annuals) {
+  const Slot& lead = gs[0];
+  const auto full_range_seq = [](std::uint64_t i, std::uint64_t trial_begin) {
+    return static_cast<std::uint32_t>(i - trial_begin);
+  };
+  switch (lead.gather) {
+    case Gather::Compact: {
+      const std::uint32_t* rows = lead.rows;
+      const std::uint32_t* seqs = lead.seqs;
+      (void)process_group_block(
+          gs, gsize, philox, secondary, trial_base, t0, t1, lead.hit_offsets, yelt_offsets,
+          [rows](std::uint64_t k) { return static_cast<std::size_t>(rows[k]); },
+          [seqs](std::uint64_t k, std::uint64_t) { return seqs[k]; }, annuals);
+      return 0;
+    }
+    case Gather::Dense: {
+      const std::uint32_t* dense = lead.dense_rows;
+      return gsize * process_group_block(
+                         gs, gsize, philox, secondary, trial_base, t0, t1,
+                         yelt_offsets.data(), yelt_offsets,
+                         [dense](std::uint64_t i) {
+                           const std::uint32_t row = dense[i];
+                           return row == data::ResolvedYelt::kNoLoss
+                                      ? data::EventLossTable::npos
+                                      : static_cast<std::size_t>(row);
+                         },
+                         full_range_seq, annuals);
+    }
+    case Gather::Search: {
+      const data::EventLossTable* elt = lead.elt;
+      const EventId* events = lead.search_events;
+      return gsize * process_group_block(
+                         gs, gsize, philox, secondary, trial_base, t0, t1,
+                         yelt_offsets.data(), yelt_offsets,
+                         [elt, events](std::uint64_t i) { return elt->find(events[i]); },
+                         full_range_seq, annuals);
+    }
   }
-  const data::EventLossTable* elt = s.elt;
-  const EventId* events = s.search_events;
-  return process_full_range_trial(
-      s, philox, secondary, trial_base, t, trial_begin, trial_end,
-      [elt, events](std::uint64_t i) { return elt->find(events[i]); });
+  return 0;
 }
-
-inline bool compact_gather(const Slot& s) noexcept { return s.gather == Gather::Compact; }
 
 }  // namespace
 
@@ -185,127 +310,19 @@ std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group>
                              std::span<const std::uint64_t> yelt_offsets,
                              const Philox4x32& philox, bool secondary, TrialId trial_base,
                              TrialId lo, TrialId hi, std::span<Money> annual_scratch) {
-  std::uint64_t noncompact_found = 0;
+  std::uint64_t found = 0;
 
-  // The base batched engine flattens to all-inert singleton groups; that
-  // regime takes a dedicated loop whose body is exactly the pre-scenario
-  // kernel (slots iterated directly, no group machinery, transform hooks
-  // compiled out), so growing the scenario hooks costs the base path
-  // nothing. Checked once per chunk.
-  bool all_inert_singletons = slots.size() == groups.size();
-  if (all_inert_singletons) {
-    for (const Slot& s : slots) {
-      if (!inert_transforms(s)) {
-        all_inert_singletons = false;
-        break;
-      }
-    }
-  }
-  if (all_inert_singletons) {
-    for (TrialId t = lo; t < hi; ++t) {
-      const std::uint64_t trial_begin = yelt_offsets[t];
-      for (const Slot& s : slots) {
-        if (compact_gather(s)) {
-          process_singleton_trial<false>(s, philox, secondary, trial_base, t, trial_begin);
-        } else {
-          noncompact_found += process_noncompact_trial(s, philox, secondary, trial_base,
-                                                       t, trial_begin, yelt_offsets[t + 1]);
-        }
-      }
-    }
-    return noncompact_found;
-  }
-
-  for (TrialId t = lo; t < hi; ++t) {
-    const std::uint64_t trial_begin = yelt_offsets[t];
+  // Trial blocks outermost, groups in plan order within a block: for any
+  // trial, the groups touch its shared output cells in plan order, as a
+  // trial-major loop would.
+  for (TrialId b0 = lo; b0 < hi; b0 += std::min(kTrialBlock, hi - b0)) {
+    const TrialId b1 = b0 + std::min(kTrialBlock, hi - b0);
     for (const Group& group : groups) {
-      const Slot* gs = slots.data() + group.begin;
-      const std::size_t gsize = group.size;
-      if (gsize == 1) {
-        if (!compact_gather(gs[0])) {
-          noncompact_found += process_noncompact_trial(gs[0], philox, secondary, trial_base,
-                                                       t, trial_begin, yelt_offsets[t + 1]);
-        } else if (inert_transforms(gs[0])) {
-          process_singleton_trial<false>(gs[0], philox, secondary, trial_base, t,
-                                         trial_begin);
-        } else {
-          process_singleton_trial<true>(gs[0], philox, secondary, trial_base, t,
-                                        trial_begin);
-        }
-        continue;
-      }
-      const Slot& lead = gs[0];
-
-      // Conditioned occurrences come first: the event has already happened
-      // when the trial year's own occurrences play out.
-      for (std::size_t i = 0; i < gsize; ++i) {
-        annual_scratch[i] = conditioned_annual(gs[i], t);
-      }
-
-      const std::uint64_t k_end = lead.hit_offsets[t + 1];
-      for (std::uint64_t k = lead.hit_offsets[t]; k < k_end; ++k) {
-        const std::uint32_t seq = lead.seqs[k];
-        const std::uint32_t row = lead.rows[k];
-        // The occurrence's ground-up loss is identical for every unmasked
-        // slot of the group (the stream is keyed by contract/layer/trial/
-        // seq, none of which a transform changes), so it is resolved once.
-        // Masked slots with a shifted sequence sample under the key the
-        // occurrence has in the physically filtered table; that sample too
-        // depends only on eff_seq within the group, so scenarios sharing a
-        // (deduped) mask column share it through a one-entry cache.
-        Money shared_gu = 0.0;
-        bool shared_ready = false;
-        std::uint32_t shifted_seq = kMaskedOut;
-        Money shifted_gu = 0.0;
-        for (std::size_t i = 0; i < gsize; ++i) {
-          const Slot& s = gs[i];
-          std::uint32_t eff_seq = seq;
-          if (s.mask_seq != nullptr) {
-            const std::uint32_t adjusted = s.mask_seq[trial_begin + seq];
-            if (adjusted == kMaskedOut) {
-              continue;
-            }
-            eff_seq = adjusted;
-          }
-          Money ground_up;
-          if (secondary) {
-            if (eff_seq == seq) {
-              if (!shared_ready) {
-                auto stream = occurrence_stream(philox, s.contract_id, s.layer_id,
-                                                trial_base + t, seq);
-                shared_gu = s.sampler->sample(row, stream);
-                shared_ready = true;
-              }
-              ground_up = shared_gu;
-            } else {
-              if (eff_seq != shifted_seq) {
-                auto stream = occurrence_stream(philox, s.contract_id, s.layer_id,
-                                                trial_base + t, eff_seq);
-                shifted_gu = s.sampler->sample(row, stream);
-                shifted_seq = eff_seq;
-              }
-              ground_up = shifted_gu;
-            }
-          } else {
-            ground_up = s.means[row];
-          }
-          if (s.loss_scale != 1.0) {
-            ground_up *= s.loss_scale;
-          }
-          const Money occ = finance::apply_occurrence(s.terms, ground_up);
-          annual_scratch[i] += occ;
-          if (s.occurrence_accum != nullptr && occ > 0.0) {
-            s.occurrence_accum[trial_begin + seq] += occ * s.terms.share;
-          }
-        }
-      }
-
-      for (std::size_t i = 0; i < gsize; ++i) {
-        finish_slot_trial(gs[i], t, annual_scratch[i]);
-      }
+      found += process_group(slots.data() + group.begin, group.size, philox, secondary,
+                             trial_base, b0, b1, yelt_offsets, annual_scratch.data());
     }
   }
-  return noncompact_found;
+  return found;
 }
 
 void finalize_oep(std::span<Money> oep, std::span<const Money> occurrence_accum,
@@ -370,25 +387,16 @@ namespace {
 /// Stream-key scratch batch for the batched fills (16 KiB of stack).
 constexpr std::size_t kFillBatch = 1024;
 
-inline std::uint64_t slot_hi_key(const Slot& s) noexcept {
-  return (static_cast<std::uint64_t>(s.contract_id) << 16) |
-         static_cast<std::uint64_t>(s.layer_id);
-}
-
-inline std::uint64_t stream_lo_key(TrialId trial, std::uint32_t seq) noexcept {
-  return (static_cast<std::uint64_t>(trial) << 20) | static_cast<std::uint64_t>(seq);
-}
-
 }  // namespace
 
 void fill_ground_up_compact_range(const Slot& s, const Philox4x32& philox,
                                   TrialId trial_base, TrialId t_first,
                                   std::uint64_t k_begin, std::uint64_t k_end, Money* out,
                                   SimdStats& stats) {
-  // Build each occurrence's stream-lo key (trial << 20 | seq — the exact
-  // occurrence_stream key) in batches, then hand the whole batch to the
-  // lane-parallel sampler. hi is constant per slot.
-  const std::uint64_t hi = slot_hi_key(s);
+  // Build each occurrence's stream-lo key (the exact occurrence_stream
+  // key) in batches, then hand the whole batch to the lane-parallel
+  // sampler. hi is constant per contract.
+  const std::uint64_t hi = occurrence_hi_key(s.contract_id);
   std::uint64_t lo[kFillBatch];
   TrialId t = t_first;
   for (std::uint64_t b = k_begin; b < k_end; b += kFillBatch) {
@@ -399,7 +407,7 @@ void fill_ground_up_compact_range(const Slot& s, const Philox4x32& philox,
       while (k >= s.hit_offsets[t + 1]) {
         ++t;
       }
-      lo[i] = stream_lo_key(trial_base + t, s.seqs[k]);
+      lo[i] = occurrence_lo_key(trial_base + t, s.seqs[k]);
     }
     s.sampler->sample_lanes(philox, hi, s.rows + b, lo, n, out + (b - k_begin),
                             stats.sampler_fast, stats.sampler_tail);
@@ -415,7 +423,7 @@ std::uint64_t fill_ground_up_dense_range(const Slot& s, const Philox4x32& philox
   // a batch (rows + stream keys + output positions), sample lane-parallel,
   // scatter back. Sentinel cells get exact +0.0 so the vector pass can add
   // them where the scalar kernel skips (annual sums of non-negatives).
-  const std::uint64_t hi = slot_hi_key(s);
+  const std::uint64_t hi = occurrence_hi_key(s.contract_id);
   std::uint32_t rows[kFillBatch];
   std::uint64_t lo[kFillBatch];
   std::uint32_t pos[kFillBatch];
@@ -437,8 +445,8 @@ std::uint64_t fill_ground_up_dense_range(const Slot& s, const Philox4x32& philox
         continue;
       }
       rows[live] = row;
-      lo[live] = stream_lo_key(trial_base + t,
-                               static_cast<std::uint32_t>(i - yelt_offsets[t]));
+      lo[live] = occurrence_lo_key(trial_base + t,
+                                   static_cast<std::uint32_t>(i - yelt_offsets[t]));
       pos[live] = static_cast<std::uint32_t>(i - i_begin);
       ++live;
     }
@@ -575,7 +583,6 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
           slot.reinstatements = layer.reinstatements;
           slot.upfront_premium = layer.upfront_premium;
           slot.contract_id = contract.id();
-          slot.layer_id = layer.id;
           slot.contract_losses =
               config.keep_contract_ylts
                   ? run.result.contract_ylts[c].mutable_losses().subspan(
@@ -594,10 +601,10 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
     }
 
     // The one streamed pass: every trial chunk is walked once, serving
-    // every slot of every analysis in the group. Base slots are one
-    // (contract, layer) each, so every gather group is a singleton here;
-    // the scenario engine is the multi-slot-group consumer of the same
-    // kernel. The plan / executor layer (src/core/exec.hpp) owns the
+    // every slot of every analysis in the group. A contract's layers form
+    // one gather group (one draw per occurrence feeds the whole tower);
+    // the scenario engine widens the same groups with its variants. The
+    // plan / executor layer (src/core/exec.hpp) owns the
     // partitioning — Sequential runs inline, Threaded chunks trials on the
     // pool, DeviceSim launches simulated blocks with plan-decided
     // constant-memory residency (one launch sequence per trial block).

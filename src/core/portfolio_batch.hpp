@@ -9,7 +9,8 @@
 // src/core/exec.hpp for the plan/executor layer.
 //
 // A Slot is one consumer of the streamed pass — a (contract, layer), with
-// one of three gather modes:
+// one of three gather modes (a contract's layers share one gather group and
+// one secondary-uncertainty draw per occurrence; see Group):
 //   compact — hit-compacted CSR columns (data::CompactResolvedYelt): the
 //             batched regime; the pass touches 8 bytes per *hit*.
 //   dense   — the full pre-joined row column (data::ResolvedYelt): the
@@ -66,8 +67,8 @@ enum class Gather : std::uint8_t {
 /// (scenario, contract, layer), each slot carrying its scenario's transform
 /// parameters:
 ///   loss_scale            — multiplies the sampled/mean ground-up loss
-///                           (demand-surge inflation); 1.0 is a no-op that
-///                           costs one predicted branch.
+///                           (demand-surge inflation); 1.0 is an exact
+///                           no-op.
 ///   mask_seq              — YELT-entry-aligned adjusted occurrence-sequence
 ///                           column (scenario::MaskColumn): kMaskedOut drops
 ///                           the occurrence, any other value is the sequence
@@ -98,8 +99,7 @@ struct Slot {
   const data::EventLossTable* elt = nullptr;
   const Money* means = nullptr;
   const SecondarySampler* sampler = nullptr;  // null = use ELT means
-  ContractId contract_id = 0;
-  LayerId layer_id = 0;
+  ContractId contract_id = 0;  // keys the occurrence streams (secondary.hpp)
 
   // Per-slot transform hooks; defaults are inert (the base batched path).
   double loss_scale = 1.0;
@@ -120,32 +120,37 @@ struct Slot {
 };
 
 /// Contiguous run of slots sharing gather inputs and sampling identity
-/// (contract, layer): the kernel computes each occurrence's ground-up loss
-/// once per group and feeds it to every slot, which is where an S-scenario
-/// sweep's sampling dedupe comes from.
+/// (the contract — streams are keyed by (contract, trial, occurrence), see
+/// kStreamKeyVersion): the kernel computes each occurrence's ground-up loss
+/// once per group and feeds it to every slot. That is what makes a tower's
+/// layers agree about each occurrence, and where both the per-layer and
+/// an S-scenario sweep's sampling dedupe come from.
 struct Group {
   std::uint32_t begin = 0;
   std::uint32_t size = 0;
 };
 
 /// Splits `slots` into maximal shared-gather groups (consecutive slots with
-/// identical hit columns, mean/sampler sources, contract and layer ids).
+/// identical hit columns, mean/sampler sources and contract ids — the layer
+/// id is not compared).
 std::vector<Group> group_slots(std::span<const Slot> slots);
 
-/// Processes trials [lo, hi) for every slot, group by group. Per trial and
-/// group, each occurrence's ground-up loss is resolved once (sample or ELT
+/// Processes trials [lo, hi) for every slot, group by group. Each
+/// occurrence's ground-up loss is resolved once per group (sample or ELT
 /// mean) and every slot of the group applies its own transforms and terms;
 /// a masked slot whose adjusted sequence differs re-samples under the
-/// filtered-table stream key. Accumulation order per output slot matches
-/// the per-contract lowering (annual sums in occurrence order; shared
-/// accumulators in slot order), which is what keeps inert-transform slots
-/// bit-identical across lowerings. State is indexed by trial (or the
-/// trial's occurrence range), so disjoint chunks never race.
-/// `annual_scratch` needs one entry per slot of the largest group.
+/// filtered-table stream key. Accumulation order per output cell matches a
+/// trial-major walk in slot order (annual sums in occurrence order; shared
+/// accumulators in slot order), which is what keeps every lowering
+/// bit-identical to every other. State is indexed by trial (or the trial's
+/// occurrence range), so disjoint chunks never race. `annual_scratch`
+/// needs one entry per slot of the largest group.
 ///
 /// Returns the number of occurrences that resolved to an ELT row in dense
-/// and search slots (the legacy lookup telemetry; compact slots report
-/// hits via their resolution instead and contribute 0 here).
+/// and search slots, counted per slot — occurrence × layer evaluations,
+/// like EngineResult::elt_lookups — although a group finds each row once
+/// (compact slots report hits via their resolution instead and contribute
+/// 0 here).
 std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group> groups,
                              std::span<const std::uint64_t> yelt_offsets,
                              const Philox4x32& philox, bool secondary, TrialId trial_base,
@@ -165,7 +170,7 @@ namespace riskan::core {
 
 /// Batched counterpart of run_aggregate_analysis: same inputs, same
 /// bit-identical EngineResult, one streamed YELT pass for the whole
-/// portfolio instead of one per (contract, layer). The resolver is
+/// portfolio instead of one per contract. The resolver is
 /// intrinsic to this path, so `config.use_resolver` is ignored.
 EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
                                  const data::YearEventLossTable& yelt,

@@ -54,7 +54,7 @@ ProgramResult run_program(const finance::Contract& contract,
       }
       Money ground_up;
       if (sampler) {
-        auto stream = occurrence_stream(philox, contract.id(), 0, t,
+        auto stream = occurrence_stream(philox, contract.id(), t,
                                         static_cast<std::uint32_t>(i - begin));
         ground_up = sampler->sample(row, stream);
       } else {

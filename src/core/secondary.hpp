@@ -6,9 +6,12 @@
 // analysis optionally samples this distribution per (trial, event)
 // occurrence, which is the dominant FLOP cost of stage 2.
 //
-// Determinism contract: the sample depends only on (seed, contract, layer,
-// trial, occurrence-sequence) through a counter-based Philox stream, so all
-// engine backends produce bit-identical YLTs regardless of scheduling.
+// Determinism contract: the sample depends only on (seed, contract, trial,
+// occurrence-sequence) through a counter-based Philox stream, so all engine
+// backends produce bit-identical YLTs regardless of scheduling. The layer
+// is not part of the key: every layer of a contract's tower, and every
+// scenario variant of it, sees the same sampled ground-up loss for the same
+// occurrence (kStreamKeyVersion below).
 #pragma once
 
 #include <cstdint>
@@ -105,15 +108,31 @@ class SecondarySampler {
   util::AlignedVector<LaneRow> lane_rows_;
 };
 
-/// Builds the Philox stream for one (contract, layer, trial, occurrence).
+/// Version of the occurrence stream-key layout below; bump it whenever the
+/// layout changes, because every secondary-on YLT changes with it.
+///   1 — hi = contract << 16 | layer: each layer of a tower drew its own
+///       ground-up loss, so layers disagreed about the same occurrence.
+///   2 — hi = contract << 16 (the layer field is fixed at 0): one draw per
+///       (contract, trial, occurrence), shared by every layer and every
+///       scenario variant of the contract. This is the key run_program has
+///       always used, so the flat engine equals run_program(inuring=false).
+inline constexpr int kStreamKeyVersion = 2;
+
+/// The per-contract half of an occurrence stream key.
+inline std::uint64_t occurrence_hi_key(ContractId contract) noexcept {
+  return static_cast<std::uint64_t>(contract) << 16;
+}
+
+/// The per-occurrence half: global trial and in-trial occurrence sequence.
+inline std::uint64_t occurrence_lo_key(TrialId trial, std::uint32_t occurrence_seq) noexcept {
+  return (static_cast<std::uint64_t>(trial) << 20) | static_cast<std::uint64_t>(occurrence_seq);
+}
+
+/// Builds the Philox stream for one (contract, trial, occurrence).
 inline PhiloxStream occurrence_stream(const Philox4x32& engine, ContractId contract,
-                                      LayerId layer, TrialId trial,
-                                      std::uint32_t occurrence_seq) noexcept {
-  const std::uint64_t hi =
-      (static_cast<std::uint64_t>(contract) << 16) | static_cast<std::uint64_t>(layer);
-  const std::uint64_t lo =
-      (static_cast<std::uint64_t>(trial) << 20) | static_cast<std::uint64_t>(occurrence_seq);
-  return PhiloxStream(engine, hi, lo);
+                                      TrialId trial, std::uint32_t occurrence_seq) noexcept {
+  return PhiloxStream(engine, occurrence_hi_key(contract),
+                      occurrence_lo_key(trial, occurrence_seq));
 }
 
 }  // namespace riskan::core

@@ -1,9 +1,9 @@
 // ResolvedYelt — the pre-joined event→row resolution of aggregate analysis.
 //
-// The stage-2 kernel walks every YELT occurrence once per (contract, layer,
+// The stage-2 kernel walks every YELT occurrence once per (contract,
 // trial) and needs the matching ELT row. Resolving that mapping inside the
 // kernel — a binary search per occurrence — re-derives the identical answer
-// for every layer of a contract and on every engine run. The paper's own
+// on every engine run. The paper's own
 // "scan, don't seek" argument applies: hoist the dependent random accesses
 // out of the hot loop into a one-time streamed pre-join.
 //

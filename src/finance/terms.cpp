@@ -26,26 +26,11 @@ LayerTerms LayerTerms::typical() {
 }
 
 Money apply_occurrence(const LayerTerms& terms, Money ground_up) noexcept {
-  if (terms.retention_kind == RetentionKind::Franchise) {
-    // Franchise: nothing until the trigger, then the full loss (capped).
-    if (ground_up <= terms.occ_retention) {
-      return 0.0;
-    }
-    return std::min(ground_up, terms.occ_limit);
-  }
-  const Money excess = ground_up - terms.occ_retention;
-  if (excess <= 0.0) {
-    return 0.0;
-  }
-  return std::min(excess, terms.occ_limit);
+  return occurrence_loss(terms, ground_up);
 }
 
 Money apply_aggregate(const LayerTerms& terms, Money annual_sum) noexcept {
-  const Money excess = annual_sum - terms.agg_retention;
-  if (excess <= 0.0) {
-    return 0.0;
-  }
-  return std::min(excess, terms.agg_limit);
+  return aggregate_loss(terms, annual_sum);
 }
 
 Money apply_year(const LayerTerms& terms, std::span<const Money> ground_up_losses) noexcept {
@@ -81,18 +66,6 @@ void LayerOverride::apply(LayerTerms& terms, Reinstatements& reinstatements,
 
 Money Reinstatements::implied_agg_limit(Money occ_limit) const noexcept {
   return occ_limit * static_cast<double>(count + 1);
-}
-
-Money Reinstatements::premium_due(Money limit_consumed, Money occ_limit,
-                                  Money upfront_premium) const noexcept {
-  if (count <= 0 || occ_limit <= 0.0 || limit_consumed <= 0.0) {
-    return 0.0;
-  }
-  // Only consumption beyond the original limit triggers reinstatement, up
-  // to `count` full limits.
-  const Money reinstated = std::clamp(limit_consumed, Money{0.0},
-                                      occ_limit * static_cast<double>(count));
-  return upfront_premium * premium_rate * (reinstated / occ_limit);
 }
 
 }  // namespace riskan::finance

@@ -13,6 +13,7 @@
 // is covered by property tests.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <optional>
 #include <span>
@@ -54,6 +55,33 @@ Money apply_occurrence(const LayerTerms& terms, Money ground_up) noexcept;
 /// Applies annual aggregate terms to a year's summed occurrence losses.
 Money apply_aggregate(const LayerTerms& terms, Money annual_sum) noexcept;
 
+/// Inline bodies of apply_occurrence / apply_aggregate (which call these),
+/// for the stage-2 kernel's hot loops in portable translation units. The
+/// per-ISA SIMD units keep calling the out-of-line functions, so no copy
+/// of these is ever compiled with wider-ISA flags.
+inline Money occurrence_loss(const LayerTerms& terms, Money ground_up) noexcept {
+  if (terms.retention_kind == RetentionKind::Franchise) {
+    // Franchise: nothing until the trigger, then the full loss (capped).
+    if (ground_up <= terms.occ_retention) {
+      return 0.0;
+    }
+    return std::min(ground_up, terms.occ_limit);
+  }
+  const Money excess = ground_up - terms.occ_retention;
+  if (excess <= 0.0) {
+    return 0.0;
+  }
+  return std::min(excess, terms.occ_limit);
+}
+
+inline Money aggregate_loss(const LayerTerms& terms, Money annual_sum) noexcept {
+  const Money excess = annual_sum - terms.agg_retention;
+  if (excess <= 0.0) {
+    return 0.0;
+  }
+  return std::min(excess, terms.agg_limit);
+}
+
 /// Full-year net: aggregate over occurrence-transformed losses, then share.
 /// Convenience for tests; the engines inline the same algebra.
 Money apply_year(const LayerTerms& terms, std::span<const Money> ground_up_losses) noexcept;
@@ -69,7 +97,16 @@ struct Reinstatements {
   /// Reinstatement premium owed for `limit_consumed` of aggregate limit use,
   /// given the layer's occurrence limit and upfront premium. Pro-rata to
   /// amount, capped at `count` full reinstatements.
-  Money premium_due(Money limit_consumed, Money occ_limit, Money upfront_premium) const noexcept;
+  Money premium_due(Money limit_consumed, Money occ_limit, Money upfront_premium) const noexcept {
+    if (count <= 0 || occ_limit <= 0.0 || limit_consumed <= 0.0) {
+      return 0.0;
+    }
+    // Only consumption beyond the original limit triggers reinstatement, up
+    // to `count` full limits.
+    const Money reinstated =
+        std::clamp(limit_consumed, Money{0.0}, occ_limit * static_cast<double>(count));
+    return upfront_premium * premium_rate * (reinstated / occ_limit);
+  }
 };
 
 /// Partial re-statement of a layer's terms — the what-if currency of the

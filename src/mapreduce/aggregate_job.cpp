@@ -180,7 +180,7 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
         engine.use_resolver = config.use_resolver;
         // Each map task carries the whole contract group: with batching on,
         // its YELT slice is streamed once serving every contract, instead
-        // of once per (contract, layer). Batching is resolver-intrinsic,
+        // of once per contract. Batching is resolver-intrinsic,
         // so the use_resolver=false ablation keeps the per-contract path.
         engine.batch_contracts = config.batch_contracts && config.use_resolver;
         // The decoded slice is task-local; the ephemeral source makes the

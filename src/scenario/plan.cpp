@@ -177,9 +177,10 @@ ScenarioPlan ScenarioPlan::build(const finance::Portfolio& base,
   }
   plan.stats_.resolutions_avoided -= plan.stats_.contracts_resolved;
 
-  // 5. Blueprint emission in pass order: (contract, layer)-major, scenarios
-  //    innermost, so the executor's gather groups resolve each occurrence's
-  //    ground-up loss once and serve every scenario.
+  // 5. Blueprint emission in pass order: contract-major, then layer, with
+  //    scenarios innermost. A contract's slots are contiguous, so the
+  //    executor's gather group resolves each occurrence's ground-up loss
+  //    once and serves every layer of every scenario.
   std::vector<bool> conditioning_hits(specs.size(), false);
   for (std::size_t c = 0; c < plan.contracts_.size(); ++c) {
     const finance::Contract& contract = *plan.contracts_[c];
@@ -200,8 +201,8 @@ ScenarioPlan ScenarioPlan::build(const finance::Portfolio& base,
       conditioning_hits[s] = true;
     }
 
+    bool group_emitted = false;
     for (const finance::Layer& layer : contract.layers()) {
-      bool group_emitted = false;
       for (std::size_t s = 0; s < specs.size(); ++s) {
         if (book_position[s][c] < 0) {
           continue;
@@ -211,7 +212,6 @@ ScenarioPlan ScenarioPlan::build(const finance::Portfolio& base,
         bp.scenario = s;
         bp.contract = c;
         bp.contract_in_scenario = static_cast<std::size_t>(book_position[s][c]);
-        bp.layer_id = layer.id;
         bp.terms = layer.terms;
         bp.reinstatements = layer.reinstatements;
         bp.upfront_premium = layer.upfront_premium;
@@ -227,9 +227,9 @@ ScenarioPlan ScenarioPlan::build(const finance::Portfolio& base,
         plan.blueprints_.push_back(bp);
         group_emitted = true;
       }
-      if (group_emitted) {
-        ++plan.stats_.gather_groups;
-      }
+    }
+    if (group_emitted) {
+      ++plan.stats_.gather_groups;
     }
   }
   plan.stats_.slots = plan.blueprints_.size();

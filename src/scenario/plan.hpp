@@ -14,12 +14,14 @@
 //      one MaskColumn — the YELT-entry-aligned adjusted-sequence column the
 //      kernel consumes — and the column itself is contract-independent, so
 //      one build serves every slot of every scenario using that mask.
-//   3. Ground-up losses. The planner orders slots (contract, layer)-major
-//      with scenarios innermost, so the executor's gather groups
+//   3. Ground-up losses. The planner orders slots contract-major, then by
+//      layer, with scenarios innermost, so the executor's gather groups
 //      (core::batch::group_slots) resolve each occurrence's sampled/mean
-//      ground-up loss once per (contract, layer) and feed all S scenarios —
-//      under secondary uncertainty (beta sampling, the dominant FLOP cost
-//      of stage 2) this is where most of the sweep's compute dedupe is.
+//      ground-up loss once per contract and feed every layer of all S
+//      scenarios — sampling streams are keyed by (contract, trial,
+//      occurrence), not by layer or scenario. Under secondary uncertainty
+//      (beta sampling, the dominant FLOP cost of stage 2) this is where
+//      most of the sweep's compute dedupe is.
 #pragma once
 
 #include <cstddef>
@@ -58,7 +60,7 @@ struct MaskColumn {
 struct PlanStats {
   std::size_t scenarios = 0;         ///< scenarios in the sweep (incl. base)
   std::size_t slots = 0;             ///< (scenario, contract, layer) slots
-  std::size_t gather_groups = 0;     ///< shared-gather groups in the pass
+  std::size_t gather_groups = 0;     ///< shared-gather groups (one per contract)
   std::size_t contracts_resolved = 0;   ///< distinct ELT resolutions needed
   std::size_t resolutions_avoided = 0;  ///< Σ|book_s| minus the distinct set
   std::size_t distinct_masks = 0;    ///< mask columns built after dedupe
@@ -66,13 +68,12 @@ struct PlanStats {
 };
 
 /// One planned (scenario, contract, layer) slot, before output buffers
-/// exist. Blueprints are emitted in pass order: (contract, layer)-major,
-/// scenarios innermost.
+/// exist. Blueprints are emitted in pass order: contract-major, then
+/// layer, scenarios innermost.
 struct SlotBlueprint {
   std::size_t scenario = 0;             ///< index into the sweep's scenarios
   std::size_t contract = 0;             ///< index into ScenarioPlan::contracts()
   std::size_t contract_in_scenario = 0; ///< position in the scenario's own book
-  LayerId layer_id = 0;
   finance::LayerTerms terms;            ///< overrides already applied
   finance::Reinstatements reinstatements;
   Money upfront_premium = 0.0;

@@ -1,5 +1,6 @@
 #include "scenario/report.hpp"
 
+#include <algorithm>
 #include <ostream>
 
 #include "util/format.hpp"
@@ -15,10 +16,16 @@ ScenarioRow make_row(const std::string& name, const core::EngineResult& result,
   ScenarioRow row;
   row.name = name;
   row.aal = result.portfolio_ylt.mean();
-  row.var_99 = core::value_at_risk(result.portfolio_ylt, 0.99);
-  row.tvar_99 = core::tail_value_at_risk(result.portfolio_ylt, 0.99);
-  row.pml_250 = core::probable_maximum_loss(result.portfolio_ylt, 250.0);
-  for (const auto& point : core::exceedance_curve(result.portfolio_ylt, return_periods)) {
+  // One sort serves the tail metrics and the AEP curve (a sweep builds a
+  // row per scenario).
+  const auto losses = result.portfolio_ylt.losses();
+  std::vector<double> sorted(losses.begin(), losses.end());
+  std::sort(sorted.begin(), sorted.end());
+  const core::RiskSummary summary = core::summarise_sorted(sorted);
+  row.var_99 = summary.var_99;
+  row.tvar_99 = summary.tvar_99;
+  row.pml_250 = summary.pml_250;
+  for (const auto& point : core::exceedance_curve_sorted(sorted, return_periods)) {
     row.aep.push_back(point.loss);
   }
   if (!result.portfolio_occurrence_ylt.empty()) {

@@ -233,7 +233,6 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
       slot.means = contract.elt().mean_loss().data();
       slot.sampler = config.secondary_uncertainty ? &samplers[bp.contract] : nullptr;
       slot.contract_id = contract.id();
-      slot.layer_id = bp.layer_id;
       slot.loss_scale = bp.loss_scale;
       slot.mask_seq = bp.mask >= 0 ? plan.masks()[bp.mask].adjusted_seq.data() : nullptr;
       slot.conditioned_ground_up = bp.conditioned_ground_up;

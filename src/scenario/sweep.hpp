@@ -2,10 +2,10 @@
 //
 // run_scenario_sweep extends the portfolio-batched engine's slot list
 // (core::batch) so that the base book and every scenario variant ride the
-// *same* trial-chunk pass: slots are ordered (contract, layer)-major with
-// scenarios innermost, so each occurrence's ground-up loss — the beta
-// sample that dominates stage-2 FLOPs — is resolved once per (contract,
-// layer) and served to all S scenarios, each slot applying its own
+// *same* trial-chunk pass: slots are ordered contract-major, then by layer,
+// with scenarios innermost, so each occurrence's ground-up loss — the beta
+// sample that dominates stage-2 FLOPs — is resolved once per contract and
+// served to every layer of all S scenarios, each slot applying its own
 // transform parameters (loss scale, exclusion mask, term overrides,
 // conditioning) on the way to its own EngineResult.
 //

@@ -347,7 +347,7 @@ TEST(SecondarySampler, MeanConvergesToEltMean) {
   double sum_sq = 0.0;
   const int n = 200'000;
   for (int i = 0; i < n; ++i) {
-    auto stream = occurrence_stream(philox, 0, 0, static_cast<TrialId>(i), 0);
+    auto stream = occurrence_stream(philox, 0, static_cast<TrialId>(i), 0);
     const double x = sampler.sample(0, stream);
     sum += x;
     sum_sq += x * x;
@@ -367,8 +367,8 @@ TEST(SecondarySampler, DegenerateRowsAreDeterministic) {
   });
   const SecondarySampler sampler(elt);
   const Philox4x32 philox(1);
-  auto s1 = occurrence_stream(philox, 0, 0, 0, 0);
-  auto s2 = occurrence_stream(philox, 0, 0, 1, 0);
+  auto s1 = occurrence_stream(philox, 0, 0, 0);
+  auto s2 = occurrence_stream(philox, 0, 1, 0);
   EXPECT_DOUBLE_EQ(sampler.sample(0, s1), 100.0);
   EXPECT_DOUBLE_EQ(sampler.sample(1, s2), 50.0);
 }

@@ -19,11 +19,12 @@ struct World {
 };
 
 World make_world(TrialId trials = 400, std::size_t elt_rows = 200,
-                 std::size_t contracts = 2) {
+                 std::size_t contracts = 2, int layers = 1) {
   finance::PortfolioGenConfig pg;
   pg.contracts = contracts;
   pg.catalog_events = 500;
   pg.elt_rows = elt_rows;
+  pg.layers_per_contract = layers;
   data::YeltGenConfig yg;
   yg.trials = trials;
   return World{finance::generate_portfolio(pg), data::generate_yelt(500, yg)};
@@ -93,21 +94,48 @@ TEST(DeviceMetering, SearchPathProbesCostMoreConstTrafficThanResolvedGathers) {
 }
 
 TEST(DeviceMetering, BatchedBookSharesLaunchesAcrossContracts) {
-  // Per-contract lowering launches per (contract, layer); the batched plan
-  // packs every contract's table into shared residency chunks — with small
-  // tables, the whole book rides one launch. This is the constraint the
-  // executor refactor lifted (the legacy device kernel staged one layer's
-  // ELT at a time).
-  const auto world = make_world(400, 200, /*contracts=*/4);
+  // Per-contract lowering launches once per contract (its layers share one
+  // plan); the batched plan packs every contract's table into shared
+  // residency chunks — with small tables, the whole book rides one launch.
+  // This is the constraint the executor refactor lifted (the legacy device
+  // kernel staged one layer's ELT at a time).
+  const auto world = make_world(400, 200, /*contracts=*/4, /*layers=*/2);
   EngineConfig loop;
   loop.batch_contracts = false;
   EngineConfig batched;
   batched.batch_contracts = true;
   const auto a = run_device(world, loop);
   const auto b = run_device(world, batched);
-  EXPECT_EQ(a.launches, 4);  // one per (contract, layer)
+  EXPECT_EQ(a.launches, 4);  // one per contract, not per (contract, layer)
   EXPECT_EQ(b.launches, 1);  // 4 x 200-row tables fit one constant segment
   EXPECT_LT(b.modeled_seconds, a.modeled_seconds);
+}
+
+TEST(DeviceMetering, TowerChargesOneDrawPerOccurrence) {
+  // Every layer of a contract consumes the same secondary-uncertainty draw,
+  // so the model charges the beta FLOPs once per found row per group —
+  // a 4-layer tower samples exactly what its 1-layer base does, in every
+  // gather mode. Sampling-on minus sampling-off FLOPs isolates the draws
+  // (term and finish FLOPs do not depend on sampling).
+  EngineConfig dense;
+  EngineConfig search;
+  search.use_resolver = false;
+  EngineConfig compact;
+  compact.batch_contracts = true;
+  for (const EngineConfig& mode : {dense, search, compact}) {
+    const auto draw_flops = [&mode](int layers) {
+      const auto world = make_world(300, 200, /*contracts=*/2, layers);
+      EngineConfig on = mode;
+      on.secondary_uncertainty = true;
+      EngineConfig off = mode;
+      off.secondary_uncertainty = false;
+      return run_device(world, on).counters.flops - run_device(world, off).counters.flops;
+    };
+    const auto base = draw_flops(1);
+    EXPECT_GT(base, 0u);
+    EXPECT_EQ(draw_flops(4), base)
+        << (mode.batch_contracts ? "compact" : mode.use_resolver ? "dense" : "search");
+  }
 }
 
 TEST(DeviceMetering, ConstantPressureSplitsBatchedPlanIntoMoreLaunches) {

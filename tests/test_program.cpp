@@ -3,6 +3,7 @@
 
 #include "core/aggregate_engine.hpp"
 #include "core/program.hpp"
+#include "core/simd.hpp"
 #include "data/yelt.hpp"
 #include "util/require.hpp"
 
@@ -142,6 +143,74 @@ TEST(Program, TowerEquivalenceBetweenCascadeAndFlatForms) {
   for (TrialId t = 0; t < yelt.trials(); ++t) {
     ASSERT_NEAR(flat_program.layer_ylts[0][t] + flat_program.layer_ylts[1][t],
                 engine.portfolio_ylt[t], 1e-9);
+  }
+}
+
+TEST(Program, FlatEngineEqualsIndependentLayersWithSecondary) {
+  // With sampling on, every layer of a tower must see the same sampled
+  // ground-up loss for the same occurrence: one draw per (contract,
+  // occurrence). Then each contract YLT of the flat engine is, bit for bit,
+  // the layer-order sum of run_program's independent (inuring = false)
+  // layer YLTs — in every lowering (per-contract dense, per-contract
+  // binary search, batched) and on every host backend. The crowded lens
+  // puts more occurrences in one trial than the kernel buffers at once.
+  struct Lens {
+    EventId catalog;
+    std::size_t elt_rows;
+    TrialId trials;
+    double events_per_year;
+  };
+  for (const Lens lens : {Lens{300, 120, 2'000, 10.0}, Lens{120, 120, 40, 700.0}}) {
+    finance::PortfolioGenConfig pg;
+    pg.contracts = 3;
+    pg.catalog_events = lens.catalog;
+    pg.elt_rows = lens.elt_rows;
+    pg.layers_per_contract = 3;
+    const auto portfolio = finance::generate_portfolio(pg);
+    data::YeltGenConfig yg;
+    yg.trials = lens.trials;
+    yg.mean_events_per_year = lens.events_per_year;
+    const auto yelt = data::generate_yelt(lens.catalog, yg);
+
+    ProgramConfig independent;
+    independent.secondary_uncertainty = true;
+    independent.inuring = false;
+    std::vector<std::vector<Money>> expected;
+    for (const auto& contract : portfolio.contracts()) {
+      const auto program = run_program(contract, yelt, independent);
+      std::vector<Money> sums(yelt.trials(), 0.0);
+      for (const auto& layer_ylt : program.layer_ylts) {
+        for (TrialId t = 0; t < yelt.trials(); ++t) {
+          sums[t] += layer_ylt[t];
+        }
+      }
+      expected.push_back(std::move(sums));
+    }
+
+    std::vector<Backend> backends(std::begin(kHostBackends), std::end(kHostBackends));
+    if (exec::simd_available()) {
+      backends.insert(backends.end(), std::begin(kSimdBackends), std::end(kSimdBackends));
+    }
+    for (const Backend backend : backends) {
+      for (const int lowering : {0, 1, 2}) {
+        EngineConfig config;
+        config.seed = independent.seed;
+        config.secondary_uncertainty = true;
+        config.backend = backend;
+        config.batch_contracts = lowering == 2;
+        config.use_resolver = lowering != 1;
+        config.trial_grain = 7;
+        const auto engine = run_aggregate_analysis(portfolio, yelt, config);
+        ASSERT_EQ(engine.contract_ylts.size(), expected.size());
+        for (std::size_t c = 0; c < expected.size(); ++c) {
+          for (TrialId t = 0; t < yelt.trials(); ++t) {
+            ASSERT_EQ(engine.contract_ylts[c][t], expected[c][t])
+                << to_string(backend) << " lowering " << lowering << " rate "
+                << lens.events_per_year << " contract " << c << " trial " << t;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -212,6 +212,51 @@ TEST(ScenarioSweep, MaskOnRejectionHeavyBookBitIdenticalToFilteredYelt) {
   }
 }
 
+TEST(ScenarioSweep, CrowdedTrialsKeepBothContracts) {
+  // Hundreds of occurrences per trial, every one a hit: a trial overflows
+  // the kernel's per-trial buffer, so masks, loss scaling and conditioning
+  // run through the chunked path. Both equivalence contracts must hold
+  // there too, and the per-contract lowering must match the batched one.
+  const EventId catalog = 150;
+  const auto portfolio =
+      book(/*contracts=*/2, /*layers=*/3, /*seed=*/31, catalog, /*elt_rows=*/catalog);
+  data::YeltGenConfig yg;
+  yg.trials = 30;
+  yg.seed = 41;
+  yg.mean_events_per_year = 650.0;
+  const auto yelt = data::generate_yelt(catalog, yg);
+  const std::vector<EventId> excluded = {3, 17, 40, 99};
+  const auto filtered = filter_yelt(yelt, excluded);
+
+  std::vector<ScenarioSpec> specs(4);
+  specs[0] = ScenarioSpec::identity("identity");
+  specs[1].name = "mask";
+  specs[1].excluded_events = excluded;
+  specs[2].name = "surge";
+  specs[2].loss_scale = 1.3;
+  specs[3].name = "post-event";
+  specs[3].conditioning =
+      PostEventConditioning{portfolio.contract(0).elt().event_ids()[5], 1.2};
+
+  for (const core::Backend backend : backends_with_simd()) {
+    core::EngineConfig config;
+    config.backend = backend;
+    config.secondary_uncertainty = true;
+    const std::string what = core::to_string(backend);
+
+    const auto reference = core::run_portfolio_batch(portfolio, yelt, config);
+    const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
+    expect_identical(reference, sweep.base, what + " base");
+    expect_identical(reference, sweep.scenarios[0], what + " identity");
+    expect_identical(core::run_portfolio_batch(portfolio, filtered, config),
+                     sweep.scenarios[1], what + " mask");
+
+    config.batch_contracts = false;
+    expect_identical(reference, core::run_aggregate_analysis(portfolio, yelt, config),
+                     what + " per-contract");
+  }
+}
+
 TEST(ScenarioSweep, DeviceSimBlockDimSweepIsBitIdentical) {
   // The sweep runs natively in simulated device blocks; the block
   // partition (32/128/512 trials per block) is pure scheduling and must
@@ -431,7 +476,8 @@ TEST(ScenarioSweep, PlannerDedupesResolutionsAndMasks) {
   EXPECT_EQ(sweep.plan.distinct_masks, 2u);  // mask-a shared, mask-b separate
   EXPECT_EQ(sweep.plan.mask_references, 3u);
   EXPECT_EQ(sweep.plan.slots, 5u * portfolio.layer_count());
-  EXPECT_EQ(sweep.plan.gather_groups, portfolio.layer_count());
+  // One gather group per contract: its layers and scenarios share a draw.
+  EXPECT_EQ(sweep.plan.gather_groups, portfolio.size());
 }
 
 TEST(ScenarioSweep, ReportDeltasAreCoherent) {
@@ -454,13 +500,29 @@ TEST(ScenarioSweep, ReportDeltasAreCoherent) {
   EXPECT_EQ(sweep.report.rows[0].delta_tvar_99, 0.0);
   EXPECT_EQ(sweep.report.rows[0].delta_pml_250, 0.0);
   EXPECT_GT(sweep.report.rows[1].delta_aal, 0.0);
-  EXPECT_LE(sweep.report.rows[2].delta_aal, 0.0);
   ASSERT_EQ(sweep.report.return_periods.size(), sweep.report.rows[0].aep.size());
   ASSERT_EQ(sweep.report.rows[0].oep.size(), sweep.report.rows[0].aep.size());
   for (std::size_t i = 0; i < sweep.report.rows[0].aep.size(); ++i) {
     EXPECT_EQ(sweep.report.rows[0].delta_aep[i], 0.0);
     EXPECT_EQ(sweep.report.rows[0].delta_oep[i], 0.0);
   }
+
+  // Excluding events lowers the sampled AAL only in expectation: a mask
+  // re-keys each later occurrence of the trial to its filtered-table
+  // sequence, so those occurrences draw fresh samples. With sampling off
+  // the exclusion can only remove losses, so the sign holds per trial.
+  core::EngineConfig means;
+  means.secondary_uncertainty = false;
+  const auto means_sweep = run_scenario_sweep(portfolio, yelt, specs, means);
+  const auto& base = means_sweep.base.portfolio_ylt;
+  const auto& excluded = means_sweep.scenarios[2].portfolio_ylt;
+  bool any_lower = false;
+  for (TrialId t = 0; t < yelt.trials(); ++t) {
+    ASSERT_LE(excluded[t], base[t]) << "trial " << t;
+    any_lower = any_lower || excluded[t] < base[t];
+  }
+  EXPECT_TRUE(any_lower);
+  EXPECT_LT(means_sweep.report.rows[2].delta_aal, 0.0);
 }
 
 TEST(ScenarioSweep, RejectsIllFormedSpecs) {

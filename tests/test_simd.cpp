@@ -18,10 +18,14 @@
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/secondary.hpp"
+#include "core/batch_simd.hpp"
 #include "core/simd.hpp"
 #include "data/elt.hpp"
+#include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
 #include "finance/terms.hpp"
+#include "obs/obs.hpp"
+#include "scenario/sweep.hpp"
 #include "util/require.hpp"
 
 namespace riskan::core {
@@ -196,7 +200,7 @@ TEST(SecondarySamplerLanes, MatchesScalarSampleBitwise) {
   const auto elt = sampler_class_elt();
   const SecondarySampler sampler(elt);
   const Philox4x32 engine(0xB10CDEADu);
-  const std::uint64_t hi_key = (std::uint64_t{12} << 16) | 3u;  // contract 12, layer 3
+  const std::uint64_t hi_key = (std::uint64_t{12} << 16) | 3u;  // any stream key works
 
   std::uint64_t fast = 0;
   std::uint64_t tail = 0;
@@ -401,6 +405,175 @@ TEST(SimdBackend, LaneTailsOnHeavyAndOddHitCounts) {
                        "tails/rate=" + std::to_string(events_per_year) +
                            (secondary ? "/secondary" : "/means"));
     }
+  }
+}
+
+/// Runs `run` with an observed config and returns the run's
+/// exec.simd.{vector,scalar}_occurrences counter deltas.
+template <typename Run>
+std::pair<double, double> simd_counts(const Run& run) {
+  const auto report = run();
+  return {report->metrics.counter_value("exec.simd.vector_occurrences"),
+          report->metrics.counter_value("exec.simd.scalar_occurrences")};
+}
+
+TEST(SimdTower, MultiSlotGroupsStayOnTheVectorPath) {
+  // A contract's layers form one gather group; the vector pass must take
+  // the whole tower — compact (batched) and dense (per-contract) — with no
+  // scalar fallback, bit-identical to Sequential, across OEP × secondary
+  // and lane-tail hit counts.
+  if (!exec::simd_available()) {
+    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
+  }
+  const auto portfolio = simd_book(/*contracts=*/4, /*layers=*/3);
+  for (const double events_per_year : {1.5, 10.0, 37.0}) {
+    const auto yelt = simd_lens(700, 800, /*seed=*/19, events_per_year);
+    for (const bool batched : {false, true}) {
+      for (const bool secondary : {false, true}) {
+        for (const bool oep : {false, true}) {
+          EngineConfig config;
+          config.batch_contracts = batched;
+          config.secondary_uncertainty = secondary;
+          config.compute_oep = oep;
+          config.backend = Backend::Sequential;
+          const auto reference = run_aggregate_analysis(portfolio, yelt, config);
+          config.backend = Backend::Simd;
+          config.obs.collect_report = true;
+          EngineResult simd;
+          const auto [vector, scalar] = simd_counts([&] {
+            simd = run_aggregate_analysis(portfolio, yelt, config);
+            return simd.obs_report;
+          });
+          const std::string what = std::string(batched ? "batched" : "per-contract") +
+                                   (secondary ? "/secondary" : "/means") +
+                                   (oep ? "/oep" : "") +
+                                   "/rate=" + std::to_string(events_per_year);
+          expect_identical(reference, simd, what);
+          EXPECT_EQ(reference.elt_lookups, simd.elt_lookups) << what;
+          if (obs::enabled()) {
+            EXPECT_GT(vector, 0.0) << what;
+            EXPECT_EQ(scalar, 0.0) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdTower, WideScenarioGroupsVectorizeWithoutMasks) {
+  // Surge and conditioning scenarios widen each contract's group to
+  // (layers × scenarios) slots — wider than one trial block of annual
+  // sums, so the vector pass sub-blocks the trials. Only a mask column
+  // sends a group to the scalar kernel.
+  if (!exec::simd_available()) {
+    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
+  }
+  const auto portfolio = simd_book(/*contracts=*/3, /*layers=*/4);
+  const auto yelt = simd_lens(1'100);
+  std::vector<scenario::ScenarioSpec> specs;
+  for (int i = 0; i < 12; ++i) {
+    scenario::ScenarioSpec spec;
+    spec.name = "surge-" + std::to_string(i);
+    spec.loss_scale = 1.0 + 0.05 * (i + 1);
+    specs.push_back(spec);
+  }
+  scenario::ScenarioSpec post;
+  post.name = "post-event";
+  post.conditioning =
+      scenario::PostEventConditioning{portfolio.contract(1).elt().event_ids()[3], 0.9};
+  specs.push_back(post);
+  scenario::ScenarioSpec mask;
+  mask.name = "mask";
+  mask.excluded_events = {1, 2, 3, 5, 8, 13, 21};
+
+  for (const bool with_mask : {false, true}) {
+    auto run_specs = specs;
+    if (with_mask) {
+      run_specs.push_back(mask);
+    }
+    for (const bool secondary : {false, true}) {
+      EngineConfig config;
+      config.secondary_uncertainty = secondary;
+      config.backend = Backend::Sequential;
+      const auto reference = scenario::run_scenario_sweep(portfolio, yelt, run_specs, config);
+      config.backend = Backend::Simd;
+      config.obs.collect_report = true;
+      scenario::ScenarioSweepResult simd;
+      const auto [vector, scalar] = simd_counts([&] {
+        simd = scenario::run_scenario_sweep(portfolio, yelt, run_specs, config);
+        return simd.obs_report;
+      });
+      const std::string what = std::string(with_mask ? "masked" : "mask-free") +
+                               (secondary ? "/secondary" : "/means");
+      expect_identical(reference.base, simd.base, what + " base");
+      for (std::size_t s = 0; s < run_specs.size(); ++s) {
+        expect_identical(reference.scenarios[s], simd.scenarios[s],
+                         what + " " + run_specs[s].name);
+      }
+      if (obs::enabled()) {
+        // The mask rides every contract's group, so it takes them all.
+        EXPECT_EQ(vector > 0.0, !with_mask) << what;
+        EXPECT_EQ(scalar > 0.0, with_mask) << what;
+      }
+    }
+  }
+}
+
+TEST(SimdTower, GroupsWiderThanTheAnnualBufferMatchTheScalarKernel) {
+  // One contract read by 4100 slots — more than the vector pass's annual
+  // buffer holds for even one trial — must fall back to the scalar kernel
+  // and still match it, rather than overrun the buffer.
+  const exec::SimdDispatch dispatch = exec::simd_dispatch();
+  if (dispatch.kernel == nullptr) {
+    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
+  }
+  const auto portfolio = simd_book(/*contracts=*/1, /*layers=*/1);
+  const auto yelt = simd_lens(12);
+  const auto& contract = portfolio.contract(0);
+  data::ResolverCache cache;
+  const auto compact = cache.get_or_build_compact(contract.elt(), yelt, {}).compact;
+  const SecondarySampler sampler(contract.elt());
+
+  constexpr std::size_t kSlots = 4'100;
+  std::vector<Money> scalar_losses(yelt.trials(), 0.0);
+  std::vector<Money> simd_losses(yelt.trials(), 0.0);
+  std::vector<Money> scalar_reinst(yelt.trials(), 0.0);
+  std::vector<Money> simd_reinst(yelt.trials(), 0.0);
+  const auto make_slots = [&](std::vector<Money>& losses, std::vector<Money>& reinst) {
+    std::vector<batch::Slot> slots(kSlots);
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      batch::Slot& s = slots[i];
+      s.hit_offsets = compact->trial_offsets().data();
+      s.seqs = compact->seqs().data();
+      s.rows = compact->rows().data();
+      s.elt = &contract.elt();
+      s.means = contract.elt().mean_loss().data();
+      s.sampler = &sampler;
+      s.contract_id = contract.id();
+      s.terms = contract.layers().front().terms;
+      s.terms.occ_retention *= 1.0 + 1e-4 * static_cast<double>(i % 97);
+      s.portfolio_losses = losses;
+      s.reinstatement_prem = reinst;
+    }
+    return slots;
+  };
+  const auto scalar_slots = make_slots(scalar_losses, scalar_reinst);
+  const auto simd_slots = make_slots(simd_losses, simd_reinst);
+  const auto groups = batch::group_slots(scalar_slots);
+  ASSERT_EQ(groups.size(), 1u);
+
+  const Philox4x32 philox(2012);
+  std::vector<Money> scratch(kSlots);
+  batch::SimdStats stats;
+  (void)batch::process_trials(scalar_slots, groups, yelt.offsets(), philox, true, 0, 0,
+                              yelt.trials(), scratch);
+  (void)dispatch.kernel(simd_slots, groups, yelt.offsets(), philox, true, 0, 0,
+                        yelt.trials(), scratch, stats);
+  EXPECT_EQ(stats.vector_occurrences, 0u);
+  EXPECT_GT(stats.scalar_occurrences, 0u);
+  for (TrialId t = 0; t < yelt.trials(); ++t) {
+    ASSERT_EQ(scalar_losses[t], simd_losses[t]) << t;
+    ASSERT_EQ(scalar_reinst[t], simd_reinst[t]) << t;
   }
 }
 
