@@ -33,6 +33,7 @@ int main() {
     for (const bool secondary : {false, true}) {
       for (const bool oep : {false, true}) {
         core::EngineConfig config;
+        config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
         config.secondary_uncertainty = secondary;
         config.compute_oep = oep;
         config.keep_contract_ylts = false;
@@ -55,6 +56,7 @@ int main() {
     for (const std::size_t rows : {100UL, 400UL, 1'600UL, 6'400UL}) {
       auto workload = bench::make_workload(4, rows, trials);
       core::EngineConfig config;
+      config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
       config.compute_oep = false;
       config.keep_contract_ylts = false;
       const auto result =
@@ -97,6 +99,7 @@ int main() {
   {
     auto workload = bench::make_workload(4, 500, trials);
     core::EngineConfig config;
+    config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
     config.compute_oep = false;
     config.keep_contract_ylts = false;
     const auto result =

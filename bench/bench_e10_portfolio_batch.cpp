@@ -54,6 +54,7 @@ int main() {
   const std::size_t book_sizes[] = {1, 4, 16, 64};
 
   core::EngineConfig config;
+  config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   config.backend = core::Backend::Threaded;
   config.secondary_uncertainty = false;
   config.compute_oep = true;       // the full roll-up outputs

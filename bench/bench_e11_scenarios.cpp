@@ -128,6 +128,7 @@ int main() {
   for (const Regime regime : {Regime{"on", true}, Regime{"off", false}}) {
     data::ResolverCache cache;
     core::EngineConfig config;
+    config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
     config.backend = core::Backend::Threaded;
     config.secondary_uncertainty = regime.secondary;
     config.compute_oep = true;

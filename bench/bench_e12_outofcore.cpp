@@ -124,6 +124,7 @@ int main() {
   const auto blocks = core::save_yelt_chunked(w.yelt, path, per_chunk);
 
   core::EngineConfig config;
+  config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   config.backend = core::Backend::Threaded;
   config.secondary_uncertainty = false;
   config.compute_oep = true;

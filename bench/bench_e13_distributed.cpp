@@ -126,6 +126,7 @@ int main() {
   // The engine every regime runs: the coordinator normalises workers onto
   // the pool-free Sequential kernel, so the reference uses the same knobs.
   core::EngineConfig engine;
+  engine.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   engine.backend = core::Backend::Sequential;
   engine.compute_oep = false;
   engine.keep_contract_ylts = false;

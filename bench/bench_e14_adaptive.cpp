@@ -108,6 +108,7 @@ int main() {
   const auto yelt = catmod::simulate_yelt(chain.catalog, yc);
 
   core::EngineConfig fixed;
+  fixed.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   fixed.backend = core::Backend::Sequential;
   fixed.secondary_uncertainty = false;
   fixed.compute_oep = true;

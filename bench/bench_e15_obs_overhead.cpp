@@ -60,6 +60,7 @@ int main() {
   auto workload = bench::make_workload(/*contracts=*/16, /*elt_rows=*/1'000, trials);
 
   core::EngineConfig engine;
+  engine.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   engine.backend = core::Backend::Sequential;
   engine.compute_oep = false;
   engine.keep_contract_ylts = false;

@@ -3,10 +3,10 @@
 // The batched engine's hot loop is per-occurrence arithmetic over gathered
 // ELT means: resolve ground-up, apply loss_scale, run the LayerTerms
 // occurrence algebra, fold the annual sum. All of it is data-parallel
-// across a trial's hit list, so Backend::Simd lifts it onto 4-wide (AVX2)
+// across a trial's hit list, so Kernel::Auto lifts it onto 4-wide (AVX2)
 // or 2-wide (NEON) Money vectors with runtime CPU dispatch, keeping the
 // lane fold in occurrence order so results stay bit-identical to
-// Backend::Sequential.
+// Kernel::Scalar. Both sides run on the Sequential backend.
 //
 // The workload is chosen to put weight where the vector kernel works: a
 // batched 16-contract book with dense hit lists (ELT covering ~40% of the
@@ -18,13 +18,13 @@
 // measuring anything about the kernel. Full-roll-up and secondary-on
 // rows are reported informationally right below it.
 //
-// Bit-identity across Sequential / Simd / ThreadedSimd is verified before
-// any timing, across secondary {off, on} × OEP {off, on}.
+// Bit-identity of Auto with Scalar on Sequential and Threaded is verified
+// before any timing, across secondary {off, on} × OEP {off, on}.
 //
-// Acceptance bar: simd <= 0.7x scalar Sequential wall-clock on a host
-// that dispatches a wide ISA. Hosts or builds without one skip with a
-// notice (exit 0) and write the JSON without ratio keys, so the CI gate
-// is hardware-aware.
+// Acceptance bar: Auto <= 0.7x Scalar wall-clock on a host that
+// dispatches a wide ISA. Hosts without one skip with a notice (exit 0)
+// and write the JSON without ratio keys, so the CI gate is
+// hardware-aware.
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -94,9 +94,7 @@ int main() {
   if (dispatch.width == 0) {
     // Hardware-aware skip: the gate only binds where a wide ISA runs.
     std::cout << "SKIP: no wide ISA dispatched on this build/host ("
-              << dispatch.reason << ")\n"
-              << "Build with -DRISKAN_ENABLE_SIMD=ON on an AVX2/NEON host to "
-                 "run the comparison.\n";
+              << dispatch.reason << ")\n";
     json.set("skipped", std::string(dispatch.reason));
     const std::string json_path = bench::artifact_path("BENCH_e16.json");
     json.write(json_path);
@@ -126,23 +124,24 @@ int main() {
       config.secondary_uncertainty = secondary;
       config.compute_oep = oep;
       config.backend = core::Backend::Sequential;
+      config.kernel = core::Kernel::Scalar;
       const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-      config.backend = core::Backend::Simd;
+      config.kernel = core::Kernel::Auto;
       const auto simd = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-      config.backend = core::Backend::ThreadedSimd;
+      config.backend = core::Backend::Threaded;
       const auto threaded = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
       if (!identical(reference, simd) || !identical(reference, threaded)) {
         std::cerr << "SIMD MISMATCH (secondary " << (secondary ? "on" : "off")
                   << ", oep " << (oep ? "on" : "off")
-                  << ") — outputs are not bit-identical to Sequential\n";
+                  << ") — Auto outputs are not bit-identical to Scalar\n";
         return 1;
       }
     }
   }
-  std::cout << "bit-identity verified: Sequential == Simd == ThreadedSimd "
+  std::cout << "bit-identity verified: Scalar == Auto on Sequential and Threaded "
                "(secondary off/on x OEP off/on)\n\n";
 
-  ReportTable table({"configuration", "sequential", "simd", "simd/sequential"});
+  ReportTable table({"configuration", "scalar", "auto", "auto/scalar"});
 
   struct Row {
     const char* label;
@@ -161,10 +160,11 @@ int main() {
     config.secondary_uncertainty = row.secondary;
     config.compute_oep = row.oep;
     config.backend = core::Backend::Sequential;
+    config.kernel = core::Kernel::Scalar;
     const double seq_s = best_seconds(reps, [&] {
       core::run_aggregate_analysis(w.portfolio, w.yelt, config);
     });
-    config.backend = core::Backend::Simd;
+    config.kernel = core::Kernel::Auto;
     const double simd_s = best_seconds(reps, [&] {
       core::run_aggregate_analysis(w.portfolio, w.yelt, config);
     });
@@ -183,21 +183,21 @@ int main() {
     }
   }
 
-  // Informational: the composed backend (vector kernel on the threaded
-  // trial partition) vs plain Threaded, same chunk grain and regime as
-  // the headline.
+  // Informational: the vector kernel on the threaded trial partition vs
+  // the scalar one, same chunk grain and regime as the headline.
   config.secondary_uncertainty = false;
   config.compute_oep = false;
   config.backend = core::Backend::Threaded;
+  config.kernel = core::Kernel::Scalar;
   const double thr_s = best_seconds(reps, [&] {
     core::run_aggregate_analysis(w.portfolio, w.yelt, config);
   });
-  config.backend = core::Backend::ThreadedSimd;
+  config.kernel = core::Kernel::Auto;
   const double thr_simd_s = best_seconds(reps, [&] {
     core::run_aggregate_analysis(w.portfolio, w.yelt, config);
   });
   const double thr_ratio = thr_simd_s / thr_s;
-  table.add_row({"threaded-simd vs threaded", format_seconds(thr_s),
+  table.add_row({"threaded: auto vs scalar", format_seconds(thr_s),
                  format_seconds(thr_simd_s), format_fixed(thr_ratio, 2) + "x"});
   json.set("threaded_seconds", thr_s);
   json.set("threaded_simd_seconds", thr_simd_s);
@@ -209,7 +209,7 @@ int main() {
             << format_fixed(headline_ratio, 2) << "x "
             << (headline_ratio <= 0.7 ? "(meets the <=0.7x bar)"
                                       : "(ABOVE the <=0.7x bar)")
-            << "; all outputs bit-identical across backends\n";
+            << "; all outputs bit-identical across kernels\n";
 
   json.set("trials", static_cast<std::uint64_t>(trials));
   const std::string json_path = bench::artifact_path("BENCH_e16.json");

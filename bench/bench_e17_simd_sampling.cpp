@@ -9,7 +9,7 @@
 // attempt for both gamma marginals runs on that pre-drawn word budget, and
 // only the rejection tail falls back to the scalar sampler on a fresh
 // per-occurrence stream — which recomputes from the stream's start, so
-// results stay bit-identical to Backend::Sequential. finalize_oep's
+// results stay bit-identical to the scalar kernel. finalize_oep's
 // running-max scan is vectorized alongside (order-invariant for its
 // non-negative input class).
 //
@@ -20,15 +20,17 @@
 // full-roll-up (means + OEP) row tracks the finalize_oep win against
 // E16's 0.71x.
 //
-// Bit-identity is verified before any timing across Sequential / Simd /
-// ThreadedSimd x secondary {off, on} x OEP {off, on}, plus the distributed
-// coordinator at 0 / 2 / 4 forked workers with secondary on (workers keep
-// the vectorized kernel; the fold must not move a bit either way).
+// Both sides run on the Sequential backend: Kernel::Scalar is the scalar
+// sampler and kernel, Kernel::Auto the vector ones. Bit-identity is
+// verified before any timing across Scalar / Auto on Sequential and
+// Threaded x secondary {off, on} x OEP {off, on}, plus the distributed
+// coordinator at 0 / 2 / 4 forked workers with secondary on (workers run
+// the caller's kernel; the fold must not move a bit either way).
 //
-// Acceptance bar: secondary-on simd <= 0.7x scalar Sequential wall-clock
-// on a host that dispatches a wide ISA. Hosts or builds without one skip
-// with a notice (exit 0) and write the JSON without ratio keys, so the CI
-// gate is hardware-aware.
+// Acceptance bar: secondary-on Auto <= 0.7x Scalar wall-clock on a host
+// that dispatches a wide ISA. Hosts without one skip with a notice (exit
+// 0) and write the JSON without ratio keys, so the CI gate is
+// hardware-aware.
 #include <algorithm>
 #include <iostream>
 #include <vector>
@@ -115,9 +117,7 @@ int main() {
   if (dispatch.width == 0) {
     // Hardware-aware skip: the gate only binds where a wide ISA runs.
     std::cout << "SKIP: no wide ISA dispatched on this build/host ("
-              << dispatch.reason << ")\n"
-              << "Build with -DRISKAN_ENABLE_SIMD=ON on an AVX2/NEON host to "
-                 "run the comparison.\n";
+              << dispatch.reason << ")\n";
     json.set("skipped", std::string(dispatch.reason));
     const std::string json_path = bench::artifact_path("BENCH_e17.json");
     json.write(json_path);
@@ -147,15 +147,16 @@ int main() {
       config.secondary_uncertainty = secondary;
       config.compute_oep = oep;
       config.backend = core::Backend::Sequential;
+      config.kernel = core::Kernel::Scalar;
       const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-      config.backend = core::Backend::Simd;
+      config.kernel = core::Kernel::Auto;
       const auto simd = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-      config.backend = core::Backend::ThreadedSimd;
+      config.backend = core::Backend::Threaded;
       const auto threaded = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
       if (!identical(reference, simd) || !identical(reference, threaded)) {
         std::cerr << "SIMD MISMATCH (secondary " << (secondary ? "on" : "off")
                   << ", oep " << (oep ? "on" : "off")
-                  << ") — outputs are not bit-identical to Sequential\n";
+                  << ") — Auto outputs are not bit-identical to Scalar\n";
         return 1;
       }
     }
@@ -163,16 +164,17 @@ int main() {
 
   // ...and across the distributed coordinator: 0 (in-process), 2 and 4
   // forked workers, secondary on, each fold bit-identical to the
-  // single-process portfolio view. Workers keep the vectorized kernel when
-  // the caller asks for Simd, so this is the batched sampler under fork.
+  // single-process scalar portfolio view. Workers run the caller's
+  // kernel, Auto here, so this is the batched sampler under fork.
   {
     core::EngineConfig dist_engine;
-    dist_engine.backend = core::Backend::Simd;
+    dist_engine.kernel = core::Kernel::Auto;
     dist_engine.secondary_uncertainty = true;
     dist_engine.compute_oep = false;
     dist_engine.keep_contract_ylts = false;
     core::EngineConfig seq_engine = dist_engine;
     seq_engine.backend = core::Backend::Sequential;
+    seq_engine.kernel = core::Kernel::Scalar;
     const auto reference =
         core::run_aggregate_analysis(w.portfolio, w.yelt, seq_engine).portfolio_ylt;
 
@@ -195,17 +197,17 @@ int main() {
       const auto result = dist::run_distributed_aggregate(w.portfolio, dist_engine,
                                                           specs, fetch, dist_config);
       if (!same_ylt(result.portfolio_ylt, reference)) {
-        std::cerr << "DIST MISMATCH — secondary-on Simd fold at " << workers
-                  << " workers is not bit-identical to Sequential\n";
+        std::cerr << "DIST MISMATCH — secondary-on Auto fold at " << workers
+                  << " workers is not bit-identical to Scalar\n";
         return 1;
       }
     }
   }
-  std::cout << "bit-identity verified: Sequential == Simd == ThreadedSimd "
+  std::cout << "bit-identity verified: Scalar == Auto on Sequential and Threaded "
                "(secondary off/on x OEP off/on) and dist workers {0, 2, 4} "
                "(secondary on)\n\n";
 
-  ReportTable table({"configuration", "sequential", "simd", "simd/sequential"});
+  ReportTable table({"configuration", "scalar", "auto", "auto/scalar"});
 
   struct Row {
     const char* label;
@@ -224,10 +226,11 @@ int main() {
     config.secondary_uncertainty = row.secondary;
     config.compute_oep = row.oep;
     config.backend = core::Backend::Sequential;
+    config.kernel = core::Kernel::Scalar;
     const double seq_s = best_seconds(reps, [&] {
       core::run_aggregate_analysis(w.portfolio, w.yelt, config);
     });
-    config.backend = core::Backend::Simd;
+    config.kernel = core::Kernel::Auto;
     const double simd_s = best_seconds(reps, [&] {
       core::run_aggregate_analysis(w.portfolio, w.yelt, config);
     });
@@ -248,14 +251,14 @@ int main() {
 
   bench::emit("e17_simd_sampling", table);
 
-  // Fast-path utilization: one instrumented secondary-on Simd run, read
+  // Fast-path utilization: one instrumented secondary-on Auto run, read
   // through the global metrics registry. The hit rate is the fraction of
   // occurrences resolved by the lane fast path (degenerate rows included)
   // rather than the scalar rejection-tail fallback — the number the
   // batched sampler's win rests on.
   config.secondary_uncertainty = true;
   config.compute_oep = true;
-  config.backend = core::Backend::Simd;
+  config.kernel = core::Kernel::Auto;
   const auto before = obs::MetricsRegistry::global().snapshot();
   core::run_aggregate_analysis(w.portfolio, w.yelt, config);
   const auto after = obs::MetricsRegistry::global().snapshot();

@@ -33,6 +33,7 @@ int main() {
             << " YELT occurrences, secondary uncertainty ON\n\n";
 
   core::EngineConfig config;
+  config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   config.secondary_uncertainty = true;
   config.compute_oep = false;
   config.keep_contract_ylts = false;
@@ -116,6 +117,7 @@ int main() {
             << " YELT occurrences, secondary uncertainty OFF\n\n";
 
   core::EngineConfig ab_config;
+  ab_config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   ab_config.backend = core::Backend::Threaded;
   ab_config.secondary_uncertainty = false;
   ab_config.compute_oep = false;

@@ -43,6 +43,7 @@ int main() {
 
     for (const bool secondary : {false, true}) {
       core::EngineConfig config;
+      config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
       config.backend = core::Backend::Threaded;
       config.secondary_uncertainty = secondary;
       const core::RealTimePricer pricer(yelt, config);

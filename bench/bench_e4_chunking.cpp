@@ -39,6 +39,7 @@ int main() {
                        "blocks spilled", "modeled device time", "host time"});
     for (const int block_dim : {16, 32, 64, 128, 256, 512, 2048}) {
       core::EngineConfig config;
+      config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
       config.backend = core::Backend::DeviceSim;
       config.device_block_dim = block_dim;
       config.compute_oep = false;
@@ -62,6 +63,7 @@ int main() {
                        "global traffic", "modeled time"});
     for (const std::size_t rows : {64UL, 256UL, 1024UL, 0UL /* fit-to-capacity */}) {
       core::EngineConfig config;
+      config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
       config.backend = core::Backend::DeviceSim;
       config.device_elt_chunk_rows = rows;
       // Batched plan: residency is shared across the whole book, so the
@@ -87,6 +89,7 @@ int main() {
     ReportTable table({"trials/chunk", "wall-clock", "occurrences/s"});
     for (const std::size_t grain : {8UL, 64UL, 512UL, 4096UL, 32768UL}) {
       core::EngineConfig config;
+      config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
       config.backend = core::Backend::Threaded;
       config.trial_grain = grain;
       config.compute_oep = false;

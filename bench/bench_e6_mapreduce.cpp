@@ -23,6 +23,7 @@ int main() {
   auto workload = bench::make_workload(/*contracts=*/8, /*elt_rows=*/800, trials);
 
   core::EngineConfig engine;
+  engine.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   engine.backend = core::Backend::Threaded;
   engine.compute_oep = false;
   engine.keep_contract_ylts = false;

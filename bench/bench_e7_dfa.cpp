@@ -27,6 +27,7 @@ int main() {
   auto workload = bench::make_workload(/*contracts=*/12, /*elt_rows=*/600, trials);
 
   core::EngineConfig engine;
+  engine.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   engine.compute_oep = false;
   engine.keep_contract_ylts = false;
   auto stage2 = core::run_aggregate_analysis(workload.portfolio, workload.yelt, engine);

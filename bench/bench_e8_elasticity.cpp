@@ -41,6 +41,7 @@ int main() {
   // Stage 2: trial-layer occurrences per second (secondary on).
   auto workload = bench::make_workload(4, 1'000, bench::scaled_trials(20'000));
   core::EngineConfig engine;
+  engine.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   engine.backend = core::Backend::Sequential;
   engine.compute_oep = false;
   engine.keep_contract_ylts = false;

@@ -66,6 +66,7 @@ int main() {
     auto workload = bench::make_workload(/*contracts=*/8, /*elt_rows=*/1'000,
                                          bench::scaled_trials(20'000));
     core::EngineConfig engine;
+    engine.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
     engine.compute_oep = false;
     engine.keep_contract_ylts = false;
     const auto result =

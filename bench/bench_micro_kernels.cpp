@@ -272,7 +272,7 @@ void BM_ApplyOccurrence(benchmark::State& state) {
 BENCHMARK(BM_ApplyOccurrence);
 
 // Scalar loop vs the dispatched lane kernel over one occurrence buffer —
-// the E16 micro-surface. On scalar builds the lane call falls back to the
+// the E16 micro-surface. Without a wide ISA the lane call falls back to the
 // same scalar loop, so the pair reads as a no-op there (which is the point:
 // the delta IS the vectorization win).
 util::AlignedVector<Money> occurrence_buffer(std::size_t n) {

@@ -8,7 +8,6 @@
 #include "core/exec.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/secondary.hpp"
-#include "core/simd.hpp"
 #include "data/trial_source.hpp"
 #include "finance/terms.hpp"
 #include "obs/obs.hpp"
@@ -22,8 +21,14 @@ const char* to_string(Backend backend) noexcept {
     case Backend::Sequential: return "sequential";
     case Backend::Threaded: return "threaded";
     case Backend::DeviceSim: return "device-sim";
-    case Backend::Simd: return "simd";
-    case Backend::ThreadedSimd: return "threaded-simd";
+  }
+  return "unknown";
+}
+
+const char* to_string(Kernel kernel) noexcept {
+  switch (kernel) {
+    case Kernel::Auto: return "auto";
+    case Kernel::Scalar: return "scalar";
   }
   return "unknown";
 }
@@ -57,16 +62,6 @@ void validate_engine_config(const EngineConfig& config) {
                    "DeviceSim needs a constant-memory segment");
     RISKAN_REQUIRE(config.device_spec.shared_mem_per_block > 0,
                    "DeviceSim needs a shared-memory arena");
-  }
-  if (config.backend == Backend::Simd || config.backend == Backend::ThreadedSimd) {
-    // Reject up front rather than silently running the scalar kernel
-    // mid-run: the caller asked for wide execution and should learn at
-    // config time that this build/host/override cannot provide it.
-    const exec::SimdDispatch dispatch = exec::simd_dispatch();
-    RISKAN_REQUIRE(dispatch.width > 0,
-                   std::string("Simd backend unavailable: ") + dispatch.reason +
-                       " (build with -DRISKAN_ENABLE_SIMD=ON on an AVX2/NEON host; "
-                       "check RISKAN_SIMD)");
   }
 }
 

@@ -18,7 +18,8 @@
 // point — this per-contract front end, the batched runner, the scenario
 // sweep, MapReduce map tasks and the pricer's run_layer — lowers its
 // request into batch slots via an exec::ExecutionPlan (src/core/exec.hpp)
-// and dispatches it on a pluggable executor:
+// and dispatches it on a pluggable executor, chosen on two orthogonal axes:
+// EngineConfig::backend says where the plan runs —
 //   Sequential — single thread, pool-free; the baseline of the paper's
 //                "15x" claim (MapReduce map tasks rely on the pool-free
 //                contract).
@@ -27,8 +28,11 @@
 //                simulated device blocks with slot columns staged to
 //                shared memory and ELT tables resident in constant memory,
 //                residency chosen by the plan.
-// Outputs are bit-identical across backends, lowerings and scheduling
-// (tests enforce).
+// — and EngineConfig::kernel says which host kernel runs there: Auto (the
+// vector kernel on the runtime-dispatched ISA, scalar without one) or
+// Scalar (the reference path).
+// Outputs are bit-identical across backends, kernels, lowerings and
+// scheduling (tests enforce).
 //
 // The event→row mapping is identical for every layer of a contract and on
 // every run, so by default it is pre-joined once per (contract, YELT)
@@ -63,44 +67,44 @@ struct TrialBlock;
 
 namespace riskan::core {
 
+/// Where a plan runs.
 enum class Backend {
   Sequential,
   Threaded,
   DeviceSim,
-  /// Vectorized trial kernel (AVX2/NEON, runtime-dispatched) on the
-  /// caller's thread — pool-free like Sequential. Requires a build with
-  /// RISKAN_ENABLE_SIMD and a supporting host (validate_engine_config
-  /// rejects it otherwise; RISKAN_SIMD=off forces rejection).
-  Simd,
-  /// The vectorized kernel under the Threaded trial-chunk partition
-  /// (trial_grain applies unchanged).
-  ThreadedSimd,
 };
 
 const char* to_string(Backend backend) noexcept;
 
-/// Every always-available backend, in to_string order — the shared
-/// iteration helper for equivalence-matrix tests and benches (no per-file
-/// backend lists). The Simd backends are excluded because scalar-only
-/// builds reject them; matrices add kSimdBackends rows behind
-/// exec::simd_available().
+/// Which host trial kernel a Sequential or Threaded plan runs.
+enum class Kernel {
+  /// The vector kernel (core/batch_simd.hpp) when exec::simd_dispatch()
+  /// finds a usable ISA (AVX2 or NEON), the scalar kernel otherwise.
+  /// Never rejects a config: RISKAN_SIMD=off or a host without the ISA
+  /// simply runs scalar. Outputs are bit-identical either way.
+  Auto,
+  /// batch::process_trials, the reference path.
+  Scalar,
+};
+
+const char* to_string(Kernel kernel) noexcept;
+
+/// Every backend, in to_string order — the shared iteration helper for
+/// equivalence-matrix tests and benches (no per-file backend lists).
 inline constexpr Backend kAllBackends[] = {Backend::Sequential, Backend::Threaded,
                                            Backend::DeviceSim};
 /// The host backends (everything but the simulated device), for matrices
-/// that sweep `trial_grain` or other host-only knobs.
+/// that sweep `trial_grain`, the kernel or other host-only knobs.
 inline constexpr Backend kHostBackends[] = {Backend::Sequential, Backend::Threaded};
-/// The vectorized backends, usable only when exec::simd_available()
-/// (core/simd.hpp) — SIMD-gated matrix rows iterate these.
-inline constexpr Backend kSimdBackends[] = {Backend::Simd, Backend::ThreadedSimd};
+/// Both host kernels — the kernel axis of the equivalence matrices.
+inline constexpr Kernel kAllKernels[] = {Kernel::Scalar, Kernel::Auto};
 
 /// Backends bound to the caller's thread (never the pool): resolution
 /// builds and block decodes under them must run inline, both for the
 /// single-thread contract (MapReduce map tasks invoke the engine from pool
 /// workers, where submitting and blocking can deadlock) and for dist
 /// workers, which are forked processes without a pool.
-constexpr bool pool_free(Backend backend) noexcept {
-  return backend == Backend::Sequential || backend == Backend::Simd;
-}
+constexpr bool pool_free(Backend backend) noexcept { return backend == Backend::Sequential; }
 
 /// Per-run telemetry of the DeviceSim executor, for the E2/E4 reports:
 /// metered traffic per access class plus the calibrated performance-model
@@ -122,6 +126,9 @@ struct DeviceRunInfo {
 
 struct EngineConfig {
   Backend backend = Backend::Threaded;
+  /// Host trial kernel of the Sequential and Threaded backends. DeviceSim
+  /// always runs the scalar kernel inside its simulated blocks.
+  Kernel kernel = Kernel::Auto;
   /// Master seed for secondary uncertainty streams.
   std::uint64_t seed = 2012;
   /// Sample per-occurrence secondary uncertainty (beta). Off = use ELT

@@ -1,10 +1,13 @@
 // The vectorized twin of core::batch::process_trials.
 //
 // One kernel per compiled ISA (AVX2: 4 Money lanes, NEON: 2), all stamped
-// from the width-generic template in batch_simd_impl.hpp. The kernel walks
+// from the width-generic template in batch_simd_impl.hpp. The Sequential
+// and Threaded executors run it under Kernel::Auto whenever
+// exec::simd_dispatch() finds an ISA (core/simd.hpp); a plan none of whose
+// groups vectorize runs batch::process_trials directly. The kernel walks
 // trials in blocks (so the scalar per-trial bookkeeping amortizes over a
 // long contiguous occurrence range instead of re-starting the vector loop
-// every ~dozen hits) and classifies each gather group:
+// every ~dozen hits) and classifies each gather group (vectorizable()):
 //
 //   vector-compact — compact-CSR group (a contract's layer tower, alone or
 //       with its scenario variants) with no mask column: the block's whole
@@ -18,11 +21,13 @@
 //       sums and the OEP accumulator bit-identical to the scalar kernel.
 //       The sub-width remainder of each chunk runs the scalar ops in the
 //       same order (the lane-tail contract).
-//   vector-dense — dense group of any size: row sentinels (kNoLoss) become
-//       masked-out gather lanes (secondary off) or exact-+0.0 sampled
-//       buffer entries (secondary on) that contribute +0.0 — exactly the
-//       scalar `continue`'s effect on the annual sum, since every
-//       occurrence contribution is non-negative.
+//   vector-dense — dense group of any size, walking hits only: the pass
+//       that resolves ground-up losses (detail::collect_dense_hits — the
+//       batched sampler fill, or the row compaction ahead of the means
+//       gather) skips kNoLoss rows and records each found occurrence's
+//       position and loss with its trial segment, and the per-slot lanes
+//       and folds run over that list. Skipping a miss is exactly the
+//       scalar kernel's `continue`.
 //   scalar — everything else (search gather, mask columns) falls back to
 //       batch::process_trials for the (group, block) — same code, so
 //       equality across the full feature matrix holds by construction.
@@ -35,16 +40,17 @@
 // (slot, trial) the fold is in occurrence order.
 //
 // Secondary uncertainty on vector slots samples each chunk's hits into a
-// scratch buffer first (detail::fill_ground_up_*_range below, compiled in
-// the portable TU) and vectorizes everything downstream of the sample. The
-// fill itself is batched: SecondarySampler::sample_lanes draws every
-// occurrence's Philox blocks lane-parallel (util::PhiloxLanes) and resolves
-// the common case — degenerate rows and gamma pairs that accept on the
-// first Marsaglia–Tsang attempt — in a per-lane fast path, falling back to
-// the scalar sampler on a fresh stream, in occurrence order, for the
-// rejection tail. Each occurrence's stream is keyed exactly as the scalar
-// kernel keys it, so the draws are identical; docs/architecture.md carries
-// the full bit-identity argument.
+// scratch buffer first (detail::fill_ground_up_compact_range and
+// detail::collect_dense_hits below, compiled in the portable TU) and
+// vectorizes everything downstream of the sample. The fill itself is
+// batched: SecondarySampler::sample_lanes draws every occurrence's Philox
+// blocks lane-parallel (util::PhiloxLanes) and resolves the common case —
+// degenerate rows and gamma pairs that accept on the first Marsaglia–Tsang
+// attempt — in a per-lane fast path, falling back to the scalar sampler on
+// a fresh stream, in occurrence order, for the rejection tail. Each
+// occurrence's stream is keyed exactly as the scalar kernel keys it, so
+// the draws are identical; docs/architecture.md carries the full
+// bit-identity argument.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +60,8 @@
 
 namespace riskan::core::batch {
 
-/// Lane-utilization telemetry of simd kernel invocations, published by the
-/// SimdExecutor as exec.simd.* counters.
+/// Lane-utilization telemetry of Kernel::Auto executions, published by the
+/// Sequential and Threaded executors as exec.simd.* counters.
 struct SimdStats {
   // Occurrence counts are per slot (occurrence × layer evaluations), like
   // EngineResult::occurrences_processed; sampler counts are per draw.
@@ -98,6 +104,24 @@ std::uint64_t process_trials_simd_neon(std::span<const Slot> slots,
                                        const Philox4x32& philox, bool secondary,
                                        TrialId trial_base, TrialId lo, TrialId hi,
                                        std::span<Money> annual_scratch, SimdStats& stats);
+
+/// Widest group the vector kernel takes: one pass keeps slots × trials
+/// annual sums in a 32 KiB stack buffer, so a group wider than this cannot
+/// fit even one trial and runs the scalar kernel.
+inline constexpr std::size_t kVectorAnnuals = 4096;
+
+/// Whether the vector kernel runs gather group `gs` itself: a compact group
+/// without mask columns (a mask re-keys sampling per lane) or a dense group,
+/// of at most kVectorAnnuals slots. Search groups and the rest go to
+/// batch::process_trials.
+bool vectorizable(const Slot* gs, std::uint32_t gsize) noexcept;
+
+/// Occurrence × slot evaluations of group `gs` over trials [t0, t1): its
+/// hits (compact) or YELT entries (dense, search) — the unit of the
+/// exec.simd.*_occurrences counters.
+std::uint64_t group_occurrences(const Slot* gs, std::uint32_t gsize,
+                                std::span<const std::uint64_t> yelt_offsets, TrialId t0,
+                                TrialId t1) noexcept;
 
 /// Vectorized finance::apply_occurrence over a contiguous ground-up buffer,
 /// dispatched like the kernel (scalar loop when no ISA is active). The
@@ -152,17 +176,38 @@ void fill_ground_up_compact_range(const Slot& s, const Philox4x32& philox,
                                   std::uint64_t k_begin, std::uint64_t k_end, Money* out,
                                   SimdStats& stats);
 
-/// Dense-gather sibling of the above: samples the global occurrence range
-/// [i_begin, i_end), writing exact +0.0 for kNoLoss sentinel rows (the
-/// vector pass adds those lanes where the scalar kernel `continue`s, which
-/// cannot change a non-negative annual sum). Streams are keyed with
-/// seq = i - yelt_offsets[t], the scalar dense walk's key. Returns the
-/// found-lookup count.
-std::uint64_t fill_ground_up_dense_range(const Slot& s, const Philox4x32& philox,
-                                         TrialId trial_base, TrialId t_first,
-                                         std::span<const std::uint64_t> yelt_offsets,
-                                         std::uint64_t i_begin, std::uint64_t i_end,
-                                         Money* out, SimdStats& stats);
+/// Found occurrences one dense vector chunk buffers.
+inline constexpr std::size_t kDenseHits = 2048;
+
+/// One chunk of a dense group's found occurrences, in occurrence order:
+/// per hit its global YELT position (the OEP cell), ELT row and ground-up
+/// loss; per trial segment its trial and the end of its hits, so segment q
+/// holds hits [seg_end[q - 1], seg_end[q]) (from 0 for q = 0). Trials
+/// without hits have no segment.
+struct DenseHits {
+  Money gu[kDenseHits];
+  std::uint64_t pos[kDenseHits];
+  std::uint32_t rows[kDenseHits];
+  TrialId seg_trial[kDenseHits];
+  std::uint32_t seg_end[kDenseHits];
+  std::size_t hits = 0;
+  std::size_t segs = 0;
+};
+
+/// Collects the found occurrences of the dense global range
+/// [i_begin, i_end) of slot `s` into `out`, skipping kNoLoss rows, and
+/// stops once kDenseHits are buffered; returns the position to resume
+/// from. `t` is the trial holding i_begin (or any trial before it) and is
+/// advanced with the walk. With `secondary` the hits are sampled through
+/// the batched SecondarySampler::sample_lanes path under the scalar dense
+/// walk's stream keys (contract, trial_base + t, i − yelt_offsets[t]);
+/// without it `out.gu` is left for the caller's means gather over
+/// `out.rows`.
+std::uint64_t collect_dense_hits(const Slot& s, const Philox4x32& philox, bool secondary,
+                                 TrialId trial_base, TrialId& t,
+                                 std::span<const std::uint64_t> yelt_offsets,
+                                 std::uint64_t i_begin, std::uint64_t i_end, DenseHits& out,
+                                 SimdStats& stats);
 
 }  // namespace detail
 

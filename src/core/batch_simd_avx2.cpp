@@ -1,11 +1,9 @@
 // AVX2 stamp of the vectorized trial kernel: 4 Money lanes per __m256d,
-// compact rows gathered with vgatherdpd and dense kNoLoss sentinels
-// suppressed with the masked-gather form (masked-off elements are never
-// loaded, so a null/short means column is safe exactly where the scalar
-// kernel would not have touched it either).
+// ELT means gathered with vgatherdpd (dense groups gather only the rows
+// their hit list found).
 //
-// This TU is compiled with -mavx2 (set per-source by RISKAN_ENABLE_SIMD);
-// everything here lives behind the runtime dispatch in core/simd.cpp, and
+// This TU is compiled with -mavx2 (set per-source whenever the compiler
+// accepts the flag); everything here lives behind the runtime dispatch in core/simd.cpp, and
 // the scalar helpers it calls (sampling, trial finish, the fallback
 // kernel) are extern functions compiled with the portable baseline flags —
 // no templated library code is instantiated under the wider ISA.
@@ -39,24 +37,6 @@ struct Avx2Ops {
     // _mm256_undefined_pd() source trips GCC's -Wmaybe-uninitialized).
     const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
     return _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, vi, ones, 8);
-  }
-
-  struct MaskedGather {
-    Vec values;
-    unsigned found;
-  };
-  static MaskedGather gather_masked(const Money* base, const std::uint32_t* rows) noexcept {
-    const __m128i vi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows));
-    // kNoLoss is all-ones; valid lanes get an all-ones 64-bit mask (sign
-    // bit set = gather), sentinel lanes keep the zero source.
-    const __m128i invalid = _mm_cmpeq_epi32(vi, _mm_set1_epi32(-1));
-    const __m128i valid = _mm_xor_si128(invalid, _mm_set1_epi32(-1));
-    const __m256d mask = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(valid));
-    const __m256d values =
-        _mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, vi, mask, 8);
-    const unsigned valid_bits =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(valid)));
-    return MaskedGather{values, static_cast<unsigned>(__builtin_popcount(valid_bits))};
   }
 };
 

@@ -10,19 +10,18 @@
 //   Vec gt_mask(Vec, Vec)                    all-ones lanes where a > b
 //   Vec mask_and(Vec, Vec)                   bitwise and (value ∧ mask)
 //   Vec gather(const Money* base, const std::uint32_t* idx)
-//   MaskedGather gather_masked(const Money* base, const std::uint32_t* rows)
-//       — kNoLoss rows become 0.0 lanes without touching memory; returns
-//         {Vec values, unsigned found}.
 //
 // Shape: trials are walked in blocks of kTrialBlock; per (group, block)
-// the vector paths resolve the ground-up losses of the block's contiguous
-// hit range once per kOccChunk-sized stack chunk (sampled or gathered,
-// shared by every slot of the group), then per slot a pure vector pass
-// (scale, terms, store) and a scalar fold pass that consumes the chunk in
-// occurrence order, advancing a trial cursor over the CSR offsets. One
-// extern finish call per (slot, block) flushes the annual sums. This keeps
-// the hot loops long (the per-trial hit count is typically ~a dozen) and
-// the portable-TU call overhead off the per-trial path.
+// the vector paths resolve the ground-up losses of the block's hits once
+// per stack chunk (sampled or gathered, shared by every slot of the
+// group), then per slot a pure vector pass (scale, terms, store) and a
+// scalar fold pass that consumes the chunk in occurrence order, one trial
+// at a time. Compact groups chunk their contiguous CSR hit range; dense
+// groups chunk the hit list detail::collect_dense_hits compacts out of the
+// YELT range, so misses cost one compaction step and no lane or fold work.
+// One extern finish call per (slot, block) flushes the annual sums. This
+// keeps the hot loops long (the per-trial hit count is typically ~a dozen)
+// and the portable-TU call overhead off the per-trial path.
 //
 // Bit-identity contract (tests enforce; docs/architecture.md documents):
 // every lane computes exactly the scalar finance::apply_occurrence —
@@ -41,7 +40,6 @@
 #include <span>
 
 #include "core/batch_simd.hpp"
-#include "data/elt.hpp"
 #include "finance/terms.hpp"
 
 namespace riskan::core::batch {
@@ -50,43 +48,10 @@ namespace impl {
 
 /// Trials per finish batch (bounds the stack annuals buffer).
 inline constexpr std::size_t kTrialBlock = 1024;
-/// Occurrences per vector chunk (bounds the stack occ/ground-up buffers;
-/// 2048 Money = 16 KiB each, L1/L2-resident with the gather sources).
+/// Occurrences per compact vector chunk (bounds the stack occ/ground-up
+/// buffers; 2048 Money = 16 KiB each, L1/L2-resident with the gather
+/// sources).
 inline constexpr std::size_t kOccChunk = 2048;
-
-/// Trial × slot annual sums one vector group pass keeps on the stack
-/// (32 KiB): groups wider than kGroupAnnuals / kTrialBlock slots walk
-/// their trial block in shorter sub-blocks.
-inline constexpr std::size_t kGroupAnnuals = 4096;
-
-/// How the kernel runs one (group, block).
-enum class GroupClass : std::uint8_t {
-  VecCompact,  ///< compact group (any size) without mask columns
-  VecDense,    ///< dense group (any size; transform-inert by plan contract)
-  Scalar,      ///< search gather or a mask column → batch::process_trials
-};
-
-inline GroupClass classify(const Slot* gs, std::uint32_t gsize) noexcept {
-  if (gsize > kGroupAnnuals) {
-    return GroupClass::Scalar;  // not even one trial's annuals fit the buffer
-  }
-  switch (gs[0].gather) {
-    case Gather::Dense:
-      return GroupClass::VecDense;
-    case Gather::Search:
-      return GroupClass::Scalar;
-    case Gather::Compact:
-      break;
-  }
-  // loss_scale / conditioned_ground_up vectorize; a mask column re-keys
-  // sampling per lane and stays scalar.
-  for (std::uint32_t i = 0; i < gsize; ++i) {
-    if (gs[i].mask_seq != nullptr) {
-      return GroupClass::Scalar;
-    }
-  }
-  return GroupClass::VecCompact;
-}
 
 /// The occurrence algebra on W lanes; see the header contract above.
 template <typename V>
@@ -101,119 +66,78 @@ inline typename V::Vec occurrence_lanes(const finance::LayerTerms& terms,
   return V::mask_and(V::min(gu, lim), V::gt_mask(gu, ret));
 }
 
-/// Gathers a chunk's ELT means into `out` — once for the whole group.
-/// Dense rows map kNoLoss to exact +0.0 (masked lanes). Returns the rows
-/// found (dense; 0 for compact).
-template <typename V, bool kDense>
-inline std::uint64_t gather_means(const Money* means, const std::uint32_t* rows,
-                                  std::size_t n, Money* out) {
+/// Gathers the ELT means of `n` rows into `out` — once for the whole group.
+template <typename V>
+inline void gather_means(const Money* means, const std::uint32_t* rows, std::size_t n,
+                         Money* out) {
   constexpr std::size_t W = V::kWidth;
-  std::uint64_t found = 0;
   std::size_t k = 0;
   for (; k + W <= n; k += W) {
-    if constexpr (kDense) {
-      const auto mg = V::gather_masked(means, rows + k);
-      found += mg.found;
-      V::store(out + k, mg.values);
-    } else {
-      V::store(out + k, V::gather(means, rows + k));
-    }
+    V::store(out + k, V::gather(means, rows + k));
   }
   for (; k < n; ++k) {
-    if constexpr (kDense) {
-      if (rows[k] == data::ResolvedYelt::kNoLoss) {
-        out[k] = 0.0;
-        continue;
-      }
-      ++found;
-    }
     out[k] = means[rows[k]];
   }
-  return found;
 }
 
-/// One vector (group, trial range [a0, a1)), gsize × (a1 − a0) ≤
-/// kGroupAnnuals. The range's occurrences — compact: the group's CSR hits;
-/// dense: every occurrence, kNoLoss rows as exact +0.0 lanes — are walked
-/// in kOccChunk chunks. Per chunk the ground-up losses are resolved ONCE
-/// for the group (the batched sampler fill, or a means gather), then each
-/// slot in turn applies its loss scale and terms lane-parallel and folds
-/// the chunk in occurrence order with a trial cursor. Per OEP cell the slots add in slot order, and the slots finish
-/// the range in slot order — the scalar kernel's per-cell order. Returns
-/// the rows found (dense), once per occurrence.
-template <typename V, bool kDense>
-inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
-                                     const Philox4x32& philox, bool secondary,
-                                     TrialId trial_base, TrialId a0, TrialId a1,
-                                     std::span<const std::uint64_t> yelt_offsets,
-                                     SimdStats& stats) {
+/// Slot `s`'s occurrence losses of `n` ground-up losses into `occ`: loss
+/// scale and terms lane-parallel, the sub-width remainder scalar.
+template <typename V>
+inline void slot_lanes(const Slot& s, const Money* gu, std::size_t n, Money* occ,
+                       SimdStats& stats) {
   constexpr std::size_t W = V::kWidth;
+  const Money scale = s.loss_scale;
+  const bool scaled = scale != 1.0;
+  const auto vscale = V::broadcast(scale);
+  std::size_t k = 0;
+  for (; k + W <= n; k += W) {
+    auto v = V::load(gu + k);
+    if (scaled) {
+      v = V::mul(v, vscale);
+    }
+    V::store(occ + k, occurrence_lanes<V>(s.terms, v));
+  }
+  stats.vector_occurrences += k;
+  stats.tail_occurrences += n - k;
+  for (; k < n; ++k) {
+    occ[k] = finance::apply_occurrence(s.terms, scaled ? gu[k] * scale : gu[k]);
+  }
+}
+
+/// The compact pass of one vector (group, trial range [a0, a1)): the
+/// group's CSR hits in kOccChunk chunks, each chunk's ground-up losses
+/// resolved once (the batched sampler fill, or a means gather), then per
+/// slot the lanes and an occurrence-order fold with a trial cursor over the
+/// hit offsets. `annuals` holds gsize rows of (a1 − a0) trial sums.
+template <typename V>
+inline void vec_compact_pass(const Slot* gs, std::size_t gsize, const Philox4x32& philox,
+                             bool secondary, TrialId trial_base, TrialId a0, TrialId a1,
+                             std::span<const std::uint64_t> yelt_offsets, Money* annuals,
+                             SimdStats& stats) {
   alignas(64) Money occ_chunk[kOccChunk];
   alignas(64) Money gu_chunk[kOccChunk];
-  Money annuals[kGroupAnnuals];
   const Slot& lead = gs[0];
   const std::size_t nt = a1 - a0;
-  for (std::size_t i = 0; i < gsize; ++i) {
-    Money* an = annuals + i * nt;
-    if (gs[i].conditioned_ground_up >= 0.0) {
-      for (TrialId t = a0; t < a1; ++t) {
-        an[t - a0] = detail::conditioned_annual_slot(gs[i], t);
-      }
-    } else {
-      std::fill(an, an + nt, 0.0);
-    }
-  }
-
-  const std::uint64_t* offsets = kDense ? yelt_offsets.data() : lead.hit_offsets;
-  const std::uint64_t h0 = offsets[a0];
+  const std::uint64_t* offsets = lead.hit_offsets;
   const std::uint64_t h1 = offsets[a1];
-  std::uint64_t found = 0;
 
-  TrialId tc = a0;  // the trial holding the chunk's first occurrence
-  for (std::uint64_t c0 = h0; c0 < h1; c0 += kOccChunk) {
+  TrialId tc = a0;  // the trial holding the chunk's first hit
+  for (std::uint64_t c0 = offsets[a0]; c0 < h1; c0 += kOccChunk) {
     const std::size_t n =
         static_cast<std::size_t>(std::min<std::uint64_t>(kOccChunk, h1 - c0));
-    const std::uint32_t* rows = (kDense ? lead.dense_rows : lead.rows) + c0;
     while (c0 >= offsets[tc + 1]) {
       ++tc;
     }
     if (secondary) {
-      if constexpr (kDense) {
-        found += detail::fill_ground_up_dense_range(lead, philox, trial_base, tc,
-                                                    yelt_offsets, c0, c0 + n, gu_chunk, stats);
-      } else {
-        detail::fill_ground_up_compact_range(lead, philox, trial_base, tc, c0, c0 + n,
-                                             gu_chunk, stats);
-      }
+      detail::fill_ground_up_compact_range(lead, philox, trial_base, tc, c0, c0 + n, gu_chunk,
+                                           stats);
     } else {
-      found += gather_means<V, kDense>(lead.means, rows, n, gu_chunk);
+      gather_means<V>(lead.means, lead.rows + c0, n, gu_chunk);
     }
 
     for (std::size_t i = 0; i < gsize; ++i) {
       const Slot& s = gs[i];
-      const Money scale = s.loss_scale;
-      const bool scaled = scale != 1.0;
-      const auto vscale = V::broadcast(scale);
-
-      // Vector pass. Masked-out dense lanes gather (or fill as) exact
-      // +0.0; apply_occurrence(terms, 0) is +0.0 for both retention kinds
-      // (retention ≥ 0 by terms.validate), and the annual sum is a sum of
-      // non-negatives, so adding those lanes in place of the scalar
-      // `continue` never changes a bit.
-      std::size_t k = 0;
-      for (; k + W <= n; k += W) {
-        auto v = V::load(gu_chunk + k);
-        if (scaled) {
-          v = V::mul(v, vscale);
-        }
-        V::store(occ_chunk + k, occurrence_lanes<V>(s.terms, v));
-      }
-      stats.vector_occurrences += k;
-      stats.tail_occurrences += n - k;
-      for (; k < n; ++k) {
-        occ_chunk[k] = finance::apply_occurrence(s.terms, scaled ? gu_chunk[k] * scale
-                                                                 : gu_chunk[k]);
-      }
+      slot_lanes<V>(s, gu_chunk, n, occ_chunk, stats);
 
       // Occurrence-order fold, one trial segment at a time: the annual
       // sums and the OEP accumulator see the losses exactly as the scalar
@@ -223,7 +147,7 @@ inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
       Money* const an = annuals + i * nt;
       Money* const accum = s.occurrence_accum;
       const Money share = s.terms.share;
-      const std::uint32_t* seqs = kDense ? nullptr : lead.seqs + c0;
+      const std::uint32_t* seqs = lead.seqs + c0;
       TrialId t = tc;
       std::size_t j = 0;
       while (j < n) {
@@ -238,7 +162,7 @@ inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
           for (; j < seg_end; ++j) {
             const Money occ = occ_chunk[j];
             a += occ;
-            accum[kDense ? c0 + j : trial_begin + seqs[j]] += occ * share;
+            accum[trial_begin + seqs[j]] += occ * share;
           }
         } else {
           for (; j < seg_end; ++j) {
@@ -248,6 +172,102 @@ inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
         an[t - a0] = a;
       }
     }
+  }
+}
+
+/// The dense pass of one vector (group, trial range [a0, a1)): walks hits
+/// only. Each chunk is the next kDenseHits found occurrences of the range,
+/// collected with their ground-up losses (sampled in the collection, or
+/// gathered from the means here) and trial segments; then per slot the
+/// lanes and a fold over the segments. A skipped miss is exactly the
+/// scalar kernel's `continue`. Returns the rows found, once per occurrence.
+template <typename V>
+inline std::uint64_t vec_dense_pass(const Slot* gs, std::size_t gsize,
+                                    const Philox4x32& philox, bool secondary,
+                                    TrialId trial_base, TrialId a0, TrialId a1,
+                                    std::span<const std::uint64_t> yelt_offsets,
+                                    Money* annuals, SimdStats& stats) {
+  alignas(64) Money occ_chunk[detail::kDenseHits];
+  detail::DenseHits hits;
+  const Slot& lead = gs[0];
+  const std::size_t nt = a1 - a0;
+  const std::uint64_t i_end = yelt_offsets[a1];
+  std::uint64_t found = 0;
+
+  TrialId t = a0;
+  for (std::uint64_t i = yelt_offsets[a0]; i < i_end;) {
+    i = detail::collect_dense_hits(lead, philox, secondary, trial_base, t, yelt_offsets, i,
+                                   i_end, hits, stats);
+    const std::size_t n = hits.hits;
+    if (!secondary) {
+      gather_means<V>(lead.means, hits.rows, n, hits.gu);
+    }
+    found += n;
+
+    for (std::size_t k = 0; k < gsize; ++k) {
+      const Slot& s = gs[k];
+      slot_lanes<V>(s, hits.gu, n, occ_chunk, stats);
+
+      // Segment-order fold: each trial's hits in occurrence order, the
+      // annual in a register per segment; a trial split across chunks
+      // resumes from its stored sum.
+      Money* const an = annuals + k * nt;
+      Money* const accum = s.occurrence_accum;
+      const Money share = s.terms.share;
+      std::size_t j = 0;
+      for (std::size_t q = 0; q < hits.segs; ++q) {
+        const std::size_t seg_end = hits.seg_end[q];
+        Money& cell = an[hits.seg_trial[q] - a0];
+        Money a = cell;
+        if (accum != nullptr) {
+          for (; j < seg_end; ++j) {
+            const Money occ = occ_chunk[j];
+            a += occ;
+            accum[hits.pos[j]] += occ * share;
+          }
+        } else {
+          for (; j < seg_end; ++j) {
+            a += occ_chunk[j];
+          }
+        }
+        cell = a;
+      }
+    }
+  }
+  return found;
+}
+
+/// One vector (group, trial range [a0, a1)), gsize × (a1 − a0) ≤
+/// kVectorAnnuals: seeds the annual sums (conditioned occurrences first),
+/// runs the compact or dense pass, and finishes the range slot by slot —
+/// per OEP cell the slots add in slot order and the slots finish in slot
+/// order, the scalar kernel's per-cell order. Returns the rows found
+/// (dense), once per occurrence.
+template <typename V, bool kDense>
+inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
+                                     const Philox4x32& philox, bool secondary,
+                                     TrialId trial_base, TrialId a0, TrialId a1,
+                                     std::span<const std::uint64_t> yelt_offsets,
+                                     SimdStats& stats) {
+  Money annuals[kVectorAnnuals];
+  const std::size_t nt = a1 - a0;
+  for (std::size_t i = 0; i < gsize; ++i) {
+    Money* an = annuals + i * nt;
+    if (gs[i].conditioned_ground_up >= 0.0) {
+      for (TrialId t = a0; t < a1; ++t) {
+        an[t - a0] = detail::conditioned_annual_slot(gs[i], t);
+      }
+    } else {
+      std::fill(an, an + nt, 0.0);
+    }
+  }
+  std::uint64_t found = 0;
+  if constexpr (kDense) {
+    found = vec_dense_pass<V>(gs, gsize, philox, secondary, trial_base, a0, a1, yelt_offsets,
+                              annuals, stats);
+  } else {
+    vec_compact_pass<V>(gs, gsize, philox, secondary, trial_base, a0, a1, yelt_offsets,
+                        annuals, stats);
   }
   for (std::size_t i = 0; i < gsize; ++i) {
     detail::finish_slot_trials_out(gs[i], a0, a1, annuals + i * nt);
@@ -266,7 +286,7 @@ inline std::uint64_t vec_group_block(const Slot* gs, std::size_t gsize,
                                      TrialId trial_base, TrialId t0, TrialId t1,
                                      std::span<const std::uint64_t> yelt_offsets,
                                      SimdStats& stats) {
-  const auto span = static_cast<TrialId>(std::min(kTrialBlock, kGroupAnnuals / gsize));
+  const auto span = static_cast<TrialId>(std::min(kTrialBlock, kVectorAnnuals / gsize));
   std::uint64_t found = 0;
   for (TrialId a0 = t0; a0 < t1; a0 += span) {
     found += vec_group_range<V, kDense>(gs, gsize, philox, secondary, trial_base, a0,
@@ -291,29 +311,21 @@ std::uint64_t process_trials_simd(std::span<const Slot> slots, std::span<const G
     const TrialId b1 = std::min<TrialId>(hi, b0 + static_cast<TrialId>(kTrialBlock));
     for (const Group& group : groups) {
       const Slot* gs = slots.data() + group.begin;
-      switch (classify(gs, group.size)) {
-        case GroupClass::VecCompact:
-          (void)vec_group_block<V, false>(gs, group.size, philox, secondary, trial_base, b0,
+      if (!vectorizable(gs, group.size)) {
+        // Bit-identical by construction: the scalar kernel itself, one
+        // (group, block) at a time (trial-major group order within the
+        // block preserved per shared output cell — see the header).
+        const Group local{0, group.size};
+        found += process_trials(std::span<const Slot>(gs, group.size), {&local, 1},
+                                yelt_offsets, philox, secondary, trial_base, b0, b1,
+                                annual_scratch);
+        stats.scalar_occurrences += group_occurrences(gs, group.size, yelt_offsets, b0, b1);
+      } else if (gs[0].gather == Gather::Dense) {
+        found += vec_group_block<V, true>(gs, group.size, philox, secondary, trial_base, b0,
                                           b1, yelt_offsets, stats);
-          break;
-        case GroupClass::VecDense:
-          found += vec_group_block<V, true>(gs, group.size, philox, secondary, trial_base,
-                                            b0, b1, yelt_offsets, stats);
-          break;
-        case GroupClass::Scalar: {
-          // Bit-identical by construction: the scalar kernel itself, one
-          // (group, block) at a time (trial-major group order within the
-          // block preserved per shared output cell — see the header).
-          const Group local{0, group.size};
-          found += process_trials(std::span<const Slot>(gs, group.size), {&local, 1},
-                                  yelt_offsets, philox, secondary, trial_base, b0, b1,
-                                  annual_scratch);
-          stats.scalar_occurrences +=
-              group.size * (gs[0].gather == Gather::Compact
-                                ? gs[0].hit_offsets[b1] - gs[0].hit_offsets[b0]
-                                : yelt_offsets[b1] - yelt_offsets[b0]);
-          break;
-        }
+      } else {
+        (void)vec_group_block<V, false>(gs, group.size, philox, secondary, trial_base, b0,
+                                        b1, yelt_offsets, stats);
       }
     }
   }

@@ -41,25 +41,6 @@ struct NeonOps {
     v = vsetq_lane_f64(base[idx[1]], v, 1);
     return v;
   }
-
-  struct MaskedGather {
-    Vec values;
-    unsigned found;
-  };
-  static MaskedGather gather_masked(const Money* base, const std::uint32_t* rows) noexcept {
-    constexpr std::uint32_t kNoLoss = ~std::uint32_t{0};
-    Vec v = vdupq_n_f64(0.0);
-    unsigned found = 0;
-    if (rows[0] != kNoLoss) {
-      v = vsetq_lane_f64(base[rows[0]], v, 0);
-      ++found;
-    }
-    if (rows[1] != kNoLoss) {
-      v = vsetq_lane_f64(base[rows[1]], v, 1);
-      ++found;
-    }
-    return MaskedGather{v, found};
-  }
 };
 
 }  // namespace

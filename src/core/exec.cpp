@@ -148,66 +148,44 @@ void plan_device_chunks(ExecutionPlan& plan, const EngineConfig& config) {
   close();
 }
 
-class SequentialExecutor final : public Executor {
+/// The host trial kernel of the Sequential and Threaded executors
+/// (EngineConfig::kernel). Under Kernel::Auto it holds the dispatched
+/// vector kernel (none when no ISA dispatches, so Auto runs scalar) and
+/// publishes exec.simd.* per execution; Kernel::Scalar publishes nothing.
+class HostKernel {
  public:
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    static const ExecObs metrics("sequential");
-    obs::Timer timer("exec.sequential");
+  explicit HostKernel(Kernel kernel)
+      : auto_(kernel == Kernel::Auto), dispatch_(auto_ ? simd_dispatch() : SimdDispatch{}) {}
+
+  /// Whether `plan` runs the vector kernel: a dispatched ISA and at least
+  /// one vectorizable group. Otherwise the scalar kernel runs the plan
+  /// directly, so a plan of mask-column or search groups costs nothing
+  /// extra under Auto.
+  bool vectorizes(const ExecutionPlan& plan) const noexcept {
+    return dispatch_.kernel != nullptr &&
+           std::any_of(plan.groups.begin(), plan.groups.end(), [&plan](const batch::Group& g) {
+             return batch::vectorizable(plan.slots.data() + g.begin, g.size);
+           });
+  }
+
+  /// Trials [lo, hi) of `plan` through the vector or the scalar kernel.
+  std::uint64_t run(const ExecutionPlan& plan, const Philox4x32& philox, bool vector,
+                    TrialId lo, TrialId hi, batch::SimdStats& stats) const {
     std::vector<Money> scratch(plan.max_group_size);
-    const std::uint64_t found =
-        batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                              plan.secondary, plan.trial_base, 0, plan.trials, scratch);
-    metrics.executions.add();
-    metrics.seconds.observe(timer.stop());
-    return found;
-  }
-};
-
-class ThreadedExecutor final : public Executor {
- public:
-  ThreadedExecutor(ThreadPool* pool, std::size_t grain) : pool_(pool), grain_(grain) {}
-
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    static const ExecObs metrics("threaded");
-    obs::Timer timer("exec.threaded");
-    const std::uint64_t found = parallel_reduce<std::uint64_t>(
-        0, plan.trials, 0,
-        [&](std::size_t lo, std::size_t hi) {
-          std::vector<Money> scratch(plan.max_group_size);
-          return batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                                       plan.secondary, plan.trial_base,
-                                       static_cast<TrialId>(lo), static_cast<TrialId>(hi),
-                                       scratch);
-        },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; },
-        ParallelConfig{pool_, grain_});
-    metrics.executions.add();
-    metrics.seconds.observe(timer.stop());
-    return found;
+    if (vector) {
+      return dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox,
+                              plan.secondary, plan.trial_base, lo, hi, scratch, stats);
+    }
+    return batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
+                                 plan.secondary, plan.trial_base, lo, hi, scratch);
   }
 
- private:
-  ThreadPool* pool_;
-  std::size_t grain_;
-};
-
-/// The vectorized trial kernel on the runtime-dispatched ISA
-/// (core/batch_simd.hpp). Backend::Simd runs the whole range inline on the
-/// caller's thread — pool-free, so it can substitute for Sequential
-/// anywhere (dist workers use it); Backend::ThreadedSimd reuses the
-/// Threaded trial-chunk partition with a per-chunk scratch set. Lane
-/// utilization and the dispatched width are published as exec.simd.*.
-class SimdExecutor final : public Executor {
- public:
-  SimdExecutor(const EngineConfig& config, bool threaded)
-      : pool_(config.pool),
-        grain_(config.trial_grain),
-        threaded_(threaded),
-        dispatch_(simd_dispatch()) {}
-
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    static const ExecObs simd_metrics("simd");
-    static const ExecObs threaded_metrics("threaded-simd");
+  /// Publishes one execution's exec.simd.* telemetry (Auto only). A plan
+  /// the scalar kernel ran counts every occurrence as scalar.
+  void publish(const ExecutionPlan& plan, bool vector, batch::SimdStats stats) const {
+    if (!auto_) {
+      return;
+    }
     static const obs::Gauge width_gauge =
         obs::MetricsRegistry::global().gauge("exec.simd.width");
     static const obs::Counter vector_occ =
@@ -220,44 +198,72 @@ class SimdExecutor final : public Executor {
         obs::MetricsRegistry::global().counter("exec.simd.sampler.fast");
     static const obs::Counter sampler_tail =
         obs::MetricsRegistry::global().counter("exec.simd.sampler.tail");
-    // validate_engine_config rejected unavailable dispatches at config
-    // time; this guards executors constructed around it.
-    RISKAN_REQUIRE(dispatch_.kernel != nullptr,
-                   "Simd executor without a usable vector ISA");
-    const ExecObs& metrics = threaded_ ? threaded_metrics : simd_metrics;
-    obs::Timer timer(threaded_ ? "exec.threaded-simd" : "exec.simd");
-    width_gauge.set(dispatch_.width);
-
-    batch::SimdStats stats;
-    std::uint64_t found = 0;
-    if (!threaded_) {
-      std::vector<Money> annual_scratch(plan.max_group_size);
-      found = dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                               plan.secondary, plan.trial_base, 0, plan.trials,
-                               annual_scratch, stats);
-    } else {
-      std::mutex stats_mutex;
-      found = parallel_reduce<std::uint64_t>(
-          0, plan.trials, 0,
-          [&](std::size_t lo, std::size_t hi) {
-            std::vector<Money> annual_scratch(plan.max_group_size);
-            batch::SimdStats chunk_stats;
-            const std::uint64_t chunk_found = dispatch_.kernel(
-                plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
-                plan.trial_base, static_cast<TrialId>(lo), static_cast<TrialId>(hi),
-                annual_scratch, chunk_stats);
-            const std::lock_guard lock(stats_mutex);
-            stats += chunk_stats;
-            return chunk_found;
-          },
-          [](std::uint64_t a, std::uint64_t b) { return a + b; },
-          ParallelConfig{pool_, grain_});
+    if (!vector) {
+      for (const batch::Group& g : plan.groups) {
+        stats.scalar_occurrences += batch::group_occurrences(
+            plan.slots.data() + g.begin, g.size, plan.yelt_offsets, 0, plan.trials);
+      }
     }
+    width_gauge.set(dispatch_.width);
     vector_occ.add(static_cast<double>(stats.vector_occurrences));
     tail_occ.add(static_cast<double>(stats.tail_occurrences));
     scalar_occ.add(static_cast<double>(stats.scalar_occurrences));
     sampler_fast.add(static_cast<double>(stats.sampler_fast));
     sampler_tail.add(static_cast<double>(stats.sampler_tail));
+  }
+
+ private:
+  bool auto_;
+  SimdDispatch dispatch_;
+};
+
+class SequentialExecutor final : public Executor {
+ public:
+  explicit SequentialExecutor(Kernel kernel) : kernel_(kernel) {}
+
+  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
+    static const ExecObs metrics("sequential");
+    obs::Timer timer("exec.sequential");
+    const bool vector = kernel_.vectorizes(plan);
+    batch::SimdStats stats;
+    const std::uint64_t found = kernel_.run(plan, philox, vector, 0, plan.trials, stats);
+    kernel_.publish(plan, vector, stats);
+    metrics.executions.add();
+    metrics.seconds.observe(timer.stop());
+    return found;
+  }
+
+ private:
+  HostKernel kernel_;
+};
+
+class ThreadedExecutor final : public Executor {
+ public:
+  ThreadedExecutor(ThreadPool* pool, std::size_t grain, Kernel kernel)
+      : pool_(pool), grain_(grain), kernel_(kernel) {}
+
+  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
+    static const ExecObs metrics("threaded");
+    obs::Timer timer("exec.threaded");
+    const bool vector = kernel_.vectorizes(plan);
+    batch::SimdStats stats;
+    std::mutex stats_mutex;
+    const std::uint64_t found = parallel_reduce<std::uint64_t>(
+        0, plan.trials, 0,
+        [&](std::size_t lo, std::size_t hi) {
+          batch::SimdStats chunk_stats;
+          const std::uint64_t chunk_found =
+              kernel_.run(plan, philox, vector, static_cast<TrialId>(lo),
+                          static_cast<TrialId>(hi), chunk_stats);
+          if (vector) {
+            const std::lock_guard lock(stats_mutex);
+            stats += chunk_stats;
+          }
+          return chunk_found;
+        },
+        [](std::uint64_t a, std::uint64_t b) { return a + b; },
+        ParallelConfig{pool_, grain_});
+    kernel_.publish(plan, vector, stats);
     metrics.executions.add();
     metrics.seconds.observe(timer.stop());
     return found;
@@ -266,8 +272,7 @@ class SimdExecutor final : public Executor {
  private:
   ThreadPool* pool_;
   std::size_t grain_;
-  bool threaded_;
-  SimdDispatch dispatch_;
+  HostKernel kernel_;
 };
 
 /// The GPU execution model: runs the same process_trials kernel inside
@@ -645,15 +650,12 @@ void ExecutionPlan::rebind(std::span<const batch::Slot> new_slots,
 std::unique_ptr<Executor> make_executor(const EngineConfig& config) {
   switch (config.backend) {
     case Backend::Sequential:
-      return std::make_unique<SequentialExecutor>();
+      return std::make_unique<SequentialExecutor>(config.kernel);
     case Backend::Threaded:
-      return std::make_unique<ThreadedExecutor>(config.pool, config.trial_grain);
+      return std::make_unique<ThreadedExecutor>(config.pool, config.trial_grain,
+                                                config.kernel);
     case Backend::DeviceSim:
       return std::make_unique<DeviceSimExecutor>(config);
-    case Backend::Simd:
-      return std::make_unique<SimdExecutor>(config, /*threaded=*/false);
-    case Backend::ThreadedSimd:
-      return std::make_unique<SimdExecutor>(config, /*threaded=*/true);
   }
   RISKAN_REQUIRE(false, "unknown backend");
   return nullptr;

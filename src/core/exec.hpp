@@ -14,17 +14,19 @@
 //       together, deciding the launch structure). Lowering is
 //       backend-independent except for that residency planning.
 //
-//   Executor — where the plan runs:
+//   Executor — where the plan runs (EngineConfig::backend):
 //       SequentialExecutor — the whole range inline on the caller's
 //           thread; never touches a pool (MapReduce map tasks run from
 //           pool workers and rely on this).
 //       ThreadedExecutor — parallel_reduce over trial chunks
 //           (EngineConfig::trial_grain is the chunk knob).
-//       SimdExecutor — the vectorized trial kernel (core/batch_simd.hpp)
-//           on the runtime-dispatched ISA (core/simd.hpp); Backend::Simd
-//           runs the whole range inline (pool-free, like Sequential),
-//           Backend::ThreadedSimd composes the same kernel with the
-//           Threaded trial-chunk partition.
+//     Both host executors run the kernel EngineConfig::kernel names:
+//     Kernel::Scalar is batch::process_trials; Kernel::Auto is the
+//     vectorized kernel (core/batch_simd.hpp) on the runtime-dispatched ISA
+//     (core/simd.hpp) and publishes its lane telemetry as exec.simd.*. Auto
+//     runs the scalar kernel when no ISA dispatches, and also for a plan
+//     none of whose groups vectorize (mask columns and search gathers make
+//     a group scalar), so such a plan pays nothing for the vector kernel.
 //       DeviceSimExecutor — one kernel launch per residency chunk on the
 //           simulated many-core device (src/parallel/device.hpp): grid of
 //           device_block_dim-trial blocks, each block staging its slot
@@ -133,9 +135,9 @@ class Executor {
   virtual std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) = 0;
 };
 
-/// Executor for config.backend, wired with the config's pool / grain /
-/// device parameters (device telemetry lands in *config.device_info when
-/// set).
+/// Executor for config.backend, wired with the config's kernel / pool /
+/// grain / device parameters (device telemetry lands in *config.device_info
+/// when set).
 std::unique_ptr<Executor> make_executor(const EngineConfig& config);
 
 }  // namespace riskan::core::exec

@@ -367,6 +367,31 @@ void finalize_oep(std::span<Money> oep, std::span<const Money> occurrence_accum,
   }
 }
 
+bool vectorizable(const Slot* gs, std::uint32_t gsize) noexcept {
+  if (gsize > kVectorAnnuals) {
+    return false;  // not even one trial's annuals fit the vector pass's buffer
+  }
+  switch (gs[0].gather) {
+    case Gather::Dense:
+      return true;
+    case Gather::Search:
+      return false;
+    case Gather::Compact:
+      break;
+  }
+  // loss_scale / conditioned_ground_up vectorize; a mask column re-keys
+  // sampling per lane and stays scalar.
+  return std::none_of(gs, gs + gsize, [](const Slot& s) { return s.mask_seq != nullptr; });
+}
+
+std::uint64_t group_occurrences(const Slot* gs, std::uint32_t gsize,
+                                std::span<const std::uint64_t> yelt_offsets, TrialId t0,
+                                TrialId t1) noexcept {
+  const std::uint64_t* offsets =
+      gs[0].gather == Gather::Compact ? gs[0].hit_offsets : yelt_offsets.data();
+  return gsize * (offsets[t1] - offsets[t0]);
+}
+
 namespace detail {
 
 // Out-of-line exports of the kernel's scalar helpers for the per-ISA SIMD
@@ -414,50 +439,48 @@ void fill_ground_up_compact_range(const Slot& s, const Philox4x32& philox,
   }
 }
 
-std::uint64_t fill_ground_up_dense_range(const Slot& s, const Philox4x32& philox,
-                                         TrialId trial_base, TrialId t_first,
-                                         std::span<const std::uint64_t> yelt_offsets,
-                                         std::uint64_t i_begin, std::uint64_t i_end,
-                                         Money* out, SimdStats& stats) {
-  // Dense rows carry kNoLoss sentinels: compact the live occurrences into
-  // a batch (rows + stream keys + output positions), sample lane-parallel,
-  // scatter back. Sentinel cells get exact +0.0 so the vector pass can add
-  // them where the scalar kernel skips (annual sums of non-negatives).
-  const std::uint64_t hi = occurrence_hi_key(s.contract_id);
-  std::uint32_t rows[kFillBatch];
-  std::uint64_t lo[kFillBatch];
-  std::uint32_t pos[kFillBatch];
-  Money buf[kFillBatch];
-  std::uint64_t found = 0;
-  TrialId t = t_first;
-  for (std::uint64_t b = i_begin; b < i_end; b += kFillBatch) {
-    const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(kFillBatch, i_end - b));
-    std::size_t live = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t i = b + j;
-      while (i >= yelt_offsets[t + 1]) {
-        ++t;
-      }
+std::uint64_t collect_dense_hits(const Slot& s, const Philox4x32& philox, bool secondary,
+                                 TrialId trial_base, TrialId& t,
+                                 std::span<const std::uint64_t> yelt_offsets,
+                                 std::uint64_t i_begin, std::uint64_t i_end, DenseHits& out,
+                                 SimdStats& stats) {
+  // One walk per trial over its positions in range, appending every
+  // position branch-free and keeping it only when its row is found; the
+  // trial's segment is kept only when it gained hits. `stop` caps the walk
+  // so the buffer cannot overflow, since each position adds at most one
+  // hit.
+  std::uint64_t lo[kDenseHits];
+  std::size_t m = 0;
+  std::size_t q = 0;
+  std::uint64_t i = i_begin;
+  while (i < i_end && m < kDenseHits) {
+    while (i >= yelt_offsets[t + 1]) {
+      ++t;
+    }
+    const std::uint64_t trial_begin = yelt_offsets[t];
+    const std::uint64_t stop =
+        std::min({yelt_offsets[t + 1], i_end, i + (kDenseHits - m)});
+    const std::size_t m0 = m;
+    for (; i < stop; ++i) {
       const std::uint32_t row = s.dense_rows[i];
-      if (row == data::ResolvedYelt::kNoLoss) {
-        out[i - i_begin] = 0.0;
-        continue;
+      out.pos[m] = i;
+      out.rows[m] = row;
+      if (secondary) {
+        lo[m] = occurrence_lo_key(trial_base + t, static_cast<std::uint32_t>(i - trial_begin));
       }
-      rows[live] = row;
-      lo[live] = occurrence_lo_key(trial_base + t,
-                                   static_cast<std::uint32_t>(i - yelt_offsets[t]));
-      pos[live] = static_cast<std::uint32_t>(i - i_begin);
-      ++live;
+      m += row != data::ResolvedYelt::kNoLoss ? 1 : 0;
     }
-    found += live;
-    s.sampler->sample_lanes(philox, hi, rows, lo, live, buf, stats.sampler_fast,
-                            stats.sampler_tail);
-    for (std::size_t j = 0; j < live; ++j) {
-      out[pos[j]] = buf[j];
-    }
+    out.seg_trial[q] = t;
+    out.seg_end[q] = static_cast<std::uint32_t>(m);
+    q += m > m0 ? 1 : 0;
   }
-  return found;
+  out.hits = m;
+  out.segs = q;
+  if (secondary) {
+    s.sampler->sample_lanes(philox, occurrence_hi_key(s.contract_id), out.rows, lo, m, out.gu,
+                            stats.sampler_fast, stats.sampler_tail);
+  }
+  return i;
 }
 
 }  // namespace detail

@@ -30,7 +30,7 @@ SimdDispatch simd_dispatch() {
     return unavailable(kCompiled, "disabled by RISKAN_SIMD");
   }
   if (!kCompiled) {
-    return unavailable(false, "built without RISKAN_ENABLE_SIMD (scalar-only build)");
+    return unavailable(false, "no vector kernel is compiled for this architecture");
   }
 
 #if defined(RISKAN_SIMD_AVX2)

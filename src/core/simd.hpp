@@ -1,20 +1,19 @@
 // Runtime SIMD dispatch for the vectorized trial kernel.
 //
-// The scalar build is the portable default: the wide kernels
-// (src/core/batch_simd*.cpp) are compiled only under the CMake option
-// RISKAN_ENABLE_SIMD, which defines RISKAN_SIMD_AVX2 (x86-64) or
-// RISKAN_SIMD_NEON (aarch64) for the library. At run time simd_dispatch()
-// picks the widest compiled ISA the host actually supports — AVX2 via
-// cpuid, NEON unconditionally on aarch64 — and hands back the kernel
-// pointer the SimdExecutor runs.
+// The wide kernels (src/core/batch_simd_*.cpp) are compiled whenever the
+// compiler accepts their ISA flag: RISKAN_SIMD_AVX2 on x86-64, and
+// RISKAN_SIMD_NEON on aarch64; other architectures build the scalar kernel
+// only. At run time simd_dispatch() picks the widest compiled ISA the host
+// actually supports — AVX2 via cpuid, NEON unconditionally on aarch64 —
+// and hands back the kernel pointer the Sequential and Threaded executors
+// run under Kernel::Auto (core/aggregate_engine.hpp). Without a usable ISA
+// Auto runs the scalar kernel; nothing is rejected.
 //
 // Environment override (documented with RISKAN_OBS / RISKAN_TRACE in
 // docs/architecture.md):
-//   RISKAN_SIMD=off|0   — disable dispatch; Backend::Simd is then rejected
-//                         by validate_engine_config instead of silently
-//                         running scalar.
-//   RISKAN_SIMD=avx2    — require AVX2 (unavailable → rejected).
-//   RISKAN_SIMD=neon    — require NEON (unavailable → rejected).
+//   RISKAN_SIMD=off|0   — disable dispatch; Kernel::Auto runs scalar.
+//   RISKAN_SIMD=avx2    — require AVX2 (unavailable → scalar).
+//   RISKAN_SIMD=neon    — require NEON (unavailable → scalar).
 // The environment is re-read on every call so a process can flip the
 // override between runs (tests do).
 #pragma once
@@ -36,20 +35,20 @@ struct SimdDispatch {
   unsigned width = 0;  ///< Money lanes per vector; 0 = SIMD unavailable
   const char* name = "none";
   batch::SimdKernelFn kernel = nullptr;
-  /// Whether any wide kernel was compiled into this build at all
-  /// (RISKAN_ENABLE_SIMD); false means only the portable scalar kernel
-  /// exists.
+  /// Whether any wide kernel was compiled into this build at all; false
+  /// means only the portable scalar kernel exists (an architecture without
+  /// a stamp).
   bool compiled = false;
-  /// Why width == 0, for validate_engine_config's rejection message.
+  /// Why width == 0, for the benches' skip notices.
   const char* reason = "";
 };
 
 /// Resolves the dispatch from the compiled kernels, the host CPU and the
 /// RISKAN_SIMD override. Cheap (a getenv and, on x86, a cached cpuid);
-/// called per executor construction and per config validation.
+/// called per executor construction.
 SimdDispatch simd_dispatch();
 
-/// True when Backend::Simd / Backend::ThreadedSimd can run here.
+/// True when Kernel::Auto runs the vector kernel here.
 inline bool simd_available() { return simd_dispatch().width > 0; }
 
 }  // namespace riskan::core::exec

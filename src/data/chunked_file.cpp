@@ -89,7 +89,8 @@ ChunkedFileReader::ChunkedFileReader(const std::string& path)
   const auto count = dir.u64();
   const std::size_t entry_bytes =
       sizeof(std::uint64_t) + (checksummed ? sizeof(std::uint32_t) : 0);
-  if (dir.remaining() != count * entry_bytes) {
+  // Compared by division, so a huge count cannot wrap the product.
+  if (dir.remaining() % entry_bytes != 0 || count != dir.remaining() / entry_bytes) {
     throw CorruptChunkError("directory size does not match chunk count: " + path_);
   }
   offsets_.reserve(count);
@@ -97,6 +98,9 @@ ChunkedFileReader::ChunkedFileReader(const std::string& path)
   std::uint64_t offset = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto size = dir.u64();
+    if (size > dir_offset - offset) {
+      throw CorruptChunkError("chunk sizes do not cover body: " + path_);
+    }
     offsets_.push_back(offset);
     sizes_.push_back(size);
     if (checksummed) {

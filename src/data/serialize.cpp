@@ -1,6 +1,8 @@
 #include "data/serialize.hpp"
 
+#include <algorithm>
 #include <limits>
+#include <string>
 
 #include "util/io_error.hpp"
 #include "util/require.hpp"
@@ -17,6 +19,17 @@ constexpr std::uint32_t kVersion = 1;
 void check_header(ByteReader& reader, std::uint32_t magic, const char* what) {
   RISKAN_REQUIRE(reader.u32() == magic, std::string("bad magic for ") + what);
   RISKAN_REQUIRE(reader.u32() == kVersion, std::string("unsupported version for ") + what);
+}
+
+/// Throws CorruptChunkError unless `count` items of `item_bytes` each fit
+/// in the reader's remaining bytes — checked before anything is sized from
+/// the count, so a damaged length can never request a huge allocation.
+void check_count(const ByteReader& reader, std::uint64_t count, std::size_t item_bytes,
+                 const char* what) {
+  if (count > reader.remaining() / item_bytes) {
+    throw CorruptChunkError(std::string("encoded ") + what + " count " +
+                            std::to_string(count) + " exceeds the payload");
+  }
 }
 
 }  // namespace
@@ -42,6 +55,7 @@ void encode(const EventLossTable& table, ByteWriter& writer) {
 EventLossTable decode_elt(ByteReader& reader) {
   check_header(reader, kEltMagic, "ELT");
   const auto n = reader.u64();
+  check_count(reader, n, sizeof(EventId) + 3 * sizeof(double), "ELT row");
   std::vector<EltRow> rows(n);
   for (auto& row : rows) {
     row.event_id = reader.u32();
@@ -118,11 +132,22 @@ YearEventLossTable decode_yelt(ByteReader& reader) {
   check_header(reader, kYeltMagic, "YELT");
   const auto trials = reader.u64();
   const auto entries = reader.u64();
+  if (trials > std::numeric_limits<TrialId>::max()) {
+    throw CorruptChunkError("encoded YELT trial count overflows TrialId");
+  }
+  check_count(reader, trials + 1, sizeof(std::uint64_t), "YELT offset");
 
   std::vector<std::uint64_t> offsets(trials + 1);
   for (auto& off : offsets) {
     off = reader.u64();
   }
+  // The builder walks events[offsets[t], offsets[t + 1]), so the offsets
+  // must start at 0, never decrease and end at `entries`.
+  if (offsets.front() != 0 || offsets.back() != entries ||
+      !std::is_sorted(offsets.begin(), offsets.end())) {
+    throw CorruptChunkError("encoded YELT offsets are not a partition of its entries");
+  }
+  check_count(reader, entries, 2 * sizeof(std::uint32_t), "YELT entry");
   std::vector<EventId> events(entries);
   for (auto& e : events) {
     e = reader.u32();
@@ -158,6 +183,7 @@ YearLossTable decode_ylt(ByteReader& reader) {
   check_header(reader, kYltMagic, "YLT");
   auto label = reader.str();
   const auto trials = reader.u64();
+  check_count(reader, trials, sizeof(Money), "YLT trial");
   std::vector<Money> losses(trials);
   for (auto& loss : losses) {
     loss = reader.f64();

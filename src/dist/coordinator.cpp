@@ -711,19 +711,15 @@ DistResult run_distributed_aggregate(const finance::Portfolio& portfolio,
   validate_dist_config(config);
   RISKAN_REQUIRE(fetch != nullptr, "run_distributed_aggregate needs a fetcher");
 
-  // Workers compute on a pool-free backend (fork-safe by contract: no
-  // shared pool, no process-wide caches) and return only the portfolio
-  // view — per-contract YLTs and OEP stay a single-process feature for
-  // now. A Simd/ThreadedSimd caller keeps the vectorized kernel in its
-  // workers (Simd is pool-free and bit-identical, so the fold is
-  // unchanged); everything else drops to Sequential. Adaptivity is the
-  // coordinator's job, never a worker's: a worker stopping early on its
-  // own slice would break the bit-identity of the folded prefix.
+  // Workers compute on the pool-free Sequential backend (fork-safe by
+  // contract: no shared pool, no process-wide caches) with the caller's
+  // kernel, and return only the portfolio view — per-contract YLTs and
+  // OEP stay a single-process feature for now. Kernels are bit-identical,
+  // so the fold is unchanged either way. Adaptivity is the coordinator's
+  // job, never a worker's: a worker stopping early on its own slice would
+  // break the bit-identity of the folded prefix.
   core::EngineConfig worker_engine = engine;
-  worker_engine.backend = (engine.backend == core::Backend::Simd ||
-                           engine.backend == core::Backend::ThreadedSimd)
-                              ? core::Backend::Simd
-                              : core::Backend::Sequential;
+  worker_engine.backend = core::Backend::Sequential;
   worker_engine.pool = nullptr;
   worker_engine.compute_oep = false;
   worker_engine.keep_contract_ylts = false;

@@ -139,7 +139,8 @@ class PhiloxStream {
 
 /// Scalar body of the batched block evaluation: out[2i], out[2i+1] =
 /// engine.block(hi[i], lo[i]). The lane-parallel kernels fall back to it
-/// for sub-width tails, and scalar builds dispatch it directly.
+/// for sub-width tails, and hosts without a wide ISA (or RISKAN_SIMD=off)
+/// dispatch it directly.
 void philox_blocks_scalar(const Philox4x32& engine, const std::uint64_t* hi,
                           const std::uint64_t* lo, std::size_t n,
                           std::uint64_t* out) noexcept;

@@ -4,8 +4,8 @@
 // integer instruction, so the outputs match Philox4x32::block bit for bit
 // (tests/test_util_prng.cpp asserts it against the scalar engine).
 //
-// Compiled with -mavx2 (set per-source by RISKAN_ENABLE_SIMD, like
-// core/batch_simd_avx2.cpp); the only referent is the runtime dispatch in
+// Compiled with -mavx2 (set per-source whenever the compiler accepts it,
+// like core/batch_simd_avx2.cpp); the only referent is the runtime dispatch in
 // util/prng.cpp, which probes cpuid before handing this kernel out.
 #ifdef RISKAN_SIMD_AVX2
 

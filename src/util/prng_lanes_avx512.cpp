@@ -4,8 +4,8 @@
 // the outputs match Philox4x32::block bit for bit, like the AVX2 stamp
 // (tests/test_util_prng.cpp asserts all stamps against the scalar engine).
 //
-// Compiled with -mavx512f (set per-source by RISKAN_ENABLE_SIMD); the only
-// referent is the runtime dispatch in util/prng.cpp, which probes avx512f
+// Compiled with -mavx512f (set per-source whenever the compiler accepts
+// it); the only referent is the runtime dispatch in util/prng.cpp, which probes avx512f
 // before handing this kernel out and prefers it over the AVX2 body.
 #ifdef RISKAN_SIMD_AVX512
 

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/aggregate_engine.hpp"
-#include "core/simd.hpp"
 #include "data/serialize.hpp"
 #include "data/trial_source.hpp"
 #include "dist/coordinator.hpp"
@@ -61,6 +60,7 @@ const DistWorld& world() {
 
     core::EngineConfig engine;
     engine.backend = core::Backend::Sequential;
+    engine.kernel = core::Kernel::Scalar;
     engine.compute_oep = false;
     engine.keep_contract_ylts = false;
     const auto result =
@@ -160,27 +160,26 @@ TEST_P(DistRecovery, StalledWorkerBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Simd engine across the distribution runtime
+// Both kernels across the distribution runtime
 // ---------------------------------------------------------------------------
 
-// A caller running Backend::Simd gets the vector kernel inside every forked
-// worker (the coordinator keeps Simd for workers — it is pool-free and
-// bit-identical — and only demotes pool-backed backends to Sequential), and
-// the fold must still reproduce the single-process Sequential reference
-// exactly. 0 workers covers the in-process fallback path under Simd.
-TEST(DistSimd, SimdEngineBitIdenticalAcrossWorkerCounts) {
-  if (!core::exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+// Workers run the caller's kernel on the pool-free Sequential backend: a
+// Kernel::Auto caller gets the vector kernel inside every forked worker
+// wherever an ISA dispatches, a Kernel::Scalar caller the scalar one, and
+// the fold must reproduce the single-process Sequential reference exactly
+// either way. 0 workers covers the in-process fallback path.
+TEST(DistKernel, BothKernelsBitIdenticalAcrossWorkerCounts) {
   for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{4}}) {
-    DistConfig config;
-    config.workers = workers;
-    core::EngineConfig engine;
-    engine.backend = core::Backend::Simd;
-    const auto result = run_distributed_aggregate(world().portfolio, engine,
-                                                  world().specs, fetcher(), config);
-    expect_bit_identical(result.portfolio_ylt);
-    EXPECT_EQ(result.stats.blocks_total, world().specs.size());
+    for (const core::Kernel kernel : core::kAllKernels) {
+      DistConfig config;
+      config.workers = workers;
+      core::EngineConfig engine;
+      engine.kernel = kernel;
+      const auto result = run_distributed_aggregate(world().portfolio, engine,
+                                                    world().specs, fetcher(), config);
+      expect_bit_identical(result.portfolio_ylt);
+      EXPECT_EQ(result.stats.blocks_total, world().specs.size());
+    }
   }
 }
 

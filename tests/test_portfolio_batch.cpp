@@ -11,22 +11,36 @@
 
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
-#include "core/simd.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
 
 namespace riskan::core {
 namespace {
 
-/// Every host backend plus — when this build/host dispatches a wide ISA —
-/// the Simd pair, so the equivalence matrices grow the vectorized rows
-/// automatically on SIMD-enabled builds.
-std::vector<Backend> backends_with_simd() {
-  std::vector<Backend> backends(std::begin(kAllBackends), std::end(kAllBackends));
-  if (exec::simd_available()) {
-    backends.insert(backends.end(), std::begin(kSimdBackends), std::end(kSimdBackends));
+/// One row of the equivalence matrices: where the plan runs and which
+/// host kernel runs it.
+struct ExecRow {
+  Backend backend;
+  Kernel kernel;
+};
+
+/// Every backend under both kernels, except DeviceSim × Auto: DeviceSim
+/// always runs the scalar kernel. Auto rows run the vector kernel wherever
+/// an ISA dispatches and the scalar kernel elsewhere, so nothing skips.
+std::vector<ExecRow> exec_rows() {
+  std::vector<ExecRow> rows;
+  for (const Backend backend : kAllBackends) {
+    for (const Kernel kernel : kAllKernels) {
+      if (backend != Backend::DeviceSim || kernel == Kernel::Scalar) {
+        rows.push_back({backend, kernel});
+      }
+    }
   }
-  return backends;
+  return rows;
+}
+
+std::string row_name(const ExecRow& row) {
+  return std::string(to_string(row.backend)) + "/" + to_string(row.kernel);
 }
 
 finance::Portfolio book(std::size_t contracts, int layers, std::uint64_t seed = 99,
@@ -76,14 +90,14 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
   const auto yelt = lens(1'500);
 
   for (const bool secondary : {false, true}) {
-    for (const Backend backend : backends_with_simd()) {
+    for (const ExecRow& row : exec_rows()) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        if (backend != Backend::Threaded && backend != Backend::ThreadedSimd &&
-            grain != 0) {
-          continue;  // grain only affects the chunk-partitioned backends
+        if (row.backend != Backend::Threaded && grain != 0) {
+          continue;  // grain only affects the chunk-partitioned backend
         }
         EngineConfig config;
-        config.backend = backend;
+        config.backend = row.backend;
+        config.kernel = row.kernel;
         config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
 
@@ -93,8 +107,7 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
         const auto batched = run_aggregate_analysis(portfolio, yelt, config);
 
         expect_identical(per_contract, batched,
-                         std::string(to_string(backend)) +
-                             (secondary ? "/secondary" : "/means") + "/grain=" +
+                         row_name(row) + (secondary ? "/secondary" : "/means") + "/grain=" +
                              std::to_string(grain));
         EXPECT_EQ(per_contract.elt_lookups, batched.elt_lookups);
         EXPECT_EQ(per_contract.occurrences_processed, batched.occurrences_processed);
@@ -148,14 +161,14 @@ TEST(PortfolioBatch, DegenerateSingleContractBatch) {
   const auto portfolio = book(/*contracts=*/1, /*layers=*/2);
   const auto yelt = lens(1'000);
 
-  for (const Backend backend : backends_with_simd()) {
+  for (const ExecRow& row : exec_rows()) {
     EngineConfig config;
-    config.backend = backend;
+    config.backend = row.backend;
+    config.kernel = row.kernel;
     config.batch_contracts = false;
     const auto per_contract = run_aggregate_analysis(portfolio, yelt, config);
     const auto batched = run_portfolio_batch(portfolio, yelt, config);
-    expect_identical(per_contract, batched,
-                     std::string("1-contract/") + to_string(backend));
+    expect_identical(per_contract, batched, "1-contract/" + row_name(row));
   }
 }
 
@@ -240,16 +253,18 @@ TEST(PortfolioBatch, RejectionHeavySecondaryBitIdenticalAcrossBackends) {
   EngineConfig config;
   config.secondary_uncertainty = true;
   config.backend = Backend::Sequential;
+  config.kernel = Kernel::Scalar;
   config.batch_contracts = false;
   const auto reference = run_aggregate_analysis(portfolio, yelt, config);
 
-  for (const Backend backend : backends_with_simd()) {
-    config.backend = backend;
+  for (const ExecRow& row : exec_rows()) {
+    config.backend = row.backend;
+    config.kernel = row.kernel;
     for (const bool batched : {false, true}) {
       config.batch_contracts = batched;
       const auto result = run_aggregate_analysis(portfolio, yelt, config);
       expect_identical(reference, result,
-                       std::string("rejection-heavy/") + to_string(backend) +
+                       "rejection-heavy/" + row_name(row) +
                            (batched ? "/batched" : "/per-contract"));
     }
   }

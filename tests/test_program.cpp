@@ -3,7 +3,6 @@
 
 #include "core/aggregate_engine.hpp"
 #include "core/program.hpp"
-#include "core/simd.hpp"
 #include "data/yelt.hpp"
 #include "util/require.hpp"
 
@@ -187,26 +186,26 @@ TEST(Program, FlatEngineEqualsIndependentLayersWithSecondary) {
       expected.push_back(std::move(sums));
     }
 
-    std::vector<Backend> backends(std::begin(kHostBackends), std::end(kHostBackends));
-    if (exec::simd_available()) {
-      backends.insert(backends.end(), std::begin(kSimdBackends), std::end(kSimdBackends));
-    }
-    for (const Backend backend : backends) {
-      for (const int lowering : {0, 1, 2}) {
-        EngineConfig config;
-        config.seed = independent.seed;
-        config.secondary_uncertainty = true;
-        config.backend = backend;
-        config.batch_contracts = lowering == 2;
-        config.use_resolver = lowering != 1;
-        config.trial_grain = 7;
-        const auto engine = run_aggregate_analysis(portfolio, yelt, config);
-        ASSERT_EQ(engine.contract_ylts.size(), expected.size());
-        for (std::size_t c = 0; c < expected.size(); ++c) {
-          for (TrialId t = 0; t < yelt.trials(); ++t) {
-            ASSERT_EQ(engine.contract_ylts[c][t], expected[c][t])
-                << to_string(backend) << " lowering " << lowering << " rate "
-                << lens.events_per_year << " contract " << c << " trial " << t;
+    for (const Backend backend : kHostBackends) {
+      for (const Kernel kernel : kAllKernels) {
+        for (const int lowering : {0, 1, 2}) {
+          EngineConfig config;
+          config.seed = independent.seed;
+          config.secondary_uncertainty = true;
+          config.backend = backend;
+          config.kernel = kernel;
+          config.batch_contracts = lowering == 2;
+          config.use_resolver = lowering != 1;
+          config.trial_grain = 7;
+          const auto engine = run_aggregate_analysis(portfolio, yelt, config);
+          ASSERT_EQ(engine.contract_ylts.size(), expected.size());
+          for (std::size_t c = 0; c < expected.size(); ++c) {
+            for (TrialId t = 0; t < yelt.trials(); ++t) {
+              ASSERT_EQ(engine.contract_ylts[c][t], expected[c][t])
+                  << to_string(backend) << "/" << to_string(kernel) << " lowering "
+                  << lowering << " rate " << lens.events_per_year << " contract " << c
+                  << " trial " << t;
+            }
           }
         }
       }

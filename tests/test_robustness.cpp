@@ -1,6 +1,7 @@
 // Failure-injection and robustness: truncated/corrupted files must throw
-// ContractViolation (never crash or return garbage), and the clustered
-// frequency model must honour its moments.
+// (never crash or return garbage) — ContractViolation when a header is cut
+// short, the typed CorruptChunkError when a count exceeds the bytes that
+// follow it — and the clustered frequency model must honour its moments.
 #include <gtest/gtest.h>
 
 #include "core/aggregate_engine.hpp"
@@ -32,10 +33,15 @@ TEST(Robustness, TruncatedEltThrowsAtEveryLength) {
       {7, 30.0, 3.0, 90.0},
   });
   const auto bytes = encoded(elt);
-  // Every strict prefix must fail loudly.
+  // Every strict prefix must fail loudly: inside the 16-byte header and row
+  // count the reader runs out; past it the row count exceeds the payload.
   for (std::size_t len = 0; len < bytes.size(); len += 3) {
     ByteReader reader(std::span<const std::byte>(bytes).subspan(0, len));
-    EXPECT_THROW((void)decode_elt(reader), ContractViolation) << "length " << len;
+    if (len < 16) {
+      EXPECT_THROW((void)decode_elt(reader), ContractViolation) << "length " << len;
+    } else {
+      EXPECT_THROW((void)decode_elt(reader), CorruptChunkError) << "length " << len;
+    }
   }
   // The full buffer still decodes.
   ByteReader reader(bytes);
@@ -47,10 +53,15 @@ TEST(Robustness, TruncatedYeltThrows) {
   config.trials = 40;
   const auto yelt = generate_yelt(50, config);
   const auto bytes = encoded(yelt);
-  for (const std::size_t len : {std::size_t{0}, std::size_t{4}, std::size_t{17},
-                                bytes.size() / 2, bytes.size() - 1}) {
+  // Cut inside the 24-byte header the reader runs out; cut later, the
+  // entry count exceeds the payload.
+  for (const std::size_t len : {std::size_t{0}, std::size_t{4}, std::size_t{17}}) {
     ByteReader reader(std::span<const std::byte>(bytes).subspan(0, len));
     EXPECT_THROW((void)decode_yelt(reader), ContractViolation) << "length " << len;
+  }
+  for (const std::size_t len : {bytes.size() / 2, bytes.size() - 1}) {
+    ByteReader reader(std::span<const std::byte>(bytes).subspan(0, len));
+    EXPECT_THROW((void)decode_yelt(reader), CorruptChunkError) << "length " << len;
   }
 }
 

@@ -20,7 +20,6 @@
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/post_event.hpp"
-#include "core/simd.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
 #include "scenario/plan.hpp"
@@ -77,16 +76,39 @@ void expect_identical(const core::EngineResult& a, const core::EngineResult& b,
 /// generated book, so exclusion scenarios change real losses.
 std::vector<EventId> busy_events() { return {1, 2, 3, 5, 8, 13, 21, 34, 55, 89}; }
 
-/// Every host backend plus the Simd pair when this build/host dispatches a
-/// wide ISA (mask scenarios exercise the vector kernel's scalar fallback).
-std::vector<core::Backend> backends_with_simd() {
-  std::vector<core::Backend> backends(std::begin(core::kAllBackends),
-                                      std::end(core::kAllBackends));
-  if (core::exec::simd_available()) {
-    backends.insert(backends.end(), std::begin(core::kSimdBackends),
-                    std::end(core::kSimdBackends));
+/// One row of the equivalence matrices: where the plan runs and which
+/// host kernel runs the sweep (references run the scalar kernel).
+struct ExecRow {
+  core::Backend backend;
+  core::Kernel kernel;
+};
+
+/// Every backend under both kernels, except DeviceSim × Auto: DeviceSim
+/// always runs the scalar kernel. Auto rows run the vector kernel wherever
+/// an ISA dispatches (mask scenarios exercise its scalar rule) and the
+/// scalar kernel elsewhere, so nothing skips.
+std::vector<ExecRow> exec_rows() {
+  std::vector<ExecRow> rows;
+  for (const core::Backend backend : core::kAllBackends) {
+    for (const core::Kernel kernel : core::kAllKernels) {
+      if (backend != core::Backend::DeviceSim || kernel == core::Kernel::Scalar) {
+        rows.push_back({backend, kernel});
+      }
+    }
   }
-  return backends;
+  return rows;
+}
+
+std::string row_name(const ExecRow& row) {
+  return std::string(core::to_string(row.backend)) + "/" + core::to_string(row.kernel);
+}
+
+/// `config` with the row's backend, under the scalar kernel (the reference
+/// side of a row) or the row's kernel.
+core::EngineConfig with_row(core::EngineConfig config, const ExecRow& row, bool reference) {
+  config.backend = row.backend;
+  config.kernel = reference ? core::Kernel::Scalar : row.kernel;
+  return config;
 }
 
 TEST(ScenarioSweep, IdentityBitIdenticalAcrossBackendsGrainsAndSecondary) {
@@ -103,22 +125,21 @@ TEST(ScenarioSweep, IdentityBitIdenticalAcrossBackendsGrainsAndSecondary) {
   specs[2].excluded_events = busy_events();
 
   for (const bool secondary : {false, true}) {
-    for (const core::Backend backend : backends_with_simd()) {
+    for (const ExecRow& row : exec_rows()) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        if (backend != core::Backend::Threaded &&
-            backend != core::Backend::ThreadedSimd && grain != 0) {
-          continue;  // grain only affects the chunk-partitioned backends
+        if (row.backend != core::Backend::Threaded && grain != 0) {
+          continue;  // grain only affects the chunk-partitioned backend
         }
         core::EngineConfig config;
-        config.backend = backend;
         config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
 
-        const auto reference = core::run_portfolio_batch(portfolio, yelt, config);
-        const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
+        const auto reference =
+            core::run_portfolio_batch(portfolio, yelt, with_row(config, row, true));
+        const auto sweep =
+            run_scenario_sweep(portfolio, yelt, specs, with_row(config, row, false));
 
-        const std::string what = std::string(core::to_string(backend)) +
-                                 (secondary ? "/secondary" : "/means") +
+        const std::string what = row_name(row) + (secondary ? "/secondary" : "/means") +
                                  "/grain=" + std::to_string(grain);
         expect_identical(reference, sweep.base, what + " base");
         expect_identical(reference, sweep.scenarios[0], what + " identity");
@@ -148,23 +169,22 @@ TEST(ScenarioSweep, MaskBitIdenticalToFilteredYeltAcrossBackendsGrainsAndSeconda
   specs[0].excluded_events = excluded;
 
   for (const bool secondary : {false, true}) {
-    for (const core::Backend backend : backends_with_simd()) {
+    for (const ExecRow& row : exec_rows()) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        if (backend != core::Backend::Threaded &&
-            backend != core::Backend::ThreadedSimd && grain != 0) {
+        if (row.backend != core::Backend::Threaded && grain != 0) {
           continue;
         }
         core::EngineConfig config;
-        config.backend = backend;
         config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
 
-        const auto reference = core::run_portfolio_batch(portfolio, filtered, config);
-        const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
+        const auto reference =
+            core::run_portfolio_batch(portfolio, filtered, with_row(config, row, true));
+        const auto sweep =
+            run_scenario_sweep(portfolio, yelt, specs, with_row(config, row, false));
 
         expect_identical(reference, sweep.scenarios[0],
-                         std::string(core::to_string(backend)) +
-                             (secondary ? "/secondary" : "/means") +
+                         row_name(row) + (secondary ? "/secondary" : "/means") +
                              "/grain=" + std::to_string(grain) + " mask");
       }
     }
@@ -200,15 +220,15 @@ TEST(ScenarioSweep, MaskOnRejectionHeavyBookBitIdenticalToFilteredYelt) {
   specs[0].name = "mask";
   specs[0].excluded_events = excluded;
 
-  for (const core::Backend backend : backends_with_simd()) {
+  for (const ExecRow& row : exec_rows()) {
     core::EngineConfig config;
-    config.backend = backend;
     config.secondary_uncertainty = true;
 
-    const auto reference = core::run_portfolio_batch(portfolio, filtered, config);
-    const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
-    expect_identical(reference, sweep.scenarios[0],
-                     std::string("rejection-heavy mask/") + core::to_string(backend));
+    const auto reference =
+        core::run_portfolio_batch(portfolio, filtered, with_row(config, row, true));
+    const auto sweep =
+        run_scenario_sweep(portfolio, yelt, specs, with_row(config, row, false));
+    expect_identical(reference, sweep.scenarios[0], "rejection-heavy mask/" + row_name(row));
   }
 }
 
@@ -238,17 +258,18 @@ TEST(ScenarioSweep, CrowdedTrialsKeepBothContracts) {
   specs[3].conditioning =
       PostEventConditioning{portfolio.contract(0).elt().event_ids()[5], 1.2};
 
-  for (const core::Backend backend : backends_with_simd()) {
+  for (const ExecRow& row : exec_rows()) {
     core::EngineConfig config;
-    config.backend = backend;
     config.secondary_uncertainty = true;
-    const std::string what = core::to_string(backend);
+    const core::EngineConfig ref_config = with_row(config, row, true);
+    config = with_row(config, row, false);
+    const std::string what = row_name(row);
 
-    const auto reference = core::run_portfolio_batch(portfolio, yelt, config);
+    const auto reference = core::run_portfolio_batch(portfolio, yelt, ref_config);
     const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
     expect_identical(reference, sweep.base, what + " base");
     expect_identical(reference, sweep.scenarios[0], what + " identity");
-    expect_identical(core::run_portfolio_batch(portfolio, filtered, config),
+    expect_identical(core::run_portfolio_batch(portfolio, filtered, ref_config),
                      sweep.scenarios[1], what + " mask");
 
     config.batch_contracts = false;

@@ -1,13 +1,14 @@
-// SIMD backend — dispatch, validation and the bit-identity contract.
+// The vector kernel — dispatch, the Kernel::Auto fallback rules and the
+// bit-identity contract.
 //
-// The vectorized kernel is pure scheduling: Backend::Simd and
-// Backend::ThreadedSimd must reproduce Backend::Sequential to the bit
-// across the whole feature matrix (secondary sampling, OEP, batched and
-// per-contract entry points, grain sizes, lane tails). Hosts or builds
-// without a wide ISA reject the backends up front via
-// validate_engine_config — never silently run something else — which is
-// also what these tests rely on to skip the identity matrix gracefully
-// on scalar builds.
+// The vectorized kernel is pure scheduling: Kernel::Auto on the Sequential
+// and Threaded backends must reproduce Kernel::Scalar to the bit across the
+// whole feature matrix (secondary sampling, OEP, batched and per-contract
+// entry points, grain sizes, lane tails, low-coverage dense books). Auto
+// never rejects a config: without a usable ISA (RISKAN_SIMD=off, a foreign
+// ISA, an architecture without a stamp) it runs the scalar kernel, so the
+// matrices run everywhere and only their lane-count assertions depend on
+// the host.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -101,48 +102,6 @@ TEST(SimdDispatch, EnvRequiringForeignIsaRejects) {
   const exec::SimdDispatch d = exec::simd_dispatch();
   EXPECT_EQ(d.width, 0u);
   EXPECT_EQ(d.kernel, nullptr);
-}
-
-TEST(SimdDispatch, ValidationRejectsSimdBackendWhenUnavailable) {
-  finance::PortfolioGenConfig pg;
-  pg.contracts = 1;
-  pg.catalog_events = 100;
-  pg.elt_rows = 30;
-  const auto portfolio = finance::generate_portfolio(pg);
-  data::YeltGenConfig yg;
-  yg.trials = 50;
-  const auto yelt = data::generate_yelt(100, yg);
-
-  // RISKAN_SIMD=off makes the backend unavailable on every build, so the
-  // rejection path is exercised on SIMD-enabled hosts too.
-  EnvGuard guard("RISKAN_SIMD", "off");
-  for (const Backend backend : kSimdBackends) {
-    EngineConfig config;
-    config.backend = backend;
-    EXPECT_THROW((void)run_aggregate_analysis(portfolio, yelt, config),
-                 ContractViolation)
-        << to_string(backend);
-  }
-}
-
-TEST(SimdDispatch, ScalarBuildAlwaysRejectsSimdBackend) {
-  const exec::SimdDispatch d = exec::simd_dispatch();
-  if (d.compiled) {
-    GTEST_SKIP() << "wide kernels compiled in; covered by the env-off test";
-  }
-  finance::PortfolioGenConfig pg;
-  pg.contracts = 1;
-  pg.catalog_events = 100;
-  pg.elt_rows = 30;
-  const auto portfolio = finance::generate_portfolio(pg);
-  data::YeltGenConfig yg;
-  yg.trials = 50;
-  const auto yelt = data::generate_yelt(100, yg);
-
-  EngineConfig config;
-  config.backend = Backend::Simd;
-  EXPECT_THROW((void)run_aggregate_analysis(portfolio, yelt, config),
-               ContractViolation);
 }
 
 TEST(ApplyOccurrenceLanes, MatchesScalarBitwiseBothRetentionKinds) {
@@ -344,10 +303,133 @@ void expect_identical(const EngineResult& a, const EngineResult& b,
   }
 }
 
-TEST(SimdBackend, BitIdenticalToSequentialAcrossFeatureMatrix) {
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
+/// A run's exec.simd.* occurrence counter deltas.
+struct LaneCounts {
+  double vector = 0.0;
+  double tail = 0.0;
+  double scalar = 0.0;
+};
+
+LaneCounts lane_counts(const std::shared_ptr<const obs::ObsReport>& report) {
+  return {report->metrics.counter_value("exec.simd.vector_occurrences"),
+          report->metrics.counter_value("exec.simd.tail_occurrences"),
+          report->metrics.counter_value("exec.simd.scalar_occurrences")};
+}
+
+/// Runs `config` with a metrics report; returns the result and its counts.
+std::pair<EngineResult, LaneCounts> run_counted(const finance::Portfolio& portfolio,
+                                                const data::YearEventLossTable& yelt,
+                                                EngineConfig config) {
+  config.obs.collect_report = true;
+  auto result = run_aggregate_analysis(portfolio, yelt, config);
+  const LaneCounts counts = lane_counts(result.obs_report);
+  return {std::move(result), counts};
+}
+
+EngineResult run_scalar(const finance::Portfolio& portfolio,
+                        const data::YearEventLossTable& yelt, EngineConfig config) {
+  config.kernel = Kernel::Scalar;
+  return run_aggregate_analysis(portfolio, yelt, config);
+}
+
+TEST(SimdDispatch, AutoUnderEnvOffRunsScalarAndEqualsScalar) {
+  // RISKAN_SIMD=off takes the vector kernel away on every build; Auto must
+  // then run — not reject — the scalar kernel.
+  const auto portfolio = simd_book(/*contracts=*/2, /*layers=*/2);
+  const auto yelt = simd_lens(400);
+  for (const Backend backend : kHostBackends) {
+    EngineConfig config;
+    config.backend = backend;
+    const auto reference = run_scalar(portfolio, yelt, config);
+    EnvGuard guard("RISKAN_SIMD", "off");
+    const auto [result, counts] = run_counted(portfolio, yelt, config);
+    expect_identical(reference, result, std::string("env-off/") + to_string(backend));
+    EXPECT_EQ(counts.vector, 0.0) << to_string(backend);
+    if (obs::enabled()) {
+      EXPECT_EQ(counts.scalar, static_cast<double>(result.occurrences_processed))
+          << to_string(backend);
+    }
   }
+}
+
+TEST(SimdDispatch, AutoWithUnusableIsaRunsScalar) {
+  // Requiring an ISA this host cannot run leaves Auto without a vector
+  // kernel — the case of a host or architecture without one. The config
+  // still validates and the scalar kernel runs.
+  exec::SimdDispatch base;
+  {
+    EnvGuard guard("RISKAN_SIMD", nullptr);
+    base = exec::simd_dispatch();
+  }
+  const auto portfolio = simd_book(/*contracts=*/2, /*layers=*/2);
+  const auto yelt = simd_lens(400);
+  const auto reference = run_scalar(portfolio, yelt, {});
+
+  EnvGuard guard("RISKAN_SIMD", base.isa == exec::SimdIsa::Neon ? "avx2" : "neon");
+  ASSERT_EQ(exec::simd_dispatch().kernel, nullptr);
+  EXPECT_NO_THROW(validate_engine_config(EngineConfig{}));
+  const auto [result, counts] = run_counted(portfolio, yelt, {});
+  expect_identical(reference, result, "foreign ISA");
+  EXPECT_EQ(counts.vector, 0.0);
+}
+
+TEST(VectorKernel, DefaultConfigRunsTheVectorKernel) {
+  // The default EngineConfig (Threaded × Auto) takes the vector kernel on
+  // any host that dispatches an ISA, and still equals the scalar kernel bit
+  // for bit.
+  const auto portfolio = simd_book(/*contracts=*/3, /*layers=*/2);
+  const auto yelt = simd_lens(900);
+  for (const bool batched : {false, true}) {
+    EngineConfig config;
+    config.batch_contracts = batched;
+    const auto reference = run_scalar(portfolio, yelt, config);
+    const auto [result, counts] = run_counted(portfolio, yelt, config);
+    const std::string what = batched ? "batched" : "per-contract";
+    expect_identical(reference, result, what);
+    if (obs::enabled() && exec::simd_available()) {
+      EXPECT_GT(counts.vector, 0.0) << what;
+      EXPECT_EQ(counts.scalar, 0.0) << what;
+    }
+  }
+}
+
+TEST(VectorKernel, LowCoverageDenseBookWalksHitsOnly) {
+  // The per-contract lowering gathers through the dense row column. With
+  // each ELT over ~10% of the catalogue most occurrences miss; the vector
+  // pass must walk the hits only — its lane count is found rows × layers,
+  // not YELT entries × layers — and still equal the scalar kernel.
+  const EventId catalog = 2'000;
+  const auto portfolio = simd_book(/*contracts=*/4, /*layers=*/3, /*seed=*/17, catalog,
+                                   /*elt_rows=*/200);
+  const auto yelt = simd_lens(1'300, catalog, /*seed=*/29, /*events_per_year=*/12.0);
+  for (const bool secondary : {false, true}) {
+    for (const bool oep : {false, true}) {
+      for (const Backend backend : kHostBackends) {
+        EngineConfig config;
+        config.backend = backend;
+        config.trial_grain = 97;
+        config.secondary_uncertainty = secondary;
+        config.compute_oep = oep;
+        const auto reference = run_scalar(portfolio, yelt, config);
+        const auto [result, counts] = run_counted(portfolio, yelt, config);
+        const std::string what = std::string(to_string(backend)) +
+                                 (secondary ? "/secondary" : "/means") +
+                                 (oep ? "/oep" : "");
+        expect_identical(reference, result, what);
+        EXPECT_EQ(reference.elt_lookups, result.elt_lookups) << what;
+        ASSERT_LT(result.elt_lookups * 5, result.occurrences_processed)
+            << "the book should miss most occurrences";
+        if (obs::enabled() && exec::simd_available()) {
+          EXPECT_EQ(counts.vector + counts.tail, static_cast<double>(result.elt_lookups))
+              << what;
+          EXPECT_EQ(counts.scalar, 0.0) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorKernel, BitIdenticalToScalarAcrossFeatureMatrix) {
   const auto portfolio = simd_book(/*contracts=*/6, /*layers=*/3);
   const auto yelt = simd_lens(1'500);
 
@@ -357,31 +439,27 @@ TEST(SimdBackend, BitIdenticalToSequentialAcrossFeatureMatrix) {
       config.backend = Backend::Sequential;
       config.secondary_uncertainty = secondary;
       config.batch_contracts = batched;
-      const auto reference = run_aggregate_analysis(portfolio, yelt, config);
+      const auto reference = run_scalar(portfolio, yelt, config);
 
-      config.backend = Backend::Simd;
       const auto simd = run_aggregate_analysis(portfolio, yelt, config);
       const std::string what = std::string(secondary ? "secondary" : "means") +
                                (batched ? "/batched" : "/per-contract");
-      expect_identical(reference, simd, "simd/" + what);
+      expect_identical(reference, simd, "sequential/" + what);
       EXPECT_EQ(reference.elt_lookups, simd.elt_lookups) << what;
       EXPECT_EQ(reference.occurrences_processed, simd.occurrences_processed) << what;
 
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
-        config.backend = Backend::ThreadedSimd;
+        config.backend = Backend::Threaded;
         config.trial_grain = grain;
         const auto threaded = run_aggregate_analysis(portfolio, yelt, config);
         expect_identical(reference, threaded,
-                         "threaded-simd/" + what + "/grain=" + std::to_string(grain));
+                         "threaded/" + what + "/grain=" + std::to_string(grain));
       }
     }
   }
 }
 
-TEST(SimdBackend, LaneTailsOnHeavyAndOddHitCounts) {
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+TEST(VectorKernel, LaneTailsOnHeavyAndOddHitCounts) {
   // An ELT covering the full catalogue makes every occurrence a hit, and a
   // high occurrence rate gives trials with hit counts well past the vector
   // width — including counts not divisible by it, so the scalar lane tail
@@ -394,37 +472,27 @@ TEST(SimdBackend, LaneTailsOnHeavyAndOddHitCounts) {
   for (const double events_per_year : {1.5, 23.0}) {
     const auto yelt = simd_lens(600, catalog, /*seed=*/13, events_per_year);
     for (const bool secondary : {false, true}) {
-      EngineConfig config;
-      config.secondary_uncertainty = secondary;
-      config.batch_contracts = true;
-      config.backend = Backend::Sequential;
-      const auto reference = run_aggregate_analysis(portfolio, yelt, config);
-      config.backend = Backend::Simd;
-      const auto simd = run_aggregate_analysis(portfolio, yelt, config);
-      expect_identical(reference, simd,
-                       "tails/rate=" + std::to_string(events_per_year) +
-                           (secondary ? "/secondary" : "/means"));
+      for (const bool batched : {false, true}) {
+        EngineConfig config;
+        config.secondary_uncertainty = secondary;
+        config.batch_contracts = batched;
+        config.backend = Backend::Sequential;
+        const auto reference = run_scalar(portfolio, yelt, config);
+        const auto simd = run_aggregate_analysis(portfolio, yelt, config);
+        expect_identical(reference, simd,
+                         "tails/rate=" + std::to_string(events_per_year) +
+                             (secondary ? "/secondary" : "/means") +
+                             (batched ? "/batched" : "/per-contract"));
+      }
     }
   }
-}
-
-/// Runs `run` with an observed config and returns the run's
-/// exec.simd.{vector,scalar}_occurrences counter deltas.
-template <typename Run>
-std::pair<double, double> simd_counts(const Run& run) {
-  const auto report = run();
-  return {report->metrics.counter_value("exec.simd.vector_occurrences"),
-          report->metrics.counter_value("exec.simd.scalar_occurrences")};
 }
 
 TEST(SimdTower, MultiSlotGroupsStayOnTheVectorPath) {
   // A contract's layers form one gather group; the vector pass must take
   // the whole tower — compact (batched) and dense (per-contract) — with no
-  // scalar fallback, bit-identical to Sequential, across OEP × secondary
-  // and lane-tail hit counts.
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+  // scalar fallback, bit-identical to the scalar kernel, across OEP ×
+  // secondary and lane-tail hit counts.
   const auto portfolio = simd_book(/*contracts=*/4, /*layers=*/3);
   for (const double events_per_year : {1.5, 10.0, 37.0}) {
     const auto yelt = simd_lens(700, 800, /*seed=*/19, events_per_year);
@@ -436,23 +504,17 @@ TEST(SimdTower, MultiSlotGroupsStayOnTheVectorPath) {
           config.secondary_uncertainty = secondary;
           config.compute_oep = oep;
           config.backend = Backend::Sequential;
-          const auto reference = run_aggregate_analysis(portfolio, yelt, config);
-          config.backend = Backend::Simd;
-          config.obs.collect_report = true;
-          EngineResult simd;
-          const auto [vector, scalar] = simd_counts([&] {
-            simd = run_aggregate_analysis(portfolio, yelt, config);
-            return simd.obs_report;
-          });
+          const auto reference = run_scalar(portfolio, yelt, config);
+          const auto [simd, counts] = run_counted(portfolio, yelt, config);
           const std::string what = std::string(batched ? "batched" : "per-contract") +
                                    (secondary ? "/secondary" : "/means") +
                                    (oep ? "/oep" : "") +
                                    "/rate=" + std::to_string(events_per_year);
           expect_identical(reference, simd, what);
           EXPECT_EQ(reference.elt_lookups, simd.elt_lookups) << what;
-          if (obs::enabled()) {
-            EXPECT_GT(vector, 0.0) << what;
-            EXPECT_EQ(scalar, 0.0) << what;
+          if (obs::enabled() && exec::simd_available()) {
+            EXPECT_GT(counts.vector, 0.0) << what;
+            EXPECT_EQ(counts.scalar, 0.0) << what;
           }
         }
       }
@@ -465,9 +527,6 @@ TEST(SimdTower, WideScenarioGroupsVectorizeWithoutMasks) {
   // (layers × scenarios) slots — wider than one trial block of annual
   // sums, so the vector pass sub-blocks the trials. Only a mask column
   // sends a group to the scalar kernel.
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
   const auto portfolio = simd_book(/*contracts=*/3, /*layers=*/4);
   const auto yelt = simd_lens(1'100);
   std::vector<scenario::ScenarioSpec> specs;
@@ -495,14 +554,12 @@ TEST(SimdTower, WideScenarioGroupsVectorizeWithoutMasks) {
       EngineConfig config;
       config.secondary_uncertainty = secondary;
       config.backend = Backend::Sequential;
+      config.kernel = Kernel::Scalar;
       const auto reference = scenario::run_scenario_sweep(portfolio, yelt, run_specs, config);
-      config.backend = Backend::Simd;
+      config.kernel = Kernel::Auto;
       config.obs.collect_report = true;
-      scenario::ScenarioSweepResult simd;
-      const auto [vector, scalar] = simd_counts([&] {
-        simd = scenario::run_scenario_sweep(portfolio, yelt, run_specs, config);
-        return simd.obs_report;
-      });
+      const auto simd = scenario::run_scenario_sweep(portfolio, yelt, run_specs, config);
+      const LaneCounts counts = lane_counts(simd.obs_report);
       const std::string what = std::string(with_mask ? "masked" : "mask-free") +
                                (secondary ? "/secondary" : "/means");
       expect_identical(reference.base, simd.base, what + " base");
@@ -511,9 +568,11 @@ TEST(SimdTower, WideScenarioGroupsVectorizeWithoutMasks) {
                          what + " " + run_specs[s].name);
       }
       if (obs::enabled()) {
-        // The mask rides every contract's group, so it takes them all.
-        EXPECT_EQ(vector > 0.0, !with_mask) << what;
-        EXPECT_EQ(scalar > 0.0, with_mask) << what;
+        // The mask rides every contract's group, so it takes them all —
+        // and with no vector group left the plan runs the scalar kernel
+        // directly, its occurrences still counted.
+        EXPECT_EQ(counts.vector > 0.0, !with_mask && exec::simd_available()) << what;
+        EXPECT_EQ(counts.scalar > 0.0, with_mask || !exec::simd_available()) << what;
       }
     }
   }
@@ -535,6 +594,7 @@ TEST(SimdTower, GroupsWiderThanTheAnnualBufferMatchTheScalarKernel) {
   const SecondarySampler sampler(contract.elt());
 
   constexpr std::size_t kSlots = 4'100;
+  static_assert(kSlots > batch::kVectorAnnuals);
   std::vector<Money> scalar_losses(yelt.trials(), 0.0);
   std::vector<Money> simd_losses(yelt.trials(), 0.0);
   std::vector<Money> scalar_reinst(yelt.trials(), 0.0);
@@ -577,21 +637,19 @@ TEST(SimdTower, GroupsWiderThanTheAnnualBufferMatchTheScalarKernel) {
   }
 }
 
-TEST(SimdBackend, EmptyAndDegenerateTrials) {
-  if (!exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
+TEST(VectorKernel, EmptyAndDegenerateTrials) {
   // Near-empty lens: most trials have zero occurrences (n == 0 early-out).
   const auto portfolio = simd_book(/*contracts=*/2, /*layers=*/1);
   const auto yelt = simd_lens(400, 800, /*seed=*/3, /*events_per_year=*/0.3);
 
-  EngineConfig config;
-  config.batch_contracts = true;
-  config.backend = Backend::Sequential;
-  const auto reference = run_aggregate_analysis(portfolio, yelt, config);
-  config.backend = Backend::Simd;
-  const auto simd = run_aggregate_analysis(portfolio, yelt, config);
-  expect_identical(reference, simd, "sparse lens");
+  for (const bool batched : {false, true}) {
+    EngineConfig config;
+    config.batch_contracts = batched;
+    config.backend = Backend::Sequential;
+    const auto reference = run_scalar(portfolio, yelt, config);
+    const auto simd = run_aggregate_analysis(portfolio, yelt, config);
+    expect_identical(reference, simd, batched ? "sparse lens/batched" : "sparse lens");
+  }
 }
 
 }  // namespace

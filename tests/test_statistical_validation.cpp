@@ -14,7 +14,6 @@
 #include "catmod/event_catalog.hpp"
 #include "catmod/yelt_bridge.hpp"
 #include "core/aggregate_engine.hpp"
-#include "core/simd.hpp"
 #include "data/elt.hpp"
 #include "finance/contract.hpp"
 #include "util/distributions.hpp"
@@ -98,22 +97,19 @@ TEST_P(ChainValidation, SecondarySamplingPreservesTheMean) {
   // up to sampling error (the sampled run has extra variance).
   EXPECT_NEAR(sampled.portfolio_ylt.mean() / base.portfolio_ylt.mean(), 1.0, 0.05);
 
-  // The vectorized backends run the same chain: bit-identical to the
-  // sequential sampled result, so the statistical property transfers by
+  // The default run above takes the vector kernel wherever an ISA
+  // dispatches. The scalar kernel on both host backends must reproduce it
+  // to the bit, so the statistical property transfers to every kernel by
   // construction — and this asserts it really does at 30k-trial scale.
-  if (core::exec::simd_available()) {
-    for (const core::Backend backend :
-         {core::Backend::Simd, core::Backend::ThreadedSimd}) {
-      core::EngineConfig wide = on;
-      wide.backend = backend;
-      const auto vec = core::run_aggregate_analysis(chain.portfolio, yelt, wide);
-      ASSERT_EQ(vec.portfolio_ylt.trials(), sampled.portfolio_ylt.trials());
-      for (TrialId t = 0; t < vec.portfolio_ylt.trials(); ++t) {
-        ASSERT_EQ(vec.portfolio_ylt[t], sampled.portfolio_ylt[t])
-            << core::to_string(backend) << " trial " << t;
-      }
-      EXPECT_NEAR(vec.portfolio_ylt.mean() / base.portfolio_ylt.mean(), 1.0, 0.05)
-          << core::to_string(backend);
+  for (const core::Backend backend : core::kHostBackends) {
+    core::EngineConfig scalar = on;
+    scalar.backend = backend;
+    scalar.kernel = core::Kernel::Scalar;
+    const auto ref = core::run_aggregate_analysis(chain.portfolio, yelt, scalar);
+    ASSERT_EQ(ref.portfolio_ylt.trials(), sampled.portfolio_ylt.trials());
+    for (TrialId t = 0; t < ref.portfolio_ylt.trials(); ++t) {
+      ASSERT_EQ(ref.portfolio_ylt[t], sampled.portfolio_ylt[t])
+          << core::to_string(backend) << " trial " << t;
     }
   }
 }

@@ -11,7 +11,6 @@
 
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
-#include "core/simd.hpp"
 #include "core/streaming.hpp"
 #include "data/chunked_file.hpp"
 #include "data/serialize.hpp"
@@ -363,10 +362,6 @@ class StreamedEquivalence
 
 TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
   const auto [backend, batch, secondary] = GetParam();
-  if ((backend == Backend::Simd || backend == Backend::ThreadedSimd) &&
-      !core::exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
   const auto w = make_workload();
   const std::string path = "/tmp/riskan_equiv_" + std::to_string(static_cast<int>(backend)) +
                            (batch ? "_b" : "_n") + (secondary ? "_s" : "_m") + ".yeltc";
@@ -374,31 +369,32 @@ TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
 
   EngineConfig config;
   config.backend = backend;
+  config.kernel = core::Kernel::Scalar;
   config.batch_contracts = batch;
   config.secondary_uncertainty = secondary;
   config.compute_oep = true;
   config.keep_contract_ylts = true;
-
   const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-  const auto streamed = core::run_aggregate_streaming(w.portfolio, path, config);
-  expect_equal_results(reference, streamed);
-  EXPECT_EQ(streamed.blocks, 7u);  // ceil(777 / 128)
-  EXPECT_GT(streamed.bytes_read, 0u);
-  EXPECT_LT(streamed.peak_block_bytes, streamed.bytes_read);
+
+  // The kernel axis: a streamed run re-binds its plan per block, under
+  // either host kernel (DeviceSim always runs the scalar one).
+  for (const core::Kernel kernel : core::kAllKernels) {
+    if (backend == Backend::DeviceSim && kernel != core::Kernel::Scalar) {
+      continue;
+    }
+    config.kernel = kernel;
+    const auto streamed = core::run_aggregate_streaming(w.portfolio, path, config);
+    expect_equal_results(reference, streamed);
+    EXPECT_EQ(streamed.blocks, 7u);  // ceil(777 / 128)
+    EXPECT_GT(streamed.bytes_read, 0u);
+    EXPECT_LT(streamed.peak_block_bytes, streamed.bytes_read);
+  }
   remove_file(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, StreamedEquivalence,
     ::testing::Combine(::testing::ValuesIn(core::kAllBackends), ::testing::Bool(),
-                       ::testing::Bool()));
-
-// The vectorized rows of the same matrix — exercising the out-of-core
-// rebind path (plan lowered once, re-bound per block) under the Simd
-// executors; skipped on builds/hosts without a wide ISA.
-INSTANTIATE_TEST_SUITE_P(
-    SimdMatrix, StreamedEquivalence,
-    ::testing::Combine(::testing::ValuesIn(core::kSimdBackends), ::testing::Bool(),
                        ::testing::Bool()));
 
 TEST(StreamedEquivalence, TrialBaseOffsetsCompose) {
@@ -425,10 +421,6 @@ class StreamedSweep : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
   const Backend backend = GetParam();
-  if ((backend == Backend::Simd || backend == Backend::ThreadedSimd) &&
-      !core::exec::simd_available()) {
-    GTEST_SKIP() << "no wide ISA dispatched on this build/host";
-  }
   const auto w = make_workload(4, 400);
   const std::string path =
       "/tmp/riskan_sweep_" + std::to_string(static_cast<int>(backend)) + ".yeltc";
@@ -444,27 +436,32 @@ TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
 
   EngineConfig config;
   config.backend = backend;
+  config.kernel = core::Kernel::Scalar;
   config.compute_oep = true;
   config.keep_contract_ylts = true;
-
   const auto reference = scenario::run_scenario_sweep(w.portfolio, w.yelt, specs, config);
-  data::ChunkedFileSource source(path);
-  const auto streamed = scenario::run_scenario_sweep(w.portfolio, source, specs, config);
 
-  expect_equal_results(reference.base, streamed.base);
-  ASSERT_EQ(reference.scenarios.size(), streamed.scenarios.size());
-  for (std::size_t s = 0; s < reference.scenarios.size(); ++s) {
-    expect_equal_results(reference.scenarios[s], streamed.scenarios[s]);
+  for (const core::Kernel kernel : core::kAllKernels) {
+    if (backend == Backend::DeviceSim && kernel != core::Kernel::Scalar) {
+      continue;  // DeviceSim always runs the scalar kernel
+    }
+    config.kernel = kernel;
+    data::ChunkedFileSource source(path);
+    const auto streamed = scenario::run_scenario_sweep(w.portfolio, source, specs, config);
+
+    expect_equal_results(reference.base, streamed.base);
+    ASSERT_EQ(reference.scenarios.size(), streamed.scenarios.size());
+    for (std::size_t s = 0; s < reference.scenarios.size(); ++s) {
+      expect_equal_results(reference.scenarios[s], streamed.scenarios[s]);
+    }
+    EXPECT_EQ(reference.plan.slots, streamed.plan.slots);
+    EXPECT_EQ(reference.plan.distinct_masks, streamed.plan.distinct_masks);
   }
-  EXPECT_EQ(reference.plan.slots, streamed.plan.slots);
-  EXPECT_EQ(reference.plan.distinct_masks, streamed.plan.distinct_masks);
   remove_file(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, StreamedSweep,
                          ::testing::ValuesIn(core::kAllBackends));
-INSTANTIATE_TEST_SUITE_P(SimdBackends, StreamedSweep,
-                         ::testing::ValuesIn(core::kSimdBackends));
 
 TEST(StreamedBatch, MultiBlockSourceThroughRunPortfolioBatch) {
   const auto w = make_workload(3, 250);

@@ -149,8 +149,8 @@ TEST(PhiloxStream, WordSequenceMatchesBlockReconstruction) {
 
 TEST(PhiloxLanes, MatchesScalarBlocksIncludingTails) {
   // The batched facade must agree with Philox4x32::block word for word on
-  // every length, including sub-width tails and n = 0 — on scalar builds
-  // this exercises the scalar body through the same dispatch.
+  // every length, including sub-width tails and n = 0 — on hosts without a
+  // wide ISA this exercises the scalar body through the same dispatch.
   const Philox4x32 engine(987654321);
   const PhiloxLanes lanes(engine);
   SplitMix64 seeder(11);
