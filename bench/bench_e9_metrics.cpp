@@ -3,13 +3,23 @@
 // Paper: "a weekly simulation can be performed with limited possibility for
 // a real-time simulation" (stage 2), and stage 3's PML/TVaR reporting.
 //
-// Part A: metric-kernel throughput over YLT sizes 10^3..10^7 (sort-based
-// exact metrics vs streaming P2 estimation — the constant-memory
-// alternative for YLTs that do not fit).
+// Part A: metric-kernel throughput over YLT sizes 10^3..10^7: the sorted
+// summary, the EP curve, the reports' order statistics (the standard
+// return-period grid plus TVaR99) by a full sort and by selection, and
+// streaming P2 estimation (the constant-memory alternative for YLTs that
+// do not fit). Selection must return the sort's values bit for bit; its
+// time over the sort's at 10^6 trials (the largest size quick and full runs
+// share) is gated at <= 0.5x and written to BENCH_e9.json.
 // Part B: full-pipeline wall-clock extrapolation that locates the paper's
 // weekly/real-time boundary on this host.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "core/aggregate_engine.hpp"
@@ -20,12 +30,90 @@
 
 using namespace riskan;
 
+namespace {
+
+constexpr TrialId kRatioTrials = 1'000'000;
+constexpr double kRatioBar = 0.5;
+constexpr double kTvarLevel = 0.99;
+
+double median(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  return seconds[seconds.size() / 2];
+}
+
+/// Median wall seconds of `reps` runs of each of `a` and `b`, interleaved
+/// so that both see the same host conditions.
+template <typename RunA, typename RunB>
+std::pair<double, double> interleaved_medians(int reps, const RunA& a, const RunB& b) {
+  std::vector<double> a_seconds;
+  std::vector<double> b_seconds;
+  for (int r = 0; r < reps; ++r) {
+    obs::Timer watch_a("bench.e9.rep");
+    a();
+    a_seconds.push_back(watch_a.stop());
+    obs::Timer watch_b("bench.e9.rep");
+    b();
+    b_seconds.push_back(watch_b.stop());
+  }
+  return {median(std::move(a_seconds)), median(std::move(b_seconds))};
+}
+
+/// The reports' order statistics, the grid's quantiles and then TVaR99,
+/// read from a sorted or selected copy.
+std::vector<double> read_grid(std::span<const double> prepared,
+                              std::span<const double> levels) {
+  std::vector<double> out;
+  for (const double p : levels) {
+    out.push_back(quantile_sorted(prepared, p));
+  }
+  out.push_back(tail_mean_above(prepared, kTvarLevel));
+  return out;
+}
+
+std::vector<double> grid_by_sort(std::span<const double> losses,
+                                 std::span<const double> levels) {
+  std::vector<double> sorted(losses.begin(), losses.end());
+  std::sort(sorted.begin(), sorted.end());
+  return read_grid(sorted, levels);
+}
+
+std::vector<double> grid_by_selection(std::span<const double> losses,
+                                      std::span<const double> levels) {
+  std::vector<double> selected(losses.begin(), losses.end());
+  select_quantiles(selected, levels, kTvarLevel);
+  return read_grid(selected, levels);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 int main() {
   print_banner(std::cout, "E9: risk-metric extraction (PML / TVaR / EP curves)");
 
   // ---- Part A: kernel throughput.
+  const auto rps = core::standard_return_periods();
+  std::vector<double> grid_levels;
+  for (const double rp : rps) {
+    grid_levels.push_back(1.0 - 1.0 / rp);
+  }
+  double ratio = 0.0;
+  double sort_at_ratio = 0.0;
+  double select_at_ratio = 0.0;
+  int reps_at_ratio = 0;
   {
-    ReportTable table({"YLT trials", "summarise (sort)", "EP curve", "P2 streaming",
+    ReportTable table({"YLT trials", "summarise (sort)", "EP curve", "grid+TVaR99 sort",
+                       "grid+TVaR99 select", "select/sort", "P2 streaming",
                        "P2 vs exact VaR99 err"});
     const TrialId max_trials = bench::quick_mode() ? 1'000'000 : 10'000'000;
     for (TrialId n = 1'000; n <= max_trials; n *= 10) {
@@ -40,10 +128,26 @@ int main() {
       const double t_summary = w1.stop();
 
       obs::Timer w2("bench.e9.exceedance_curve");
-      const auto rps = core::standard_return_periods();
       const auto curve = core::exceedance_curve(ylt, rps);
       const double t_curve = w2.stop();
       (void)curve;
+
+      // Correctness gate before timing: selection reads the sort's bits.
+      if (!same_bits(grid_by_selection(ylt.losses(), grid_levels),
+                     grid_by_sort(ylt.losses(), grid_levels))) {
+        std::cerr << "E9: selection differs from the sorted copy at " << n << " trials\n";
+        return 1;
+      }
+      const int reps = n >= 10'000'000 ? 3 : 11;
+      const auto [t_sort, t_select] = interleaved_medians(
+          reps, [&] { (void)grid_by_sort(ylt.losses(), grid_levels); },
+          [&] { (void)grid_by_selection(ylt.losses(), grid_levels); });
+      if (n == kRatioTrials) {
+        ratio = t_select / t_sort;
+        sort_at_ratio = t_sort;
+        select_at_ratio = t_select;
+        reps_at_ratio = reps;
+      }
 
       obs::Timer w3("bench.e9.p2_quantile");
       P2Quantile p2(0.99);
@@ -55,8 +159,9 @@ int main() {
                          (std::abs(summary.var_99) + 1e-12);
 
       table.add_row({format_count(static_cast<double>(n)), format_seconds(t_summary),
-                     format_seconds(t_curve), format_seconds(t_p2),
-                     format_fixed(err * 100.0, 2) + "%"});
+                     format_seconds(t_curve), format_seconds(t_sort),
+                     format_seconds(t_select), format_fixed(t_select / t_sort, 2) + "x",
+                     format_seconds(t_p2), format_fixed(err * 100.0, 2) + "%"});
     }
     bench::emit("e9_metric_kernels", table);
   }
@@ -92,11 +197,30 @@ int main() {
     bench::emit("e9_cadence", table);
   }
 
-  std::cout << "\n[E9 verdict] exact metrics cost one sort — linearithmic and "
-               "memory-bound, so metric extraction is never the bottleneck; "
-               "the P2 streaming estimator holds ~1% error at constant memory "
-               "for YLTs too large to buffer. The cadence table reproduces the "
-               "paper's boundary: whole-portfolio runs are batch-scale while "
-               "single-contract pricing is real-time-scale.\n";
-  return 0;
+  std::cout << "\n[E9 verdict] the reports' order statistics (the return-period "
+               "grid plus TVaR99) by selection take "
+            << format_fixed(ratio, 2) << "x the time of a full sort at "
+            << format_count(static_cast<double>(kRatioTrials)) << " trials "
+            << (ratio <= kRatioBar ? "(meets the <=0.5x bar)" : "(ABOVE the <=0.5x bar)")
+            << ", with identical bits. Metric extraction is not negligible: while "
+               "quotes sorted, post-processing (mostly two full sorts) was 45-48% of a "
+               "250k-trial quote; E3 prints the share after simulation. The sorted "
+               "summary keeps its sort, because its mean and deviation accumulate in "
+               "sorted order. "
+               "The P2 streaming estimator holds ~1% error at constant memory for "
+               "YLTs too large to buffer. The cadence table reproduces the paper's "
+               "boundary: whole-portfolio runs are batch-scale while single-contract "
+               "pricing is real-time-scale.\n";
+
+  bench::JsonReport json;
+  json.set("experiment", std::string("e9_metrics"));
+  json.set("trials", static_cast<std::uint64_t>(kRatioTrials));
+  json.set("reps", static_cast<std::uint64_t>(reps_at_ratio));
+  json.set("sort_median_seconds", sort_at_ratio);
+  json.set("select_median_seconds", select_at_ratio);
+  json.set("select_over_sort_ratio", ratio);
+  const std::string json_path = bench::artifact_path("BENCH_e9.json");
+  json.write(json_path);
+  std::cout << "\nwrote " << json_path << "\n";
+  return ratio <= kRatioBar ? 0 : 2;
 }

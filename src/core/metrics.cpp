@@ -10,25 +10,24 @@ namespace riskan::core {
 
 namespace {
 
-std::vector<double> sorted_losses(const data::YearLossTable& ylt) {
+/// A scratch copy of the losses for select_quantiles.
+std::vector<double> loss_copy(const data::YearLossTable& ylt) {
   const auto losses = ylt.losses();
-  std::vector<double> sorted(losses.begin(), losses.end());
-  std::sort(sorted.begin(), sorted.end());
-  return sorted;
+  return {losses.begin(), losses.end()};
 }
 
 }  // namespace
 
 Money value_at_risk(const data::YearLossTable& ylt, double p) {
   RISKAN_REQUIRE(!ylt.empty(), "VaR of an empty YLT");
-  const auto sorted = sorted_losses(ylt);
-  return quantile_sorted(sorted, p);
+  return quantile(ylt.losses(), p);
 }
 
 Money tail_value_at_risk(const data::YearLossTable& ylt, double p) {
   RISKAN_REQUIRE(!ylt.empty(), "TVaR of an empty YLT");
-  const auto sorted = sorted_losses(ylt);
-  return tail_mean_above(sorted, p);
+  auto selected = loss_copy(ylt);
+  select_quantiles(selected, {}, p);
+  return tail_mean_above(selected, p);
 }
 
 Money probable_maximum_loss(const data::YearLossTable& ylt, double return_period_years) {
@@ -39,19 +38,22 @@ Money probable_maximum_loss(const data::YearLossTable& ylt, double return_period
 std::vector<EpPoint> exceedance_curve(const data::YearLossTable& ylt,
                                       std::span<const double> return_periods) {
   RISKAN_REQUIRE(!ylt.empty(), "EP curve of an empty YLT");
-  return exceedance_curve_sorted(sorted_losses(ylt), return_periods);
-}
-
-std::vector<EpPoint> exceedance_curve_sorted(std::span<const double> sorted,
-                                             std::span<const double> return_periods) {
-  std::vector<EpPoint> curve;
-  curve.reserve(return_periods.size());
+  std::vector<double> levels;
+  levels.reserve(return_periods.size());
   for (const double rp : return_periods) {
     RISKAN_REQUIRE(rp > 1.0, "return periods must exceed 1 year");
+    levels.push_back(1.0 - 1.0 / rp);
+  }
+  auto selected = loss_copy(ylt);
+  select_quantiles(selected, levels);
+
+  std::vector<EpPoint> curve;
+  curve.reserve(return_periods.size());
+  for (std::size_t i = 0; i < return_periods.size(); ++i) {
     EpPoint point;
-    point.return_period_years = rp;
-    point.exceedance_probability = 1.0 / rp;
-    point.loss = quantile_sorted(sorted, 1.0 - 1.0 / rp);
+    point.return_period_years = return_periods[i];
+    point.exceedance_probability = 1.0 / return_periods[i];
+    point.loss = quantile_sorted(selected, levels[i]);
     curve.push_back(point);
   }
   return curve;
@@ -63,10 +65,8 @@ std::vector<double> standard_return_periods() {
 
 RiskSummary summarise(const data::YearLossTable& ylt) {
   RISKAN_REQUIRE(!ylt.empty(), "summary of an empty YLT");
-  return summarise_sorted(sorted_losses(ylt));
-}
-
-RiskSummary summarise_sorted(std::span<const double> sorted) {
+  auto sorted = loss_copy(ylt);
+  std::sort(sorted.begin(), sorted.end());
   OnlineStats stats;
   for (const double loss : sorted) {
     stats.add(loss);

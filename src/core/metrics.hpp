@@ -11,6 +11,8 @@
 //                         "1-in-250-year loss";
 //   * exceedance-probability curves (AEP from the aggregate YLT, OEP from
 //                         the occurrence YLT).
+// Each metric reads a few order statistics, so it selects them on a copy
+// of the losses (select_quantiles in util/stats) instead of sorting one.
 // Coherence properties (TVaR >= VaR, monotonicity in p, positive
 // homogeneity) are covered by property tests.
 #pragma once
@@ -47,15 +49,12 @@ struct EpPoint {
 std::vector<EpPoint> exceedance_curve(const data::YearLossTable& ylt,
                                       std::span<const double> return_periods);
 
-/// exceedance_curve over losses already sorted ascending, so one sort can
-/// serve several metrics.
-std::vector<EpPoint> exceedance_curve_sorted(std::span<const double> sorted,
-                                             std::span<const double> return_periods);
-
 /// The standard reporting grid: 2, 5, 10, 25, 50, 100, 250, 500, 1000 years.
 std::vector<double> standard_return_periods();
 
-/// Full metric bundle computed in one sort of the YLT.
+/// Full metric bundle computed in one sort of the YLT: the mean and
+/// standard deviation accumulate in sorted order, so the bundle keeps the
+/// sort that the single metrics above replace by selection.
 struct RiskSummary {
   Money mean_annual_loss = 0.0;
   Money stdev_annual_loss = 0.0;
@@ -69,8 +68,5 @@ struct RiskSummary {
 };
 
 RiskSummary summarise(const data::YearLossTable& ylt);
-
-/// summarise over losses already sorted ascending (non-empty).
-RiskSummary summarise_sorted(std::span<const double> sorted);
 
 }  // namespace riskan::core

@@ -1,6 +1,6 @@
 #include "core/pricer.hpp"
 
-#include <algorithm>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "util/stats.hpp"
@@ -18,13 +18,14 @@ PricingQuote RealTimePricer::price(const finance::Contract& contract,
   PricingQuote quote;
   quote.seconds = watch.stop();
   quote.trials = yelt_.trials();
-  quote.loss_stats = finance::summarise_losses(losses);
+  // One copy and one selection serve TVaR99 and PML250.
+  const double pml_level = 1.0 - 1.0 / 250.0;
+  std::vector<double> selected(losses.begin(), losses.end());
+  select_quantiles(selected, {&pml_level, 1}, finance::kTvarLevel);
+  quote.loss_stats = finance::summarise_losses(losses, selected);
   quote.technical_premium = finance::technical_premium(quote.loss_stats, pricing_);
   quote.rate_on_line = finance::rate_on_line(quote.technical_premium, layer.terms.occ_limit);
-
-  std::vector<double> sorted(losses.begin(), losses.end());
-  std::sort(sorted.begin(), sorted.end());
-  quote.pml_250 = quantile_sorted(sorted, 1.0 - 1.0 / 250.0);
+  quote.pml_250 = quantile_sorted(selected, pml_level);
   return quote;
 }
 

@@ -283,6 +283,10 @@ void ChunkedFileSource::stop_producer() {
   }
   while (queue_->try_pop()) {
   }
+  // producer_done_ is set before the task's last notify_all, so join the
+  // task itself: the members it touches (pipe_cv_ among them) may be
+  // destroyed as soon as this returns.
+  prefetch_pool_->wait_idle();
 }
 
 bool ChunkedFileSource::next(TrialBlock& block) {

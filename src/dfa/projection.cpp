@@ -105,10 +105,11 @@ ProjectionResult MultiYearProjection::run(const data::YearLossTable& cat_ylt) co
   for (auto& year : capital_by_year) {
     std::array<Money, 3> qs{0.0, 0.0, 0.0};
     if (!year.empty()) {
-      std::sort(year.begin(), year.end());
-      qs[0] = quantile_sorted(year, 0.05);
-      qs[1] = quantile_sorted(year, 0.50);
-      qs[2] = quantile_sorted(year, 0.95);
+      constexpr double kLevels[] = {0.05, 0.50, 0.95};
+      select_quantiles(year, kLevels);
+      for (std::size_t i = 0; i < qs.size(); ++i) {
+        qs[i] = quantile_sorted(year, kLevels[i]);
+      }
     }
     result.capital_quantiles.push_back(qs);
   }

@@ -1,6 +1,5 @@
 #include "finance/premium.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -26,17 +25,25 @@ double rate_on_line(Money premium, Money occ_limit) {
 
 LossStatistics summarise_losses(std::span<const Money> trial_losses) {
   RISKAN_REQUIRE(!trial_losses.empty(), "cannot summarise an empty loss sample");
+  std::vector<double> selected(trial_losses.begin(), trial_losses.end());
+  select_quantiles(selected, {}, kTvarLevel);
+  return summarise_losses(trial_losses, selected);
+}
+
+LossStatistics summarise_losses(std::span<const Money> trial_losses,
+                                std::span<const double> selected) {
+  RISKAN_REQUIRE(!trial_losses.empty(), "cannot summarise an empty loss sample");
+  RISKAN_REQUIRE(selected.size() == trial_losses.size(),
+                 "the selected copy must hold the whole loss sample");
   OnlineStats stats;
   for (const Money loss : trial_losses) {
     stats.add(loss);
   }
-  std::vector<double> sorted(trial_losses.begin(), trial_losses.end());
-  std::sort(sorted.begin(), sorted.end());
 
   LossStatistics out;
   out.expected_loss = stats.mean();
   out.loss_stdev = std::sqrt(stats.sample_variance());
-  out.tvar_99 = tail_mean_above(sorted, 0.99);
+  out.tvar_99 = tail_mean_above(selected, kTvarLevel);
   return out;
 }
 

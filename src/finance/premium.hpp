@@ -37,7 +37,18 @@ Money technical_premium(const LossStatistics& stats, const PricingTerms& terms);
 /// catastrophe capacity.
 double rate_on_line(Money premium, Money occ_limit);
 
+/// The level LossStatistics::tvar_99 is read at.
+inline constexpr double kTvarLevel = 0.99;
+
 /// Computes LossStatistics from a simulated per-trial loss sample.
 LossStatistics summarise_losses(std::span<const Money> trial_losses);
+
+/// The same, for a caller that already holds `selected`: a copy of the
+/// sample on which select_quantiles (util/stats) placed tail level
+/// kTvarLevel, and from which the caller reads its own quantiles. The mean
+/// and standard deviation still accumulate over `trial_losses` in trial
+/// order.
+LossStatistics summarise_losses(std::span<const Money> trial_losses,
+                                std::span<const double> selected);
 
 }  // namespace riskan::finance

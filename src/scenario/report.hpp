@@ -15,6 +15,7 @@
 
 #include "core/aggregate_engine.hpp"
 #include "core/metrics.hpp"
+#include "parallel/thread_pool.hpp"
 #include "scenario/scenario.hpp"
 #include "util/types.hpp"
 
@@ -49,9 +50,13 @@ struct ScenarioReport {
 };
 
 /// Builds the report from finished engine results. `specs` provides names
-/// and must be parallel to `results`.
+/// and must be parallel to `results`. Each row selects its order
+/// statistics (util/stats select_quantiles) on scratch allocated here, one
+/// slice per task. Rows run on `pool`, one task per pool thread; without a
+/// pool they run inline on the calling thread.
 ScenarioReport build_report(const core::EngineResult& base,
                             std::span<const core::EngineResult> results,
-                            std::span<const ScenarioSpec> specs);
+                            std::span<const ScenarioSpec> specs,
+                            ThreadPool* pool = nullptr);
 
 }  // namespace riskan::scenario

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "core/adaptive/driver.hpp"
@@ -21,9 +22,22 @@ namespace {
 /// Per-scenario mutable state while the pass runs.
 struct ScenarioRun {
   core::EngineResult result;
-  std::vector<Money> occurrence_accum;   // block-entries-sized; empty = OEP off
+  // Block-entries-sized OEP scratch, allocated by the calling thread and
+  // zeroed per block on the pool; null = OEP off.
+  std::unique_ptr<Money[]> occurrence_accum;
+  std::size_t occurrence_capacity = 0;
   std::vector<Money> conditioned_accum;  // trials-sized; empty = no conditioning
 };
+
+/// The pool that per-scenario work around the pass (accumulator zeroing,
+/// OEP finalisation, report rows) runs on: none for a pool-free backend,
+/// whose sweep stays on the calling thread.
+ThreadPool* scenario_pool(const core::EngineConfig& config) {
+  if (core::pool_free(config.backend)) {
+    return nullptr;
+  }
+  return config.pool != nullptr ? config.pool : &ThreadPool::shared();
+}
 
 /// Adaptive sweep: the core/adaptive block driver's loop, driving the
 /// non-adaptive sweep per decision block. Convergence is judged on the
@@ -90,7 +104,7 @@ ScenarioSweepResult run_adaptive_sweep(const finance::Portfolio& portfolio,
   for (ScenarioSpec& spec : validated) {
     spec.validate();
   }
-  out.report = build_report(out.base, out.scenarios, validated);
+  out.report = build_report(out.base, out.scenarios, validated, scenario_pool(config));
   out.seconds = timer.stop();
   for (core::EngineResult& scenario : out.scenarios) {
     scenario.seconds = out.seconds;
@@ -143,10 +157,24 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
       core::pool_free(config.backend)
           ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
           : ParallelConfig{config.pool, config.trial_grain};
+  ThreadPool* const pool = scenario_pool(config);
+  const ParallelConfig per_scenario =
+      pool == nullptr ? par_cfg : ParallelConfig{pool, 1};
+  std::vector<ScenarioRun> runs(all.size());
+  // Per-scenario work around the pass: one scenario per task.
+  const auto for_each_run = [&](const auto& body) {
+    parallel_for(
+        0, runs.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t s = lo; s < hi; ++s) {
+            body(runs[s]);
+          }
+        },
+        per_scenario);
+  };
   data::ResolverCache local_cache;
   data::ResolverCache& cache = core::resolver_cache_for(config, source, local_cache);
 
-  std::vector<ScenarioRun> runs(all.size());
   // One sampler per distinct contract — shared by every scenario touching
   // it, exactly like the resolutions. Contracts (and the blueprint list)
   // are block-invariant: the plan re-derives them per block from the same
@@ -211,9 +239,15 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
       }
     }
     if (config.compute_oep) {
+      const std::size_t entries = yelt.entries();
       for (ScenarioRun& run : runs) {
-        run.occurrence_accum.assign(yelt.entries(), 0.0);
+        if (run.occurrence_capacity < entries) {
+          run.occurrence_accum = std::make_unique_for_overwrite<Money[]>(entries);
+          run.occurrence_capacity = entries;
+        }
       }
+      for_each_run(
+          [&](ScenarioRun& run) { std::fill_n(run.occurrence_accum.get(), entries, 0.0); });
     }
 
     // Flatten the blueprints into kernel slots (buffers are sized above, so
@@ -249,7 +283,7 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
           block.trial_offset, block_trials);
       slot.reinstatement_prem = run.result.reinstatement_premium.mutable_losses().subspan(
           block.trial_offset, block_trials);
-      slot.occurrence_accum = config.compute_oep ? run.occurrence_accum.data() : nullptr;
+      slot.occurrence_accum = run.occurrence_accum.get();
       slot.conditioned_accum = run.conditioned_accum.empty()
                                    ? nullptr
                                    : run.conditioned_accum.data() + block.trial_offset;
@@ -271,10 +305,9 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
     }
     (void)executor->execute(exec_plan, philox);
 
-    // OEP finalisation and telemetry, per scenario per block.
-    for (std::size_t s = 0; s < all.size(); ++s) {
-      ScenarioRun& run = runs[s];
-      if (config.compute_oep) {
+    // OEP finalisation, one scenario per task, then telemetry.
+    if (config.compute_oep) {
+      for_each_run([&](ScenarioRun& run) {
         const std::span<const Money> conditioned =
             run.conditioned_accum.empty()
                 ? std::span<const Money>{}
@@ -282,8 +315,12 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
                       .subspan(block.trial_offset, block_trials);
         core::batch::finalize_oep(run.result.portfolio_occurrence_ylt.mutable_losses()
                                       .subspan(block.trial_offset, block_trials),
-                                  run.occurrence_accum, yelt_offsets, conditioned);
-      }
+                                  {run.occurrence_accum.get(), yelt.entries()}, yelt_offsets,
+                                  conditioned);
+      });
+    }
+    for (std::size_t s = 0; s < all.size(); ++s) {
+      ScenarioRun& run = runs[s];
       std::uint64_t layer_count = 0;
       for (const std::size_t c : plan.scenario_books()[s]) {
         const std::uint64_t layers = plan.contracts()[c]->layers().size();
@@ -308,7 +345,7 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
   }
   out.plan = stats;
   out.report = build_report(out.base, out.scenarios,
-                            std::span<const ScenarioSpec>(all).subspan(1));
+                            std::span<const ScenarioSpec>(all).subspan(1), pool);
   out.seconds = timer.stop();
   out.obs_report = obs_scope.finish();
   return out;

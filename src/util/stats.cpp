@@ -55,26 +55,46 @@ double OnlineStats::stdev() const noexcept {
   return std::sqrt(variance());
 }
 
+namespace {
+
+/// The ranks quantile_sorted reads at level p over n values: the lower one
+/// and the next, or the top one alone.
+struct QuantileRanks {
+  std::size_t lo;
+  std::size_t hi;
+};
+
+QuantileRanks quantile_ranks(std::size_t n, double p) {
+  RISKAN_REQUIRE(p >= 0.0 && p <= 1.0, "quantile level must lie in [0,1]");
+  if (n == 1) {
+    return {0, 0};
+  }
+  const auto idx = static_cast<std::size_t>(p * static_cast<double>(n - 1));
+  if (idx + 1 >= n) {
+    return {n - 1, n - 1};
+  }
+  return {idx, idx + 1};
+}
+
+}  // namespace
+
 double quantile(std::span<const double> values, double p) {
   RISKAN_REQUIRE(!values.empty(), "quantile of empty sample");
   std::vector<double> copy(values.begin(), values.end());
-  std::sort(copy.begin(), copy.end());
+  const double levels[] = {p};
+  select_quantiles(copy, levels);
   return quantile_sorted(copy, p);
 }
 
 double quantile_sorted(std::span<const double> sorted, double p) {
   RISKAN_REQUIRE(!sorted.empty(), "quantile of empty sample");
-  RISKAN_REQUIRE(p >= 0.0 && p <= 1.0, "quantile level must lie in [0,1]");
-  if (sorted.size() == 1) {
-    return sorted[0];
+  const auto [lo, hi] = quantile_ranks(sorted.size(), p);
+  if (lo == hi) {
+    return sorted[lo];
   }
   const double h = p * static_cast<double>(sorted.size() - 1);
-  const auto idx = static_cast<std::size_t>(h);
-  if (idx + 1 >= sorted.size()) {
-    return sorted.back();
-  }
-  const double frac = h - static_cast<double>(idx);
-  return sorted[idx] + frac * (sorted[idx + 1] - sorted[idx]);
+  const double frac = h - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 double tail_mean_above(std::span<const double> sorted, double p) {
@@ -87,6 +107,51 @@ double tail_mean_above(std::span<const double> sorted, double p) {
     ++n;
   }
   return n == 0 ? var : sum / static_cast<double>(n);
+}
+
+void select_quantiles(std::span<double> values, std::span<const double> levels,
+                      std::optional<double> tail_level) {
+  RISKAN_REQUIRE(!values.empty(), "quantile of empty sample");
+  const std::size_t n = values.size();
+  const auto first = values.begin();
+  // Place the wanted ranks in ascending order. Once rank r is placed, every
+  // value above it is no smaller, so the next rank is a selection over
+  // [r + 1, n) alone: the ranges shrink as the levels rise. The level lists
+  // are short, so the next rank is found by a scan, with no allocation.
+  std::size_t from = 0;
+  for (;;) {
+    std::size_t next = n;
+    const auto consider = [&](double p) {
+      const auto [lo, hi] = quantile_ranks(n, p);
+      if (lo >= from) {
+        next = std::min(next, lo);
+      } else if (hi >= from) {
+        next = std::min(next, hi);
+      }
+    };
+    for (const double p : levels) {
+      consider(p);
+    }
+    if (tail_level) {
+      consider(*tail_level);
+    }
+    if (next == n) {
+      break;
+    }
+    if (next == from) {
+      // The minimum of the rest: one pass (a level's upper rank is the one
+      // right after its lower rank).
+      std::iter_swap(first + from, std::min_element(first + from, values.end()));
+    } else {
+      std::nth_element(first + from, first + next, values.end());
+    }
+    from = next + 1;
+  }
+  if (tail_level) {
+    // tail_mean_above walks down from the top while values exceed the
+    // quantile, which never reads below the lower rank.
+    std::sort(first + quantile_ranks(n, *tail_level).lo + 1, values.end());
+  }
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), counts_(bins, 0) {

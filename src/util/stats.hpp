@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -38,15 +39,30 @@ class OnlineStats {
 };
 
 /// Exact empirical quantile with linear interpolation (type-7, the
-/// R/NumPy default). Sorts a copy; O(n log n).
+/// R/NumPy default). Selects on a copy (select_quantiles); O(n) expected.
 double quantile(std::span<const double> values, double p);
 
-/// Quantile over data the caller has already sorted ascending; O(1).
+/// Quantile over data the caller has already sorted ascending; O(1). Also
+/// reads a span that select_quantiles prepared with `p` among its levels.
 double quantile_sorted(std::span<const double> sorted, double p);
 
 /// Mean of values strictly above the given threshold quantile — the building
 /// block of TVaR. Returns the quantile itself when no value exceeds it.
+/// Also reads a span that select_quantiles prepared with tail level `p`.
 double tail_mean_above(std::span<const double> sorted, double p);
+
+/// Selection in place of a full sort, for callers that read a few order
+/// statistics (introselect, `std::nth_element`). Rearranges `values`, the
+/// caller's scratch copy of a sample, so that every rank quantile_sorted
+/// reads at each of `levels` holds its sorted-order value; a `tail_level`
+/// has its ranks placed and every rank above them sorted. Then
+/// quantile_sorted(values, p) for p in `levels`, and
+/// tail_mean_above(values, *tail_level), return their sorted-copy results:
+/// bit for bit whenever equal values share one bit pattern (no NaN, no
+/// -0.0 beside +0.0), as in every loss table. O(n) expected, plus the sort
+/// of the tail.
+void select_quantiles(std::span<double> values, std::span<const double> levels,
+                      std::optional<double> tail_level = std::nullopt);
 
 /// Fixed-width histogram for diagnostics and distribution shape tests.
 class Histogram {

@@ -2,13 +2,18 @@
 // pricer and elasticity model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/elasticity.hpp"
 #include "core/metrics.hpp"
 #include "core/pricer.hpp"
 #include "util/prng.hpp"
 #include "util/require.hpp"
+#include "util/stats.hpp"
 
 namespace riskan::core {
 namespace {
@@ -21,18 +26,30 @@ data::YearLossTable ramp_ylt(TrialId n) {
   return ylt;
 }
 
+/// The ramp in descending trial order: the metrics select, so trial order
+/// must not matter.
+data::YearLossTable reversed_ramp_ylt(TrialId n) {
+  data::YearLossTable ylt(n, "reversed-ramp");
+  for (TrialId t = 0; t < n; ++t) {
+    ylt[t] = static_cast<Money>(n - 1 - t);
+  }
+  return ylt;
+}
+
 TEST(Metrics, VarOracleOnRamp) {
-  const auto ylt = ramp_ylt(101);  // losses 0..100
-  EXPECT_DOUBLE_EQ(value_at_risk(ylt, 0.5), 50.0);
-  EXPECT_DOUBLE_EQ(value_at_risk(ylt, 0.95), 95.0);
-  EXPECT_DOUBLE_EQ(value_at_risk(ylt, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(value_at_risk(ylt, 1.0), 100.0);
+  for (const auto& ylt : {ramp_ylt(101), reversed_ramp_ylt(101)}) {  // losses 0..100
+    EXPECT_DOUBLE_EQ(value_at_risk(ylt, 0.5), 50.0);
+    EXPECT_DOUBLE_EQ(value_at_risk(ylt, 0.95), 95.0);
+    EXPECT_DOUBLE_EQ(value_at_risk(ylt, 0.0), 0.0);
+    EXPECT_DOUBLE_EQ(value_at_risk(ylt, 1.0), 100.0);
+  }
 }
 
 TEST(Metrics, TvarOracleOnRamp) {
-  const auto ylt = ramp_ylt(101);
-  // VaR(0.9) = 90; tail {91..100} mean = 95.5.
-  EXPECT_DOUBLE_EQ(tail_value_at_risk(ylt, 0.9), 95.5);
+  for (const auto& ylt : {ramp_ylt(101), reversed_ramp_ylt(101)}) {
+    // VaR(0.9) = 90; tail {91..100} mean = 95.5.
+    EXPECT_DOUBLE_EQ(tail_value_at_risk(ylt, 0.9), 95.5);
+  }
 }
 
 TEST(Metrics, PmlIsQuantileAtReturnPeriod) {
@@ -100,6 +117,10 @@ TEST(Metrics, ExceedanceCurveShape) {
   }
   // 1-in-2 on the ramp = median.
   EXPECT_NEAR(curve[0].loss, 4999.5, 1.0);
+  const auto reversed = exceedance_curve(reversed_ramp_ylt(10'000), rps);
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    EXPECT_EQ(reversed[i].loss, curve[i].loss);
+  }
 }
 
 // Tiny local helper so the fixture below reads clearly.
@@ -178,6 +199,54 @@ TEST(Pricer, SameYeltSameQuote) {
   const auto b = pricer.price(portfolio.contract(0), portfolio.contract(0).layers()[0]);
   EXPECT_DOUBLE_EQ(a.technical_premium, b.technical_premium);
   EXPECT_DOUBLE_EQ(a.pml_250, b.pml_250);
+}
+
+TEST(Pricer, QuoteEqualsTheSortBasedQuoteAtFourAttachments) {
+  // The quote selects its order statistics; the reference sorts a copy,
+  // as quotes were computed before. Higher attachments leave more trials
+  // at zero (the zero-heavy samples selection must get right).
+  finance::PortfolioGenConfig pg;
+  pg.contracts = 1;
+  pg.catalog_events = 2'000;
+  pg.elt_rows = 400;
+  const auto portfolio = finance::generate_portfolio(pg);
+  data::YeltGenConfig yg;
+  yg.trials = 20'000;
+  const auto yelt = data::generate_yelt(2'000, yg);
+  const auto& contract = portfolio.contract(0);
+  const finance::PricingTerms terms;
+  const RealTimePricer pricer(yelt, EngineConfig{}, terms);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  for (const double factor : {0.5, 1.0, 2.0, 4.0}) {
+    finance::Layer layer = contract.layers()[0];
+    layer.terms.occ_retention *= factor;
+    const auto quote = pricer.price(contract, layer);
+
+    const auto losses = run_layer(contract, layer, yelt, EngineConfig{});
+    OnlineStats stats;
+    for (const Money loss : losses) {
+      stats.add(loss);
+    }
+    std::vector<double> sorted(losses.begin(), losses.end());
+    std::sort(sorted.begin(), sorted.end());
+    finance::LossStatistics expect;
+    expect.expected_loss = stats.mean();
+    expect.loss_stdev = std::sqrt(stats.sample_variance());
+    expect.tvar_99 = tail_mean_above(sorted, 0.99);
+    const Money premium = finance::technical_premium(expect, terms);
+
+    EXPECT_EQ(bits(quote.loss_stats.expected_loss), bits(expect.expected_loss)) << factor;
+    EXPECT_EQ(bits(quote.loss_stats.loss_stdev), bits(expect.loss_stdev)) << factor;
+    EXPECT_EQ(bits(quote.loss_stats.tvar_99), bits(expect.tvar_99)) << factor;
+    EXPECT_EQ(bits(quote.technical_premium), bits(premium)) << factor;
+    EXPECT_EQ(bits(quote.rate_on_line),
+              bits(finance::rate_on_line(premium, layer.terms.occ_limit)))
+        << factor;
+    EXPECT_EQ(bits(quote.pml_250), bits(quantile_sorted(sorted, 1.0 - 1.0 / 250.0)))
+        << factor;
+    EXPECT_EQ(quote.trials, yelt.trials());
+  }
 }
 
 TEST(Elasticity, ProcessorsScaleWithWorkAndDeadline) {

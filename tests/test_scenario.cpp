@@ -15,7 +15,15 @@
 // asserted against a private ResolverCache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <latch>
 #include <limits>
+#include <mutex>
+#include <vector>
 
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
@@ -26,6 +34,7 @@
 #include "scenario/scenario.hpp"
 #include "scenario/sweep.hpp"
 #include "util/require.hpp"
+#include "util/stats.hpp"
 
 namespace riskan::scenario {
 namespace {
@@ -544,6 +553,129 @@ TEST(ScenarioSweep, ReportDeltasAreCoherent) {
   }
   EXPECT_TRUE(any_lower);
   EXPECT_LT(means_sweep.report.rows[2].delta_aal, 0.0);
+}
+
+/// Checks a report row against metrics of its YLTs computed from sorted
+/// copies (the way rows were computed before they selected), bit for bit.
+/// The base row carries zero scalar deltas and no curve deltas.
+void expect_row_equals_sorted_metrics(const ScenarioRow& row, const ScenarioRow& base,
+                                      const core::EngineResult& result,
+                                      std::span<const double> return_periods) {
+  const bool is_base = &row == &base;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto sorted = [](const data::YearLossTable& ylt) {
+    std::vector<double> copy(ylt.losses().begin(), ylt.losses().end());
+    std::sort(copy.begin(), copy.end());
+    return copy;
+  };
+  const auto aep = sorted(result.portfolio_ylt);
+  EXPECT_EQ(bits(row.aal), bits(result.portfolio_ylt.mean())) << row.name;
+  EXPECT_EQ(bits(row.var_99), bits(quantile_sorted(aep, 0.99))) << row.name;
+  EXPECT_EQ(bits(row.tvar_99), bits(tail_mean_above(aep, 0.99))) << row.name;
+  EXPECT_EQ(bits(row.pml_250), bits(quantile_sorted(aep, 1.0 - 1.0 / 250.0))) << row.name;
+  EXPECT_EQ(bits(row.delta_aal), bits(row.aal - base.aal)) << row.name;
+  EXPECT_EQ(bits(row.delta_var_99), bits(row.var_99 - base.var_99)) << row.name;
+  EXPECT_EQ(bits(row.delta_tvar_99), bits(row.tvar_99 - base.tvar_99)) << row.name;
+  EXPECT_EQ(bits(row.delta_pml_250), bits(row.pml_250 - base.pml_250)) << row.name;
+  ASSERT_EQ(row.aep.size(), return_periods.size()) << row.name;
+  for (std::size_t i = 0; i < return_periods.size(); ++i) {
+    const double level = 1.0 - 1.0 / return_periods[i];
+    EXPECT_EQ(bits(row.aep[i]), bits(quantile_sorted(aep, level))) << row.name << " " << i;
+  }
+  const auto oep = sorted(result.portfolio_occurrence_ylt);
+  ASSERT_EQ(row.oep.size(), return_periods.size()) << row.name;
+  for (std::size_t i = 0; i < return_periods.size(); ++i) {
+    const double level = 1.0 - 1.0 / return_periods[i];
+    EXPECT_EQ(bits(row.oep[i]), bits(quantile_sorted(oep, level))) << row.name << " " << i;
+  }
+  ASSERT_EQ(row.delta_aep.size(), is_base ? 0 : return_periods.size()) << row.name;
+  ASSERT_EQ(row.delta_oep.size(), is_base ? 0 : return_periods.size()) << row.name;
+  for (std::size_t i = 0; i < row.delta_aep.size(); ++i) {
+    EXPECT_EQ(bits(row.delta_aep[i]), bits(row.aep[i] - base.aep[i])) << row.name;
+    EXPECT_EQ(bits(row.delta_oep[i]), bits(row.oep[i] - base.oep[i])) << row.name;
+  }
+}
+
+TEST(ScenarioReport, RowsEqualSortBasedMetricsOnBothHostBackends) {
+  const auto portfolio = book(/*contracts=*/4, /*layers=*/2);
+  const auto yelt = lens(3'000);
+  std::vector<ScenarioSpec> specs(5);
+  specs[0] = ScenarioSpec::identity("identity");
+  specs[1].name = "surge";
+  specs[1].loss_scale = 1.3;
+  specs[2].name = "exclusion";
+  specs[2].excluded_events = busy_events();
+  specs[3].name = "drop";
+  specs[3].dropped_contracts = {portfolio.contract(3).id()};
+  specs[4].name = "conditioned";
+  specs[4].conditioning = PostEventConditioning{portfolio.contract(0).elt().event_ids()[0], 1.0};
+
+  for (const core::Backend backend : {core::Backend::Sequential, core::Backend::Threaded}) {
+    SCOPED_TRACE(core::to_string(backend));
+    core::EngineConfig config;
+    config.backend = backend;
+    const auto sweep = run_scenario_sweep(portfolio, yelt, specs, config);
+    const auto& report = sweep.report;
+    EXPECT_EQ(report.base.name, "base");
+    expect_row_equals_sorted_metrics(report.base, report.base, sweep.base,
+                                     report.return_periods);
+    ASSERT_EQ(report.rows.size(), specs.size());
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      EXPECT_EQ(report.rows[s].name, specs[s].name);
+      expect_row_equals_sorted_metrics(report.rows[s], report.base, sweep.scenarios[s],
+                                       report.return_periods);
+    }
+  }
+}
+
+TEST(ScenarioReport, SequentialSweepQueuesNoPoolWork) {
+  // A Sequential sweep stays off the pool: report rows and OEP work run on
+  // the calling thread even when the config names a pool. Both workers of
+  // a private pool are kept busy: one runs the sweep, the other waits for
+  // it to finish. Work the sweep queued on the pool could only run once
+  // that wait timed out.
+  const auto portfolio = book(/*contracts=*/3, /*layers=*/2);
+  const auto yelt = lens(500);
+  std::vector<ScenarioSpec> specs(2);
+  specs[0].name = "surge";
+  specs[0].loss_scale = 1.2;
+  specs[1].name = "exclusion";
+  specs[1].excluded_events = busy_events();
+  core::EngineConfig config;
+  config.backend = core::Backend::Sequential;
+  const auto reference = run_scenario_sweep(portfolio, yelt, specs, config);
+
+  ThreadPool pool(2);
+  config.pool = &pool;
+  std::latch both_running(2);
+  std::mutex mutex;
+  std::condition_variable swept_cv;
+  bool swept = false;
+  bool waited_out = false;
+  ScenarioSweepResult result;
+  pool.submit([&] {
+    both_running.arrive_and_wait();
+    result = run_scenario_sweep(portfolio, yelt, specs, config);
+    {
+      std::lock_guard lock(mutex);
+      swept = true;
+    }
+    swept_cv.notify_all();
+  });
+  pool.submit([&] {
+    both_running.arrive_and_wait();
+    std::unique_lock lock(mutex);
+    waited_out = !swept_cv.wait_for(lock, std::chrono::seconds(30), [&] { return swept; });
+  });
+  pool.wait_idle();
+
+  EXPECT_FALSE(waited_out) << "the Sequential sweep queued work on the pool";
+  expect_identical(result.base, reference.base, "base");
+  ASSERT_EQ(result.report.rows.size(), specs.size());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    EXPECT_EQ(result.report.rows[s].tvar_99, reference.report.rows[s].tvar_99);
+    EXPECT_EQ(result.report.rows[s].oep, reference.report.rows[s].oep);
+  }
 }
 
 TEST(ScenarioSweep, RejectsIllFormedSpecs) {

@@ -231,6 +231,36 @@ TEST(ChunkedFileSource, PrefetchPipelineStressManyTinyBlocks) {
   remove_file(path);
 }
 
+TEST(ChunkedFileSource, PrefetchTeardownAfterPartialReadsAndResets) {
+  // Sources destroyed with the producer at every stage: parked on a full
+  // ring, between pushes, finished. Teardown must join the producer task
+  // before the members it notifies go (ThreadSanitizer's check in CI).
+  data::YeltGenConfig yg;
+  yg.trials = 64;
+  const auto yelt = data::generate_yelt(50, yg);
+  const std::string path = "/tmp/riskan_trial_source_teardown.yeltc";
+  core::save_yelt_chunked(yelt, path, 4);
+
+  data::TrialBlock block;
+  for (std::size_t round = 0; round < 40; ++round) {
+    data::ChunkedFileSource source(path);
+    ASSERT_EQ(source.block_count(), 16u);
+    const std::size_t before_reset = round % 5;
+    for (std::size_t b = 0; b < before_reset; ++b) {
+      ASSERT_TRUE(source.next(block));
+      EXPECT_EQ(block.index, b);
+    }
+    source.reset();
+    const std::size_t after_reset = round % 3;
+    for (std::size_t b = 0; b < after_reset; ++b) {
+      ASSERT_TRUE(source.next(block));
+      EXPECT_EQ(block.index, b);
+      EXPECT_EQ(block.trial_offset, 4 * b);
+    }
+  }
+  remove_file(path);
+}
+
 // ---------------------------------------------------------------------------
 // Integrity: checksums and legacy files
 // ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "util/prng.hpp"
@@ -141,6 +144,125 @@ TEST(TailMean, DominatesQuantile) {
   for (const double p : {0.5, 0.9, 0.99}) {
     EXPECT_GE(tail_mean_above(values, p), quantile_sorted(values, p));
   }
+}
+
+// ---------------------------------------------------------------------------
+// select_quantiles against a sorted copy, bit for bit
+// ---------------------------------------------------------------------------
+
+/// Every level src/ reads: the standard return-period grid, 0.05, 0.95,
+/// 0.99, 1 - 1/100 and 1 - 1/250, plus the ends of [0, 1].
+std::vector<double> levels_read_by_src() {
+  std::vector<double> levels;
+  for (const double rp : {2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0}) {
+    levels.push_back(1.0 - 1.0 / rp);
+  }
+  for (const double p : {0.05, 0.95, 0.99, 1.0 - 1.0 / 100.0, 1.0 - 1.0 / 250.0, 0.0, 1.0}) {
+    levels.push_back(p);
+  }
+  return levels;
+}
+
+/// Zero-heavy (the given share of zeros, the rest heavy-tailed), tie-heavy
+/// (a few distinct values) or continuous; every value non-negative, like a
+/// loss table.
+std::vector<double> loss_like_sample(std::size_t n, int kind, double zero_share,
+                                     std::uint64_t seed) {
+  Xoshiro256ss rng(seed);
+  std::vector<double> values(n);
+  for (double& v : values) {
+    const double heavy = std::pow(to_unit_double_open(rng()), -0.7) - 1.0;
+    switch (kind) {
+      case 0:
+        v = to_unit_double(rng()) < zero_share ? 0.0 : heavy;
+        break;
+      case 1:
+        v = std::floor(3.0 * to_unit_double(rng()));
+        break;
+      default:
+        v = heavy;
+        break;
+    }
+  }
+  return values;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(SelectQuantiles, MatchesASortedCopyBitForBit) {
+  const auto levels = levels_read_by_src();
+  struct Shape {
+    int kind;
+    double zero_share;
+  };
+  const Shape shapes[] = {{0, 0.70}, {0, 0.97}, {1, 0.0}, {2, 0.0}};
+  std::uint64_t seed = 1;
+  for (const std::size_t n :
+       {1u, 2u, 3u, 99u, 100u, 101u, 250u, 251u, 1'000u, 1'001u, 250'000u}) {
+    for (const Shape& shape : shapes) {
+      const auto sample = loss_like_sample(n, shape.kind, shape.zero_share, ++seed);
+      auto sorted = sample;
+      std::sort(sorted.begin(), sorted.end());
+      const std::string where =
+          "n=" + std::to_string(n) + " kind=" + std::to_string(shape.kind);
+
+      // Every level at once with each tail level, as the report and the
+      // pricer select. The largest sample skips the low tail levels, whose
+      // tail sorts are full sorts.
+      for (const double tail : levels) {
+        if (n > 10'000 && tail < 0.95) {
+          continue;
+        }
+        auto selected = sample;
+        select_quantiles(selected, levels, tail);
+        for (const double p : levels) {
+          ASSERT_EQ(bits(quantile_sorted(selected, p)), bits(quantile_sorted(sorted, p)))
+              << where << " p=" << p << " tail=" << tail;
+        }
+        ASSERT_EQ(bits(tail_mean_above(selected, tail)), bits(tail_mean_above(sorted, tail)))
+            << where << " tail=" << tail;
+      }
+      // One level alone, as quantile() and value_at_risk select, and a tail
+      // level alone, as tail_value_at_risk selects.
+      for (const double p : levels) {
+        auto one = sample;
+        const double single[] = {p};
+        select_quantiles(one, single);
+        ASSERT_EQ(bits(quantile_sorted(one, p)), bits(quantile_sorted(sorted, p)))
+            << where << " p=" << p;
+        ASSERT_EQ(bits(quantile(sample, p)), bits(quantile_sorted(sorted, p)))
+            << where << " p=" << p;
+        auto tail_only = sample;
+        select_quantiles(tail_only, {}, p);
+        ASSERT_EQ(bits(tail_mean_above(tail_only, p)), bits(tail_mean_above(sorted, p)))
+            << where << " p=" << p;
+      }
+    }
+  }
+}
+
+TEST(SelectQuantiles, KeepsTheSampleAndAcceptsUnorderedRepeatedLevels) {
+  auto values = loss_like_sample(1'000, 0, 0.8, 7);
+  auto sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const std::vector<double> levels{0.999, 0.5, 0.99, 0.5, 0.999};
+  select_quantiles(values, levels, 0.99);
+  for (const double p : levels) {
+    EXPECT_EQ(bits(quantile_sorted(values, p)), bits(quantile_sorted(sorted, p)));
+  }
+  // A permutation of the sample: the same multiset, nothing lost.
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(values, sorted);
+}
+
+TEST(SelectQuantiles, ContractsEnforced) {
+  std::vector<double> empty;
+  const double half[] = {0.5};
+  EXPECT_THROW(select_quantiles(empty, half), ContractViolation);
+  std::vector<double> one{1.0};
+  const double bad[] = {1.5};
+  EXPECT_THROW(select_quantiles(one, bad), ContractViolation);
+  EXPECT_THROW(select_quantiles(one, {}, -0.1), ContractViolation);
 }
 
 TEST(Histogram, BinsAndEdges) {
