@@ -4,16 +4,17 @@
 // use of many-core GPUs for simulating portfolio analysis [7] which are 15x
 // times faster than the sequential counterpart."
 //
-// We run the identical aggregate analysis on the three backends:
-//   sequential   — the baseline of the paper's 15x;
+// We run the identical aggregate analysis on both host backends and model
+// the many-core device:
+//   sequential   — the baseline of the paper's 15x (measured);
 //   threaded     — host shared-memory parallelism (measured);
-//   device-sim   — the GPU execution model; results are bit-identical and
-//                  metered, and the calibrated Fermi-class performance
-//                  model converts the counters into a modeled device time.
-// Honesty note: this container has no GPU and may have a single core, so
-// the *measured* columns show what this host can do, while the *modeled*
-// column shows what the counted work maps to on the paper's hardware
-// class. EXPERIMENTS.md discusses both.
+//   device model — the same plans priced on a Fermi-class device
+//                  (core/device_model: launches, shared/constant-memory
+//                  staging, per-class traffic, roofline time).
+// This container has no GPU, so the device numbers are a model of the
+// counted work on the paper's hardware class. They are printed as a model
+// and never divided by a measured time; docs/benchmarks.md lists the
+// record's keys.
 #include <iostream>
 
 #include "bench/common.hpp"
@@ -44,16 +45,17 @@ int main() {
   config.backend = core::Backend::Threaded;
   const auto thr = core::run_aggregate_analysis(workload.portfolio, workload.yelt, config);
 
-  config.backend = core::Backend::DeviceSim;
+  // The device model rides an untimed run: it prices every plan the run
+  // executes, and its own host time is not part of either measurement.
   core::DeviceRunInfo device_info;
   config.device_info = &device_info;
-  const auto dev = core::run_aggregate_analysis(workload.portfolio, workload.yelt, config);
+  const auto modeled = core::run_aggregate_analysis(workload.portfolio, workload.yelt, config);
   config.device_info = nullptr;
 
-  // Sanity: identical results across backends.
+  // Sanity: identical results across backends, with or without the model.
   for (TrialId t = 0; t < trials; ++t) {
     if (seq.portfolio_ylt[t] != thr.portfolio_ylt[t] ||
-        seq.portfolio_ylt[t] != dev.portfolio_ylt[t]) {
+        seq.portfolio_ylt[t] != modeled.portfolio_ylt[t]) {
       std::cerr << "BACKEND MISMATCH at trial " << t << " — results are not comparable\n";
       return 1;
     }
@@ -62,28 +64,20 @@ int main() {
   const double occ_per_s_seq =
       static_cast<double>(seq.occurrences_processed) / seq.seconds;
 
-  ReportTable table({"backend", "time", "occurrences/s", "speedup vs sequential",
-                     "basis"});
+  ReportTable table({"backend", "time", "occurrences/s", "speedup vs sequential"});
   table.add_row({"sequential (1 core)", format_seconds(seq.seconds),
-                 format_rate(occ_per_s_seq), "1.00x", "measured"});
+                 format_rate(occ_per_s_seq), "1.00x"});
   table.add_row({"threaded (shared memory)", format_seconds(thr.seconds),
                  format_rate(static_cast<double>(thr.occurrences_processed) / thr.seconds),
-                 format_fixed(seq.seconds / thr.seconds, 2) + "x", "measured"});
-  table.add_row({"device-sim (host exec)", format_seconds(dev.seconds),
-                 format_rate(static_cast<double>(dev.occurrences_processed) / dev.seconds),
-                 format_fixed(seq.seconds / dev.seconds, 2) + "x", "measured"});
-  table.add_row({"device model (Fermi-class)", format_seconds(device_info.modeled_seconds),
-                 format_rate(static_cast<double>(dev.occurrences_processed) /
-                             device_info.modeled_seconds),
-                 format_fixed(seq.seconds / device_info.modeled_seconds, 2) + "x",
-                 "modeled from metered kernel traffic"});
+                 format_fixed(seq.seconds / thr.seconds, 2) + "x"});
   bench::emit("e2_speedup", table);
 
-  std::cout << "\ndevice kernel accounting: " << device_info.launches << " launches, "
-            << device_info.elt_chunks << " ELT constant-memory chunks, "
-            << device_info.shared_staged_blocks << " blocks staged in shared memory, "
-            << device_info.shared_spill_blocks << " spilled to global\n"
-            << "traffic: global "
+  std::cout << "\ndevice model (Fermi-class; modeled from the executed plans, not measured):\n"
+            << "  modeled device time:   " << format_seconds(device_info.modeled_seconds)
+            << "\n  kernel launches:       " << device_info.launches
+            << "\n  blocks staged/spilled: " << device_info.shared_staged_blocks << " staged in "
+            << "shared memory, " << device_info.shared_spill_blocks << " spilled to global"
+            << "\n  traffic:               global "
             << format_bytes(static_cast<double>(device_info.counters.global_read_bytes +
                                                 device_info.counters.global_write_bytes))
             << ", shared "
@@ -94,10 +88,12 @@ int main() {
             << ", " << format_count(static_cast<double>(device_info.counters.flops))
             << " FLOPs\n";
 
-  std::cout << "\n[E2 verdict] paper reports 15x GPU vs sequential; the modeled "
-               "many-core speedup above is the reproduction of that shape "
-               "(exact factor depends on host CPU vs 2012 baseline). Backends "
-               "agree bit-exactly, so the comparison is apples to apples.\n";
+  std::cout << "\n[E2 verdict] the paper reports a GPU 15x faster than its sequential "
+               "engine. Measured on this host: threaded "
+            << format_fixed(seq.seconds / thr.seconds, 2)
+            << "x over sequential, bit-identical. The device lines are a Fermi-class "
+               "model of the same plans, reported as a model: a modeled time divided by "
+               "a measured one is not a reproduced speedup, so none is printed.\n";
 
   // ---- Resolver ablation: pre-joined event→row column vs the seed's
   // per-occurrence binary search, on a multi-layer threaded workload.
@@ -175,10 +171,8 @@ int main() {
   json.set("yelt_entries", workload.yelt.entries());
   json.set("seq_seconds", seq.seconds);
   json.set("thr_seconds", thr.seconds);
-  json.set("device_host_seconds", dev.seconds);
   json.set("device_modeled_seconds", device_info.modeled_seconds);
   json.set("thr_speedup_vs_seq", seq.seconds / thr.seconds);
-  json.set("modeled_speedup_vs_seq", seq.seconds / device_info.modeled_seconds);
   json.set("ablation_trials", static_cast<std::uint64_t>(ab_trials));
   json.set("ablation_layers", static_cast<std::uint64_t>(ab.portfolio.layer_count()));
   json.set("naive_seconds", naive.seconds);

@@ -13,8 +13,10 @@
 //       source): small caps pack every contract's table into one residency
 //       chunk (one launch, gathers mostly from global memory); large caps
 //       give each table full residency at the price of one launch per
-//       chunk. The execution plan (core::exec) makes the choice; this
-//       sweep exposes it.
+//       chunk. The device model (core/device_model) makes the choice from
+//       the execution plan; this sweep exposes it.
+//   Both device sweeps are models of a Fermi-class device computed from
+//   the plans a host run executes; the host run does not depend on them.
 //   (b) host trial-chunk grain for the threaded engine: tiny grains pay
 //       scheduling overhead, huge grains lose load balance (visible only
 //       with >1 core, but the sweep also shows cache effects).
@@ -35,25 +37,22 @@ int main() {
 
   // ---- (a) device block-dim sweep.
   {
-    ReportTable table({"trials/block", "residency chunks", "blocks staged",
-                       "blocks spilled", "modeled device time", "host time"});
+    ReportTable table({"trials/block", "launches", "blocks staged", "blocks spilled",
+                       "modeled device time"});
     for (const int block_dim : {16, 32, 64, 128, 256, 512, 2048}) {
       core::EngineConfig config;
-      config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
-      config.backend = core::Backend::DeviceSim;
       config.device_block_dim = block_dim;
       config.compute_oep = false;
       config.keep_contract_ylts = false;
       core::DeviceRunInfo info;
       config.device_info = &info;
       (void)core::run_aggregate_analysis(workload.portfolio, workload.yelt, config);
-      table.add_row({std::to_string(block_dim), std::to_string(info.elt_chunks),
+      table.add_row({std::to_string(block_dim), std::to_string(info.launches),
                      std::to_string(info.shared_staged_blocks),
                      std::to_string(info.shared_spill_blocks),
-                     format_seconds(info.modeled_seconds),
-                     format_seconds(info.host_seconds)});
+                     format_seconds(info.modeled_seconds)});
     }
-    std::cout << "\n(a) device: trials-per-block sweep (shared-memory staging)\n";
+    std::cout << "\n(a) device model: trials-per-block sweep (shared-memory staging)\n";
     bench::emit("e4_device_blocks", table);
   }
 
@@ -63,8 +62,6 @@ int main() {
                        "global traffic", "modeled time"});
     for (const std::size_t rows : {64UL, 256UL, 1024UL, 0UL /* fit-to-capacity */}) {
       core::EngineConfig config;
-      config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
-      config.backend = core::Backend::DeviceSim;
       config.device_elt_chunk_rows = rows;
       // Batched plan: residency is shared across the whole book, so the
       // cap trades launches (chunks) against constant-memory coverage.
@@ -80,7 +77,7 @@ int main() {
                      format_bytes(static_cast<double>(info.counters.global_read_bytes)),
                      format_seconds(info.modeled_seconds)});
     }
-    std::cout << "\n(a') device: constant-memory residency sweep\n";
+    std::cout << "\n(a') device model: constant-memory residency sweep\n";
     bench::emit("e4_device_elt_chunks", table);
   }
 

@@ -18,7 +18,7 @@
 // any inner source onto it — blocks are folded in trial order, and the
 // per-trial losses are the engine's (keyed by global trial_base). So a
 // given (seed, config) reaches a bit-identical stopping trial count and
-// YLT prefix across Sequential/Threaded/DeviceSim, in-memory or streamed,
+// YLT prefix across Sequential/Threaded, in-memory or streamed,
 // single-process or any dist worker count. With adaptivity off
 // (target_rel_err = 0) nothing here runs at all and every entry point is
 // bit-identical to pre-adaptive behaviour.

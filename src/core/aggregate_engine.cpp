@@ -20,7 +20,6 @@ const char* to_string(Backend backend) noexcept {
   switch (backend) {
     case Backend::Sequential: return "sequential";
     case Backend::Threaded: return "threaded";
-    case Backend::DeviceSim: return "device-sim";
   }
   return "unknown";
 }
@@ -57,11 +56,11 @@ void validate_engine_config(const EngineConfig& config) {
                  "device block dim is absurdly large (max 2^20 trials per block)");
   RISKAN_REQUIRE(config.device_elt_chunk_rows <= kMaxDeviceEltChunkRows,
                  "device_elt_chunk_rows is absurdly large (max 2^30 rows per chunk)");
-  if (config.backend == Backend::DeviceSim) {
+  if (config.device_info != nullptr) {
     RISKAN_REQUIRE(config.device_spec.const_mem_bytes > 0,
-                   "DeviceSim needs a constant-memory segment");
+                   "the device model needs a constant-memory segment");
     RISKAN_REQUIRE(config.device_spec.shared_mem_per_block > 0,
-                   "DeviceSim needs a shared-memory arena");
+                   "the device model needs a shared-memory arena");
   }
 }
 
@@ -93,7 +92,7 @@ void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
     seen += block_trials;
     // Ephemeral blocks resolve through the run-local cache (see
     // resolver_cache_for); dropping those resolutions with the block keeps
-    // memory bounded and pointer-keyed entries from outliving their table.
+    // memory bounded and entries from outliving their table.
     if (source.ephemeral_blocks()) {
       run_local_cache.clear();
     }
@@ -273,11 +272,6 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
   result.seconds = timer.stop();
   result.elt_lookups = lookups;
   result.obs_report = obs_scope.finish();
-  // Accumulated under DeviceSim only, mirroring the executor's counter
-  // accumulation so host/modeled scopes stay matched across runs.
-  if (config.backend == Backend::DeviceSim && config.device_info != nullptr) {
-    config.device_info->host_seconds += result.seconds;
-  }
   return result;
 }
 

@@ -24,15 +24,14 @@
 //                "15x" claim (MapReduce map tasks rely on the pool-free
 //                contract).
 //   Threaded   — parallel trial chunks on the shared-memory pool.
-//   DeviceSim  — the GPU execution model: the same kernel runs inside
-//                simulated device blocks with slot columns staged to
-//                shared memory and ELT tables resident in constant memory,
-//                residency chosen by the plan.
 // — and EngineConfig::kernel says which host kernel runs there: Auto (the
 // vector kernel on the runtime-dispatched ISA, scalar without one) or
 // Scalar (the reference path).
 // Outputs are bit-identical across backends, kernels, lowerings and
-// scheduling (tests enforce).
+// scheduling (tests enforce). The paper's many-core GPU is modeled, not
+// run: with EngineConfig::device_info set, each executed plan also adds
+// its modeled device launches, traffic and roofline time
+// (core/device_model.hpp) to the caller's DeviceRunInfo.
 //
 // The event→row mapping is identical for every layer of a contract and on
 // every run, so by default it is pre-joined once per (contract, YELT)
@@ -71,7 +70,6 @@ namespace riskan::core {
 enum class Backend {
   Sequential,
   Threaded,
-  DeviceSim,
 };
 
 const char* to_string(Backend backend) noexcept;
@@ -91,11 +89,7 @@ const char* to_string(Kernel kernel) noexcept;
 
 /// Every backend, in to_string order — the shared iteration helper for
 /// equivalence-matrix tests and benches (no per-file backend lists).
-inline constexpr Backend kAllBackends[] = {Backend::Sequential, Backend::Threaded,
-                                           Backend::DeviceSim};
-/// The host backends (everything but the simulated device), for matrices
-/// that sweep `trial_grain`, the kernel or other host-only knobs.
-inline constexpr Backend kHostBackends[] = {Backend::Sequential, Backend::Threaded};
+inline constexpr Backend kAllBackends[] = {Backend::Sequential, Backend::Threaded};
 /// Both host kernels — the kernel axis of the equivalence matrices.
 inline constexpr Kernel kAllKernels[] = {Kernel::Scalar, Kernel::Auto};
 
@@ -106,28 +100,26 @@ inline constexpr Kernel kAllKernels[] = {Kernel::Scalar, Kernel::Auto};
 /// workers, which are forked processes without a pool.
 constexpr bool pool_free(Backend backend) noexcept { return backend == Backend::Sequential; }
 
-/// Per-run telemetry of the DeviceSim executor, for the E2/E4 reports:
-/// metered traffic per access class plus the calibrated performance-model
-/// time (see src/parallel/device.hpp).
+/// A run's modeled device telemetry (EngineConfig::device_info), for the
+/// E2/E4/E10 reports: per-class traffic and the roofline time of the
+/// modeled many-core device (core/device_model.hpp, parallel/device.hpp).
+/// Every field is a model computed from the executed plans; none is a
+/// measurement. Fields accumulate across the plans and runs that share it.
 struct DeviceRunInfo {
   double modeled_seconds = 0.0;  ///< performance-model device time
-  double host_seconds = 0.0;     ///< wall-clock of the simulation on this host
   DeviceCounters counters;
-  /// Kernel launches. One per residency chunk, so this currently equals
-  /// elt_chunks; both are kept because the launch structure (e.g. a
-  /// future multi-kernel pipeline) and the residency plan are distinct
-  /// concepts that happen to coincide today.
+  /// Kernel launches: one per constant-memory residency chunk of each
+  /// executed plan.
   int launches = 0;
-  /// Constant-memory residency chunks the plan scheduled (one launch each).
-  std::size_t elt_chunks = 0;
+  /// Device blocks whose column slices all fit the shared-memory arena,
+  /// and blocks that spilled at least one slice to global memory.
   std::size_t shared_staged_blocks = 0;
   std::size_t shared_spill_blocks = 0;
 };
 
 struct EngineConfig {
   Backend backend = Backend::Threaded;
-  /// Host trial kernel of the Sequential and Threaded backends. DeviceSim
-  /// always runs the scalar kernel inside its simulated blocks.
+  /// Host trial kernel the backend runs.
   Kernel kernel = Kernel::Auto;
   /// Master seed for secondary uncertainty streams.
   std::uint64_t seed = 2012;
@@ -150,18 +142,19 @@ struct EngineConfig {
   /// processed separately (MapReduce splits) reproduces the exact losses of
   /// a monolithic run.
   TrialId trial_base = 0;
-  /// Trials per device block (DeviceSim); one thread per trial.
+  /// Trials per modeled device block; one thread per trial.
   int device_block_dim = 128;
-  /// Cap on ELT rows staged into constant memory per gather source
-  /// (DeviceSim); 0 = stage as much as the constant segment fits. Smaller
-  /// caps pack more contracts' tables into one residency chunk (fewer
-  /// launches, more global-memory gather traffic); larger caps give each
-  /// table fuller residency at the cost of more launches.
+  /// Cap on ELT rows the device model stages into constant memory per
+  /// gather source; 0 = stage as much as the constant segment fits.
+  /// Smaller caps pack more contracts' tables into one residency chunk
+  /// (fewer launches, more global-memory gather traffic); larger caps give
+  /// each table fuller residency at the cost of more launches.
   std::size_t device_elt_chunk_rows = 0;
-  /// Hardware model for the DeviceSim executor's performance accounting.
+  /// Hardware the device model prices the run on.
   DeviceSpec device_spec{};
-  /// When non-null and backend == DeviceSim, receives the run's accumulated
-  /// device telemetry (counters, launches, modeled time).
+  /// When non-null, the run also models the many-core device: every plan
+  /// the backend executes adds its modeled launches, staging, traffic and
+  /// roofline time (core/device_model.hpp) here. Outputs do not change.
   DeviceRunInfo* device_info = nullptr;
   /// Pre-join each contract's ELT to the YELT once (data::ResolvedYelt) and
   /// gather rows by direct index in the trial kernel. Off = the legacy
@@ -175,8 +168,8 @@ struct EngineConfig {
   /// trial chunk once, serving every contract's layer stack in the same
   /// pass, instead of re-walking the YELT per contract. Outputs
   /// are bit-identical either way; batching is the wall-clock win on
-  /// multi-contract books and composes with every backend, DeviceSim
-  /// included. Implies the resolver (`use_resolver` is ignored on this
+  /// multi-contract books and composes with every backend and with the
+  /// device model. Implies the resolver (`use_resolver` is ignored on this
   /// path).
   bool batch_contracts = false;
   /// Convergence-adaptive stopping (core/adaptive): with
@@ -198,7 +191,8 @@ struct EngineConfig {
 /// Validates the cross-field sanity of `config` up front with
 /// ContractViolation errors instead of silent misbehavior downstream:
 /// positive, bounded device_block_dim; bounded trial_grain and
-/// device_elt_chunk_rows. Every engine entry point calls this before
+/// device_elt_chunk_rows; with device_info set, a device spec with
+/// constant and shared memory. Every engine entry point calls this before
 /// planning.
 void validate_engine_config(const EngineConfig& config);
 
@@ -264,7 +258,7 @@ data::ResolverCache& resolver_cache_for(const EngineConfig& config,
 /// `run_local_cache` is the run's local resolver cache (the one
 /// resolver_cache_for selected for ephemeral sources): after each
 /// ephemeral block it is cleared, so transient resolutions cannot outlive
-/// the block whose pointers key them.
+/// the block whose tables key them.
 void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
                           data::ResolverCache& run_local_cache,
                           const std::function<void(const data::TrialBlock&, TrialId)>& body);

@@ -8,11 +8,8 @@
 // hardware. This layer separates the two halves:
 //
 //   ExecutionPlan — the lowered form of a request: the slot list, its
-//       shared-gather groups, scratch sizing, the trial partition inputs,
-//       and — for the device — the distinct gather sources and the
-//       constant-memory residency chunks (which tables are staged
-//       together, deciding the launch structure). Lowering is
-//       backend-independent except for that residency planning.
+//       shared-gather groups, scratch sizing and the trial partition
+//       inputs. Lowering is backend-independent.
 //
 //   Executor — where the plan runs (EngineConfig::backend):
 //       SequentialExecutor — the whole range inline on the caller's
@@ -27,21 +24,15 @@
 //     runs the scalar kernel when no ISA dispatches, and also for a plan
 //     none of whose groups vectorize (mask columns and search gathers make
 //     a group scalar), so such a plan pays nothing for the vector kernel.
-//       DeviceSimExecutor — one kernel launch per residency chunk on the
-//           simulated many-core device (src/parallel/device.hpp): grid of
-//           device_block_dim-trial blocks, each block staging its slot
-//           column slices into the 48 KiB shared-memory arena when they
-//           fit and running process_trials over its trial range against
-//           constant-memory-resident ELT tables. Traffic is metered per
-//           access class and fed to the calibrated performance model
-//           (DeviceRunInfo). Because residency is per *source* rather
-//           than per layer, batched books and scenario sweeps ride the
-//           device like any other plan — the old "one layer's ELT chunk
-//           at a time" constraint is gone.
+//     With EngineConfig::device_info set, make_executor wraps the host
+//     executor so that each plan it runs is also handed to the device model
+//     (core/device_model.hpp), which computes from the plan what the run
+//     would launch, stage and move on the modeled many-core device, without
+//     running the kernel again.
 //
-// Executors change scheduling and staging only — never values. A plan's
-// outputs are bit-identical across executors (the engine's determinism
-// contract; tests enforce).
+// Executors change scheduling only — never values. A plan's outputs are
+// bit-identical across executors (the engine's determinism contract;
+// tests enforce).
 #pragma once
 
 #include <cstdint>
@@ -51,14 +42,13 @@
 
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
-#include "data/elt.hpp"
 #include "util/prng.hpp"
 
 namespace riskan::core::exec {
 
 /// The lowered, executor-ready form of one stage-2 request. Holds views
 /// into caller-owned slot storage and output buffers; the plan itself owns
-/// only the derived structures (groups, sources, residency chunks).
+/// only the derived structures (groups and scratch sizing).
 struct ExecutionPlan {
   std::span<const batch::Slot> slots;
   std::span<const std::uint64_t> yelt_offsets;
@@ -71,60 +61,28 @@ struct ExecutionPlan {
   /// Slots in the largest group — per-chunk annual-scratch sizing.
   std::size_t max_group_size = 0;
 
-  /// One distinct gather source per ELT-backed column set, in first-use
-  /// group order — the unit of device staging.
-  struct Source {
-    batch::Gather gather = batch::Gather::Compact;
-    const data::EventLossTable* elt = nullptr;
-    const std::uint64_t* hit_offsets = nullptr;  // compact mode
-    const std::uint32_t* seqs = nullptr;
-    const std::uint32_t* rows = nullptr;
-    const std::uint32_t* dense_rows = nullptr;  // dense mode
-    const EventId* search_events = nullptr;     // search mode
-  };
-  std::vector<Source> sources;
-  /// Group index → index into `sources`.
-  std::vector<std::uint32_t> group_source;
-
-  /// DeviceSim lowering: a contiguous group range whose sources' packed
-  /// ELT tables share one constant-memory upload (one launch per chunk;
-  /// chunks execute in slot order, so per-cell accumulation order — and
-  /// with it bit-identity — is preserved). `staged_rows[s]` is how many of
-  /// source s's leading ELT rows are constant-resident in this chunk
-  /// (possibly 0 = fully global); rows beyond it gather from global
-  /// memory.
-  struct DeviceChunk {
-    std::uint32_t group_begin = 0;
-    std::uint32_t group_end = 0;
-    /// Parallel to the chunk's source set: (source index, resident rows).
-    std::vector<std::pair<std::uint32_t, std::size_t>> staged_rows;
-  };
-  std::vector<DeviceChunk> device_chunks;
-
-  /// Lowers a finished slot list: groups slots, sizes scratch, validates
-  /// gather modes (each slot exactly one mode; dense/search slots must be
-  /// transform-inert, alone or as a contract's layer tower) and — when
-  /// config.backend is DeviceSim — plans constant-memory residency chunks.
+  /// Lowers a finished slot list: groups slots, sizes scratch and
+  /// validates gather modes (each slot exactly one mode; dense/search slots
+  /// must be transform-inert, alone or as a contract's layer tower).
   static ExecutionPlan lower(std::span<const batch::Slot> slots,
                              std::span<const std::uint64_t> yelt_offsets, TrialId trials,
                              const EngineConfig& config);
 
   /// Re-binds a lowered plan to a new trial block of the *same* request:
-  /// the slot list must keep the length, gather modes, grouping structure
-  /// and ELT tables it was lowered with — only the gather/output pointers,
-  /// the trial range and the sampling stream base change. Groups, scratch
-  /// sizing and the device residency plan are structural, so they carry
-  /// over; gather sources are re-pointed at the block's columns. This is
-  /// what makes out-of-core execution "lower once, re-bind per block"
-  /// instead of re-planning per block.
+  /// the slot list must keep the length and grouping structure it was
+  /// lowered with — only the gather/output pointers, the trial range and
+  /// the sampling stream base change. Groups and scratch sizing are
+  /// structural, so they carry over. This is what makes out-of-core
+  /// execution "lower once, re-bind per block" instead of re-planning per
+  /// block.
   void rebind(std::span<const batch::Slot> new_slots,
               std::span<const std::uint64_t> new_yelt_offsets, TrialId new_trials,
               TrialId new_trial_base);
 };
 
 /// Where a plan runs. Executors are cheap to construct per engine run and
-/// reusable across the run's plans (the device executor accumulates
-/// telemetry across launches, like a real device context).
+/// reusable across the run's plans (with device_info set, the modeled
+/// device telemetry accumulates across them).
 class Executor {
  public:
   virtual ~Executor() = default;
@@ -136,8 +94,8 @@ class Executor {
 };
 
 /// Executor for config.backend, wired with the config's kernel / pool /
-/// grain / device parameters (device telemetry lands in *config.device_info
-/// when set).
+/// grain. When config.device_info is set, every plan it runs also adds its
+/// modeled device run (device_model::estimate) to *config.device_info.
 std::unique_ptr<Executor> make_executor(const EngineConfig& config);
 
 }  // namespace riskan::core::exec

@@ -629,8 +629,8 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
     // the scenario engine widens the same groups with its variants. The
     // plan / executor layer (src/core/exec.hpp) owns the
     // partitioning — Sequential runs inline, Threaded chunks trials on the
-    // pool, DeviceSim launches simulated blocks with plan-decided
-    // constant-memory residency (one launch sequence per trial block).
+    // pool — and, with device_info set, models the device run of each
+    // trial block's plan.
     if (!lowered) {
       EngineConfig lower_config = config;
       lower_config.trial_base = base;
@@ -657,12 +657,6 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
   const double seconds = timer.stop();
   for (AnalysisRun& run : group) {
     run.result.seconds = seconds;
-  }
-  // Accumulated (not assigned) and under DeviceSim only: a multi-YELT
-  // runner calls run_group once per group and the other DeviceRunInfo
-  // fields accumulate too, so the host/modeled scopes stay matched.
-  if (config.backend == Backend::DeviceSim && config.device_info != nullptr) {
-    config.device_info->host_seconds += seconds;
   }
 }
 

@@ -5,8 +5,8 @@
 // loop. Every entry point (per-contract run, batched run, scenario sweep,
 // MapReduce map task, pricer run_layer) lowers to a list of Slots, is
 // shaped into an exec::ExecutionPlan, and is dispatched onto this kernel by
-// an exec::Executor (Sequential / Threaded / DeviceSim) — see
-// src/core/exec.hpp for the plan/executor layer.
+// an exec::Executor (Sequential / Threaded) — see src/core/exec.hpp for
+// the plan/executor layer.
 //
 // A Slot is one consumer of the streamed pass — a (contract, layer), with
 // one of three gather modes (a contract's layers share one gather group and
@@ -84,8 +84,8 @@ struct Slot {
   // Gather inputs — shared by every slot of a gather group. `gather`
   // selects the mode; the mode's columns must be set (they may be null
   // only when the YELT/hit span is empty). `elt` is always required (the
-  // DeviceSim executor sizes constant-memory residency from it; search
-  // mode probes it).
+  // device model sizes constant-memory residency from it; search mode
+  // probes it).
   Gather gather = Gather::Compact;
   const std::uint64_t* hit_offsets = nullptr;  // compact CSR index, by trial
   const std::uint32_t* seqs = nullptr;         // in-trial occurrence sequence

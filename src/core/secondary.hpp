@@ -29,10 +29,10 @@ namespace riskan::core {
 /// per-occurrence hot path to a gamma-pair draw.
 ///
 /// Two layouts over the same parameters: the AoS Param array serves the
-/// scalar per-occurrence path (and device constant-memory packing), and a
-/// cache-line-packed LaneRow array serves sample_lanes — the vector pass's
-/// batched path, which draws all Philox blocks lane-parallel and runs the
-/// Marsaglia–Tsang first-attempt fast path per lane, falling back to the
+/// scalar per-occurrence path, and a cache-line-packed LaneRow array
+/// serves sample_lanes — the vector pass's batched path, which draws all
+/// Philox blocks lane-parallel and runs the Marsaglia–Tsang first-attempt
+/// fast path per lane, falling back to the
 /// scalar sampler (fresh stream, in occurrence order) for the rejection
 /// tail. Fallback recomputes from the stream's start, so a bail at any
 /// point costs draws, never correctness. Occurrence rows arrive in random
@@ -66,9 +66,8 @@ class SecondarySampler {
 
   std::size_t size() const noexcept { return params_.size(); }
 
-  /// Parameter bytes (device chunk planning).
-  std::size_t byte_size() const noexcept { return params_.size() * sizeof(Param); }
-
+  /// One row's beta parameters (the device model packs one per resident
+  /// ELT row).
   struct Param {
     double alpha = 1.0;
     double beta = 1.0;
@@ -76,8 +75,6 @@ class SecondarySampler {
     double mean_ratio = 0.0;
     bool degenerate = false;
   };
-
-  const Param& param(std::size_t row) const { return params_[row]; }
 
  private:
   // Row classification bits of LaneRow::flags.

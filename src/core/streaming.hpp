@@ -10,8 +10,9 @@
 // pipeline reads and decodes block c+1 as block c computes. Memory
 // high-water = the pipeline's decoded blocks plus the output YLTs, and the
 // output is bit-identical to the in-memory run (tested) with every engine
-// feature available: all backends (Sequential/Threaded/DeviceSim),
-// `batch_contracts`, per-contract YLTs, OEP and reinstatement premium.
+// feature available: both backends (Sequential/Threaded), the device model
+// (`device_info`, one modeled launch sequence per block), `batch_contracts`,
+// per-contract YLTs, OEP and reinstatement premium.
 // Scenario sweeps stream the same way via scenario::run_scenario_sweep's
 // TrialSource overload.
 #pragma once

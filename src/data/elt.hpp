@@ -8,8 +8,8 @@
 // Layout is struct-of-arrays sorted by event id: the aggregate engines
 // pre-join it to the YELT once per contract (data::ResolvedYelt — the
 // sorted order makes the pre-join a cheap streamed binary-search pass, and
-// the trial kernels then gather rows by direct index), the device engine
-// uploads the arrays to simulated constant memory, and the scan kernels
+// the trial kernels then gather rows by direct index), the device model
+// prices the arrays as constant-memory residents, and the scan kernels
 // stream it — all want columnar contiguity, which is exactly the "small
 // number of very large tables ... streamed by independent processes"
 // organisation the paper prescribes for stage 1 outputs. find() remains
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "util/aligned.hpp"
+#include "util/generation.hpp"
 #include "util/types.hpp"
 
 namespace riskan::data {
@@ -76,9 +77,13 @@ class EventLossTable {
   /// given one occurrence of every catalogue event — used by sanity tests).
   Money total_mean_loss() const noexcept;
 
-  /// Bytes occupied by the columns (capacity excluded); feeds the E1/E4
-  /// accounting and the device-engine chunk planner.
+  /// Bytes occupied by the columns (capacity excluded); feeds the E1
+  /// accounting.
   std::size_t byte_size() const noexcept;
+
+  /// Process-unique identity (util::Generation): fresh on construction,
+  /// decode and copy, carried by a move. data::ResolverCache keys on it.
+  std::uint64_t generation() const noexcept { return generation_.value(); }
 
  private:
   // SoA columns — 64-byte aligned (mean_ is the vector kernels' gather base).
@@ -87,6 +92,7 @@ class EventLossTable {
   util::AlignedVector<Money> sigma_;
   util::AlignedVector<Money> exposure_;
   util::AlignedVector<std::uint32_t> row_lookup_;  // empty when ids are too sparse
+  util::Generation generation_;
 };
 
 }  // namespace riskan::data

@@ -166,41 +166,7 @@ MultiResolution MultiResolution::build(std::span<const EventLossTable* const> el
 
 ResolverCache::Key ResolverCache::make_key(const EventLossTable& elt,
                                            const YearEventLossTable& yelt) noexcept {
-  Key key;
-  key.elt_ids = elt.event_ids().data();
-  key.yelt_events = yelt.events().data();
-  key.elt_size = elt.size();
-  key.yelt_entries = yelt.entries();
-  key.yelt_trials = yelt.trials();
-
-  // Strided content fingerprint: 16 samples from each table's id column,
-  // mixed FNV-1a style. Guards the pointer identity above against
-  // allocator address reuse (a freed table replaced by a different one at
-  // the same address and shape).
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  const auto ids = elt.event_ids();
-  const auto events = yelt.events();
-  constexpr std::size_t kSamples = 16;
-  if (!ids.empty()) {
-    const std::size_t stride = std::max<std::size_t>(1, ids.size() / kSamples);
-    for (std::size_t i = 0; i < ids.size(); i += stride) {
-      mix(ids[i]);
-    }
-    mix(ids.back());
-  }
-  if (!events.empty()) {
-    const std::size_t stride = std::max<std::size_t>(1, events.size() / kSamples);
-    for (std::size_t i = 0; i < events.size(); i += stride) {
-      mix(events[i]);
-    }
-    mix(events.back());
-  }
-  key.fingerprint = h;
-  return key;
+  return Key{elt.generation(), yelt.generation()};
 }
 
 ResolverCache::CompactEntry ResolverCache::insert_locked(

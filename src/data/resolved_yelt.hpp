@@ -146,13 +146,14 @@ class MultiResolution {
 
 /// Process-wide cache of resolutions keyed by (ELT, YELT) identity.
 ///
-/// The key couples the tables' data pointers and shapes with a strided
-/// content fingerprint (first/last/sampled event ids of both tables), so a
-/// freed table whose address is reused by a different table does not
-/// produce a false hit. Entries are evicted FIFO past kMaxEntries entries
-/// or kMaxBytes of retained row columns — the byte bound is what matters
-/// for long-lived processes that resolve many distinct large workloads,
-/// since cached resolutions can outlive the tables they were built from.
+/// The key is the two tables' generations (util::Generation), which no
+/// other live table shares: a freed table whose address, shape and sampled
+/// ids are reused by a different table cannot produce a false hit, and a
+/// copy is a different table, while a moved table keeps its entry. Entries
+/// are evicted FIFO past kMaxEntries entries or kMaxBytes of retained row
+/// columns — the byte bound is what matters for long-lived processes that
+/// resolve many distinct large workloads, since cached resolutions can
+/// outlive the tables they were built from.
 class ResolverCache {
  public:
   /// Entries retained before FIFO eviction kicks in.
@@ -197,12 +198,8 @@ class ResolverCache {
 
  private:
   struct Key {
-    const void* elt_ids = nullptr;
-    const void* yelt_events = nullptr;
-    std::size_t elt_size = 0;
-    std::uint64_t yelt_entries = 0;
-    TrialId yelt_trials = 0;
-    std::uint64_t fingerprint = 0;
+    std::uint64_t elt_generation = 0;
+    std::uint64_t yelt_generation = 0;
 
     bool operator==(const Key&) const = default;
   };

@@ -19,6 +19,7 @@
 #include <span>
 #include <vector>
 
+#include "util/generation.hpp"
 #include "util/prng.hpp"
 #include "util/types.hpp"
 
@@ -75,6 +76,10 @@ class YearEventLossTable {
   /// Mean occurrences per trial year.
   double mean_events_per_trial() const noexcept;
 
+  /// Process-unique identity (util::Generation): fresh on construction,
+  /// decode and copy, carried by a move. data::ResolverCache keys on it.
+  std::uint64_t generation() const noexcept { return generation_.value(); }
+
  private:
   friend class Builder;
 
@@ -82,6 +87,7 @@ class YearEventLossTable {
   std::vector<std::uint64_t> offsets_;
   std::vector<EventId> events_;
   std::vector<std::uint16_t> days_;
+  util::Generation generation_;
 };
 
 /// Parameters for synthetic YELT generation. Event occurrence counts per

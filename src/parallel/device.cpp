@@ -2,88 +2,33 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-
-#include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
 
 namespace riskan {
 
-Device::Device(DeviceSpec spec, ThreadPool* pool)
-    : spec_(spec), pool_(pool), const_mem_(spec.const_mem_bytes) {}
-
-std::size_t Device::const_upload(const void* data, std::size_t bytes) {
-  // 16-byte align each upload, as cudaMemcpyToSymbol effectively does.
-  const std::size_t offset = (const_used_ + 15) & ~std::size_t{15};
-  RISKAN_REQUIRE(offset + bytes <= const_mem_.size(),
-                 "constant memory exhausted; chunk the table (see bench_e4)");
-  std::memcpy(const_mem_.data() + offset, data, bytes);
-  const_used_ = offset + bytes;
-  return offset;
-}
-
-void Device::const_clear() noexcept {
-  const_used_ = 0;
-}
-
-const std::byte* Device::const_data(std::size_t offset) const {
-  RISKAN_REQUIRE(offset <= const_used_, "constant-memory offset out of range");
-  return const_mem_.data() + offset;
-}
-
-LaunchStats Device::launch_impl(int grid_dim, int block_dim,
-                                const std::function<void(BlockContext&)>& block_fn) {
-  LaunchStats stats;
-  stats.grid_dim = grid_dim;
-  stats.block_dim = block_dim;
-
-  std::vector<DeviceCounters> per_block(static_cast<std::size_t>(grid_dim));
-
-  obs::Timer watch("device.launch");
-  const std::size_t shared_bytes = spec_.shared_mem_per_block;
-  parallel_for(
-      0, static_cast<std::size_t>(grid_dim),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t b = lo; b < hi; ++b) {
-          BlockContext ctx(static_cast<int>(b), block_dim, shared_bytes);
-          block_fn(ctx);
-          per_block[b] = ctx.counters();
-        }
-      },
-      ParallelConfig{pool_, /*grain=*/1});
-  stats.host_seconds = watch.stop();
-
-  for (const auto& counters : per_block) {
-    stats.counters += counters;
-  }
-  stats.modeled_seconds = model_seconds(stats.counters, grid_dim, block_dim);
-  return stats;
-}
-
-double Device::model_seconds(const DeviceCounters& counters, int grid_dim,
-                             int block_dim) const {
-  // Roofline: the launch is bound by the slowest of the three pipes.
-  const double compute_s = static_cast<double>(counters.flops) / spec_.peak_flops();
+double roofline_seconds(const DeviceSpec& spec, const DeviceCounters& counters, int grid_dim,
+                        int block_dim) {
+  // Roofline: the launch is bound by the slowest of the pipes.
+  const double compute_s = static_cast<double>(counters.flops) / spec.peak_flops();
   const double global_s =
       static_cast<double>(counters.global_read_bytes + counters.global_write_bytes) /
-      (spec_.global_bw_gbs * 1e9);
+      (spec.global_bw_gbs * 1e9);
   const double shared_s =
       static_cast<double>(counters.shared_read_bytes + counters.shared_write_bytes) /
-      (spec_.shared_bw_gbs * 1e9);
+      (spec.shared_bw_gbs * 1e9);
   const double const_s =
-      static_cast<double>(counters.const_read_bytes) / (spec_.const_bw_gbs * 1e9);
+      static_cast<double>(counters.const_read_bytes) / (spec.const_bw_gbs * 1e9);
 
   double busy = std::max({compute_s, global_s, shared_s, const_s});
 
   // Divergence / latency-hiding shortfall: see DeviceSpec::achieved_efficiency.
-  if (spec_.achieved_efficiency > 0.0 && spec_.achieved_efficiency < 1.0) {
-    busy /= spec_.achieved_efficiency;
+  if (spec.achieved_efficiency > 0.0 && spec.achieved_efficiency < 1.0) {
+    busy /= spec.achieved_efficiency;
   }
 
   // Wave quantisation: a grid that does not fill an integral number of
   // SM waves leaves SMs idle in the last wave.
   const double waves_exact =
-      static_cast<double>(grid_dim) / static_cast<double>(spec_.sm_count);
+      static_cast<double>(grid_dim) / static_cast<double>(spec.sm_count);
   const double waves_rounded = std::ceil(waves_exact);
   if (waves_exact > 0.0) {
     busy *= waves_rounded / waves_exact;
@@ -98,7 +43,7 @@ double Device::model_seconds(const DeviceCounters& counters, int grid_dim,
     busy /= lane_fill;
   }
 
-  return busy + spec_.launch_overhead_us * 1e-6;
+  return busy + spec.launch_overhead_us * 1e-6;
 }
 
 }  // namespace riskan

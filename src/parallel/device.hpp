@@ -1,37 +1,27 @@
-// Simulated many-core device (GPU execution model).
+// Many-core device model (GPU execution model).
 //
 // The paper's stage-2 claim rests on "many-core GPUs for simulating
 // portfolio analysis … 15x times faster than the sequential counterpart"
 // with data managed by "chunking, which is utilising shared and constant
 // memory as much as possible" [7]. This container has no GPU, so — per the
-// reproduction substitution rule — we implement the *execution model*
-// instead of the silicon:
+// reproduction substitution rule — the repo models the hardware instead of
+// the silicon: a kernel launch is a grid of blocks, each block owns a
+// bounded shared-memory arena (48 KiB default), and a device-wide
+// constant-memory segment (64 KiB default) caches read-mostly tables.
 //
-//  * a kernel launch is a grid of blocks of threads;
-//  * each block owns a bounded shared-memory arena (48 KiB default);
-//  * a device-wide constant-memory segment (64 KiB default) caches
-//    read-mostly tables (the contract ELT, in aggregate analysis);
-//  * blocks execute concurrently on host threads, threads within a block
-//    execute in lockstep phases separated by block barriers.
-//
-// Kernels run for real (results are bit-exact against the sequential
-// engine; tests enforce this) while the device meters every access class.
-// A calibrated analytic performance model then converts the counters into a
-// modeled device time for a 2012-class GPU (Tesla C2050, the hardware of
-// the companion paper [7]), which is what bench_e2 reports alongside the
-// honest host measurements. The model is deliberately simple — roofline
-// over compute / global memory / shared memory, plus launch overhead and a
-// wave-quantisation penalty — and documented in EXPERIMENTS.md.
+// core/device_model decides, from a lowered execution plan, what each
+// launch stages where and counts the traffic per access class; the
+// roofline below converts one launch's counters into a modeled device time
+// for a 2012-class GPU (Tesla C2050, the hardware of the companion paper
+// [7]). The model is deliberately simple — roofline over compute / global
+// memory / shared memory / constant memory, plus launch overhead and a
+// wave-quantisation penalty — and docs/architecture.md ("Device model")
+// describes it. Its output is a model: benches report it as such and never
+// divide it by a measured time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
-
-#include "parallel/thread_pool.hpp"
-#include "util/require.hpp"
 
 namespace riskan {
 
@@ -56,7 +46,7 @@ struct DeviceSpec {
   /// loops, which historically land at a few percent of peak. The default
   /// is calibrated so the modeled speedup over a 2012-class sequential
   /// baseline reproduces the 15x reported by the companion system paper
-  /// [7]; EXPERIMENTS.md discusses the sensitivity.
+  /// [7]; docs/architecture.md ("Device model") discusses the sensitivity.
   double achieved_efficiency = 0.05;
 
   /// Peak device FLOP/s.
@@ -66,7 +56,7 @@ struct DeviceSpec {
   }
 };
 
-/// Access-class counters accumulated over one kernel launch.
+/// Access-class counters of one kernel launch (or a sum of launches).
 struct DeviceCounters {
   std::uint64_t global_read_bytes = 0;
   std::uint64_t global_write_bytes = 0;
@@ -86,115 +76,9 @@ struct DeviceCounters {
   }
 };
 
-/// Per-block execution context handed to kernels. Provides the shared-memory
-/// arena and the metering interface. Not thread-safe: a block is executed by
-/// one host thread (its "threads" are a sequential lockstep loop).
-class BlockContext {
- public:
-  BlockContext(int block_id, int block_dim, std::size_t shared_bytes)
-      : block_id_(block_id), block_dim_(block_dim), shared_(shared_bytes) {}
-
-  int block_id() const noexcept { return block_id_; }
-  int block_dim() const noexcept { return block_dim_; }
-
-  /// Typed view of the block's shared-memory arena. Requests beyond the
-  /// arena size are a contract violation — exactly like exceeding 48 KiB of
-  /// CUDA shared memory fails a launch.
-  template <typename T>
-  T* shared_alloc(std::size_t count) {
-    const std::size_t bytes = count * sizeof(T);
-    const std::size_t aligned = (shared_used_ + alignof(T) - 1) & ~(alignof(T) - 1);
-    RISKAN_REQUIRE(aligned + bytes <= shared_.size(),
-                   "shared-memory arena exhausted (chunk too large for block)");
-    shared_used_ = aligned + bytes;
-    return reinterpret_cast<T*>(shared_.data() + aligned);
-  }
-
-  std::size_t shared_capacity() const noexcept { return shared_.size(); }
-  std::size_t shared_used() const noexcept { return shared_used_; }
-
-  // Metering. Kernels call these to account for traffic classes; the
-  // aggregate-analysis kernels meter at the granularity of table slabs, not
-  // individual loads, so the overhead is negligible.
-  void meter_global_read(std::uint64_t bytes) noexcept { counters_.global_read_bytes += bytes; }
-  void meter_global_write(std::uint64_t bytes) noexcept { counters_.global_write_bytes += bytes; }
-  void meter_shared_read(std::uint64_t bytes) noexcept { counters_.shared_read_bytes += bytes; }
-  void meter_shared_write(std::uint64_t bytes) noexcept { counters_.shared_write_bytes += bytes; }
-  void meter_const_read(std::uint64_t bytes) noexcept { counters_.const_read_bytes += bytes; }
-  void meter_flops(std::uint64_t n) noexcept { counters_.flops += n; }
-
-  const DeviceCounters& counters() const noexcept { return counters_; }
-
- private:
-  int block_id_;
-  int block_dim_;
-  std::vector<std::byte> shared_;
-  std::size_t shared_used_ = 0;
-  DeviceCounters counters_;
-};
-
-/// Result of one kernel launch.
-struct LaunchStats {
-  double host_seconds = 0.0;       ///< measured wall-clock on this machine
-  double modeled_seconds = 0.0;    ///< performance-model estimate for DeviceSpec
-  DeviceCounters counters;
-  int grid_dim = 0;
-  int block_dim = 0;
-};
-
-/// The device. Executes kernels block-parallel on a host thread pool and
-/// runs the performance model over the metered counters.
-class Device {
- public:
-  explicit Device(DeviceSpec spec = {}, ThreadPool* pool = nullptr);
-
-  const DeviceSpec& spec() const noexcept { return spec_; }
-
-  /// Uploads a read-mostly table to constant memory. Returns the byte
-  /// offset of the copy. Exceeding const_mem_bytes violates the contract,
-  /// mirroring a real constant-memory overflow; callers chunk instead.
-  std::size_t const_upload(const void* data, std::size_t bytes);
-
-  /// Resets constant memory (between unrelated launch sequences).
-  void const_clear() noexcept;
-
-  const std::byte* const_data(std::size_t offset) const;
-  std::size_t const_used() const noexcept { return const_used_; }
-  std::size_t const_capacity() const noexcept { return const_mem_.size(); }
-
-  /// Launches `kernel(ctx, thread_id)` for every thread of every block.
-  /// Blocks are distributed over the host pool; per-block counters are
-  /// summed and fed to the performance model.
-  template <typename Kernel>
-  LaunchStats launch(int grid_dim, int block_dim, Kernel&& kernel) {
-    RISKAN_REQUIRE(grid_dim > 0 && block_dim > 0, "launch needs positive grid and block");
-    return launch_impl(grid_dim, block_dim, [&kernel](BlockContext& ctx) {
-      for (int tid = 0; tid < ctx.block_dim(); ++tid) {
-        kernel(ctx, tid);
-      }
-    });
-  }
-
-  /// Block-level launch: the kernel receives the context once per block and
-  /// manages its own thread loop (used when threads cooperate via shared
-  /// memory staging).
-  template <typename BlockKernel>
-  LaunchStats launch_blocks(int grid_dim, int block_dim, BlockKernel&& kernel) {
-    RISKAN_REQUIRE(grid_dim > 0 && block_dim > 0, "launch needs positive grid and block");
-    return launch_impl(grid_dim, block_dim, std::forward<BlockKernel>(kernel));
-  }
-
-  /// Roofline estimate for a launch with the given counters.
-  double model_seconds(const DeviceCounters& counters, int grid_dim, int block_dim) const;
-
- private:
-  LaunchStats launch_impl(int grid_dim, int block_dim,
-                          const std::function<void(BlockContext&)>& block_fn);
-
-  DeviceSpec spec_;
-  ThreadPool* pool_;
-  std::vector<std::byte> const_mem_;
-  std::size_t const_used_ = 0;
-};
+/// Roofline estimate of one launch of `grid_dim` blocks of `block_dim`
+/// threads that moves and computes `counters` on `spec`.
+double roofline_seconds(const DeviceSpec& spec, const DeviceCounters& counters, int grid_dim,
+                        int block_dim);
 
 }  // namespace riskan

@@ -291,9 +291,8 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
     }
 
     // The one streamed pass serving every scenario, dispatched on the
-    // configured executor (DeviceSim sweeps run in simulated device blocks
-    // like any other plan — no CPU fallback). Lowered once, re-bound per
-    // block.
+    // configured executor (which also models the device run of the plan
+    // when device_info is set). Lowered once, re-bound per block.
     if (!lowered) {
       core::EngineConfig lower_config = config;
       lower_config.trial_base = base;

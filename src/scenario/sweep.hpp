@@ -22,8 +22,8 @@
 // lowered through core::exec::ExecutionPlan and dispatched on the
 // configured executor — Sequential runs the whole sweep inline off the
 // pool; Threaded parallelises over trial chunks with the same trial_grain
-// knob; DeviceSim runs the sweep in simulated device blocks with
-// plan-decided constant-memory residency. Outputs are backend-invariant
+// knob; with EngineConfig::device_info set, the device model prices each
+// block's sweep plan like any other plan. Outputs are backend-invariant
 // (the engine's determinism contract), so the backend changes wall-clock
 // and telemetry only.
 #pragma once

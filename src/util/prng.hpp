@@ -8,11 +8,10 @@
 //  * Philox4x32      — counter-based generator. Aggregate analysis derives an
 //                      independent stream per (trial, event) pair from a key
 //                      and counter, so results are bit-identical no matter
-//                      how trials are scheduled across threads or simulated
-//                      device blocks. This is what makes the "consistent
-//                      lens" requirement of the paper testable: the
-//                      sequential, thread-pool and device-sim engines must
-//                      agree exactly.
+//                      how trials are scheduled across threads or trial
+//                      blocks. This is what makes the "consistent lens"
+//                      requirement of the paper testable: the sequential
+//                      and thread-pool engines must agree exactly.
 //
 // All generators satisfy std::uniform_random_bit_generator, so they plug
 // into <random> distributions as well as ours (src/util/distributions.hpp).

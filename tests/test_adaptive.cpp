@@ -278,10 +278,15 @@ TEST(AdaptiveStopping, ConvergesMidRunToAPrefixOfTheFixedRun) {
 TEST(AdaptiveStopping, BackendMatrixStopsBitIdentically) {
   const auto reference =
       core::run_aggregate_analysis(world().portfolio, world().yelt, adaptive_engine());
-  for (const core::Backend backend :
-       {core::Backend::Threaded, core::Backend::DeviceSim}) {
-    const auto result = core::run_aggregate_analysis(world().portfolio, world().yelt,
-                                                     adaptive_engine(backend));
+  // Threaded, and Threaded with the device modeled on every decision
+  // block the driver runs.
+  for (const bool modeled : {false, true}) {
+    core::EngineConfig engine = adaptive_engine(core::Backend::Threaded);
+    core::DeviceRunInfo info;
+    engine.device_info = modeled ? &info : nullptr;
+    const auto result =
+        core::run_aggregate_analysis(world().portfolio, world().yelt, engine);
+    EXPECT_EQ(modeled, info.launches > 0);
     EXPECT_EQ(result.adaptive.trials_run, reference.adaptive.trials_run);
     EXPECT_EQ(result.adaptive.stop_reason, reference.adaptive.stop_reason);
     expect_same_ylt(result.portfolio_ylt, reference.portfolio_ylt);

@@ -123,7 +123,9 @@ TEST_P(BackendEquivalence, AllBackendsProduceIdenticalBits) {
   config.trial_grain = 37;  // deliberately odd grain
   const auto thr = run_aggregate_analysis(portfolio_, yelt_, config);
 
-  config.backend = Backend::DeviceSim;
+  // The device model only reads the plans it is handed.
+  DeviceRunInfo info;
+  config.device_info = &info;
   config.device_block_dim = 64;
   const auto dev = run_aggregate_analysis(portfolio_, yelt_, config);
 
@@ -160,8 +162,9 @@ TEST_F(BackendEquivalence, DeviceEltChunkingIsExact) {
   config.backend = Backend::Sequential;
   const auto seq = run_aggregate_analysis(portfolio_, yelt_, config);
 
-  // Force many tiny constant-memory chunks: results must not move a bit.
-  config.backend = Backend::DeviceSim;
+  // Model many tiny constant-memory chunks: results must not move a bit.
+  DeviceRunInfo info;
+  config.device_info = &info;
   config.device_elt_chunk_rows = 7;
   const auto dev = run_aggregate_analysis(portfolio_, yelt_, config);
   for (TrialId t = 0; t < yelt_.trials(); ++t) {
@@ -171,7 +174,8 @@ TEST_F(BackendEquivalence, DeviceEltChunkingIsExact) {
 
 TEST_F(BackendEquivalence, DeviceBlockDimIsExact) {
   EngineConfig config;
-  config.backend = Backend::DeviceSim;
+  DeviceRunInfo info;
+  config.device_info = &info;
   config.device_block_dim = 16;
   const auto a = run_aggregate_analysis(portfolio_, yelt_, config);
   config.device_block_dim = 256;
@@ -376,7 +380,6 @@ TEST(SecondarySampler, DegenerateRowsAreDeterministic) {
 TEST(Backend, NamesAreStable) {
   EXPECT_STREQ(to_string(Backend::Sequential), "sequential");
   EXPECT_STREQ(to_string(Backend::Threaded), "threaded");
-  EXPECT_STREQ(to_string(Backend::DeviceSim), "device-sim");
 }
 
 }  // namespace

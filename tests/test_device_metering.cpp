@@ -1,14 +1,30 @@
-// DeviceSim executor telemetry: the counters and the performance model
-// that E2/E4 report. These tests pin the metering semantics of the
-// plan/executor layer (core::exec) so the modeled numbers in
-// EXPERIMENTS.md stay auditable: constant-memory residency is decided by
-// the execution plan per gather source, one launch per residency chunk,
-// and shared-memory staging is greedy per block.
+// Device-model telemetry (EngineConfig::device_info): the counters and
+// the performance model that E2/E4/E10 report. The DeviceMetering tests
+// pin the semantics of core/device_model so the modeled numbers in
+// docs/benchmarks.md stay auditable: constant-memory residency is decided
+// per gather source of the execution plan, one launch per residency
+// chunk, and shared-memory staging is greedy per block. Runs use a host
+// backend; the model only reads the plans it ran.
+//
+// The DeviceModel pin compares sixteen fixed configurations with == against
+// values recorded from the DeviceSim executor that core/device_model
+// replaced. That executor reran the trial kernel inside simulated device
+// blocks only to meter traffic; every counter it metered is an integer
+// function of the lowered plan, and its modeled seconds are one roofline
+// per launch summed in launch order, so a model that makes the same
+// residency, staging and metering decisions reproduces each value to the
+// bit. The modeled seconds are printed with %.17g, so each literal parses
+// back to the exact double.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/aggregate_engine.hpp"
+#include "data/trial_source.hpp"
 #include "data/yelt.hpp"
 #include "finance/contract.hpp"
+#include "scenario/sweep.hpp"
 
 namespace riskan::core {
 namespace {
@@ -19,19 +35,41 @@ struct World {
 };
 
 World make_world(TrialId trials = 400, std::size_t elt_rows = 200,
-                 std::size_t contracts = 2, int layers = 1) {
+                 std::size_t contracts = 2, int layers = 1, EventId catalog = 500) {
   finance::PortfolioGenConfig pg;
   pg.contracts = contracts;
-  pg.catalog_events = 500;
+  pg.catalog_events = catalog;
   pg.elt_rows = elt_rows;
   pg.layers_per_contract = layers;
   data::YeltGenConfig yg;
   yg.trials = trials;
-  return World{finance::generate_portfolio(pg), data::generate_yelt(500, yg)};
+  return World{finance::generate_portfolio(pg), data::generate_yelt(catalog, yg)};
+}
+
+/// Eleven small tables whose exact byte sum fits the constant segment but
+/// whose 16-byte upload alignment pads do not: the residency planner must
+/// charge aligned sizes.
+World tight_packing_world() {
+  World w;
+  finance::Layer layer;
+  layer.id = 1;
+  layer.terms = finance::LayerTerms::typical();
+  for (ContractId c = 0; c < 11; ++c) {
+    std::vector<data::EltRow> rows;
+    const EventId rows_n = c == 10 ? 99 : 107;
+    for (EventId e = 0; e < rows_n; ++e) {
+      rows.push_back({static_cast<EventId>(c * 120 + e), 1e6 + e, 2e5, 4e6});
+    }
+    w.portfolio.add(finance::Contract(c, data::EventLossTable::from_rows(rows), {layer}));
+  }
+  data::YeltGenConfig yg;
+  yg.trials = 200;
+  w.yelt = data::generate_yelt(500, yg);
+  return w;
 }
 
 DeviceRunInfo run_device(const World& world, EngineConfig config, DeviceSpec spec = {}) {
-  config.backend = Backend::DeviceSim;
+  config.backend = Backend::Sequential;
   config.device_spec = spec;
   DeviceRunInfo info;
   config.device_info = &info;
@@ -44,9 +82,7 @@ TEST(DeviceMetering, CountersArePopulated) {
   EngineConfig config;
   const auto info = run_device(world, config);
   EXPECT_GT(info.launches, 0);
-  EXPECT_GT(info.elt_chunks, 0u);
   EXPECT_GT(info.modeled_seconds, 0.0);
-  EXPECT_GT(info.host_seconds, 0.0);
   EXPECT_GT(info.counters.const_read_bytes, 0u);   // resident ELT gathers
   EXPECT_GT(info.counters.global_read_bytes, 0u);  // column staging + scratch
   EXPECT_GT(info.counters.flops, 0u);              // beta sampling
@@ -97,8 +133,8 @@ TEST(DeviceMetering, BatchedBookSharesLaunchesAcrossContracts) {
   // Per-contract lowering launches once per contract (its layers share one
   // plan); the batched plan packs every contract's table into shared
   // residency chunks — with small tables, the whole book rides one launch.
-  // This is the constraint the executor refactor lifted (the legacy device
-  // kernel staged one layer's ELT at a time).
+  // Residency is per gather source, not per layer, so a contract's tower
+  // and a batched book share their uploads.
   const auto world = make_world(400, 200, /*contracts=*/4, /*layers=*/2);
   EngineConfig loop;
   loop.batch_contracts = false;
@@ -157,33 +193,19 @@ TEST(DeviceMetering, ConstantPressureSplitsBatchedPlanIntoMoreLaunches) {
 }
 
 TEST(DeviceMetering, TightConstantPackingRespectsUploadAlignment) {
-  // Eleven tables whose exact byte sum fits the planner's budget but whose
-  // per-upload 16-byte alignment pads would overflow the segment if the
-  // plan charged raw sizes: the residency planner must charge aligned
-  // sizes so every planned chunk actually uploads.
-  finance::Layer layer;
-  layer.id = 1;
-  layer.terms = finance::LayerTerms::typical();
-  finance::Portfolio portfolio;
-  for (ContractId c = 0; c < 11; ++c) {
-    std::vector<data::EltRow> rows;
-    const EventId rows_n = c == 10 ? 99 : 107;
-    for (EventId e = 0; e < rows_n; ++e) {
-      rows.push_back({static_cast<EventId>(c * 120 + e), 1e6 + e, 2e5, 4e6});
-    }
-    portfolio.add(
-        finance::Contract(c, data::EventLossTable::from_rows(rows), {layer}));
-  }
-  data::YeltGenConfig yg;
-  yg.trials = 200;
-  const auto yelt = data::generate_yelt(500, yg);
+  // Charged raw sizes, the eleven tables would all fit one upload and
+  // overflow the segment once aligned; charged aligned sizes, they need two
+  // launches. Modeling the run moves no output bit.
+  const auto [portfolio, yelt] = tight_packing_world();
 
   EngineConfig config;
   config.backend = Backend::Sequential;
   config.batch_contracts = true;
   const auto reference = run_aggregate_analysis(portfolio, yelt, config);
-  config.backend = Backend::DeviceSim;
+  DeviceRunInfo info;
+  config.device_info = &info;
   const auto device = run_aggregate_analysis(portfolio, yelt, config);
+  EXPECT_EQ(info.launches, 2);
   for (TrialId t = 0; t < yelt.trials(); ++t) {
     ASSERT_EQ(reference.portfolio_ylt[t], device.portfolio_ylt[t]) << t;
   }
@@ -242,6 +264,186 @@ TEST(DeviceMetering, FasterSpecModelsFaster) {
   const auto a = run_device(world, config, slow);
   const auto b = run_device(world, config, fast);
   EXPECT_GT(a.modeled_seconds, b.modeled_seconds);
+}
+
+/// Runs the named configuration with the device model on and returns what
+/// it added to a fresh DeviceRunInfo.
+DeviceRunInfo run_case(const std::string& name, EngineConfig config) {
+  DeviceRunInfo info;
+  config.device_info = &info;
+  World w;
+  if (name == "default/sampling-on") {
+    w = make_world();
+  } else if (name == "default/sampling-off") {
+    w = make_world();
+    config.secondary_uncertainty = false;
+  } else if (name == "4x2/per-contract") {
+    w = make_world(400, 200, 4, 2);
+  } else if (name == "4x2/batched") {
+    w = make_world(400, 200, 4, 2);
+    config.batch_contracts = true;
+  } else if (name == "8x500/batched/fit" || name == "8x500/batched/cap64") {
+    w = make_world(200, 500, 8);
+    config.batch_contracts = true;
+    config.device_elt_chunk_rows = name == "8x500/batched/fit" ? 0 : 64;
+  } else if (name.rfind("5k/block", 0) == 0) {
+    w = make_world(5'000);
+    config.device_block_dim = std::stoi(name.substr(8));
+  } else if (name == "search") {
+    w = make_world();
+    config.use_resolver = false;
+  } else if (name == "2k-rows/per-contract" || name == "2k-rows/search") {
+    // 2000-row tables exceed the constant segment: partial residency.
+    w = make_world(300, 2'000, 2, 1, 3'000);
+    config.use_resolver = name == "2k-rows/per-contract";
+  } else if (name == "11-tables/tight-packing") {
+    w = tight_packing_world();
+    config.batch_contracts = true;
+  } else if (name.rfind("streamed/3-blocks/", 0) == 0) {
+    w = make_world();
+    config.batch_contracts = name == "streamed/3-blocks/batched";
+    data::InMemorySource whole(w.yelt);
+    data::ReblockedSource blocks(whole, 150);
+    (void)run_aggregate_analysis(w.portfolio, blocks, config);
+    return info;
+  } else if (name == "sweep/mask+conditioning") {
+    w = make_world(400, 200, 2, 2);
+    std::vector<scenario::ScenarioSpec> specs(3);
+    specs[0].name = "mask";
+    specs[0].excluded_events = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
+    specs[1].name = "conditioned";
+    specs[1].conditioning =
+        scenario::PostEventConditioning{w.portfolio.contract(0).elt().event_ids()[0], 1.0};
+    specs[2].name = "surge";
+    specs[2].loss_scale = 1.3;
+    (void)scenario::run_scenario_sweep(w.portfolio, w.yelt, specs, config);
+    return info;
+  } else {
+    ADD_FAILURE() << "unknown case " << name;
+    return info;
+  }
+  (void)run_aggregate_analysis(w.portfolio, w.yelt, config);
+  return info;
+}
+
+struct Pinned {
+  const char* name;
+  double modeled_seconds;
+  DeviceCounters counters;
+  int launches;
+  std::size_t staged;
+  std::size_t spilled;
+};
+
+// {global read, global write, shared read, shared write, const read, flops}
+const Pinned kPinned[] = {
+    {"default/sampling-on", 7.0995652173913039e-05,
+     {31488, 19200, 31488, 31488, 208544, 838976}, 2, 8, 0},
+    {"default/sampling-off", 3.8639999999999996e-05,
+     {31488, 19200, 31488, 31488, 208544, 19696}, 2, 8, 0},
+    {"4x2/per-contract", 0.00014409429347826089,
+     {62976, 76800, 62976, 62976, 415016, 1708908}, 4, 16, 0},
+    {"4x2/batched", 0.00013028166666666666,
+     {59288, 194320, 59288, 59288, 415016, 1708644}, 1, 4, 0},
+    {"8x500/batched/fit", 0.00051309565217391305,
+     {127168, 165568, 127168, 127168, 890176, 3570304}, 4, 8, 0},
+    {"8x500/batched/cap64", 0.0010462822222222223,
+     {903408, 165568, 86176, 86176, 113936, 3570304}, 1, 1, 1},
+    {"5k/block8", 0.0008373143652173913,
+     {399768, 240000, 399768, 399768, 2615032, 10520128}, 2, 1250, 0},
+    {"5k/block128", 0.00022840478260869565,
+     {399768, 240000, 399768, 399768, 2615032, 10520128}, 2, 80, 0},
+    {"5k/block4096", 0.0014433652173913044,
+     {399768, 240000, 72800, 72800, 2615032, 10520128}, 2, 2, 2},
+    {"search", 9.6651650485436898e-05,
+     {31488, 19200, 31488, 31488, 1216160, 838976}, 2, 8, 0},
+    {"2k-rows/per-contract", 9.6208518518518511e-05,
+     {112436, 14400, 23536, 23536, 124796, 858384}, 2, 6, 0},
+    {"2k-rows/search", 0.00037543462962962964,
+     {543242, 14400, 23536, 23536, 729574, 858384}, 2, 6, 0},
+    {"11-tables/tight-packing", 7.1063043478260862e-05,
+     {14864, 30032, 14864, 14864, 104048, 419984}, 2, 4, 0},
+    {"streamed/3-blocks/per-contract", 0.00018509782608695652,
+     {31488, 19200, 31488, 31488, 208544, 838976}, 6, 10, 0},
+    {"streamed/3-blocks/batched", 0.00016408804347826087,
+     {29792, 48776, 29792, 29792, 208544, 838922}, 3, 5, 0},
+    {"sweep/mask+conditioning", 0.00021116666666666666,
+     {29792, 390208, 29792, 29792, 208544, 976416}, 1, 4, 0},
+};
+
+TEST(DeviceModel, MatchesThePinnedSimulatorRunsExactly) {
+  for (const Backend backend : kAllBackends) {
+    for (const Pinned& pin : kPinned) {
+      EngineConfig config;
+      config.backend = backend;
+      const DeviceRunInfo info = run_case(pin.name, config);
+      const std::string what = std::string(pin.name) + " on " + to_string(backend);
+      EXPECT_EQ(info.modeled_seconds, pin.modeled_seconds) << what;
+      EXPECT_EQ(info.counters.global_read_bytes, pin.counters.global_read_bytes) << what;
+      EXPECT_EQ(info.counters.global_write_bytes, pin.counters.global_write_bytes) << what;
+      EXPECT_EQ(info.counters.shared_read_bytes, pin.counters.shared_read_bytes) << what;
+      EXPECT_EQ(info.counters.shared_write_bytes, pin.counters.shared_write_bytes) << what;
+      EXPECT_EQ(info.counters.const_read_bytes, pin.counters.const_read_bytes) << what;
+      EXPECT_EQ(info.counters.flops, pin.counters.flops) << what;
+      EXPECT_EQ(info.launches, pin.launches) << what;
+      EXPECT_EQ(info.shared_staged_blocks, pin.staged) << what;
+      EXPECT_EQ(info.shared_spill_blocks, pin.spilled) << what;
+    }
+  }
+}
+
+void expect_same_outputs(const EngineResult& a, const EngineResult& b, const std::string& what) {
+  ASSERT_EQ(a.portfolio_ylt.trials(), b.portfolio_ylt.trials()) << what;
+  for (TrialId t = 0; t < a.portfolio_ylt.trials(); ++t) {
+    ASSERT_EQ(a.portfolio_ylt[t], b.portfolio_ylt[t]) << what << " AEP trial " << t;
+    ASSERT_EQ(a.portfolio_occurrence_ylt[t], b.portfolio_occurrence_ylt[t])
+        << what << " OEP trial " << t;
+    ASSERT_EQ(a.reinstatement_premium[t], b.reinstatement_premium[t])
+        << what << " reinstatement trial " << t;
+  }
+  ASSERT_EQ(a.contract_ylts.size(), b.contract_ylts.size()) << what;
+  for (std::size_t c = 0; c < a.contract_ylts.size(); ++c) {
+    for (TrialId t = 0; t < a.contract_ylts[c].trials(); ++t) {
+      ASSERT_EQ(a.contract_ylts[c][t], b.contract_ylts[c][t])
+          << what << " contract " << c << " trial " << t;
+    }
+  }
+  EXPECT_EQ(a.elt_lookups, b.elt_lookups) << what;
+  EXPECT_EQ(a.occurrences_processed, b.occurrences_processed) << what;
+}
+
+TEST(DeviceModel, LeavesEveryOutputBitIdentical) {
+  // The model only reads the plan: asking for it moves no YLT bit and no
+  // lookup count, on either host backend, under either kernel, in every
+  // gather mode.
+  const World w = make_world(700, 200, 3, 2);
+  for (const Backend backend : kAllBackends) {
+    for (const Kernel kernel : kAllKernels) {
+      for (const bool batch : {false, true}) {
+        for (const bool resolver : {false, true}) {
+          if (batch && !resolver) {
+            continue;  // the batched lowering always resolves
+          }
+          EngineConfig config;
+          config.backend = backend;
+          config.kernel = kernel;
+          config.batch_contracts = batch;
+          config.use_resolver = resolver;
+          const auto plain = run_aggregate_analysis(w.portfolio, w.yelt, config);
+          DeviceRunInfo info;
+          config.device_info = &info;
+          config.device_block_dim = 64;
+          config.device_elt_chunk_rows = 50;
+          const auto modeled = run_aggregate_analysis(w.portfolio, w.yelt, config);
+          const std::string what = std::string(to_string(backend)) + "/" +
+                                   to_string(kernel) + (batch ? "/batched" : "/per-contract") +
+                                   (resolver ? "/resolved" : "/search");
+          expect_same_outputs(plain, modeled, what);
+          EXPECT_GT(info.launches, 0) << what;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Thread pool, parallel_for/reduce, SPSC queue, and the device simulator.
+// Thread pool, parallel_for/reduce, SPSC queue, and the device roofline.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -172,81 +172,35 @@ TEST(SpscQueue, ConcurrentProducerConsumer) {
 }
 
 // ---------------------------------------------------------------------------
-// Device simulator
+// Device roofline (the performance model core/device_model applies per
+// launch)
 // ---------------------------------------------------------------------------
 
-TEST(Device, LaunchRunsEveryThreadOfEveryBlock) {
-  Device device;
-  std::vector<std::atomic<int>> hits(32 * 8);
-  device.launch(8, 32, [&](BlockContext& ctx, int tid) {
-    hits[static_cast<std::size_t>(ctx.block_id()) * 32 + tid].fetch_add(1);
-  });
-  for (const auto& h : hits) {
-    ASSERT_EQ(h.load(), 1);
-  }
-}
-
-TEST(Device, SharedMemoryArenaAllocatesAndExhausts) {
-  Device device;
-  const auto stats = device.launch_blocks(1, 1, [&](BlockContext& ctx) {
-    auto* a = ctx.shared_alloc<double>(100);
-    a[99] = 1.0;
-    EXPECT_GE(ctx.shared_used(), 100 * sizeof(double));
-    EXPECT_THROW((void)ctx.shared_alloc<double>(1 << 20), ContractViolation);
-  });
-  EXPECT_EQ(stats.grid_dim, 1);
-}
-
-TEST(Device, ConstantMemoryUploadAndOverflow) {
-  Device device;
-  std::vector<double> table(100, 3.5);
-  const auto offset = device.const_upload(table.data(), table.size() * sizeof(double));
-  const auto* data = reinterpret_cast<const double*>(device.const_data(offset));
-  EXPECT_DOUBLE_EQ(data[50], 3.5);
-
-  std::vector<std::byte> huge(device.const_capacity() + 1);
-  EXPECT_THROW((void)device.const_upload(huge.data(), huge.size()), ContractViolation);
-
-  device.const_clear();
-  EXPECT_EQ(device.const_used(), 0u);
-}
-
-TEST(Device, CountersAggregateAcrossBlocks) {
-  Device device;
-  const auto stats = device.launch_blocks(4, 16, [](BlockContext& ctx) {
-    ctx.meter_global_read(100);
-    ctx.meter_flops(50);
-  });
-  EXPECT_EQ(stats.counters.global_read_bytes, 400u);
-  EXPECT_EQ(stats.counters.flops, 200u);
-  EXPECT_GT(stats.modeled_seconds, 0.0);
-}
-
 TEST(Device, ModelIsMonotoneInTraffic) {
-  Device device;
+  const DeviceSpec spec;
   DeviceCounters light;
   light.global_read_bytes = 1'000'000;
   DeviceCounters heavy = light;
   heavy.global_read_bytes = 1'000'000'000;
-  EXPECT_LT(device.model_seconds(light, 14, 128), device.model_seconds(heavy, 14, 128));
+  EXPECT_LT(roofline_seconds(spec, light, 14, 128), roofline_seconds(spec, heavy, 14, 128));
 }
 
 TEST(Device, ModelPenalisesPartialWaves) {
-  Device device;  // 14 SMs by default
+  const DeviceSpec spec;  // 14 SMs by default
   DeviceCounters counters;
   counters.flops = 1'000'000'000;
   // 15 blocks on 14 SMs = 2 waves, second nearly idle.
-  const double quantised = device.model_seconds(counters, 15, 128);
-  const double full = device.model_seconds(counters, 14, 128);
+  const double quantised = roofline_seconds(spec, counters, 15, 128);
+  const double full = roofline_seconds(spec, counters, 14, 128);
   EXPECT_GT(quantised, full);
 }
 
 TEST(Device, ModelPenalisesNarrowBlocks) {
-  Device device;
+  const DeviceSpec spec;
   DeviceCounters counters;
   counters.flops = 1'000'000'000;
   // 8-thread blocks waste 24 of 32 warp lanes.
-  EXPECT_GT(device.model_seconds(counters, 14, 8), device.model_seconds(counters, 14, 32));
+  EXPECT_GT(roofline_seconds(spec, counters, 14, 8), roofline_seconds(spec, counters, 14, 32));
 }
 
 TEST(Device, PeakFlopsMatchesSpec) {
@@ -256,12 +210,6 @@ TEST(Device, PeakFlopsMatchesSpec) {
   spec.core_ghz = 1.0;
   spec.flops_per_core_per_cycle = 2.0;
   EXPECT_DOUBLE_EQ(spec.peak_flops(), 40e9);
-}
-
-TEST(Device, RejectsBadLaunch) {
-  Device device;
-  EXPECT_THROW(device.launch(0, 32, [](BlockContext&, int) {}), ContractViolation);
-  EXPECT_THROW(device.launch(1, 0, [](BlockContext&, int) {}), ContractViolation);
 }
 
 }  // namespace

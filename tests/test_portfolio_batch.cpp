@@ -24,16 +24,14 @@ struct ExecRow {
   Kernel kernel;
 };
 
-/// Every backend under both kernels, except DeviceSim × Auto: DeviceSim
-/// always runs the scalar kernel. Auto rows run the vector kernel wherever
-/// an ISA dispatches and the scalar kernel elsewhere, so nothing skips.
+/// Every backend under both kernels. Auto rows run the vector kernel
+/// wherever an ISA dispatches and the scalar kernel elsewhere, so nothing
+/// skips.
 std::vector<ExecRow> exec_rows() {
   std::vector<ExecRow> rows;
   for (const Backend backend : kAllBackends) {
     for (const Kernel kernel : kAllKernels) {
-      if (backend != Backend::DeviceSim || kernel == Kernel::Scalar) {
-        rows.push_back({backend, kernel});
-      }
+      rows.push_back({backend, kernel});
     }
   }
   return rows;
@@ -117,29 +115,35 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
 }
 
 TEST(PortfolioBatch, DeviceSimBatchedMatchesPerContract) {
-  // Since the executor refactor the batched plan runs natively on the
-  // simulated device (no per-contract fallback): one launch sequence
-  // serves every contract, bit-identically, through both entry points.
+  // With the device modeled (device_info), the batched plan still serves
+  // every contract bit-identically through both entry points, and models
+  // as one launch sequence for the book where the per-contract lowering
+  // models one per contract.
   const auto portfolio = book(/*contracts=*/4, /*layers=*/2);
   const auto yelt = lens(800);
 
   EngineConfig config;
-  config.backend = Backend::DeviceSim;
+  DeviceRunInfo loop_info;
+  config.device_info = &loop_info;
   config.batch_contracts = false;
   const auto per_contract = run_aggregate_analysis(portfolio, yelt, config);
 
   // Through both entry points: the engine route and the runner route.
+  DeviceRunInfo batched_info;
+  config.device_info = &batched_info;
   config.batch_contracts = true;
   const auto via_engine = run_aggregate_analysis(portfolio, yelt, config);
   const auto via_runner = run_portfolio_batch(portfolio, yelt, config);
-  expect_identical(per_contract, via_engine, "device-sim via engine");
-  expect_identical(per_contract, via_runner, "device-sim via runner");
+  expect_identical(per_contract, via_engine, "device model via engine");
+  expect_identical(per_contract, via_runner, "device model via runner");
   EXPECT_EQ(via_engine.elt_lookups, per_contract.elt_lookups);
+  EXPECT_EQ(loop_info.launches, 4);
+  EXPECT_EQ(batched_info.launches, 2);  // one per batched run
 }
 
 TEST(PortfolioBatch, DeviceSimBlockDimSweepIsBitIdentical) {
-  // The block partition is pure scheduling: 32/128/512-trial blocks (and
-  // the host reference) must agree to the bit on the batched plan.
+  // The modeled block partition (32/128/512-trial blocks) is pure
+  // accounting: it must not move a bit of the batched plan's outputs.
   const auto portfolio = book(/*contracts=*/5, /*layers=*/2);
   const auto yelt = lens(1'100);
 
@@ -148,8 +152,9 @@ TEST(PortfolioBatch, DeviceSimBlockDimSweepIsBitIdentical) {
   config.batch_contracts = true;
   const auto reference = run_portfolio_batch(portfolio, yelt, config);
 
-  config.backend = Backend::DeviceSim;
   for (const int block_dim : {32, 128, 512}) {
+    DeviceRunInfo info;
+    config.device_info = &info;
     config.device_block_dim = block_dim;
     const auto device = run_portfolio_batch(portfolio, yelt, config);
     expect_identical(reference, device,

@@ -186,7 +186,7 @@ TEST(Program, FlatEngineEqualsIndependentLayersWithSecondary) {
       expected.push_back(std::move(sums));
     }
 
-    for (const Backend backend : kHostBackends) {
+    for (const Backend backend : kAllBackends) {
       for (const Kernel kernel : kAllKernels) {
         for (const int lowering : {0, 1, 2}) {
           EngineConfig config;

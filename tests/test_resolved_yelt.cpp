@@ -8,6 +8,9 @@
 //      hoist, not a semantic change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
 #include "core/aggregate_engine.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
@@ -113,6 +116,49 @@ TEST(ResolverCache, DistinctTablesGetDistinctEntries) {
   EXPECT_EQ(b->hits(), 2u);  // only event 2 resolves
 }
 
+TEST(ResolverCache, RebuiltTableAtAReusedAddressNeverServesStaleRows) {
+  // Each rebuild frees the previous table first, so the allocator tends to
+  // hand the new one the same column addresses, with the same shape; only
+  // the id at row 333 changes (a strided 16-sample fingerprint of a
+  // 1000-row table skips it). A cache keyed on address, shape and sampled
+  // ids hits and serves the previous table's rows; keyed on the tables'
+  // generations, every lookup must equal a fresh build.
+  data::YeltGenConfig yg;
+  yg.trials = 2'000;
+  const auto yelt = generate_yelt(2'000, yg);
+  ResolverCache cache;
+  std::optional<EventLossTable> elt;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<EltRow> rows;
+    for (EventId r = 0; r < 1'000; ++r) {
+      const EventId id = r == 333 ? static_cast<EventId>(665 + i % 3) : 2 * r;
+      rows.push_back({id, 1e6 + r, 2e5, 4e6});
+    }
+    elt.reset();
+    elt.emplace(EventLossTable::from_rows(std::move(rows)));
+    const auto cached = cache.get_or_build(*elt, yelt);
+    const auto fresh = ResolvedYelt::build(*elt, yelt);
+    ASSERT_TRUE(std::ranges::equal(cached->rows(), fresh.rows())) << "rebuild " << i;
+  }
+}
+
+TEST(ResolverCache, CopiesMissAndMovesHit) {
+  // A copy is a new table (fresh generation); a move hands the table's
+  // generation to its destination, so the moved-to table still hits.
+  const auto yelt = small_yelt();
+  ResolverCache cache;
+  auto elt = small_elt();
+  const auto first = cache.get_or_build(elt, yelt);
+  const EventLossTable copy = elt;
+  EXPECT_NE(copy.generation(), elt.generation());
+  (void)cache.get_or_build(copy, yelt);
+  EXPECT_EQ(cache.miss_count(), 2u);
+  const EventLossTable moved = std::move(elt);
+  EXPECT_NE(moved.generation(), elt.generation());
+  EXPECT_EQ(cache.get_or_build(moved, yelt).get(), first.get());
+  EXPECT_EQ(cache.hit_count(), 1u);
+}
+
 TEST(ResolverCache, EvictsFifoPastCapacity) {
   const auto yelt = small_yelt();
   ResolverCache cache;
@@ -177,7 +223,7 @@ TEST(ResolverEquivalence, BitIdenticalAcrossBackendsGrainsAndSecondary) {
   const auto w = equivalence_workload();
 
   for (const bool secondary : {false, true}) {
-    for (const Backend backend : kHostBackends) {
+    for (const Backend backend : kAllBackends) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
         if (backend == Backend::Sequential && grain != 0) {
           continue;  // grain only affects the threaded backend
@@ -196,8 +242,6 @@ TEST(ResolverEquivalence, BitIdenticalAcrossBackendsGrainsAndSecondary) {
                          std::string(to_string(backend)) +
                              (secondary ? "/secondary" : "/means") + "/grain=" +
                              std::to_string(grain));
-        // Host backends share the found-lookup telemetry semantics (the
-        // device backend counts nonzero scratch entries instead).
         EXPECT_EQ(naive.elt_lookups, resolved.elt_lookups);
       }
     }
@@ -205,6 +249,8 @@ TEST(ResolverEquivalence, BitIdenticalAcrossBackendsGrainsAndSecondary) {
 }
 
 TEST(ResolverEquivalence, DeviceSimMatchesNaiveSequential) {
+  // A resolved run with the device modeled (residency capped per table)
+  // equals the naive sequential run.
   const auto w = equivalence_workload();
 
   EngineConfig config;
@@ -212,12 +258,15 @@ TEST(ResolverEquivalence, DeviceSimMatchesNaiveSequential) {
   config.use_resolver = false;
   const auto naive = run_aggregate_analysis(w.portfolio, w.yelt, config);
 
-  config.backend = Backend::DeviceSim;
+  config.backend = Backend::Threaded;
   config.use_resolver = true;
+  DeviceRunInfo info;
+  config.device_info = &info;
   config.device_elt_chunk_rows = 64;  // cap constant-memory residency per table
   const auto device = run_aggregate_analysis(w.portfolio, w.yelt, config);
 
-  expect_identical(naive, device, "device-sim resolver vs naive sequential");
+  expect_identical(naive, device, "device-modeled resolver vs naive sequential");
+  EXPECT_EQ(info.launches, static_cast<int>(w.portfolio.size()));
 }
 
 TEST(ResolverEquivalence, SharedCacheReusedAcrossRuns) {

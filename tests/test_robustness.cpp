@@ -196,7 +196,8 @@ ValidationWorld validation_world() {
 TEST(EngineConfigValidation, RejectsNonPositiveDeviceBlockDim) {
   const auto w = validation_world();
   EngineConfig config;
-  config.backend = Backend::DeviceSim;
+  DeviceRunInfo info;
+  config.device_info = &info;
   config.device_block_dim = 0;
   EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
                ContractViolation);
@@ -213,7 +214,8 @@ TEST(EngineConfigValidation, RejectsAbsurdChunkingKnobs) {
                ContractViolation);
 
   config = EngineConfig{};
-  config.backend = Backend::DeviceSim;
+  DeviceRunInfo info;
+  config.device_info = &info;
   config.device_block_dim = 1 << 24;  // 16M trials per block is a bug
   EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
                ContractViolation);
@@ -226,25 +228,26 @@ TEST(EngineConfigValidation, RejectsAbsurdChunkingKnobs) {
 
 TEST(EngineConfigValidation, RejectsDegenerateDeviceSpec) {
   const auto w = validation_world();
+  DeviceRunInfo info;
   EngineConfig config;
-  config.backend = Backend::DeviceSim;
+  config.device_info = &info;
   config.device_spec.const_mem_bytes = 0;
   EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
                ContractViolation);
   config = EngineConfig{};
-  config.backend = Backend::DeviceSim;
+  config.device_info = &info;
   config.device_spec.shared_mem_per_block = 0;
   EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
                ContractViolation);
-  // The same spec is legal on host backends (the device model is unused).
-  config.backend = Backend::Threaded;
+  // The same spec is legal when the device is not modeled.
+  config.device_info = nullptr;
   EXPECT_NO_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config));
 }
 
 TEST(EngineConfigValidation, EveryEntryPointValidates) {
   const auto w = validation_world();
   EngineConfig config;
-  config.device_block_dim = 0;  // invalid regardless of backend
+  config.device_block_dim = 0;  // invalid whether or not the device is modeled
 
   EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
                ContractViolation);

@@ -92,17 +92,14 @@ struct ExecRow {
   core::Kernel kernel;
 };
 
-/// Every backend under both kernels, except DeviceSim × Auto: DeviceSim
-/// always runs the scalar kernel. Auto rows run the vector kernel wherever
-/// an ISA dispatches (mask scenarios exercise its scalar rule) and the
-/// scalar kernel elsewhere, so nothing skips.
+/// Every backend under both kernels. Auto rows run the vector kernel
+/// wherever an ISA dispatches (mask scenarios exercise its scalar rule)
+/// and the scalar kernel elsewhere, so nothing skips.
 std::vector<ExecRow> exec_rows() {
   std::vector<ExecRow> rows;
   for (const core::Backend backend : core::kAllBackends) {
     for (const core::Kernel kernel : core::kAllKernels) {
-      if (backend != core::Backend::DeviceSim || kernel == core::Kernel::Scalar) {
-        rows.push_back({backend, kernel});
-      }
+      rows.push_back({backend, kernel});
     }
   }
   return rows;
@@ -152,8 +149,8 @@ TEST(ScenarioSweep, IdentityBitIdenticalAcrossBackendsGrainsAndSecondary) {
                                  "/grain=" + std::to_string(grain);
         expect_identical(reference, sweep.base, what + " base");
         expect_identical(reference, sweep.scenarios[0], what + " identity");
-        // Every backend now lowers through the same plan, so the lookup
-        // telemetry agrees too (DeviceSim included — no fallback).
+        // Every backend lowers through the same plan, so the lookup
+        // telemetry agrees too.
         EXPECT_EQ(reference.elt_lookups, sweep.base.elt_lookups) << what;
         EXPECT_EQ(reference.occurrences_processed, sweep.base.occurrences_processed)
             << what;
@@ -288,9 +285,9 @@ TEST(ScenarioSweep, CrowdedTrialsKeepBothContracts) {
 }
 
 TEST(ScenarioSweep, DeviceSimBlockDimSweepIsBitIdentical) {
-  // The sweep runs natively in simulated device blocks; the block
-  // partition (32/128/512 trials per block) is pure scheduling and must
-  // not move a bit of any scenario's outputs vs the host pass.
+  // The device model prices the sweep's plan like any other; its block
+  // partition (32/128/512 trials per block) is pure accounting and must
+  // not move a bit of any scenario's outputs vs the unmodeled pass.
   const auto portfolio = book(/*contracts=*/3, /*layers=*/2);
   const auto yelt = lens(900);
 
@@ -304,10 +301,12 @@ TEST(ScenarioSweep, DeviceSimBlockDimSweepIsBitIdentical) {
   config.backend = core::Backend::Sequential;
   const auto reference = run_scenario_sweep(portfolio, yelt, specs, config);
 
-  config.backend = core::Backend::DeviceSim;
   for (const int block_dim : {32, 128, 512}) {
+    core::DeviceRunInfo info;
+    config.device_info = &info;
     config.device_block_dim = block_dim;
     const auto device = run_scenario_sweep(portfolio, yelt, specs, config);
+    EXPECT_EQ(info.launches, 1);
     const std::string what = "sweep block dim " + std::to_string(block_dim);
     expect_identical(reference.base, device.base, what + " base");
     for (std::size_t s = 0; s < reference.scenarios.size(); ++s) {

@@ -337,7 +337,7 @@ TEST(SimdDispatch, AutoUnderEnvOffRunsScalarAndEqualsScalar) {
   // then run — not reject — the scalar kernel.
   const auto portfolio = simd_book(/*contracts=*/2, /*layers=*/2);
   const auto yelt = simd_lens(400);
-  for (const Backend backend : kHostBackends) {
+  for (const Backend backend : kAllBackends) {
     EngineConfig config;
     config.backend = backend;
     const auto reference = run_scalar(portfolio, yelt, config);
@@ -404,7 +404,7 @@ TEST(VectorKernel, LowCoverageDenseBookWalksHitsOnly) {
   const auto yelt = simd_lens(1'300, catalog, /*seed=*/29, /*events_per_year=*/12.0);
   for (const bool secondary : {false, true}) {
     for (const bool oep : {false, true}) {
-      for (const Backend backend : kHostBackends) {
+      for (const Backend backend : kAllBackends) {
         EngineConfig config;
         config.backend = backend;
         config.trial_grain = 97;

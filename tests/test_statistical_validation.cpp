@@ -101,7 +101,7 @@ TEST_P(ChainValidation, SecondarySamplingPreservesTheMean) {
   // dispatches. The scalar kernel on both host backends must reproduce it
   // to the bit, so the statistical property transfers to every kernel by
   // construction — and this asserts it really does at 30k-trial scale.
-  for (const core::Backend backend : core::kHostBackends) {
+  for (const core::Backend backend : core::kAllBackends) {
     core::EngineConfig scalar = on;
     scalar.backend = backend;
     scalar.kernel = core::Kernel::Scalar;

@@ -96,7 +96,6 @@ TEST(Streaming, DeviceSimBackendAgreesWithInMemory) {
   save_yelt_chunked(yelt, path, 100);
 
   EngineConfig config;
-  config.backend = Backend::DeviceSim;
   const auto reference = run_aggregate_analysis(portfolio, yelt, config);
   DeviceRunInfo info;
   config.device_info = &info;
@@ -105,8 +104,8 @@ TEST(Streaming, DeviceSimBackendAgreesWithInMemory) {
     ASSERT_EQ(streamed.portfolio_ylt[t], reference.portfolio_ylt[t]) << "trial " << t;
     ASSERT_EQ(streamed.portfolio_occurrence_ylt[t], reference.portfolio_occurrence_ylt[t]);
   }
-  // One launch sequence per trial block: the streamed run launches at
-  // least once per block.
+  // The model prices each block's plans: at least one modeled launch per
+  // block.
   EXPECT_GE(static_cast<std::size_t>(info.launches), streamed.blocks);
   remove_file(path);
 }

@@ -407,11 +407,8 @@ TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
   const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
 
   // The kernel axis: a streamed run re-binds its plan per block, under
-  // either host kernel (DeviceSim always runs the scalar one).
+  // either host kernel.
   for (const core::Kernel kernel : core::kAllKernels) {
-    if (backend == Backend::DeviceSim && kernel != core::Kernel::Scalar) {
-      continue;
-    }
     config.kernel = kernel;
     const auto streamed = core::run_aggregate_streaming(w.portfolio, path, config);
     expect_equal_results(reference, streamed);
@@ -472,9 +469,6 @@ TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
   const auto reference = scenario::run_scenario_sweep(w.portfolio, w.yelt, specs, config);
 
   for (const core::Kernel kernel : core::kAllKernels) {
-    if (backend == Backend::DeviceSim && kernel != core::Kernel::Scalar) {
-      continue;  // DeviceSim always runs the scalar kernel
-    }
     config.kernel = kernel;
     data::ChunkedFileSource source(path);
     const auto streamed = scenario::run_scenario_sweep(w.portfolio, source, specs, config);
