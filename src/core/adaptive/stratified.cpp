@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <memory>
 #include <utility>
 
 #include "core/portfolio_batch.hpp"
 #include "core/secondary.hpp"
-#include "data/resolved_yelt.hpp"
 #include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
 #include "util/alias_table.hpp"
 #include "util/distributions.hpp"
 #include "util/prng.hpp"
@@ -227,9 +223,9 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
   const std::size_t strata = part.size();
 
   // ---- Per-trial evaluator: the one trial kernel, one trial at a time.
-  // Dense-gather slots exactly like the per-contract lowering builds, so a
-  // drawn trial's loss is bit-identical to the same trial of a full run
-  // (the sampling streams are keyed by trial_base + t, not by draw order).
+  // Lookup slots exactly like the per-contract lowering builds, so a drawn
+  // trial's loss is bit-identical to the same trial of a full run (the
+  // sampling streams are keyed by trial_base + t, not by draw order).
   std::vector<SecondarySampler> samplers;
   if (engine.secondary_uncertainty) {
     samplers.reserve(portfolio.size());
@@ -237,17 +233,6 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
       samplers.emplace_back(contract.elt());
     }
   }
-  data::ResolverCache local_cache;
-  data::ResolverCache& cache = engine.resolver_cache != nullptr
-                                   ? *engine.resolver_cache
-                                   : local_cache;
-  const ParallelConfig resolve_cfg{nullptr, std::numeric_limits<std::size_t>::max()};
-  std::vector<std::shared_ptr<const data::ResolvedYelt>> resolved;
-  resolved.reserve(portfolio.size());
-  for (const auto& contract : portfolio.contracts()) {
-    resolved.push_back(cache.get_or_build(contract.elt(), yelt, resolve_cfg));
-  }
-
   std::vector<Money> portfolio_losses(trials, 0.0);
   std::vector<Money> reinstatement_prem(trials, 0.0);
   std::vector<batch::Slot> slots;
@@ -256,8 +241,8 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
     const auto& contract = portfolio.contract(c);
     for (const auto& layer : contract.layers()) {
       batch::Slot slot;
-      slot.gather = batch::Gather::Dense;
-      slot.dense_rows = resolved[c]->rows().data();
+      slot.gather = batch::Gather::Lookup;
+      slot.events = yelt.events().data();
       slot.elt = &contract.elt();
       slot.means = contract.elt().mean_loss().data();
       slot.sampler = engine.secondary_uncertainty ? &samplers[c] : nullptr;

@@ -1,7 +1,6 @@
 #include "core/aggregate_engine.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "core/adaptive/driver.hpp"
@@ -79,7 +78,7 @@ data::ResolverCache& resolver_cache_for(const EngineConfig& config,
 }
 
 void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
-                          data::ResolverCache& run_local_cache,
+                          data::ResolverCache* run_local_cache,
                           const std::function<void(const data::TrialBlock&, TrialId)>& body) {
   const TrialId trials = source.trials();
   data::TrialBlock block;
@@ -93,8 +92,8 @@ void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
     // Ephemeral blocks resolve through the run-local cache (see
     // resolver_cache_for); dropping those resolutions with the block keeps
     // memory bounded and entries from outliving their table.
-    if (source.ephemeral_blocks()) {
-      run_local_cache.clear();
+    if (run_local_cache != nullptr && source.ephemeral_blocks()) {
+      run_local_cache->clear();
     }
   }
   RISKAN_ENSURE(seen == trials, "trial source delivered fewer trials than declared");
@@ -130,9 +129,9 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
   // of its layers, dispatched in contract order on the configured executor
   // so a contract's ELT stays hot while its trials stream. The layers form
   // one gather group, so each occurrence is resolved and sampled once and
-  // feeds the whole tower (kStreamKeyVersion). With the resolver on the
-  // group gathers through the contract's dense pre-joined row column; off,
-  // it binary-searches the ELT per occurrence (the reference plan flag).
+  // feeds the whole tower (kStreamKeyVersion). The group reads the block's
+  // YELT event column and finds each row in the kernel through the
+  // contract's ELT, so nothing is resolved or cached ahead of the pass.
   // Plans are lowered against the first trial block and re-bound to each
   // subsequent one (an in-memory run is the one-block special case);
   // per-trial accumulators are sliced by block, and the block's trial
@@ -144,8 +143,6 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
       obs::MetricsRegistry::global().counter("engine.runs");
   static const obs::Histogram block_hist =
       obs::MetricsRegistry::global().histogram("engine.block_seconds");
-  static const obs::Histogram resolve_hist =
-      obs::MetricsRegistry::global().histogram("engine.resolve_seconds");
   runs_counter.add();
 
   EngineResult result;
@@ -174,8 +171,6 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
 
   const Philox4x32 philox(config.seed);
   std::uint64_t lookups = 0;
-  data::ResolverCache local_cache;
-  data::ResolverCache& cache = resolver_cache_for(config, source, local_cache);
   const auto executor = exec::make_executor(config);
 
   const std::uint64_t layer_count = portfolio.layer_count();
@@ -184,7 +179,7 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
   bool lowered = false;
 
   std::vector<Money> occurrence_accum;
-  for_each_trial_block(source, config, local_cache,
+  for_each_trial_block(source, config, nullptr,
                        [&](const data::TrialBlock& block, TrialId base) {
     obs::Timer block_timer("engine.block");
     const data::YearEventLossTable& yelt = *block.yelt;
@@ -198,37 +193,13 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
     std::size_t p = 0;
     for (std::size_t c = 0; c < portfolio.size(); ++c) {
       const auto& contract = portfolio.contract(c);
-
-      // One pre-join per contract per block, shared by all of its layers
-      // (and, via the cache, by subsequent runs over the same tables). The
-      // Sequential backend builds inline — it must stay off the pool, both
-      // for its single-thread contract and because MapReduce map tasks run
-      // it from pool workers (submitting and blocking there can deadlock).
-      std::shared_ptr<const data::ResolvedYelt> resolved;
-      if (config.use_resolver) {
-        obs::Timer resolve_timer("engine.resolve");
-        const ParallelConfig resolve_cfg =
-            pool_free(config.backend)
-                ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
-                : ParallelConfig{config.pool, 0};
-        resolved = cache.get_or_build(contract.elt(), yelt, resolve_cfg);
-        const double resolve_s = resolve_timer.stop();
-        result.resolve_seconds += resolve_s;
-        resolve_hist.observe(resolve_s);
-      }
-
       const std::size_t first = p;
       for (const auto& layer : contract.layers()) {
         batch::Slot& slot = slot_storage[p++];
         slot = batch::Slot{};
+        slot.gather = batch::Gather::Lookup;
+        slot.events = events.data();
         slot.elt = &contract.elt();
-        if (resolved) {
-          slot.gather = batch::Gather::Dense;
-          slot.dense_rows = resolved->rows().data();
-        } else {
-          slot.gather = batch::Gather::Search;
-          slot.search_events = events.data();
-        }
         slot.means = contract.elt().mean_loss().data();
         slot.sampler = config.secondary_uncertainty ? &samplers[c] : nullptr;
         slot.terms = layer.terms;
@@ -284,10 +255,9 @@ std::vector<Money> run_layer(const finance::Contract& contract, const finance::L
   EngineConfig cfg = config;
   cfg.keep_contract_ylts = false;
   cfg.compute_oep = false;
-  // The single-contract portfolio copies the ELT, so its resolution is
-  // keyed to a temporary — keep it out of the shared cache.
-  data::ResolverCache local_cache;
-  cfg.resolver_cache = &local_cache;
+  // One contract: the per-contract lowering resolves in the kernel, so the
+  // copied ELT never parks a dead entry in a resolver cache.
+  cfg.batch_contracts = false;
   auto result = run_aggregate_analysis(single, yelt, cfg);
   auto losses = result.portfolio_ylt.losses();
   return std::vector<Money>(losses.begin(), losses.end());

@@ -33,11 +33,13 @@
 // its modeled device launches, traffic and roofline time
 // (core/device_model.hpp) to the caller's DeviceRunInfo.
 //
-// The event→row mapping is identical for every layer of a contract and on
-// every run, so by default it is pre-joined once per (contract, YELT)
-// (data::ResolvedYelt, cached by data::ResolverCache) and the kernel
-// gathers by direct index; EngineConfig::use_resolver = off selects the
-// legacy per-occurrence binary search, which survives as a plan flag.
+// The per-contract lowering finds each occurrence's ELT row inside the
+// kernel, once for the contract's whole layer tower: through the ELT's own
+// event→row table (data::EventLossTable::row_lookup), or by binary search
+// when the table is too sparse to carry one. It builds and caches nothing.
+// The batched and scenario lowerings walk hits only, so they gather through
+// compact per-(contract, YELT) resolutions (data::CompactResolvedYelt)
+// kept in data::ResolverCache.
 //
 // Multi-contract books should prefer the portfolio-batched lowering
 // (EngineConfig::batch_contracts / src/core/portfolio_batch.hpp): one
@@ -156,21 +158,17 @@ struct EngineConfig {
   /// the backend executes adds its modeled launches, staging, traffic and
   /// roofline time (core/device_model.hpp) here. Outputs do not change.
   DeviceRunInfo* device_info = nullptr;
-  /// Pre-join each contract's ELT to the YELT once (data::ResolvedYelt) and
-  /// gather rows by direct index in the trial kernel. Off = the legacy
-  /// per-occurrence binary search, retained as the reference plan flag for
-  /// the equivalence tests and the resolver-on/off bench comparison.
-  bool use_resolver = true;
-  /// Cache of resolutions shared across layers and runs; nullptr = the
-  /// process-wide data::ResolverCache::shared().
+  /// Cache of the batched and scenario lowerings' compact resolutions,
+  /// shared across blocks and runs; nullptr = the process-wide
+  /// data::ResolverCache::shared(). The per-contract lowering resolves in
+  /// the kernel and never touches it.
   data::ResolverCache* resolver_cache = nullptr;
   /// Portfolio-batched stage 2 (core::PortfolioBatchRunner): stream each
   /// trial chunk once, serving every contract's layer stack in the same
   /// pass, instead of re-walking the YELT per contract. Outputs
   /// are bit-identical either way; batching is the wall-clock win on
   /// multi-contract books and composes with every backend and with the
-  /// device model. Implies the resolver (`use_resolver` is ignored on this
-  /// path).
+  /// device model.
   bool batch_contracts = false;
   /// Convergence-adaptive stopping (core/adaptive): with
   /// adaptive.target_rel_err > 0 the run consumes trials in decision
@@ -211,8 +209,9 @@ struct EngineResult {
   double seconds = 0.0;
   std::uint64_t occurrences_processed = 0;
   std::uint64_t elt_lookups = 0;
-  /// Wall-clock spent building event→row resolutions (0 on cache hits or
-  /// when use_resolver is off); included in `seconds`.
+  /// Wall-clock the batched and scenario lowerings spent on compact
+  /// resolutions (cache lookups and builds); included in `seconds`. Always
+  /// 0 on per-contract runs, which resolve in the kernel.
   double resolve_seconds = 0.0;
   /// Convergence report of an adaptive run (enabled = false otherwise):
   /// stopping trial count, stop reason, per-metric estimates and CIs.
@@ -256,11 +255,11 @@ data::ResolverCache& resolver_cache_for(const EngineConfig& config,
 /// invariant that keeps streamed runs bit-identical to monolithic ones)
 /// and ENSUREs in-order delivery covering exactly source.trials().
 /// `run_local_cache` is the run's local resolver cache (the one
-/// resolver_cache_for selected for ephemeral sources): after each
-/// ephemeral block it is cleared, so transient resolutions cannot outlive
-/// the block whose tables key them.
+/// resolver_cache_for selected for ephemeral sources), or nullptr for a
+/// runner that resolves nothing: after each ephemeral block it is cleared,
+/// so transient resolutions cannot outlive the block whose tables key them.
 void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
-                          data::ResolverCache& run_local_cache,
+                          data::ResolverCache* run_local_cache,
                           const std::function<void(const data::TrialBlock&, TrialId)>& body);
 
 /// Single-layer convenience used by the pricer and micro-benches: returns

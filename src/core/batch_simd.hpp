@@ -21,16 +21,18 @@
 //       sums and the OEP accumulator bit-identical to the scalar kernel.
 //       The sub-width remainder of each chunk runs the scalar ops in the
 //       same order (the lane-tail contract).
-//   vector-dense — dense group of any size, walking hits only: the pass
-//       that resolves ground-up losses (detail::collect_dense_hits — the
-//       batched sampler fill, or the row compaction ahead of the means
-//       gather) skips kNoLoss rows and records each found occurrence's
-//       position and loss with its trial segment, and the per-slot lanes
-//       and folds run over that list. Skipping a miss is exactly the
-//       scalar kernel's `continue`.
-//   scalar — everything else (search gather, mask columns) falls back to
-//       batch::process_trials for the (group, block) — same code, so
-//       equality across the full feature matrix holds by construction.
+//   vector-dense — lookup group of any size over a table with an event→row
+//       table, walking hits only: the pass that resolves ground-up losses
+//       (detail::collect_dense_hits — the batched sampler fill, or the row
+//       compaction ahead of the means gather) reads each occurrence's row
+//       from the table, skips the misses and records each found
+//       occurrence's position and loss with its trial segment, and the
+//       per-slot lanes and folds run over that list. Skipping a miss is
+//       exactly the scalar kernel's `continue`.
+//   scalar — everything else (mask columns, lookups over tables too sparse
+//       to carry an event→row table) falls back to batch::process_trials
+//       for the (group, block) — same code, so equality across the full
+//       feature matrix holds by construction.
 //
 // Shared outputs (the portfolio roll-up, a shared OEP accumulator) see the
 // same per-cell addition order as the scalar kernel: the block loop is
@@ -111,13 +113,13 @@ std::uint64_t process_trials_simd_neon(std::span<const Slot> slots,
 inline constexpr std::size_t kVectorAnnuals = 4096;
 
 /// Whether the vector kernel runs gather group `gs` itself: a compact group
-/// without mask columns (a mask re-keys sampling per lane) or a dense group,
-/// of at most kVectorAnnuals slots. Search groups and the rest go to
-/// batch::process_trials.
+/// without mask columns (a mask re-keys sampling per lane) or a lookup
+/// group whose table carries an event→row lookup, of at most
+/// kVectorAnnuals slots. The rest go to batch::process_trials.
 bool vectorizable(const Slot* gs, std::uint32_t gsize) noexcept;
 
 /// Occurrence × slot evaluations of group `gs` over trials [t0, t1): its
-/// hits (compact) or YELT entries (dense, search) — the unit of the
+/// hits (compact) or YELT entries (lookup) — the unit of the
 /// exec.simd.*_occurrences counters.
 std::uint64_t group_occurrences(const Slot* gs, std::uint32_t gsize,
                                 std::span<const std::uint64_t> yelt_offsets, TrialId t0,
@@ -176,10 +178,10 @@ void fill_ground_up_compact_range(const Slot& s, const Philox4x32& philox,
                                   std::uint64_t k_begin, std::uint64_t k_end, Money* out,
                                   SimdStats& stats);
 
-/// Found occurrences one dense vector chunk buffers.
+/// Found occurrences one dense (lookup-group) vector chunk buffers.
 inline constexpr std::size_t kDenseHits = 2048;
 
-/// One chunk of a dense group's found occurrences, in occurrence order:
+/// One chunk of a lookup group's found occurrences, in occurrence order:
 /// per hit its global YELT position (the OEP cell), ELT row and ground-up
 /// loss; per trial segment its trial and the end of its hits, so segment q
 /// holds hits [seg_end[q - 1], seg_end[q]) (from 0 for q = 0). Trials
@@ -194,15 +196,16 @@ struct DenseHits {
   std::size_t segs = 0;
 };
 
-/// Collects the found occurrences of the dense global range
-/// [i_begin, i_end) of slot `s` into `out`, skipping kNoLoss rows, and
-/// stops once kDenseHits are buffered; returns the position to resume
+/// Collects the found occurrences of the YELT range [i_begin, i_end) of
+/// lookup slot `s` into `out` — each occurrence's row read from the
+/// table's event→row lookup (which `s.elt` must carry), misses skipped —
+/// and stops once kDenseHits are buffered; returns the position to resume
 /// from. `t` is the trial holding i_begin (or any trial before it) and is
 /// advanced with the walk. With `secondary` the hits are sampled through
-/// the batched SecondarySampler::sample_lanes path under the scalar dense
-/// walk's stream keys (contract, trial_base + t, i − yelt_offsets[t]);
-/// without it `out.gu` is left for the caller's means gather over
-/// `out.rows`.
+/// the batched SecondarySampler::sample_lanes path under the scalar
+/// lookup walk's stream keys (contract, trial_base + t,
+/// i − yelt_offsets[t]); without it `out.gu` is left for the caller's
+/// means gather over `out.rows`.
 std::uint64_t collect_dense_hits(const Slot& s, const Philox4x32& philox, bool secondary,
                                  TrialId trial_base, TrialId& t,
                                  std::span<const std::uint64_t> yelt_offsets,

@@ -16,9 +16,9 @@
 // per stack chunk (sampled or gathered, shared by every slot of the
 // group), then per slot a pure vector pass (scale, terms, store) and a
 // scalar fold pass that consumes the chunk in occurrence order, one trial
-// at a time. Compact groups chunk their contiguous CSR hit range; dense
+// at a time. Compact groups chunk their contiguous CSR hit range; lookup
 // groups chunk the hit list detail::collect_dense_hits compacts out of the
-// YELT range, so misses cost one compaction step and no lane or fold work.
+// YELT range, so misses cost one table read and no lane or fold work.
 // One extern finish call per (slot, block) flushes the annual sums. This
 // keeps the hot loops long (the per-trial hit count is typically ~a dozen)
 // and the portable-TU call overhead off the per-trial path.
@@ -175,12 +175,13 @@ inline void vec_compact_pass(const Slot* gs, std::size_t gsize, const Philox4x32
   }
 }
 
-/// The dense pass of one vector (group, trial range [a0, a1)): walks hits
-/// only. Each chunk is the next kDenseHits found occurrences of the range,
-/// collected with their ground-up losses (sampled in the collection, or
-/// gathered from the means here) and trial segments; then per slot the
-/// lanes and a fold over the segments. A skipped miss is exactly the
-/// scalar kernel's `continue`. Returns the rows found, once per occurrence.
+/// The dense pass of one vector lookup (group, trial range [a0, a1)):
+/// walks hits only. Each chunk is the next kDenseHits found occurrences of
+/// the range, collected with their ground-up losses (sampled in the
+/// collection, or gathered from the means here) and trial segments; then
+/// per slot the lanes and a fold over the segments. A skipped miss is
+/// exactly the scalar kernel's `continue`. Returns the rows found, once per
+/// occurrence.
 template <typename V>
 inline std::uint64_t vec_dense_pass(const Slot* gs, std::size_t gsize,
                                     const Philox4x32& philox, bool secondary,
@@ -297,7 +298,7 @@ inline std::uint64_t vec_group_block(const Slot* gs, std::size_t gsize,
 }
 
 /// The kernel: per (group, trial-block) classification, vector paths for
-/// compact and dense groups, batch::process_trials for the rest. The block
+/// compact and lookup groups, batch::process_trials for the rest. The block
 /// loop is outermost and groups run in plan order, so shared output cells
 /// accumulate in the scalar kernel's order.
 template <typename V>
@@ -320,7 +321,7 @@ std::uint64_t process_trials_simd(std::span<const Slot> slots, std::span<const G
                                 yelt_offsets, philox, secondary, trial_base, b0, b1,
                                 annual_scratch);
         stats.scalar_occurrences += group_occurrences(gs, group.size, yelt_offsets, b0, b1);
-      } else if (gs[0].gather == Gather::Dense) {
+      } else if (gs[0].gather == Gather::Lookup) {
         found += vec_group_block<V, true>(gs, group.size, philox, secondary, trial_base, b0,
                                           b1, yelt_offsets, stats);
       } else {

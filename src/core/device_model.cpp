@@ -6,7 +6,6 @@
 
 #include "core/exec.hpp"
 #include "core/secondary.hpp"
-#include "data/resolved_yelt.hpp"
 #include "parallel/device.hpp"
 
 namespace riskan::core::device_model {
@@ -31,18 +30,11 @@ constexpr std::uint64_t kOccTermFlops = 4;
 constexpr std::uint64_t kFinishFlops = 6;
 constexpr std::uint64_t kFinishWrites = 3;
 
-/// Bytes one binary-search probe sequence over `rows` sorted ELT rows
-/// touches (16 bytes per probed cache line, log2(rows) probes).
-std::uint64_t probe_bytes(std::size_t rows) noexcept {
-  return 16 * (64 - static_cast<std::uint64_t>(__builtin_clzll(rows | 1)));
-}
-
 /// Slots that read the same columns of the same table share one gather
 /// source — the unit of residency and staging.
 bool same_source(const batch::Slot& a, const batch::Slot& b) noexcept {
   return a.gather == b.gather && a.elt == b.elt && a.hit_offsets == b.hit_offsets &&
-         a.seqs == b.seqs && a.rows == b.rows && a.dense_rows == b.dense_rows &&
-         a.search_events == b.search_events;
+         a.seqs == b.seqs && a.rows == b.rows && a.events == b.events;
 }
 
 /// A contiguous group range whose sources' packed tables share one
@@ -115,15 +107,19 @@ std::vector<ResidencyChunk> plan_residency(const std::vector<const batch::Slot*>
   return chunks;
 }
 
-/// Rows of `s`'s table that occurrences [lo, hi) of a dense or search
-/// source find — the rows a device block gathers (and samples) once per
-/// group.
+/// Rows of `s`'s table that occurrences [lo, hi) of a lookup source find,
+/// counted through the table as the kernel finds them — the rows a device
+/// block gathers (and samples) once per group.
 std::uint64_t found_rows(const batch::Slot& s, std::uint64_t lo, std::uint64_t hi) {
+  const auto lookup = s.elt->row_lookup();
   std::uint64_t found = 0;
   for (std::uint64_t i = lo; i < hi; ++i) {
-    found += s.gather == batch::Gather::Dense
-                 ? (s.dense_rows[i] != data::ResolvedYelt::kNoLoss ? 1 : 0)
-                 : (s.elt->find(s.search_events[i]) != data::EventLossTable::npos ? 1 : 0);
+    const EventId e = s.events[i];
+    found += (lookup.empty() ? s.elt->find(e) != data::EventLossTable::npos
+                             : data::EventLossTable::lookup_row(lookup, e) !=
+                                   data::EventLossTable::kNoRow)
+                 ? 1
+                 : 0;
   }
   return found;
 }
@@ -168,11 +164,9 @@ void estimate(const exec::ExecutionPlan& plan, const EngineConfig& config,
       const std::uint64_t occ_hi = yelt_offsets[last];
 
       // Stage the block's column slices into the shared arena, greedily
-      // in source order; search sources share the YELT event column, so
-      // it stages at most once. A slice that does not fit spills the
-      // block: its groups read that column from global memory.
+      // in source order. A slice that does not fit spills the block: its
+      // groups read that column from global memory.
       std::fill(column_staged.begin(), column_staged.end(), 0);
-      bool events_staged = false;
       bool all_staged = true;
       std::size_t shared_used = 0;
       const auto stage = [&](std::uint64_t bytes) {
@@ -187,14 +181,10 @@ void estimate(const exec::ExecutionPlan& plan, const EngineConfig& config,
       };
       for (const auto& [src, rows_resident] : chunk.staged_rows) {
         const batch::Slot& s = *sources[src];
-        if (s.gather == batch::Gather::Compact) {
-          column_staged[src] =
-              stage(2 * sizeof(std::uint32_t) * (s.hit_offsets[last] - s.hit_offsets[first]));
-        } else if (s.gather == batch::Gather::Dense) {
-          column_staged[src] = stage(sizeof(std::uint32_t) * (occ_hi - occ_lo));
-        } else if (!events_staged) {
-          events_staged = stage(sizeof(EventId) * (occ_hi - occ_lo));
-        }
+        column_staged[src] =
+            s.gather == batch::Gather::Compact
+                ? stage(2 * sizeof(std::uint32_t) * (s.hit_offsets[last] - s.hit_offsets[first]))
+                : stage(sizeof(EventId) * (occ_hi - occ_lo));
       }
 
       // Meter each group's gather and compute traffic. The ground-up loss
@@ -240,14 +230,7 @@ void estimate(const exec::ExecutionPlan& plan, const EngineConfig& config,
           }
         } else {
           const std::uint64_t occ = occ_hi - occ_lo;
-          meter_column(occ * sizeof(std::uint32_t), source.gather == batch::Gather::Dense
-                                                        ? column_staged[src] != 0
-                                                        : events_staged);
-          if (source.gather == batch::Gather::Search) {
-            // Every occurrence binary-searches the table once per group;
-            // probes split between the resident prefix and the global tail.
-            meter_resident(occ * probe_bytes(elt_rows));
-          }
+          meter_column(occ * sizeof(EventId), column_staged[src] != 0);
           meter_rows(found_rows(source, occ_lo, occ_hi));
           finished = occ > 0 ? last - first : 0;
         }

@@ -18,13 +18,13 @@
 //    arena greedily in source order, and spills a slice that does not fit.
 //  * metering — per group and block, the bytes each access class moves
 //    and the FLOPs of gathers, beta draws, occurrence terms and the annual
-//    finish. Found rows of dense and search groups are counted by scanning
-//    the block's dense row column or by EventLossTable::find.
+//    finish. Found rows of lookup groups are counted through the table, as
+//    the kernel finds them (its event→row lookup, or EventLossTable::find).
 //  * the roofline, applied once per launch and summed in launch order.
 //
 // It reads plans and never runs the trial kernel: every counter is an
-// integer function of hit offsets, YELT offsets, dense rows, table sizes
-// and the spec. exec::make_executor calls estimate() after the host
+// integer function of hit offsets, YELT offsets and events, the tables and
+// the spec. exec::make_executor calls estimate() after the host
 // executor whenever EngineConfig::device_info is set, so the model follows
 // every lowering (per-contract, batched, streamed blocks, scenario sweeps)
 // and never touches an output. The numbers are a model: they are reported

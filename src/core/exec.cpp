@@ -43,19 +43,13 @@ void validate_slots(std::span<const batch::Slot> slots,
                            s.hit_offsets[trials] == 0,
                        "compact slot needs seq and row columns");
         break;
-      case batch::Gather::Dense:
-        RISKAN_REQUIRE(s.dense_rows != nullptr || entries == 0,
-                       "dense slot needs its pre-joined row column");
+      case batch::Gather::Lookup:
+        RISKAN_REQUIRE(s.events != nullptr || entries == 0,
+                       "lookup slot needs the YELT event column");
+        RISKAN_REQUIRE(s.mask_seq == nullptr && s.loss_scale == 1.0 &&
+                           s.conditioned_ground_up < 0.0,
+                       "lookup slots take no scenario transforms");
         break;
-      case batch::Gather::Search:
-        RISKAN_REQUIRE(s.search_events != nullptr || entries == 0,
-                       "search slot needs the YELT event column");
-        break;
-    }
-    if (s.gather != batch::Gather::Compact) {
-      RISKAN_REQUIRE(s.mask_seq == nullptr && s.loss_scale == 1.0 &&
-                         s.conditioned_ground_up < 0.0,
-                     "dense/search slots take no scenario transforms");
     }
     RISKAN_REQUIRE(!secondary || s.sampler != nullptr,
                    "secondary sampling needs a per-slot sampler");
@@ -74,8 +68,8 @@ class HostKernel {
 
   /// Whether `plan` runs the vector kernel: a dispatched ISA and at least
   /// one vectorizable group. Otherwise the scalar kernel runs the plan
-  /// directly, so a plan of mask-column or search groups costs nothing
-  /// extra under Auto.
+  /// directly, so a plan of mask-column groups or of lookup groups over
+  /// sparse tables costs nothing extra under Auto.
   bool vectorizes(const ExecutionPlan& plan) const noexcept {
     return dispatch_.kernel != nullptr &&
            std::any_of(plan.groups.begin(), plan.groups.end(), [&plan](const batch::Group& g) {

@@ -22,8 +22,9 @@
 //     vectorized kernel (core/batch_simd.hpp) on the runtime-dispatched ISA
 //     (core/simd.hpp) and publishes its lane telemetry as exec.simd.*. Auto
 //     runs the scalar kernel when no ISA dispatches, and also for a plan
-//     none of whose groups vectorize (mask columns and search gathers make
-//     a group scalar), so such a plan pays nothing for the vector kernel.
+//     none of whose groups vectorize (a mask column, or a lookup over a
+//     table too sparse for an event→row table, makes a group scalar), so
+//     such a plan pays nothing for the vector kernel.
 //     With EngineConfig::device_info set, make_executor wraps the host
 //     executor so that each plan it runs is also handed to the device model
 //     (core/device_model.hpp), which computes from the plan what the run
@@ -62,8 +63,8 @@ struct ExecutionPlan {
   std::size_t max_group_size = 0;
 
   /// Lowers a finished slot list: groups slots, sizes scratch and
-  /// validates gather modes (each slot exactly one mode; dense/search slots
-  /// must be transform-inert, alone or as a contract's layer tower).
+  /// validates gather modes (each slot exactly one mode; lookup slots must
+  /// be transform-inert, alone or as a contract's layer tower).
   static ExecutionPlan lower(std::span<const batch::Slot> slots,
                              std::span<const std::uint64_t> yelt_offsets, TrialId trials,
                              const EngineConfig& config);
@@ -88,7 +89,7 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Runs the plan's full trial range through batch::process_trials.
-  /// Returns the kernel's dense/search found-lookup count, per slot (0 for
+  /// Returns the kernel's lookup-slot found count, per slot (0 for
   /// all-compact plans, whose hit telemetry comes from their resolutions).
   virtual std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) = 0;
 };

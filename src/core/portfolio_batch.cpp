@@ -26,8 +26,7 @@ namespace {
 /// shares one draw per occurrence.
 bool same_gather(const Slot& a, const Slot& b) noexcept {
   return a.gather == b.gather && a.hit_offsets == b.hit_offsets && a.seqs == b.seqs &&
-         a.rows == b.rows && a.dense_rows == b.dense_rows &&
-         a.search_events == b.search_events && a.elt == b.elt && a.means == b.means &&
+         a.rows == b.rows && a.events == b.events && a.elt == b.elt && a.means == b.means &&
          a.sampler == b.sampler && a.contract_id == b.contract_id;
 }
 
@@ -107,7 +106,7 @@ constexpr Money kNoGroundUp = -1.0;
 /// +0.0 to a sum of non-negative contributions changes no bit.
 ///
 /// `offsets` delimits each trial's positions (hit_offsets for compact,
-/// the YELT offsets for dense/search); `row_at(j)` maps a position to an
+/// the YELT offsets for lookup); `row_at(j)` maps a position to an
 /// ELT row or npos and `seq_at(j, trial_begin)` to its in-trial sequence.
 /// A trial with more than kChunk positions runs alone, chunked, with each
 /// slot's annual sum carried in `annuals` (gsize entries). Returns the rows
@@ -245,8 +244,8 @@ std::uint64_t process_group_block(const Slot* gs, std::size_t gsize, const Philo
 }
 
 /// process_group_block over the group's gather mode. Returns the found
-/// lookups of dense/search groups per slot (occurrence × layer
-/// evaluations — the elt_lookups unit); compact groups report 0.
+/// lookups of lookup groups per slot (occurrence × layer evaluations — the
+/// elt_lookups unit); compact groups report 0.
 std::uint64_t process_group(const Slot* gs, std::size_t gsize, const Philox4x32& philox,
                             bool secondary, TrialId trial_base, TrialId t0, TrialId t1,
                             std::span<const std::uint64_t> yelt_offsets, Money* annuals) {
@@ -264,22 +263,26 @@ std::uint64_t process_group(const Slot* gs, std::size_t gsize, const Philox4x32&
           [seqs](std::uint64_t k, std::uint64_t) { return seqs[k]; }, annuals);
       return 0;
     }
-    case Gather::Dense: {
-      const std::uint32_t* dense = lead.dense_rows;
-      return gsize * process_group_block(
-                         gs, gsize, philox, secondary, trial_base, t0, t1,
-                         yelt_offsets.data(), yelt_offsets,
-                         [dense](std::uint64_t i) {
-                           const std::uint32_t row = dense[i];
-                           return row == data::ResolvedYelt::kNoLoss
-                                      ? data::EventLossTable::npos
-                                      : static_cast<std::size_t>(row);
-                         },
-                         full_range_seq, annuals);
-    }
-    case Gather::Search: {
+    case Gather::Lookup: {
+      // The table decides once per group: O(1) through its event→row
+      // lookup, or a binary search when its ids are too sparse for one.
+      // Both find the same row for every occurrence.
+      const EventId* events = lead.events;
+      const auto lookup = lead.elt->row_lookup();
+      if (!lookup.empty()) {
+        return gsize * process_group_block(
+                           gs, gsize, philox, secondary, trial_base, t0, t1,
+                           yelt_offsets.data(), yelt_offsets,
+                           [events, lookup](std::uint64_t i) {
+                             const std::uint32_t row =
+                                 data::EventLossTable::lookup_row(lookup, events[i]);
+                             return row == data::EventLossTable::kNoRow
+                                        ? data::EventLossTable::npos
+                                        : static_cast<std::size_t>(row);
+                           },
+                           full_range_seq, annuals);
+      }
       const data::EventLossTable* elt = lead.elt;
-      const EventId* events = lead.search_events;
       return gsize * process_group_block(
                          gs, gsize, philox, secondary, trial_base, t0, t1,
                          yelt_offsets.data(), yelt_offsets,
@@ -371,13 +374,10 @@ bool vectorizable(const Slot* gs, std::uint32_t gsize) noexcept {
   if (gsize > kVectorAnnuals) {
     return false;  // not even one trial's annuals fit the vector pass's buffer
   }
-  switch (gs[0].gather) {
-    case Gather::Dense:
-      return true;
-    case Gather::Search:
-      return false;
-    case Gather::Compact:
-      break;
+  if (gs[0].gather == Gather::Lookup) {
+    // The dense pass reads the table's event→row lookup; a table too
+    // sparse to carry one binary-searches in the scalar kernel.
+    return !gs[0].elt->row_lookup().empty();
   }
   // loss_scale / conditioned_ground_up vectorize; a mask column re-keys
   // sampling per lane and stays scalar.
@@ -445,10 +445,11 @@ std::uint64_t collect_dense_hits(const Slot& s, const Philox4x32& philox, bool s
                                  std::uint64_t i_begin, std::uint64_t i_end, DenseHits& out,
                                  SimdStats& stats) {
   // One walk per trial over its positions in range, appending every
-  // position branch-free and keeping it only when its row is found; the
-  // trial's segment is kept only when it gained hits. `stop` caps the walk
-  // so the buffer cannot overflow, since each position adds at most one
-  // hit.
+  // position branch-free and keeping it only when the table finds its row;
+  // the trial's segment is kept only when it gained hits. `stop` caps the
+  // walk so the buffer cannot overflow, since each position adds at most
+  // one hit.
+  const auto lookup = s.elt->row_lookup();
   std::uint64_t lo[kDenseHits];
   std::size_t m = 0;
   std::size_t q = 0;
@@ -462,13 +463,13 @@ std::uint64_t collect_dense_hits(const Slot& s, const Philox4x32& philox, bool s
         std::min({yelt_offsets[t + 1], i_end, i + (kDenseHits - m)});
     const std::size_t m0 = m;
     for (; i < stop; ++i) {
-      const std::uint32_t row = s.dense_rows[i];
+      const std::uint32_t row = data::EventLossTable::lookup_row(lookup, s.events[i]);
       out.pos[m] = i;
       out.rows[m] = row;
       if (secondary) {
         lo[m] = occurrence_lo_key(trial_base + t, static_cast<std::uint32_t>(i - trial_begin));
       }
-      m += row != data::ResolvedYelt::kNoLoss ? 1 : 0;
+      m += row != data::EventLossTable::kNoRow ? 1 : 0;
     }
     out.seg_trial[q] = t;
     out.seg_end[q] = static_cast<std::uint32_t>(m);
@@ -558,14 +559,14 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
   bool lowered = false;
   std::vector<batch::Slot> slots;
 
-  for_each_trial_block(source, config, local_cache,
+  for_each_trial_block(source, config, &local_cache,
                        [&](const data::TrialBlock& block, TrialId base) {
     const data::YearEventLossTable& yelt = *block.yelt;
     const TrialId block_trials = yelt.trials();
     const auto yelt_offsets = yelt.offsets();
 
-    // Per-block resolution of every contract's ELT, shared through the
-    // cache, then hit-compacted for the gather kernel.
+    // Per-block compact resolution of every contract's ELT, shared through
+    // the cache.
     for (AnalysisRun& run : group) {
       const finance::Portfolio& portfolio = *run.portfolio;
       obs::Timer resolve_timer("batch.resolve");
@@ -591,14 +592,14 @@ void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
       const finance::Portfolio& portfolio = *run.portfolio;
       for (std::size_t c = 0; c < portfolio.size(); ++c) {
         const auto& contract = portfolio.contract(c);
-        const auto& entry = run.resolution.entry(c);
+        const data::CompactResolvedYelt& entry = run.resolution.entry(c);
         run.result.elt_lookups +=
-            entry.compact->hits() * static_cast<std::uint64_t>(contract.layers().size());
+            entry.hits() * static_cast<std::uint64_t>(contract.layers().size());
         for (const auto& layer : contract.layers()) {
           batch::Slot slot;
-          slot.hit_offsets = entry.compact->trial_offsets().data();
-          slot.seqs = entry.compact->seqs().data();
-          slot.rows = entry.compact->rows().data();
+          slot.hit_offsets = entry.trial_offsets().data();
+          slot.seqs = entry.seqs().data();
+          slot.rows = entry.rows().data();
           slot.elt = &contract.elt();
           slot.means = contract.elt().mean_loss().data();
           slot.sampler = config.secondary_uncertainty ? &run.samplers[c] : nullptr;

@@ -9,19 +9,18 @@
 // the plan/executor layer.
 //
 // A Slot is one consumer of the streamed pass — a (contract, layer), with
-// one of three gather modes (a contract's layers share one gather group and
+// one of two gather modes (a contract's layers share one gather group and
 // one secondary-uncertainty draw per occurrence; see Group):
 //   compact — hit-compacted CSR columns (data::CompactResolvedYelt): the
 //             batched regime; the pass touches 8 bytes per *hit*.
-//   dense   — the full pre-joined row column (data::ResolvedYelt): the
-//             per-contract regime (`batch_contracts = false`); the pass
-//             touches 4 bytes and branches per *occurrence*, which is the
-//             legacy per-contract kernel's access pattern and what E10's
+//   lookup  — the YELT event column, each occurrence's row found in the
+//             kernel through the ELT's event→row table, or by binary search
+//             when the table is too sparse to carry one (the choice is made
+//             once per group from the table): the per-contract regime
+//             (`batch_contracts = false`); the pass touches 4 bytes and
+//             branches per *occurrence*, which is what E10's
 //             batched-vs-loop ratio measures.
-//   search  — per-occurrence binary search of the contract's ELT: the
-//             `use_resolver = false` reference path of the equivalence
-//             tests and the E2b ablation.
-// All three run through the same per-trial loop structure, so outputs are
+// Both run through the same per-trial loop structure, so outputs are
 // bit-identical across modes, backends and scheduling (tests enforce).
 //
 // The batched path pre-resolves every contract's ELT against the YELT
@@ -55,8 +54,7 @@ inline constexpr std::uint32_t kMaskedOut = ~std::uint32_t{0};
 /// How a slot reaches its ELT rows (see the file header).
 enum class Gather : std::uint8_t {
   Compact,  ///< hit-compacted CSR columns (batched regime)
-  Dense,    ///< full pre-joined row column (per-contract regime)
-  Search,   ///< per-occurrence binary search (use_resolver=false reference)
+  Lookup,   ///< in-kernel event→row lookup per occurrence (per-contract regime)
 };
 
 /// One consumer of the streamed pass: a (contract, layer) with its gather
@@ -84,18 +82,15 @@ struct Slot {
   // Gather inputs — shared by every slot of a gather group. `gather`
   // selects the mode; the mode's columns must be set (they may be null
   // only when the YELT/hit span is empty). `elt` is always required (the
-  // device model sizes constant-memory residency from it; search mode
-  // probes it).
+  // device model sizes constant-memory residency from it; lookup mode
+  // finds its rows in it).
   Gather gather = Gather::Compact;
   const std::uint64_t* hit_offsets = nullptr;  // compact CSR index, by trial
   const std::uint32_t* seqs = nullptr;         // in-trial occurrence sequence
   const std::uint32_t* rows = nullptr;         // ELT rows, parallel to seqs
-  /// Dense mode: full row column aligned with yelt.events()
-  /// (data::ResolvedYelt::rows); entries are ELT rows or kNoLoss.
-  const std::uint32_t* dense_rows = nullptr;
-  /// Search mode: the YELT event column; each occurrence binary-searches
-  /// `elt` in-kernel (the legacy `use_resolver = false` reference path).
-  const EventId* search_events = nullptr;
+  /// Lookup mode: the YELT event column; each occurrence's row is
+  /// `elt`'s row_lookup() entry, or elt->find() when the table has none.
+  const EventId* events = nullptr;
   const data::EventLossTable* elt = nullptr;
   const Money* means = nullptr;
   const SecondarySampler* sampler = nullptr;  // null = use ELT means
@@ -146,9 +141,9 @@ std::vector<Group> group_slots(std::span<const Slot> slots);
 /// occurrence range), so disjoint chunks never race. `annual_scratch`
 /// needs one entry per slot of the largest group.
 ///
-/// Returns the number of occurrences that resolved to an ELT row in dense
-/// and search slots, counted per slot — occurrence × layer evaluations,
-/// like EngineResult::elt_lookups — although a group finds each row once
+/// Returns the number of occurrences that resolved to an ELT row in lookup
+/// slots, counted per slot — occurrence × layer evaluations, like
+/// EngineResult::elt_lookups — although a group finds each row once
 /// (compact slots report hits via their resolution instead and contribute
 /// 0 here).
 std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group> groups,
@@ -170,8 +165,8 @@ namespace riskan::core {
 
 /// Batched counterpart of run_aggregate_analysis: same inputs, same
 /// bit-identical EngineResult, one streamed YELT pass for the whole
-/// portfolio instead of one per contract. The resolver is
-/// intrinsic to this path, so `config.use_resolver` is ignored.
+/// portfolio instead of one per contract, gathering through compact
+/// resolutions kept in config.resolver_cache.
 EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
                                  const data::YearEventLossTable& yelt,
                                  const EngineConfig& config = {});

@@ -5,15 +5,16 @@
 // contract's exposure together with the spread used for secondary
 // uncertainty: (event_id, mean_loss, sigma_loss, exposure_limit).
 //
-// Layout is struct-of-arrays sorted by event id: the aggregate engines
-// pre-join it to the YELT once per contract (data::ResolvedYelt — the
-// sorted order makes the pre-join a cheap streamed binary-search pass, and
-// the trial kernels then gather rows by direct index), the device model
-// prices the arrays as constant-memory residents, and the scan kernels
-// stream it — all want columnar contiguity, which is exactly the "small
-// number of very large tables ... streamed by independent processes"
-// organisation the paper prescribes for stage 1 outputs. find() remains
-// the reference per-occurrence lookup for the resolver-off path.
+// Layout is struct-of-arrays sorted by event id: the trial kernels find
+// each occurrence's row through the table's event→row lookup (row_lookup,
+// the direct-access ELT of the paper's aggregate-analysis engines) or, for
+// a table too sparse to carry one, by binary search over the sorted ids
+// (find); the batched engine lists the hits once per contract
+// (data::CompactResolvedYelt); the device model prices the arrays as
+// constant-memory residents, and the scan kernels stream it — all want
+// columnar contiguity, which is exactly the "small number of very large
+// tables ... streamed by independent processes" organisation the paper
+// prescribes for stage 1 outputs.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +55,8 @@ class EventLossTable {
   std::span<const Money> exposure() const noexcept { return exposure_; }
 
   /// Index of the event in the table, or npos when the event causes no loss
-  /// to this contract. O(log n) binary search — the reference lookup of the
-  /// resolver-off path.
+  /// to this contract. O(log n) binary search — the lookup of tables
+  /// without a row_lookup().
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   std::size_t find(EventId event) const noexcept;
 
@@ -66,9 +67,17 @@ class EventLossTable {
   /// the row of event e, or kNoRow. Built by from_rows when the id range is
   /// dense enough to be worth the memory (max id + 1 <= max(4096, 64 x
   /// rows)); empty otherwise, and callers fall back to find(). This is what
-  /// makes event→row resolution O(1) per occurrence — the out-of-core path
-  /// re-resolves every block, so it is resolution's hot path.
+  /// makes event→row resolution O(1) per occurrence: the per-contract
+  /// kernel reads it for every occurrence of every block, and the compact
+  /// build for every block a batched run streams.
   std::span<const std::uint32_t> row_lookup() const noexcept { return row_lookup_; }
+
+  /// Row of `event` in a table's row_lookup() `lookup`, or kNoRow (ids
+  /// past the lookup's end are absent too).
+  static std::uint32_t lookup_row(std::span<const std::uint32_t> lookup,
+                                  EventId event) noexcept {
+    return event < lookup.size() ? lookup[event] : kNoRow;
+  }
 
   /// Row view at index (bounds-checked by contract).
   EltRow row(std::size_t index) const;

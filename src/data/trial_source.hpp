@@ -75,8 +75,8 @@ class TrialSource {
   virtual void reset() = 0;
 
   /// True when blocks are transient decodes that die with the pass — the
-  /// engines then resolve against a run-local ResolverCache so dead keys
-  /// never park in the process-wide cache.
+  /// batched and scenario engines then resolve against a run-local
+  /// ResolverCache so dead keys never park in the process-wide cache.
   virtual bool ephemeral_blocks() const noexcept = 0;
 };
 

@@ -66,8 +66,7 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
     core::EngineConfig engine;
     engine.seed = config.seed;
     engine.secondary_uncertainty = config.secondary_uncertainty;
-    engine.use_resolver = config.use_resolver;
-    engine.batch_contracts = config.batch_contracts && config.use_resolver;
+    engine.batch_contracts = config.batch_contracts;
     engine.adaptive = config.adaptive;
 
     std::vector<dist::BlockSpec> specs;
@@ -133,8 +132,7 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
       engine.compute_oep = false;
       engine.keep_contract_ylts = false;
       engine.trial_base = static_cast<TrialId>(split) * per_block;
-      engine.use_resolver = config.use_resolver;
-      engine.batch_contracts = config.batch_contracts && config.use_resolver;
+      engine.batch_contracts = config.batch_contracts;
 
       const auto block_result = core::run_aggregate_analysis(portfolio, source, engine);
       const auto losses = block_result.portfolio_ylt.losses();
@@ -177,16 +175,13 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
         engine.compute_oep = false;
         engine.keep_contract_ylts = false;
         engine.trial_base = static_cast<TrialId>(split) * per_block;
-        engine.use_resolver = config.use_resolver;
         // Each map task carries the whole contract group: with batching on,
         // its YELT slice is streamed once serving every contract, instead
-        // of once per contract. Batching is resolver-intrinsic,
-        // so the use_resolver=false ablation keeps the per-contract path.
-        engine.batch_contracts = config.batch_contracts && config.use_resolver;
+        // of once per contract.
+        engine.batch_contracts = config.batch_contracts;
         // The decoded slice is task-local; the ephemeral source makes the
-        // engine resolve through a run-local cache automatically, still
-        // sharing the pre-join across the contracts' layers without
-        // parking dead keys in the process-wide cache.
+        // batched engine resolve through a run-local cache automatically,
+        // without parking dead keys in the process-wide cache.
 
         const auto block_result = core::run_aggregate_analysis(portfolio, source, engine);
         const auto losses = block_result.portfolio_ylt.losses();

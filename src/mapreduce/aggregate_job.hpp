@@ -35,15 +35,10 @@ struct AggregateJobConfig {
   bool secondary_uncertainty = true;
   ThreadPool* pool = nullptr;
   std::string dfs_file = "yelt";
-  /// Pre-join each contract's ELT to the map task's YELT slice once and
-  /// share it across the contract's layers (core::EngineConfig::use_resolver).
-  bool use_resolver = true;
   /// Run each map task portfolio-batched: the whole contract group is
   /// served by one streamed pass over the task's YELT slice instead of a
   /// per-contract re-walk (core::EngineConfig::batch_contracts). Outputs
-  /// are bit-identical either way. The batched path is resolver-intrinsic,
-  /// so `use_resolver = false` (the legacy-lookup ablation) forces the
-  /// per-contract path regardless of this flag.
+  /// are bit-identical either way.
   bool batch_contracts = true;
   /// When set, the map phase rides the multi-process dist transport
   /// (src/dist/coordinator.hpp): DFS blocks are leased to forked worker

@@ -190,7 +190,7 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
   PlanStats stats;
   double resolve_seconds = 0.0;
 
-  core::for_each_trial_block(source, config, local_cache,
+  core::for_each_trial_block(source, config, &local_cache,
                              [&](const data::TrialBlock& block, TrialId base) {
     const data::YearEventLossTable& yelt = *block.yelt;
     const TrialId block_trials = yelt.trials();
@@ -260,9 +260,9 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
       ScenarioRun& run = runs[bp.scenario];
 
       core::batch::Slot slot;
-      slot.hit_offsets = entry.compact->trial_offsets().data();
-      slot.seqs = entry.compact->seqs().data();
-      slot.rows = entry.compact->rows().data();
+      slot.hit_offsets = entry.trial_offsets().data();
+      slot.seqs = entry.seqs().data();
+      slot.rows = entry.rows().data();
       slot.elt = &contract.elt();
       slot.means = contract.elt().mean_loss().data();
       slot.sampler = config.secondary_uncertainty ? &samplers[bp.contract] : nullptr;
@@ -323,7 +323,7 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
       std::uint64_t layer_count = 0;
       for (const std::size_t c : plan.scenario_books()[s]) {
         const std::uint64_t layers = plan.contracts()[c]->layers().size();
-        run.result.elt_lookups += plan.resolution().entry(c).compact->hits() * layers;
+        run.result.elt_lookups += plan.resolution().entry(c).hits() * layers;
         layer_count += layers;
       }
       run.result.occurrences_processed += yelt.entries() * layer_count;

@@ -1,8 +1,9 @@
 // 64-byte-aligned storage for the engine's SoA gather columns.
 //
 // The vectorized trial kernel (src/core/batch_simd.hpp) issues wide loads
-// and gathers against the resolution columns (data::ResolvedYelt /
-// CompactResolvedYelt), the ELT mean column and the scenario mask columns.
+// and gathers against the compact resolution columns
+// (data::CompactResolvedYelt), the ELT mean column and the scenario mask
+// columns.
 // Aligning those allocations to the cache line guarantees a vector load of
 // the column head never straddles a line and keeps gather bases on the
 // layout the wide ISAs are happiest with. The allocator is a drop-in

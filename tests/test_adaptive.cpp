@@ -450,21 +450,43 @@ INSTANTIATE_TEST_SUITE_P(Workers, AdaptiveDist,
 TEST_P(AdaptiveDist, StopsAtTheSingleProcessTrialBitIdentically) {
   const auto reference = dist_reference();
   ASSERT_EQ(reference.adaptive.stop_reason, StopReason::Converged);
-  ASSERT_LT(reference.adaptive.trials_run, kTrials);
+  // At least two blocks lie past the stop: the last one and one before it.
+  ASSERT_LE(reference.adaptive.trials_run + 2 * kBlock, kTrials);
+
+  // The coordinator leases blocks in id order and folds them in trial
+  // order. Giving the last trial block id 0 makes it the first lease, and
+  // with two or more workers the worker holding it stalls far longer than
+  // the others take to converge (its lease outlasts the stall), so the stop
+  // always finds that block unfinished and must cancel it. A single worker
+  // holds one block at a time, so the stop finds the blocks between it and
+  // the last one unassigned; the in-process path (0 workers) folds in trial
+  // order and never starts them.
+  std::vector<dist::BlockSpec> specs = world().specs;
+  for (dist::BlockSpec& spec : specs) {
+    spec.id = spec.id + 1 == specs.size() ? 0 : spec.id + 1;
+  }
+  const dist::BlockFetcher by_trial = [](const dist::BlockSpec& spec) {
+    return world().encoded[spec.trial_base / kBlock];
+  };
 
   core::EngineConfig engine;
   engine.adaptive = tuned();
   dist::DistConfig config;
   config.workers = GetParam();  // 0 = in-process fallback
-  const auto result = dist::run_distributed_aggregate(world().portfolio, engine,
-                                                      world().specs, fetcher(), config);
+  if (config.workers >= 2) {
+    config.faults.stall = {0, 1};  // worker 0's first task: the last block
+    config.faults.stall_seconds = 30.0;
+    config.lease_seconds = 60.0;
+  }
+  const auto result =
+      dist::run_distributed_aggregate(world().portfolio, engine, specs, by_trial, config);
 
   ASSERT_TRUE(result.adaptive.enabled);
   EXPECT_EQ(result.adaptive.stop_reason, StopReason::Converged);
   EXPECT_EQ(result.adaptive.trials_run, reference.adaptive.trials_run);
   expect_same_ylt(result.portfolio_ylt, reference.portfolio_ylt);
 
-  // Converging mid-run means some leases were never folded.
+  // Converging mid-run means some blocks were never folded.
   EXPECT_GT(result.stats.blocks_cancelled, 0u);
   EXPECT_EQ(result.stats.blocks_total, world().specs.size());
 }

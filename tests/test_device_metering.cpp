@@ -6,7 +6,7 @@
 // chunk, and shared-memory staging is greedy per block. Runs use a host
 // backend; the model only reads the plans it ran.
 //
-// The DeviceModel pin compares sixteen fixed configurations with == against
+// The DeviceModel pin compares fourteen fixed configurations with == against
 // values recorded from the DeviceSim executor that core/device_model
 // replaced. That executor reran the trial kernel inside simulated device
 // blocks only to meter traffic; every counter it metered is an integer
@@ -24,6 +24,7 @@
 #include "data/trial_source.hpp"
 #include "data/yelt.hpp"
 #include "finance/contract.hpp"
+#include "oracle.hpp"
 #include "scenario/sweep.hpp"
 
 namespace riskan::core {
@@ -114,21 +115,6 @@ TEST(DeviceMetering, ResidencyCapShiftsGatherTrafficToGlobal) {
   EXPECT_GT(b.counters.global_read_bytes, a.counters.global_read_bytes);
 }
 
-TEST(DeviceMetering, SearchPathProbesCostMoreConstTrafficThanResolvedGathers) {
-  // The use_resolver=false reference path binary-searches the resident
-  // table per occurrence (log2(rows) probes); the resolved path reads one
-  // packed row per hit. Same staging either way, so the probe traffic is
-  // the difference.
-  const auto world = make_world(300, 400);
-  EngineConfig resolved;
-  resolved.use_resolver = true;
-  EngineConfig search;
-  search.use_resolver = false;
-  const auto a = run_device(world, resolved);
-  const auto b = run_device(world, search);
-  EXPECT_GT(b.counters.const_read_bytes, a.counters.const_read_bytes);
-}
-
 TEST(DeviceMetering, BatchedBookSharesLaunchesAcrossContracts) {
   // Per-contract lowering launches once per contract (its layers share one
   // plan); the batched plan packs every contract's table into shared
@@ -150,27 +136,31 @@ TEST(DeviceMetering, BatchedBookSharesLaunchesAcrossContracts) {
 TEST(DeviceMetering, TowerChargesOneDrawPerOccurrence) {
   // Every layer of a contract consumes the same secondary-uncertainty draw,
   // so the model charges the beta FLOPs once per found row per group —
-  // a 4-layer tower samples exactly what its 1-layer base does, in every
-  // gather mode. Sampling-on minus sampling-off FLOPs isolates the draws
-  // (term and finish FLOPs do not depend on sampling).
-  EngineConfig dense;
-  EngineConfig search;
-  search.use_resolver = false;
-  EngineConfig compact;
-  compact.batch_contracts = true;
-  for (const EngineConfig& mode : {dense, search, compact}) {
-    const auto draw_flops = [&mode](int layers) {
-      const auto world = make_world(300, 200, /*contracts=*/2, layers);
-      EngineConfig on = mode;
-      on.secondary_uncertainty = true;
-      EngineConfig off = mode;
-      off.secondary_uncertainty = false;
-      return run_device(world, on).counters.flops - run_device(world, off).counters.flops;
-    };
-    const auto base = draw_flops(1);
-    EXPECT_GT(base, 0u);
-    EXPECT_EQ(draw_flops(4), base)
-        << (mode.batch_contracts ? "compact" : mode.use_resolver ? "dense" : "search");
+  // a 4-layer tower samples exactly what its 1-layer base does, in both
+  // gather modes and on a book whose tables binary-search. Sampling-on
+  // minus sampling-off FLOPs isolates the draws (term and finish FLOPs do
+  // not depend on sampling).
+  for (const bool batched : {false, true}) {
+    for (const bool sparse : {false, true}) {
+      const auto draw_flops = [batched, sparse](int layers) {
+        auto world = make_world(300, 200, /*contracts=*/2, layers);
+        if (sparse) {
+          auto spread = oracle::spread_event_ids(world.portfolio, world.yelt);
+          world = World{std::move(spread.portfolio), std::move(spread.yelt)};
+        }
+        EngineConfig on;
+        on.batch_contracts = batched;
+        on.secondary_uncertainty = true;
+        EngineConfig off = on;
+        off.secondary_uncertainty = false;
+        return run_device(world, on).counters.flops - run_device(world, off).counters.flops;
+      };
+      const auto base = draw_flops(1);
+      const std::string what =
+          std::string(batched ? "compact" : "lookup") + (sparse ? "/sparse-ids" : "");
+      EXPECT_GT(base, 0u) << what;
+      EXPECT_EQ(draw_flops(4), base) << what;
+    }
   }
 }
 
@@ -289,13 +279,9 @@ DeviceRunInfo run_case(const std::string& name, EngineConfig config) {
   } else if (name.rfind("5k/block", 0) == 0) {
     w = make_world(5'000);
     config.device_block_dim = std::stoi(name.substr(8));
-  } else if (name == "search") {
-    w = make_world();
-    config.use_resolver = false;
-  } else if (name == "2k-rows/per-contract" || name == "2k-rows/search") {
+  } else if (name == "2k-rows/per-contract") {
     // 2000-row tables exceed the constant segment: partial residency.
     w = make_world(300, 2'000, 2, 1, 3'000);
-    config.use_resolver = name == "2k-rows/per-contract";
   } else if (name == "11-tables/tight-packing") {
     w = tight_packing_world();
     config.batch_contracts = true;
@@ -355,12 +341,8 @@ const Pinned kPinned[] = {
      {399768, 240000, 399768, 399768, 2615032, 10520128}, 2, 80, 0},
     {"5k/block4096", 0.0014433652173913044,
      {399768, 240000, 72800, 72800, 2615032, 10520128}, 2, 2, 2},
-    {"search", 9.6651650485436898e-05,
-     {31488, 19200, 31488, 31488, 1216160, 838976}, 2, 8, 0},
     {"2k-rows/per-contract", 9.6208518518518511e-05,
      {112436, 14400, 23536, 23536, 124796, 858384}, 2, 6, 0},
-    {"2k-rows/search", 0.00037543462962962964,
-     {543242, 14400, 23536, 23536, 729574, 858384}, 2, 6, 0},
     {"11-tables/tight-packing", 7.1063043478260862e-05,
      {14864, 30032, 14864, 14864, 104048, 419984}, 2, 4, 0},
     {"streamed/3-blocks/per-contract", 0.00018509782608695652,
@@ -414,30 +396,28 @@ void expect_same_outputs(const EngineResult& a, const EngineResult& b, const std
 
 TEST(DeviceModel, LeavesEveryOutputBitIdentical) {
   // The model only reads the plan: asking for it moves no YLT bit and no
-  // lookup count, on either host backend, under either kernel, in every
-  // gather mode.
-  const World w = make_world(700, 200, 3, 2);
+  // lookup count, on either host backend, under either kernel, in both
+  // gather modes, on tables with and without an event→row lookup.
+  const World dense = make_world(700, 200, 3, 2);
+  auto spread = oracle::spread_event_ids(dense.portfolio, dense.yelt);
+  const World sparse{std::move(spread.portfolio), std::move(spread.yelt)};
   for (const Backend backend : kAllBackends) {
     for (const Kernel kernel : kAllKernels) {
       for (const bool batch : {false, true}) {
-        for (const bool resolver : {false, true}) {
-          if (batch && !resolver) {
-            continue;  // the batched lowering always resolves
-          }
+        for (const World* w : {&dense, &sparse}) {
           EngineConfig config;
           config.backend = backend;
           config.kernel = kernel;
           config.batch_contracts = batch;
-          config.use_resolver = resolver;
-          const auto plain = run_aggregate_analysis(w.portfolio, w.yelt, config);
+          const auto plain = run_aggregate_analysis(w->portfolio, w->yelt, config);
           DeviceRunInfo info;
           config.device_info = &info;
           config.device_block_dim = 64;
           config.device_elt_chunk_rows = 50;
-          const auto modeled = run_aggregate_analysis(w.portfolio, w.yelt, config);
+          const auto modeled = run_aggregate_analysis(w->portfolio, w->yelt, config);
           const std::string what = std::string(to_string(backend)) + "/" +
                                    to_string(kernel) + (batch ? "/batched" : "/per-contract") +
-                                   (resolver ? "/resolved" : "/search");
+                                   (w == &sparse ? "/sparse-ids" : "");
           expect_same_outputs(plain, modeled, what);
           EXPECT_GT(info.launches, 0) << what;
         }

@@ -4,6 +4,7 @@
 #include "core/aggregate_engine.hpp"
 #include "core/program.hpp"
 #include "data/yelt.hpp"
+#include "oracle.hpp"
 #include "util/require.hpp"
 
 namespace riskan::core {
@@ -150,9 +151,10 @@ TEST(Program, FlatEngineEqualsIndependentLayersWithSecondary) {
   // ground-up loss for the same occurrence: one draw per (contract,
   // occurrence). Then each contract YLT of the flat engine is, bit for bit,
   // the layer-order sum of run_program's independent (inuring = false)
-  // layer YLTs — in every lowering (per-contract dense, per-contract
-  // binary search, batched) and on every host backend. The crowded lens
-  // puts more occurrences in one trial than the kernel buffers at once.
+  // layer YLTs — in every lowering (per-contract, per-contract on the same
+  // book with ids too sparse for an event→row table, batched) and on every
+  // host backend. The crowded lens puts more occurrences in one trial than
+  // the kernel buffers at once.
   struct Lens {
     EventId catalog;
     std::size_t elt_rows;
@@ -170,6 +172,7 @@ TEST(Program, FlatEngineEqualsIndependentLayersWithSecondary) {
     yg.trials = lens.trials;
     yg.mean_events_per_year = lens.events_per_year;
     const auto yelt = data::generate_yelt(lens.catalog, yg);
+    const auto sparse = oracle::spread_event_ids(portfolio, yelt);
 
     ProgramConfig independent;
     independent.secondary_uncertainty = true;
@@ -195,9 +198,10 @@ TEST(Program, FlatEngineEqualsIndependentLayersWithSecondary) {
           config.backend = backend;
           config.kernel = kernel;
           config.batch_contracts = lowering == 2;
-          config.use_resolver = lowering != 1;
           config.trial_grain = 7;
-          const auto engine = run_aggregate_analysis(portfolio, yelt, config);
+          const auto engine =
+              lowering == 1 ? run_aggregate_analysis(sparse.portfolio, sparse.yelt, config)
+                            : run_aggregate_analysis(portfolio, yelt, config);
           ASSERT_EQ(engine.contract_ylts.size(), expected.size());
           for (std::size_t c = 0; c < expected.size(); ++c) {
             for (TrialId t = 0; t < yelt.trials(); ++t) {

@@ -1,19 +1,23 @@
-// ResolvedYelt — the pre-joined event→row resolution — and its cache.
+// The compact event→row resolution, its cache, and the resolution the
+// per-contract kernel does itself.
 //
 // Two layers of guarantee:
-//   1. the resolution itself matches EventLossTable::find slot for slot;
-//   2. the engine produces bit-identical YLTs (portfolio, contract, OEP,
-//      reinstatement) with the resolver on and off, across backends, grain
-//      sizes, and secondary-uncertainty settings — the resolver is a pure
-//      hoist, not a semantic change.
+//   1. the compact build lists exactly the occurrences EventLossTable::find
+//      resolves, through the table's event→row lookup or (for tables too
+//      sparse to carry one) by binary search;
+//   2. the engine's YLTs (portfolio, contract, OEP, reinstatement) equal
+//      the reference oracle's across backends, grain sizes and
+//      secondary-uncertainty settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include "core/aggregate_engine.hpp"
 #include "data/resolved_yelt.hpp"
 #include "finance/contract.hpp"
+#include "oracle.hpp"
 
 namespace riskan::data {
 namespace {
@@ -39,34 +43,59 @@ YearEventLossTable small_yelt() {
   return builder.finish();
 }
 
+/// Asserts `compact` lists, trial by trial and in occurrence order, exactly
+/// the occurrences of `yelt` that `elt.find` resolves.
+void expect_matches_find(const CompactResolvedYelt& compact, const EventLossTable& elt,
+                         const YearEventLossTable& yelt) {
+  ASSERT_EQ(compact.trials(), yelt.trials());
+  const auto offsets = yelt.offsets();
+  const auto events = yelt.events();
+  std::uint64_t k = 0;
+  for (TrialId t = 0; t < yelt.trials(); ++t) {
+    ASSERT_EQ(compact.trial_offsets()[t], k) << "trial " << t;
+    for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
+      const std::size_t row = elt.find(events[i]);
+      if (row == EventLossTable::npos) {
+        continue;
+      }
+      ASSERT_LT(k, compact.hits());
+      EXPECT_EQ(compact.seqs()[k], static_cast<std::uint32_t>(i - offsets[t]));
+      EXPECT_EQ(compact.rows()[k], static_cast<std::uint32_t>(row));
+      ++k;
+    }
+  }
+  EXPECT_EQ(k, compact.hits());
+  EXPECT_EQ(compact.trial_offsets()[yelt.trials()], k);
+}
+
 TEST(ResolvedYelt, MatchesEltFindPerOccurrence) {
   const auto elt = small_elt();
   const auto yelt = small_yelt();
-  const auto resolved = ResolvedYelt::build(elt, yelt);
-
-  ASSERT_EQ(resolved.size(), yelt.entries());
-  const auto events = yelt.events();
-  const auto rows = resolved.rows();
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto expected = elt.find(events[i]);
-    if (expected == EventLossTable::npos) {
-      EXPECT_EQ(rows[i], ResolvedYelt::kNoLoss) << "occurrence " << i;
-    } else {
-      EXPECT_EQ(rows[i], static_cast<std::uint32_t>(expected)) << "occurrence " << i;
-    }
-  }
-  EXPECT_EQ(resolved.hits(), 4u);  // event 7 misses
-  EXPECT_EQ(resolved.byte_size(), yelt.entries() * sizeof(std::uint32_t));
+  ASSERT_FALSE(elt.row_lookup().empty());
+  const auto compact = CompactResolvedYelt::build(elt, yelt);
+  expect_matches_find(compact, elt, yelt);
+  EXPECT_EQ(compact.hits(), 4u);  // event 7 misses
+  EXPECT_EQ(compact.byte_size(),
+            (yelt.trials() + 1) * sizeof(std::uint64_t) + 2 * 4 * sizeof(std::uint32_t));
 }
 
 TEST(ResolvedYelt, EmptyTablesResolveEmpty) {
   const auto elt = EventLossTable::from_rows({});
   const auto yelt = small_yelt();
-  const auto resolved = ResolvedYelt::build(elt, yelt);
-  EXPECT_EQ(resolved.hits(), 0u);
-  for (const auto row : resolved.rows()) {
-    EXPECT_EQ(row, ResolvedYelt::kNoLoss);
+  const auto compact = CompactResolvedYelt::build(elt, yelt);
+  EXPECT_EQ(compact.hits(), 0u);
+  ASSERT_EQ(compact.trials(), yelt.trials());
+  for (const auto offset : compact.trial_offsets()) {
+    EXPECT_EQ(offset, 0u);
   }
+
+  YearEventLossTable::Builder builder;
+  builder.begin_trial();
+  builder.begin_trial();
+  const auto empty_years = builder.finish();
+  const auto none = CompactResolvedYelt::build(small_elt(), empty_years);
+  EXPECT_EQ(none.hits(), 0u);
+  EXPECT_EQ(none.trials(), 2u);
 }
 
 TEST(ResolvedYelt, ParallelBuildMatchesSequentialBuild) {
@@ -80,13 +109,16 @@ TEST(ResolvedYelt, ParallelBuildMatchesSequentialBuild) {
   const auto portfolio = finance::generate_portfolio(pg);
   const auto& elt = portfolio.contract(0).elt();
 
-  const auto parallel = ResolvedYelt::build(elt, yelt, ParallelConfig{nullptr, 0});
-  const auto tiny_grain = ResolvedYelt::build(elt, yelt, ParallelConfig{nullptr, 64});
-  ASSERT_EQ(parallel.size(), tiny_grain.size());
-  for (std::size_t i = 0; i < parallel.size(); ++i) {
-    EXPECT_EQ(parallel.rows()[i], tiny_grain.rows()[i]);
+  const auto parallel = CompactResolvedYelt::build(elt, yelt, ParallelConfig{nullptr, 0});
+  const auto tiny_grain = CompactResolvedYelt::build(elt, yelt, ParallelConfig{nullptr, 3});
+  const auto inline_build = CompactResolvedYelt::build(
+      elt, yelt, ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()});
+  for (const auto* other : {&tiny_grain, &inline_build}) {
+    ASSERT_TRUE(std::ranges::equal(parallel.trial_offsets(), other->trial_offsets()));
+    ASSERT_TRUE(std::ranges::equal(parallel.seqs(), other->seqs()));
+    ASSERT_TRUE(std::ranges::equal(parallel.rows(), other->rows()));
   }
-  EXPECT_EQ(parallel.hits(), tiny_grain.hits());
+  expect_matches_find(parallel, elt, yelt);
 }
 
 TEST(ResolverCache, SecondLookupHitsAndSharesTheResolution) {
@@ -114,6 +146,7 @@ TEST(ResolverCache, DistinctTablesGetDistinctEntries) {
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(a->hits(), 4u);
   EXPECT_EQ(b->hits(), 2u);  // only event 2 resolves
+  EXPECT_EQ(cache.byte_size(), a->byte_size() + b->byte_size());
 }
 
 TEST(ResolverCache, RebuiltTableAtAReusedAddressNeverServesStaleRows) {
@@ -137,7 +170,10 @@ TEST(ResolverCache, RebuiltTableAtAReusedAddressNeverServesStaleRows) {
     elt.reset();
     elt.emplace(EventLossTable::from_rows(std::move(rows)));
     const auto cached = cache.get_or_build(*elt, yelt);
-    const auto fresh = ResolvedYelt::build(*elt, yelt);
+    const auto fresh = CompactResolvedYelt::build(*elt, yelt);
+    ASSERT_TRUE(std::ranges::equal(cached->trial_offsets(), fresh.trial_offsets()))
+        << "rebuild " << i;
+    ASSERT_TRUE(std::ranges::equal(cached->seqs(), fresh.seqs())) << "rebuild " << i;
     ASSERT_TRUE(std::ranges::equal(cached->rows(), fresh.rows())) << "rebuild " << i;
   }
 }
@@ -200,76 +236,52 @@ EquivalenceWorkload equivalence_workload() {
   return w;
 }
 
-void expect_identical(const EngineResult& a, const EngineResult& b,
-                      const std::string& what) {
-  ASSERT_EQ(a.portfolio_ylt.trials(), b.portfolio_ylt.trials()) << what;
-  for (TrialId t = 0; t < a.portfolio_ylt.trials(); ++t) {
-    ASSERT_EQ(a.portfolio_ylt[t], b.portfolio_ylt[t]) << what << " AEP trial " << t;
-    ASSERT_EQ(a.portfolio_occurrence_ylt[t], b.portfolio_occurrence_ylt[t])
-        << what << " OEP trial " << t;
-    ASSERT_EQ(a.reinstatement_premium[t], b.reinstatement_premium[t])
-        << what << " reinstatement trial " << t;
-  }
-  ASSERT_EQ(a.contract_ylts.size(), b.contract_ylts.size()) << what;
-  for (std::size_t c = 0; c < a.contract_ylts.size(); ++c) {
-    for (TrialId t = 0; t < a.contract_ylts[c].trials(); ++t) {
-      ASSERT_EQ(a.contract_ylts[c][t], b.contract_ylts[c][t])
-          << what << " contract " << c << " trial " << t;
-    }
-  }
-}
-
 TEST(ResolverEquivalence, BitIdenticalAcrossBackendsGrainsAndSecondary) {
+  // The per-contract lowering finds each row in the kernel; every backend
+  // and grain must give the definition's answer.
   const auto w = equivalence_workload();
 
   for (const bool secondary : {false, true}) {
+    EngineConfig config;
+    config.secondary_uncertainty = secondary;
+    const auto expected = oracle::run_oracle(w.portfolio, w.yelt, config);
     for (const Backend backend : kAllBackends) {
       for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{97}}) {
         if (backend == Backend::Sequential && grain != 0) {
           continue;  // grain only affects the threaded backend
         }
-        EngineConfig config;
         config.backend = backend;
-        config.secondary_uncertainty = secondary;
         config.trial_grain = grain;
-
-        config.use_resolver = false;
-        const auto naive = run_aggregate_analysis(w.portfolio, w.yelt, config);
-        config.use_resolver = true;
-        const auto resolved = run_aggregate_analysis(w.portfolio, w.yelt, config);
-
-        expect_identical(naive, resolved,
-                         std::string(to_string(backend)) +
-                             (secondary ? "/secondary" : "/means") + "/grain=" +
-                             std::to_string(grain));
-        EXPECT_EQ(naive.elt_lookups, resolved.elt_lookups);
+        oracle::expect_equals_oracle(run_aggregate_analysis(w.portfolio, w.yelt, config),
+                                     expected,
+                                     std::string(to_string(backend)) +
+                                         (secondary ? "/secondary" : "/means") +
+                                         "/grain=" + std::to_string(grain));
       }
     }
   }
 }
 
-TEST(ResolverEquivalence, DeviceSimMatchesNaiveSequential) {
-  // A resolved run with the device modeled (residency capped per table)
-  // equals the naive sequential run.
+TEST(ResolverEquivalence, DeviceModeledRunMatchesTheOracle) {
+  // A run with the device modeled (residency capped per table) equals the
+  // definition, one launch per contract.
   const auto w = equivalence_workload();
 
   EngineConfig config;
-  config.backend = Backend::Sequential;
-  config.use_resolver = false;
-  const auto naive = run_aggregate_analysis(w.portfolio, w.yelt, config);
-
   config.backend = Backend::Threaded;
-  config.use_resolver = true;
   DeviceRunInfo info;
   config.device_info = &info;
   config.device_elt_chunk_rows = 64;  // cap constant-memory residency per table
-  const auto device = run_aggregate_analysis(w.portfolio, w.yelt, config);
-
-  expect_identical(naive, device, "device-modeled resolver vs naive sequential");
+  oracle::expect_equals_oracle(run_aggregate_analysis(w.portfolio, w.yelt, config),
+                               oracle::run_oracle(w.portfolio, w.yelt, config),
+                               "device-modeled run");
   EXPECT_EQ(info.launches, static_cast<int>(w.portfolio.size()));
 }
 
 TEST(ResolverEquivalence, SharedCacheReusedAcrossRuns) {
+  // The per-contract lowering resolves in the kernel: a run never probes
+  // the cache, and a second run over the same tables repeats the first.
+  // (Batched reuse: PortfolioBatchRunner.SharedResolverCacheIsReused.)
   const auto w = equivalence_workload();
   data::ResolverCache cache;
 
@@ -277,17 +289,15 @@ TEST(ResolverEquivalence, SharedCacheReusedAcrossRuns) {
   config.backend = Backend::Threaded;
   config.resolver_cache = &cache;
 
-  // One resolution per contract; layers share it without re-probing the
-  // cache, so the first run is all misses and no hits.
   const auto first = run_aggregate_analysis(w.portfolio, w.yelt, config);
-  EXPECT_EQ(cache.miss_count(), w.portfolio.size());
-  EXPECT_EQ(cache.hit_count(), 0u);
-
-  // The second run over the same tables resolves nothing.
   const auto second = run_aggregate_analysis(w.portfolio, w.yelt, config);
-  EXPECT_EQ(cache.miss_count(), w.portfolio.size());
-  EXPECT_EQ(cache.hit_count(), w.portfolio.size());
-  expect_identical(first, second, "second run from cache");
+  EXPECT_EQ(cache.miss_count(), 0u);
+  EXPECT_EQ(cache.hit_count(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(first.resolve_seconds, 0.0);
+  const auto expected = oracle::run_oracle(w.portfolio, w.yelt, config);
+  oracle::expect_equals_oracle(first, expected, "first run");
+  oracle::expect_equals_oracle(second, expected, "second run");
 }
 
 }  // namespace

@@ -4,11 +4,11 @@
 // The vectorized kernel is pure scheduling: Kernel::Auto on the Sequential
 // and Threaded backends must reproduce Kernel::Scalar to the bit across the
 // whole feature matrix (secondary sampling, OEP, batched and per-contract
-// entry points, grain sizes, lane tails, low-coverage dense books). Auto
-// never rejects a config: without a usable ISA (RISKAN_SIMD=off, a foreign
-// ISA, an architecture without a stamp) it runs the scalar kernel, so the
-// matrices run everywhere and only their lane-count assertions depend on
-// the host.
+// entry points, grain sizes, lane tails, low-coverage books, books whose
+// ids are too sparse for an event→row table). Auto never rejects a config:
+// without a usable ISA (RISKAN_SIMD=off, a foreign ISA, an architecture
+// without a stamp) it runs the scalar kernel, so the matrices run
+// everywhere and only their lane-count assertions depend on the host.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 #include "finance/contract.hpp"
 #include "finance/terms.hpp"
 #include "obs/obs.hpp"
+#include "oracle.hpp"
 #include "scenario/sweep.hpp"
 #include "util/require.hpp"
 
@@ -394,8 +395,9 @@ TEST(VectorKernel, DefaultConfigRunsTheVectorKernel) {
 }
 
 TEST(VectorKernel, LowCoverageDenseBookWalksHitsOnly) {
-  // The per-contract lowering gathers through the dense row column. With
-  // each ELT over ~10% of the catalogue most occurrences miss; the vector
+  // The per-contract lowering reads every occurrence's row from the ELT's
+  // event→row table. With each ELT over ~10% of the catalogue most
+  // occurrences miss; the vector
   // pass must walk the hits only — its lane count is found rows × layers,
   // not YELT entries × layers — and still equal the scalar kernel.
   const EventId catalog = 2'000;
@@ -423,6 +425,41 @@ TEST(VectorKernel, LowCoverageDenseBookWalksHitsOnly) {
           EXPECT_EQ(counts.vector + counts.tail, static_cast<double>(result.elt_lookups))
               << what;
           EXPECT_EQ(counts.scalar, 0.0) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(VectorKernel, SparseIdBookEqualsTheScalarKernel) {
+  // Spread ids leave every ELT without an event→row table, so per-contract
+  // lookup groups binary-search in the scalar kernel even under Auto, while
+  // the batched lowering's compact groups still vectorize. Either way Auto
+  // equals Scalar, and both equal the same book with dense ids.
+  const auto dense = simd_book(/*contracts=*/3, /*layers=*/2);
+  const auto dense_lens = simd_lens(900);
+  const auto sparse = oracle::spread_event_ids(dense, dense_lens);
+  for (const auto& contract : sparse.portfolio.contracts()) {
+    ASSERT_TRUE(contract.elt().row_lookup().empty());
+  }
+  for (const bool secondary : {false, true}) {
+    for (const bool batched : {false, true}) {
+      for (const Backend backend : kAllBackends) {
+        EngineConfig config;
+        config.backend = backend;
+        config.secondary_uncertainty = secondary;
+        config.batch_contracts = batched;
+        config.trial_grain = 97;
+        const auto reference = run_scalar(sparse.portfolio, sparse.yelt, config);
+        const auto [result, counts] = run_counted(sparse.portfolio, sparse.yelt, config);
+        const std::string what = std::string(to_string(backend)) +
+                                 (secondary ? "/secondary" : "/means") +
+                                 (batched ? "/batched" : "/per-contract");
+        expect_identical(reference, result, what);
+        EXPECT_EQ(reference.elt_lookups, result.elt_lookups) << what;
+        expect_identical(run_scalar(dense, dense_lens, config), result, what + " vs dense ids");
+        if (obs::enabled()) {
+          EXPECT_EQ(counts.vector > 0.0, batched && exec::simd_available()) << what;
         }
       }
     }
@@ -590,7 +627,7 @@ TEST(SimdTower, GroupsWiderThanTheAnnualBufferMatchTheScalarKernel) {
   const auto yelt = simd_lens(12);
   const auto& contract = portfolio.contract(0);
   data::ResolverCache cache;
-  const auto compact = cache.get_or_build_compact(contract.elt(), yelt, {}).compact;
+  const auto compact = cache.get_or_build(contract.elt(), yelt, {});
   const SecondarySampler sampler(contract.elt());
 
   constexpr std::size_t kSlots = 4'100;
