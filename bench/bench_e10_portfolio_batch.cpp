@@ -13,44 +13,27 @@
 // configuration; secondary uncertainty off isolates the streaming path —
 // with it on, beta sampling dominates both paths equally) and reports
 // batched vs per-contract wall-clock. Results are verified bit-identical
-// before timing is reported. Acceptance bar: batched <= 0.7x the
-// per-contract loop on the >=16-contract shared-YELT book.
+// before timing is reported. The two arms run in alternating order within
+// each of 9 rounds (5 in quick mode), so host drift between them cancels
+// instead of landing on one arm; the gate reads the median per-round
+// ratio. Acceptance bar: batched <= 0.7x the per-contract loop on the
+// >=16-contract shared-YELT book.
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
 #include "data/resolved_yelt.hpp"
-#include "obs/obs.hpp"
 
 using namespace riskan;
-
-namespace {
-
-/// Best-of-N wall-clock for one engine configuration (first run warms the
-/// resolver cache and the page cache; timing noise on shared CI hosts makes
-/// single-shot numbers unusable).
-template <typename Run>
-double best_seconds(int reps, const Run& run) {
-  double best = -1.0;
-  for (int r = 0; r < reps; ++r) {
-    obs::Timer watch("bench.rep");
-    run();
-    const double s = watch.stop();
-    if (best < 0.0 || s < best) {
-      best = s;
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 int main() {
   print_banner(std::cout, "E10: portfolio-batched vs per-contract stage 2");
 
   const TrialId trials = bench::scaled_trials(50'000);
-  const int reps = bench::quick_mode() ? 2 : 3;
+  const int rounds = bench::quick_mode() ? 5 : 9;
   const std::size_t book_sizes[] = {1, 4, 16, 64};
 
   core::EngineConfig config;
@@ -61,12 +44,13 @@ int main() {
   config.keep_contract_ylts = true;
 
   ReportTable table({"contracts", "layers", "per-contract", "batched",
-                     "batched/per-contract", "occurrences/s batched"});
+                     "batched/per-contract", "per-round range", "occurrences/s batched"});
   bench::JsonReport json;
   json.set("experiment", std::string("e10_portfolio_batch"));
   json.set("trials", static_cast<std::uint64_t>(trials));
   json.set("secondary_uncertainty", std::string("off"));
   json.set("compute_oep", std::string("on"));
+  json.set("rounds", static_cast<std::uint64_t>(rounds));
 
   double headline_ratio = 0.0;
   double device_modeled_ratio = 0.0;
@@ -102,27 +86,39 @@ int main() {
       }
     }
 
-    config.batch_contracts = false;
-    const double per_contract_s = best_seconds(reps, [&] {
-      core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    });
-    config.batch_contracts = true;
-    const double batched_s = best_seconds(reps, [&] {
-      core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    });
-
-    const double ratio = batched_s / per_contract_s;
+    const auto timed = bench::alternating_rounds(
+        rounds,
+        [&] {
+          config.batch_contracts = false;
+          core::run_aggregate_analysis(w.portfolio, w.yelt, config);
+        },
+        [&] {
+          config.batch_contracts = true;
+          core::run_aggregate_analysis(w.portfolio, w.yelt, config);
+        });
+    std::vector<double> ratios;  // batched / per-contract, per round
+    for (int r = 0; r < rounds; ++r) {
+      ratios.push_back(timed.b[r] / timed.a[r]);
+    }
+    const double per_contract_s = bench::median(timed.a);
+    const double batched_s = bench::median(timed.b);
+    const double ratio = bench::median(ratios);
+    const auto [ratio_min, ratio_max] = std::minmax_element(ratios.begin(), ratios.end());
     const double occ_per_s =
         static_cast<double>(batched_result.occurrences_processed) / batched_s;
     table.add_row({std::to_string(contracts),
                    std::to_string(w.portfolio.layer_count()),
                    format_seconds(per_contract_s), format_seconds(batched_s),
-                   format_fixed(ratio, 2) + "x", format_rate(occ_per_s)});
+                   format_fixed(ratio, 2) + "x",
+                   format_fixed(*ratio_min, 2) + "-" + format_fixed(*ratio_max, 2) + "x",
+                   format_rate(occ_per_s)});
 
     const std::string prefix = "contracts_" + std::to_string(contracts) + "_";
     json.set(prefix + "per_contract_seconds", per_contract_s);
     json.set(prefix + "batched_seconds", batched_s);
     json.set(prefix + "ratio", ratio);
+    json.set(prefix + "ratio_min", *ratio_min);
+    json.set(prefix + "ratio_max", *ratio_max);
     if (contracts == 16) {
       headline_ratio = ratio;
 

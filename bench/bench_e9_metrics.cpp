@@ -36,11 +36,6 @@ constexpr TrialId kRatioTrials = 1'000'000;
 constexpr double kRatioBar = 0.5;
 constexpr double kTvarLevel = 0.99;
 
-double median(std::vector<double> seconds) {
-  std::sort(seconds.begin(), seconds.end());
-  return seconds[seconds.size() / 2];
-}
-
 /// Median wall seconds of `reps` runs of each of `a` and `b`, interleaved
 /// so that both see the same host conditions.
 template <typename RunA, typename RunB>
@@ -55,7 +50,7 @@ std::pair<double, double> interleaved_medians(int reps, const RunA& a, const Run
     b();
     b_seconds.push_back(watch_b.stop());
   }
-  return {median(std::move(a_seconds)), median(std::move(b_seconds))};
+  return {bench::median(std::move(a_seconds)), bench::median(std::move(b_seconds))};
 }
 
 /// The reports' order statistics, the grid's quantiles and then TVaR99,

@@ -4,6 +4,7 @@
 // binary when RISKAN_BENCH_CSV_DIR is set.
 #pragma once
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -13,6 +14,7 @@
 
 #include "data/yelt.hpp"
 #include "finance/contract.hpp"
+#include "obs/obs.hpp"
 #include "util/format.hpp"
 #include "util/report.hpp"
 
@@ -75,6 +77,39 @@ inline void emit(const std::string& experiment_id, const ReportTable& table) {
   if (std::getenv("RISKAN_BENCH_CSV_DIR") != nullptr) {
     table.write_csv(artifact_path(experiment_id + ".csv"));
   }
+}
+
+inline double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Wall seconds of two arms, one sample of each per round.
+struct PairedRounds {
+  std::vector<double> a;
+  std::vector<double> b;
+};
+
+/// Times `a` and `b` once per round, alternating which runs first, so that
+/// host drift between the two does not land on one arm.
+template <typename RunA, typename RunB>
+PairedRounds alternating_rounds(int rounds, const RunA& a, const RunB& b) {
+  PairedRounds out;
+  const auto time_into = [](const auto& run, std::vector<double>& seconds) {
+    obs::Timer watch("bench.round");
+    run();
+    seconds.push_back(watch.stop());
+  };
+  for (int r = 0; r < rounds; ++r) {
+    if (r % 2 == 0) {
+      time_into(a, out.a);
+      time_into(b, out.b);
+    } else {
+      time_into(b, out.b);
+      time_into(a, out.a);
+    }
+  }
+  return out;
 }
 
 /// Flat machine-readable bench record: ordered key→value pairs serialised

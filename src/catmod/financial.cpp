@@ -25,6 +25,17 @@ SiteLoss site_loss(const Site& site, const DamageEstimate& damage) noexcept {
   return loss;
 }
 
+double zero_loss_damage_ratio(const Site& site) noexcept {
+  const Money value = site.value;
+  const Money deductible = site.site_deductible;
+  if (!(value > 0.0 && deductible > 0.0 && std::isfinite(value) && std::isfinite(deductible))) {
+    return 0.0;
+  }
+  // value * mdr <= value for every mdr in [0, 1], so a deductible at or
+  // above the value absorbs every loss.
+  return std::min(1.0, deductible / value);
+}
+
 void EventLossAccumulator::add(const SiteLoss& loss) noexcept {
   if (loss.mean <= 0.0) {
     return;

@@ -26,6 +26,13 @@ struct SiteLoss {
 /// and capped by the feasible range.
 SiteLoss site_loss(const Site& site, const DamageEstimate& damage) noexcept;
 
+/// The mean damage ratio a loss must exceed at this site: site_loss nets
+/// value * mdr - deductible, so a loss needs mdr > deductible / value.
+/// 1 when the deductible covers the whole value (the site never loses); 0,
+/// which bounds nothing, when the value or the deductible is not positive
+/// and finite. Exact arithmetic: the caller allows for rounding.
+double zero_loss_damage_ratio(const Site& site) noexcept;
+
 /// Accumulates site losses for one event into an ELT row.
 class EventLossAccumulator {
  public:

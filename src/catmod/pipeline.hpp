@@ -11,6 +11,16 @@
 // aggregated" — here: events are partitioned across the thread pool, each
 // worker streams the exposure table per event, and per-event rows are
 // aggregated into the ELT.
+//
+// Most pairs cannot lose: they lie beyond the hazard cutoff, or their
+// intensity is under what the site's deductible absorbs. So each event
+// sweeps the sites in fixed-size tiles, in site order, in three passes: a
+// branch-free pass compacts the sites the cutoff may admit, a per-peril
+// pass computes their intensities, and a last pass runs vulnerability and
+// the financial module only where the intensity reaches the site's
+// zero-loss floor. The pairs skipped are exactly pairs whose loss is zero,
+// so the ELT equals the every-pair sweep bit for bit (docs/architecture.md,
+// "Stage 1").
 #pragma once
 
 #include <cstdint>
@@ -31,26 +41,29 @@ struct PipelineConfig {
   /// single-threaded when `parallel` is false.
   ThreadPool* pool = nullptr;
   bool parallel = true;
+  /// Events per pool task.
   std::size_t event_grain = 64;
-  /// Prune far sites through a uniform-grid spatial index instead of
-  /// testing every event-site pair. Identical results (hazard is zero
-  /// beyond the cutoff either way); sub-quadratic work.
-  bool use_spatial_index = false;
-  int spatial_grid_cells = 16;
 };
 
 struct PipelineStats {
-  /// Pairs actually evaluated: events x sites for the exhaustive sweep,
-  /// only the grid candidates when use_spatial_index is on.
+  /// Pairs the model covers: events x sites, including the pairs the
+  /// passes skip because their loss is certainly zero.
   std::uint64_t event_exposure_pairs = 0;
   std::uint64_t pairs_with_loss = 0;
   std::uint64_t elt_rows = 0;
   double seconds = 0.0;
 };
 
-/// Runs the three stage-1 modules over every event-exposure pair and
-/// aggregates per-event rows into an ELT. Deterministic (no sampling at
-/// this stage; uncertainty is carried as the rows' sigma).
+/// The intensity below which `site_loss` is certainly zero at `site`: the
+/// fragility curve's inverse at `zero_loss_damage_ratio(site)`, less a
+/// margin of 1e-6 (1 + |bound|) for the rounding of the damage chain.
+/// +infinity for a site that never loses, -infinity where nothing bounds.
+double zero_loss_floor(const Site& site) noexcept;
+
+/// Runs the three stage-1 modules over every event-exposure pair that can
+/// lose and aggregates per-event rows into an ELT, equal bit for bit to
+/// evaluating every pair in site order. Deterministic (no sampling at this
+/// stage; uncertainty is carried as the rows' sigma).
 data::EventLossTable run_cat_model(const EventCatalog& catalog, const ExposureDatabase& exposure,
                                    const PipelineConfig& config = {},
                                    PipelineStats* stats = nullptr);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "catmod/event_catalog.hpp"
 #include "catmod/exposure.hpp"
@@ -11,6 +12,7 @@
 #include "catmod/pipeline.hpp"
 #include "catmod/vulnerability.hpp"
 #include "catmod/yelt_bridge.hpp"
+#include "stage1_reference.hpp"
 #include "util/require.hpp"
 
 namespace riskan::catmod {
@@ -296,6 +298,131 @@ TEST_F(PipelineFixture, MinLossFloorFilters) {
   const auto all = run_cat_model(catalog_, exposure_, low);
   const auto filtered = run_cat_model(catalog_, exposure_, high);
   EXPECT_LT(filtered.size(), all.size());
+}
+
+TEST(Pipeline, EqualsThePerPairDefinition) {
+  // Site counts straddle the tile (1024 sites): one site, a ragged part
+  // tile, a tile and a half, and three tiles minus change.
+  const LocationId site_counts[] = {1, 37, 500, 3000};
+  struct Geometry {
+    const char* name;
+    int cities;
+    double city_spread;
+    double sigma_log_value;
+  };
+  const Geometry geometries[] = {
+      {"default", 12, 0.4, 1.2},
+      {"one city", 1, 0.4, 1.2},
+      {"tight cities", 12, 0.05, 1.2},
+      {"wide cities", 12, 3.0, 1.2},
+      {"wide value spread", 12, 0.4, 3.5},
+  };
+  int compared = 0;
+  for (const std::uint64_t seed : {3u, 19u, 71u, 404u}) {
+    CatalogConfig cc;
+    cc.events = 200;
+    cc.seed = seed;
+    const auto catalog = EventCatalog::generate(cc);
+    for (const auto& geometry : geometries) {
+      for (const LocationId sites : site_counts) {
+        ExposureConfig ec;
+        ec.sites = sites;
+        ec.seed = seed * 31 + sites;
+        ec.cities = geometry.cities;
+        ec.city_spread = geometry.city_spread;
+        ec.sigma_log_value = geometry.sigma_log_value;
+        const auto exposure = ExposureDatabase::generate(ec);
+        const auto reference = stage1_reference::run(catalog, exposure);
+
+        PipelineConfig sequential;
+        sequential.parallel = false;
+        std::vector<PipelineConfig> configs = {sequential};
+        for (const std::size_t grain : {1u, 7u, 64u}) {
+          PipelineConfig parallel;
+          parallel.event_grain = grain;
+          configs.push_back(parallel);
+        }
+        for (const auto& config : configs) {
+          PipelineStats stats;
+          const auto elt = run_cat_model(catalog, exposure, config, &stats);
+          SCOPED_TRACE(::testing::Message()
+                       << "seed " << seed << ", " << geometry.name << ", " << sites
+                       << " sites, parallel " << config.parallel << ", grain "
+                       << config.event_grain);
+          ASSERT_TRUE(stage1_reference::same_bits(elt, reference.elt));
+          ASSERT_EQ(stats.event_exposure_pairs, reference.event_exposure_pairs);
+          ASSERT_EQ(stats.pairs_with_loss, reference.pairs_with_loss);
+          ASSERT_EQ(stats.elt_rows, elt.size());
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 4 * 5 * 4 * 4);
+}
+
+TEST(Pipeline, NoIntensityUnderTheZeroLossFloorLoses) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double ratios[] = {1e-300, 1e-9, 0.01, 0.05, 0.5, 1.0 - 1e-15, 1.0, 2.0};
+  std::uint64_t below = 0;
+  for (int type = 0; type < kConstructionCount; ++type) {
+    for (const double ratio : ratios) {
+      for (const bool limited : {false, true}) {
+        for (int v = 0; v < 64; ++v) {
+          Site site;
+          site.construction = static_cast<ConstructionType>(type);
+          // 1 to about 1e10, with irregular mantissas.
+          site.value = std::exp(0.37 * v) * (1.0 + 0.0137 * v);
+          site.site_deductible = ratio * site.value;
+          site.site_limit = limited ? 0.73 * site.value : 0.0;
+          const auto loss_at = [&](double intensity) {
+            return site_loss(site, damage_from_intensity(intensity, site.construction)).mean;
+          };
+          SCOPED_TRACE(::testing::Message() << to_string(site.construction) << ", ratio "
+                                            << ratio << ", value " << site.value
+                                            << ", limited " << limited);
+          const double floor = zero_loss_floor(site);
+          if (site.site_deductible >= site.value) {
+            ASSERT_EQ(floor, kInf);  // the deductible absorbs every loss
+            for (const double intensity : {0.5, 5.0, 50.0, 5e3}) {
+              ASSERT_EQ(loss_at(intensity), 0.0);
+            }
+            continue;
+          }
+          ASSERT_TRUE(std::isfinite(floor));
+          double intensity = floor;
+          for (int step = 0; step < 64; ++step) {
+            intensity = std::nextafter(intensity, -kInf);
+            ASSERT_EQ(loss_at(intensity), 0.0) << "at " << step + 1 << " ulps under";
+            ++below;
+          }
+          const double band = 1e-5 * (1.0 + std::abs(floor));
+          for (int j = 1; j <= 256; ++j) {
+            ASSERT_EQ(loss_at(floor - band * j / 256.0), 0.0) << "band point " << j;
+            ++below;
+          }
+          if (ratio >= 0.01 && ratio <= 0.5) {
+            // The floor is tight: a hair above it the site already loses,
+            // so a floor that skips nothing cannot pass.
+            EXPECT_GT(loss_at(floor + 1e-4 * (1.0 + std::abs(floor))), 0.0);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(below, 4u * 6u * 2u * 64u * (64u + 256u));
+
+  // Where nothing bounds the loss, nothing is skipped.
+  Site free;
+  free.value = 1e6;
+  EXPECT_EQ(zero_loss_floor(free), -kInf);  // no deductible
+  free.site_deductible = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(zero_loss_floor(free), -kInf);
+  free.site_deductible = 1e4;
+  free.value = kInf;
+  EXPECT_EQ(zero_loss_floor(free), -kInf);
+  free.value = 0.0;
+  EXPECT_EQ(zero_loss_floor(free), -kInf);
 }
 
 TEST_F(PipelineFixture, YeltBridgeMatchesCatalogueRates) {

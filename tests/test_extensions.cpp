@@ -1,14 +1,9 @@
 // Extension features: post-event analysis, multi-year DFA projection,
-// bootstrap confidence intervals, the stage-1 spatial index, and
-// incremental warehouse maintenance.
+// bootstrap confidence intervals, and incremental warehouse maintenance.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "catmod/event_catalog.hpp"
-#include "catmod/exposure.hpp"
-#include "catmod/pipeline.hpp"
-#include "catmod/spatial_index.hpp"
 #include "core/aggregate_engine.hpp"
 #include "core/bootstrap.hpp"
 #include "core/metrics.hpp"
@@ -288,84 +283,6 @@ TEST_F(BootstrapFixture, ContractsEnforced) {
   bad.replicates = 2;
   EXPECT_THROW((void)core::bootstrap_var(ylt, 0.99, bad), ContractViolation);
   EXPECT_THROW((void)core::bootstrap_pml(ylt, 1.0), ContractViolation);
-}
-
-// ---------------------------------------------------------------------------
-// Spatial index
-// ---------------------------------------------------------------------------
-
-class SpatialFixture : public ::testing::Test {
- protected:
-  void SetUp() override {
-    catmod::ExposureConfig ec;
-    ec.sites = 800;
-    ec.seed = 17;
-    exposure_ = catmod::ExposureDatabase::generate(ec);
-    catmod::CatalogConfig cc;
-    cc.events = 300;
-    cc.seed = 18;
-    catalog_ = catmod::EventCatalog::generate(cc);
-  }
-
-  catmod::ExposureDatabase exposure_;
-  catmod::EventCatalog catalog_;
-};
-
-TEST_F(SpatialFixture, CandidatesAreSuperset) {
-  const catmod::SiteGrid grid(exposure_, 16);
-  // Every site within the radius must appear among the candidates.
-  const double x = 5.0;
-  const double y = 5.0;
-  const double r = 1.5;
-  std::size_t exact = 0;
-  for (const auto& site : exposure_.sites()) {
-    if (catmod::grid_distance(x, y, site.x, site.y) <= r) {
-      ++exact;
-    }
-  }
-  EXPECT_EQ(grid.count_within(x, y, r), exact);
-}
-
-TEST_F(SpatialFixture, CandidateCountIsSubQuadratic) {
-  const catmod::SiteGrid grid(exposure_, 16);
-  std::size_t candidates = 0;
-  grid.for_each_candidate(2.0, 2.0, 1.0, [&](const catmod::Site&) { ++candidates; });
-  EXPECT_LT(candidates, exposure_.size());  // pruning happened
-}
-
-TEST_F(SpatialFixture, PipelineWithIndexMatchesExhaustive) {
-  catmod::PipelineConfig exhaustive;
-  exhaustive.parallel = false;
-  catmod::PipelineConfig indexed = exhaustive;
-  indexed.use_spatial_index = true;
-
-  catmod::PipelineStats stats_exhaustive;
-  catmod::PipelineStats stats_indexed;
-  const auto a = run_cat_model(catalog_, exposure_, exhaustive, &stats_exhaustive);
-  const auto b = run_cat_model(catalog_, exposure_, indexed, &stats_indexed);
-
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a.event_ids()[i], b.event_ids()[i]);
-    ASSERT_NEAR(a.mean_loss()[i] / b.mean_loss()[i], 1.0, 1e-9);
-    ASSERT_NEAR(a.exposure()[i] / b.exposure()[i], 1.0, 1e-9);
-  }
-  // And the index did less work.
-  EXPECT_LT(stats_indexed.event_exposure_pairs, stats_exhaustive.event_exposure_pairs);
-  EXPECT_EQ(stats_indexed.pairs_with_loss, stats_exhaustive.pairs_with_loss);
-}
-
-TEST(SpatialGrid, EdgeCoordinatesStayInBounds) {
-  catmod::ExposureConfig ec;
-  ec.sites = 50;
-  const auto exposure = catmod::ExposureDatabase::generate(ec);
-  const catmod::SiteGrid grid(exposure, 4);
-  // Corners and out-of-range radii must not crash or miss.
-  EXPECT_NO_THROW((void)grid.count_within(0.0, 0.0, 20.0));
-  EXPECT_EQ(grid.count_within(0.0, 0.0, 20.0), exposure.size());
-  EXPECT_NO_THROW((void)grid.count_within(10.0, 10.0, 0.0));
-  EXPECT_THROW((void)grid.count_within(5.0, 5.0, -1.0), ContractViolation);
-  EXPECT_THROW(catmod::SiteGrid(exposure, 0), ContractViolation);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 //
 // Subcommands mirror the stage boundaries:
 //   gen-yelt    pre-simulate a YELT (stage-2 input) to a file
-//   gen-elt     run a synthetic stage-1 (catalogue + exposure -> ELT file)
+//   gen-elt     run a synthetic stage-1 (catalogue + exposure -> ELT file,
+//               run_cat_model's default output; prints the pairs covered)
 //   aggregate   stage 2: ELT + YELT + layer terms -> YLT file
 //   metrics     stage 2/3 reporting: YLT -> summary + EP curve
 //   info        identify a riskan binary file and print its shape
@@ -100,14 +101,12 @@ int cmd_gen_elt(const Args& args) {
 
   const auto catalog = catmod::EventCatalog::generate(cc);
   const auto exposure = catmod::ExposureDatabase::generate(ec);
-  catmod::PipelineConfig pipeline;
-  pipeline.use_spatial_index = true;
   catmod::PipelineStats stats;
-  const auto elt = run_cat_model(catalog, exposure, pipeline, &stats);
+  const auto elt = run_cat_model(catalog, exposure, {}, &stats);
   data::save_elt(elt, out);
   std::cout << "cat model: "
             << format_count(static_cast<double>(stats.event_exposure_pairs))
-            << " candidate pairs in " << format_seconds(stats.seconds) << "\n"
+            << " pairs in " << format_seconds(stats.seconds) << "\n"
             << "wrote " << out << ": " << elt.size() << " ELT rows, total mean loss "
             << format_count(elt.total_mean_loss()) << "\n";
   if (args.has("yelt-out")) {
@@ -235,6 +234,8 @@ void usage(std::ostream& os) {
      << "  riskan gen-yelt   --out F [--events N --trials T --rate R --seed S\n"
      << "                    --dispersion D --sort-by-day 1]\n"
      << "  riskan gen-elt    --out F [--events N --sites M --seed S --yelt-out F2 --trials T]\n"
+     << "                    (stage 1 over events x sites; only pairs that can lose\n"
+     << "                    reach the damage and loss modules)\n"
      << "  riskan aggregate  --elt F --yelt F --out F [--retention X --limit X\n"
      << "                    --agg-retention X --agg-limit X --share X --franchise 1\n"
      << "                    --secondary 0|1 --seed S]\n"
