@@ -10,7 +10,9 @@
 // sampler):
 //
 //   in-memory     — run_portfolio_batch over the resident YELT (Threaded).
-//   streamed      — prefetch on (double-buffered), Threaded: the
+//   streamed      — run_aggregate_analysis with the same config over a
+//                   ChunkedFileSource, prefetch on (double-buffered),
+//                   Threaded: the
 //                   production out-of-core configuration, and the
 //                   streamed/in-memory ratio's numerator.
 //   overlap pair  — sync-decode vs prefetch under the *Sequential*
@@ -20,12 +22,13 @@
 //                   Threaded the pool already saturates every core and
 //                   the comparison degenerates into scheduler noise).
 //
-// Every timed rep resolves from a fresh cache on both sides (cold-to-cold):
-// at out-of-core scale there is no warm-resident alternative — the streamed
-// run re-resolves each transient block by design, and handing the in-memory
-// side a warm cache would measure the resolver cache (E2b's story), not the
-// data plane. The warm in-memory wall-clock is reported as its own row for
-// scale.
+// Both sides run with batch_contracts set. The in-memory side builds its
+// compact resolutions from a fresh cache every rep (cold): at out-of-core
+// scale there is no warm-resident alternative, and handing it a warm cache
+// would measure the resolver cache (E2b's story), not the data plane. The
+// streamed side's blocks die with the pass, so it gathers by in-kernel
+// lookup and builds nothing. The warm in-memory wall-clock is reported as
+// its own row for scale.
 //
 // Outputs are verified bit-identical across the regimes before timing.
 // Acceptance bars: streamed/in-memory <= 1.5x, and prefetch beats the
@@ -76,7 +79,7 @@ StreamedTiming best_streamed(int reps, const std::string& path, bool prefetch,
     opts.prefetch = prefetch;
     data::ChunkedFileSource source(path, opts);
     obs::Timer watch("bench.rep");
-    core::run_portfolio_batch(portfolio, source, config);
+    core::run_aggregate_analysis(portfolio, source, config);
     const double s = watch.stop();
     if (best.seconds < 0.0 || s < best.seconds) {
       best.seconds = s;
@@ -137,7 +140,7 @@ int main() {
   const auto reference = core::run_portfolio_batch(w.portfolio, w.yelt, config);
   {
     data::ChunkedFileSource source(path);
-    if (!same_results(reference, core::run_portfolio_batch(w.portfolio, source, config))) {
+    if (!same_results(reference, core::run_aggregate_analysis(w.portfolio, source, config))) {
       std::cerr << "STREAM MISMATCH (prefetch) — outputs are not bit-identical\n";
       return 1;
     }
@@ -145,7 +148,7 @@ int main() {
     sync.prefetch = false;
     data::ChunkedFileSource sync_source(path, sync);
     if (!same_results(reference,
-                      core::run_portfolio_batch(w.portfolio, sync_source, config))) {
+                      core::run_aggregate_analysis(w.portfolio, sync_source, config))) {
       std::cerr << "STREAM MISMATCH (sync) — outputs are not bit-identical\n";
       return 1;
     }
@@ -164,9 +167,7 @@ int main() {
     core::run_portfolio_batch(w.portfolio, w.yelt, config);
   });
 
-  // Streamed reps resolve through the engine's run-local cache (the
-  // ephemeral-source default: per-block, nothing retained) — cold every
-  // pass by construction.
+  // Streamed reps gather by lookup and touch no resolver cache.
   config.resolver_cache = nullptr;
   const StreamedTiming streamed =
       best_streamed(reps, path, /*prefetch=*/true, w.portfolio, config);

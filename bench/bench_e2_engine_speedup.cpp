@@ -132,12 +132,13 @@ int main() {
   // ---- ELT-lookup ablation: how the kernel reaches each occurrence's ELT
   // row, on a multi-layer threaded workload. Secondary uncertainty off
   // isolates the lookup path (with it on, beta sampling dominates the
-  // kernel). The same book runs four ways: per contract through each ELT's
-  // event→row table; per contract with every event id spread by a stride
-  // in the ELTs and the YELT, so no table carries a lookup and the kernel
-  // binary-searches; and batched through compact resolutions, with a cold
-  // and then a warm resolver cache. All four find each occurrence's row
-  // once per contract, for all of its layers.
+  // kernel). The same book runs four ways, each one plan for the whole
+  // book: by lookup through each ELT's event→row table; by lookup with
+  // every event id spread by a stride in the ELTs and the YELT, so no
+  // table carries a lookup and the kernel binary-searches; and through
+  // compact resolutions (batch_contracts), with a cold and then a warm
+  // resolver cache. All four find each occurrence's row once per
+  // contract, for all of its layers.
   print_banner(std::cout, "E2b: ELT-lookup ablation");
 
   const TrialId ab_trials = bench::scaled_trials(50'000);
@@ -189,10 +190,10 @@ int main() {
     ab_table.add_row({path, format_seconds(r.seconds), format_rate(throughput(r)),
                       format_fixed(search.seconds / r.seconds, 2) + "x"});
   };
-  add("per contract, in-kernel binary search (spread ids)", search);
-  add("per contract, event->row table", lookup);
-  add("batched, compact resolution, cold cache", cold);
-  add("batched, compact resolution, warm cache", warm);
+  add("lookup, in-kernel binary search (spread ids)", search);
+  add("lookup, event->row table", lookup);
+  add("compact resolution, cold cache", cold);
+  add("compact resolution, warm cache", warm);
   bench::emit("e2b_lookup", ab_table);
 
   std::cout << "\ncompact build time (cold run): " << format_seconds(cold.resolve_seconds)

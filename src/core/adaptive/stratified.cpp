@@ -223,7 +223,7 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
   const std::size_t strata = part.size();
 
   // ---- Per-trial evaluator: the one trial kernel, one trial at a time.
-  // Lookup slots exactly like the per-contract lowering builds, so a drawn
+  // Lookup slots exactly like run_aggregate_analysis builds, so a drawn
   // trial's loss is bit-identical to the same trial of a full run (the
   // sampling streams are keyed by trial_base + t, not by draw order).
   std::vector<SecondarySampler> samplers;

@@ -1,17 +1,20 @@
 #include "core/aggregate_engine.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "core/adaptive/driver.hpp"
 #include "core/exec.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/secondary.hpp"
+#include "data/resolved_yelt.hpp"
 #include "data/trial_source.hpp"
 #include "finance/terms.hpp"
 #include "obs/obs.hpp"
 #include "parallel/parallel_for.hpp"
 #include "util/require.hpp"
+#include "util/stopwatch.hpp"
 
 namespace riskan::core {
 
@@ -121,24 +124,17 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
     return adaptive::run_adaptive_aggregate(portfolio, source, config);
   }
 
-  if (config.batch_contracts) {
-    return run_portfolio_batch(portfolio, source, config);
-  }
-
-  // The per-contract lowering: one execution plan per contract holding all
-  // of its layers, dispatched in contract order on the configured executor
-  // so a contract's ELT stays hot while its trials stream. The layers form
-  // one gather group, so each occurrence is resolved and sampled once and
-  // feeds the whole tower (kStreamKeyVersion). The group reads the block's
-  // YELT event column and finds each row in the kernel through the
-  // contract's ELT, so nothing is resolved or cached ahead of the pass.
-  // Plans are lowered against the first trial block and re-bound to each
-  // subsequent one (an in-memory run is the one-block special case);
-  // per-trial accumulators are sliced by block, and the block's trial
+  // The one lowering: per trial block, every contract's layer tower goes
+  // into one plan, in contract order, executed once. Each tower is one
+  // gather group (one resolution and draw per occurrence feeds the whole
+  // tower), and the kernel walks trial blocks outermost and groups in plan
+  // order, so every output cell sees contracts, then layers, in order. The
+  // plan is lowered against the first block and re-bound to each later
+  // one; per-trial outputs are sliced by block, and the block's trial
   // offset rides the sampling stream base, so a streamed run is
-  // bit-identical to the monolithic one.
+  // bit-identical to the in-memory one.
   obs::RunObsScope obs_scope(config.obs);
-  obs::Timer timer("engine.per_contract_run");
+  obs::Timer timer("engine.run");
   static const obs::Counter runs_counter =
       obs::MetricsRegistry::global().counter("engine.runs");
   static const obs::Histogram block_hist =
@@ -169,13 +165,30 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
     }
   }
 
-  const Philox4x32 philox(config.seed);
-  std::uint64_t lookups = 0;
-  const auto executor = exec::make_executor(config);
+  // Groups gather by in-kernel lookup and build nothing, unless the run
+  // caches compact resolutions of a resident YELT. A compact resolution of
+  // an ephemeral block would be built, read once and dropped.
+  const bool compact = config.batch_contracts && !source.ephemeral_blocks();
+  data::ResolverCache& cache = config.resolver_cache != nullptr
+                                   ? *config.resolver_cache
+                                   : data::ResolverCache::shared();
+  std::vector<const data::EventLossTable*> elts;
+  for (const auto& contract : portfolio.contracts()) {
+    elts.push_back(&contract.elt());
+  }
+  // Pool-free backends must stay off the pool end to end, resolution
+  // builds included (single-thread contract).
+  const ParallelConfig resolve_par =
+      pool_free(config.backend)
+          ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
+          : ParallelConfig{config.pool, config.trial_grain};
+  data::MultiResolution resolution;
 
+  const Philox4x32 philox(config.seed);
+  const auto executor = exec::make_executor(config);
   const std::uint64_t layer_count = portfolio.layer_count();
-  std::vector<batch::Slot> slot_storage(layer_count);
-  std::vector<exec::ExecutionPlan> plans(portfolio.size());
+  std::vector<batch::Slot> slots(layer_count);
+  exec::ExecutionPlan plan;
   bool lowered = false;
 
   std::vector<Money> occurrence_accum;
@@ -185,7 +198,11 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
     const data::YearEventLossTable& yelt = *block.yelt;
     const TrialId block_trials = yelt.trials();
     const auto yelt_offsets = yelt.offsets();
-    const auto events = yelt.events();
+    if (compact) {
+      const Stopwatch resolve_watch;
+      resolution = data::MultiResolution::build(elts, yelt, &cache, resolve_par);
+      result.resolve_seconds += resolve_watch.seconds();
+    }
     if (config.compute_oep) {
       occurrence_accum.assign(yelt.entries(), 0.0);
     }
@@ -193,12 +210,19 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
     std::size_t p = 0;
     for (std::size_t c = 0; c < portfolio.size(); ++c) {
       const auto& contract = portfolio.contract(c);
-      const std::size_t first = p;
       for (const auto& layer : contract.layers()) {
-        batch::Slot& slot = slot_storage[p++];
+        batch::Slot& slot = slots[p++];
         slot = batch::Slot{};
-        slot.gather = batch::Gather::Lookup;
-        slot.events = events.data();
+        if (compact) {
+          const data::CompactResolvedYelt& entry = resolution.entry(c);
+          slot.hit_offsets = entry.trial_offsets().data();
+          slot.seqs = entry.seqs().data();
+          slot.rows = entry.rows().data();
+          result.elt_lookups += entry.hits();
+        } else {
+          slot.gather = batch::Gather::Lookup;
+          slot.events = yelt.events().data();
+        }
         slot.elt = &contract.elt();
         slot.means = contract.elt().mean_loss().data();
         slot.sampler = config.secondary_uncertainty ? &samplers[c] : nullptr;
@@ -217,19 +241,19 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
             block.trial_offset, block_trials);
         slot.occurrence_accum = config.compute_oep ? occurrence_accum.data() : nullptr;
       }
-
-      const std::span<const batch::Slot> tower(slot_storage.data() + first, p - first);
-      if (!lowered) {
-        EngineConfig lower_config = config;
-        lower_config.trial_base = base;
-        plans[c] = exec::ExecutionPlan::lower(tower, yelt_offsets, block_trials,
-                                              lower_config);
-      } else {
-        plans[c].rebind(tower, yelt_offsets, block_trials, base);
-      }
-      lookups += executor->execute(plans[c], philox);
     }
-    lowered = true;
+
+    if (!lowered) {
+      EngineConfig lower_config = config;
+      lower_config.trial_base = base;
+      plan = exec::ExecutionPlan::lower(slots, yelt_offsets, block_trials, lower_config);
+      lowered = true;
+    } else {
+      plan.rebind(slots, yelt_offsets, block_trials, base);
+    }
+    // Lookup groups report their found rows per slot; compact groups
+    // report 0 and were counted from their hits above.
+    result.elt_lookups += executor->execute(plan, philox);
 
     if (config.compute_oep) {
       batch::finalize_oep(result.portfolio_occurrence_ylt.mutable_losses().subspan(
@@ -241,7 +265,6 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
   });
 
   result.seconds = timer.stop();
-  result.elt_lookups = lookups;
   result.obs_report = obs_scope.finish();
   return result;
 }
@@ -255,8 +278,8 @@ std::vector<Money> run_layer(const finance::Contract& contract, const finance::L
   EngineConfig cfg = config;
   cfg.keep_contract_ylts = false;
   cfg.compute_oep = false;
-  // One contract: the per-contract lowering resolves in the kernel, so the
-  // copied ELT never parks a dead entry in a resolver cache.
+  // The copied ELT dies with this call: gathering by lookup keeps it from
+  // parking a dead entry in a resolver cache.
   cfg.batch_contracts = false;
   auto result = run_aggregate_analysis(single, yelt, cfg);
   auto losses = result.portfolio_ylt.losses();

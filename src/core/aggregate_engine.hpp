@@ -15,10 +15,10 @@
 //
 // There is exactly ONE implementation of that loop in the repo:
 // core::batch::process_trials (src/core/portfolio_batch.hpp). Every entry
-// point — this per-contract front end, the batched runner, the scenario
-// sweep, MapReduce map tasks and the pricer's run_layer — lowers its
-// request into batch slots via an exec::ExecutionPlan (src/core/exec.hpp)
-// and dispatches it on a pluggable executor, chosen on two orthogonal axes:
+// point — this engine, the scenario sweep, MapReduce map tasks and the
+// pricer's run_layer — lowers its request into batch slots via an
+// exec::ExecutionPlan (src/core/exec.hpp) and dispatches it on a pluggable
+// executor, chosen on two orthogonal axes:
 // EngineConfig::backend says where the plan runs —
 //   Sequential — single thread, pool-free; the baseline of the paper's
 //                "15x" claim (MapReduce map tasks rely on the pool-free
@@ -27,24 +27,22 @@
 // — and EngineConfig::kernel says which host kernel runs there: Auto (the
 // vector kernel on the runtime-dispatched ISA, scalar without one) or
 // Scalar (the reference path).
-// Outputs are bit-identical across backends, kernels, lowerings and
+// Outputs are bit-identical across backends, kernels, gathers and
 // scheduling (tests enforce). The paper's many-core GPU is modeled, not
 // run: with EngineConfig::device_info set, each executed plan also adds
 // its modeled device launches, traffic and roofline time
 // (core/device_model.hpp) to the caller's DeviceRunInfo.
 //
-// The per-contract lowering finds each occurrence's ELT row inside the
-// kernel, once for the contract's whole layer tower: through the ELT's own
-// event→row table (data::EventLossTable::row_lookup), or by binary search
-// when the table is too sparse to carry one. It builds and caches nothing.
-// The batched and scenario lowerings walk hits only, so they gather through
+// The engine has one lowering: per trial block, every contract's layer
+// tower goes into one plan, executed once, so one streamed pass serves the
+// whole book. Each tower is one gather group. By default it finds each
+// occurrence's ELT row inside the kernel, through the ELT's own event→row
+// table (data::EventLossTable::row_lookup), or by binary search when the
+// table is too sparse to carry one, and builds and caches nothing. A
+// resident YELT run with EngineConfig::batch_contracts set gathers through
 // compact per-(contract, YELT) resolutions (data::CompactResolvedYelt)
-// kept in data::ResolverCache.
-//
-// Multi-contract books should prefer the portfolio-batched lowering
-// (EngineConfig::batch_contracts / src/core/portfolio_batch.hpp): one
-// streamed YELT pass serves every contract's layer stack, bit-identically,
-// instead of the per-contract re-walk this front end plans.
+// cached in data::ResolverCache instead, which pays off when the same
+// tables are run again. Streamed blocks always gather by lookup.
 #pragma once
 
 #include <cstdint>
@@ -158,17 +156,19 @@ struct EngineConfig {
   /// the backend executes adds its modeled launches, staging, traffic and
   /// roofline time (core/device_model.hpp) here. Outputs do not change.
   DeviceRunInfo* device_info = nullptr;
-  /// Cache of the batched and scenario lowerings' compact resolutions,
-  /// shared across blocks and runs; nullptr = the process-wide
-  /// data::ResolverCache::shared(). The per-contract lowering resolves in
-  /// the kernel and never touches it.
+  /// Cache of the compact resolutions that batch_contracts runs and
+  /// scenario sweeps gather through, shared across runs; nullptr = the
+  /// process-wide data::ResolverCache::shared(). Runs that gather by
+  /// lookup never touch it.
   data::ResolverCache* resolver_cache = nullptr;
-  /// Portfolio-batched stage 2 (core::PortfolioBatchRunner): stream each
-  /// trial chunk once, serving every contract's layer stack in the same
-  /// pass, instead of re-walking the YELT per contract. Outputs
-  /// are bit-identical either way; batching is the wall-clock win on
-  /// multi-contract books and composes with every backend and with the
-  /// device model.
+  /// Cache compact resolutions of a resident YELT: each contract gathers
+  /// through its (contract, YELT) data::CompactResolvedYelt from
+  /// resolver_cache, built on first use, instead of the in-kernel event→row
+  /// lookup. A warm cache makes repeated runs over the same tables faster;
+  /// a cold run also pays the build. Sources with ephemeral blocks
+  /// (streamed files, DFS blocks, re-blocked grids) ignore it and gather by
+  /// lookup, since a resolution of a block that dies with the pass is
+  /// never reused. Outputs are bit-identical either way.
   bool batch_contracts = false;
   /// Convergence-adaptive stopping (core/adaptive): with
   /// adaptive.target_rel_err > 0 the run consumes trials in decision
@@ -209,9 +209,9 @@ struct EngineResult {
   double seconds = 0.0;
   std::uint64_t occurrences_processed = 0;
   std::uint64_t elt_lookups = 0;
-  /// Wall-clock the batched and scenario lowerings spent on compact
-  /// resolutions (cache lookups and builds); included in `seconds`. Always
-  /// 0 on per-contract runs, which resolve in the kernel.
+  /// Wall-clock spent looking up and building compact resolutions
+  /// (batch_contracts runs over a resident YELT, and scenario sweeps);
+  /// included in `seconds`. 0 when every group gathered by lookup.
   double resolve_seconds = 0.0;
   /// Convergence report of an adaptive run (enabled = false otherwise):
   /// stopping trial count, stop reason, per-metric estimates and CIs.
@@ -232,10 +232,10 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
 /// every entry point. The in-memory overload wraps its table in a one-block
 /// InMemorySource and calls this; an out-of-core run passes a
 /// ChunkedFileSource and streams trial blocks through the *same* execution
-/// plans (lowered once, re-bound per block, with each block's trial offset
-/// keying the sampling streams), so the outputs are bit-identical to the
-/// in-memory run across every backend, with batching, per-contract YLTs and
-/// OEP all available.
+/// plan (one per run, holding every contract: lowered on the first block,
+/// re-bound per block, with each block's trial offset keying the sampling
+/// streams), so the outputs are bit-identical to the in-memory run across
+/// every backend, with per-contract YLTs and OEP available.
 EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
                                     data::TrialSource& source,
                                     const EngineConfig& config = {});

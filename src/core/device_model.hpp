@@ -26,7 +26,7 @@
 // integer function of hit offsets, YELT offsets and events, the tables and
 // the spec. exec::make_executor calls estimate() after the host
 // executor whenever EngineConfig::device_info is set, so the model follows
-// every lowering (per-contract, batched, streamed blocks, scenario sweeps)
+// every plan (lookup or compact gathers, streamed blocks, scenario sweeps)
 // and never touches an output. The numbers are a model: they are reported
 // as modeled device time and traffic, never divided by a measured time.
 #pragma once

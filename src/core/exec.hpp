@@ -1,15 +1,17 @@
 // Execution plans and pluggable executors — how every stage-2 request
 // reaches the one trial kernel.
 //
-// The repo's five aggregate-analysis entry points (per-contract run,
-// batched run, scenario sweep, MapReduce map task, pricer run_layer) all
-// reduce to the same question: given a finished list of batch::Slots over
-// one YELT, run core::batch::process_trials over [0, trials) on some
-// hardware. This layer separates the two halves:
+// The repo's aggregate-analysis entry points (run_aggregate_analysis —
+// which MapReduce map tasks and the pricer's run_layer call — and the
+// scenario sweep) all reduce to the same question: given a finished list
+// of batch::Slots over one trial block, run core::batch::process_trials
+// over [0, trials) on some hardware. This layer separates the two halves:
 //
 //   ExecutionPlan — the lowered form of a request: the slot list, its
 //       shared-gather groups, scratch sizing and the trial partition
-//       inputs. Lowering is backend-independent.
+//       inputs. Lowering is backend-independent. A run lowers one plan for
+//       the whole book, executes it once per trial block, and re-binds it
+//       between blocks.
 //
 //   Executor — where the plan runs (EngineConfig::backend):
 //       SequentialExecutor — the whole range inline on the caller's

@@ -1,19 +1,11 @@
 #include "core/portfolio_batch.hpp"
 
 #include <algorithm>
-#include <limits>
 
-#include "core/adaptive/driver.hpp"
 #include "core/batch_simd.hpp"
-#include "core/exec.hpp"
 #include "core/secondary.hpp"
 #include "core/simd.hpp"
-#include "data/resolved_yelt.hpp"
-#include "data/trial_source.hpp"
 #include "finance/terms.hpp"
-#include "obs/obs.hpp"
-#include "parallel/parallel_for.hpp"
-#include "util/require.hpp"
 
 namespace riskan::core::batch {
 
@@ -490,276 +482,12 @@ std::uint64_t collect_dense_hits(const Slot& s, const Philox4x32& philox, bool s
 
 namespace riskan::core {
 
-namespace {
-
-/// Per-analysis mutable state while its group runs.
-struct AnalysisRun {
-  const finance::Portfolio* portfolio = nullptr;
-  std::size_t result_index = 0;
-  data::MultiResolution resolution;  // one entry per contract
-  std::vector<SecondarySampler> samplers;
-  std::vector<Money> occurrence_accum;  // entries-sized; empty when OEP off
-  EngineResult result;
-};
-
-/// Runs one YELT group over a trial source: per block, a single streamed
-/// pass serves every slot of every analysis in the group. The plan is
-/// lowered on the first block and re-bound to each subsequent one; an
-/// in-memory run is the one-block special case.
-void run_group(std::span<AnalysisRun> group, data::TrialSource& source,
-               const EngineConfig& config) {
-  obs::Timer timer("batch.run_group");
-  static const obs::Counter group_runs =
-      obs::MetricsRegistry::global().counter("batch.group_runs");
-  static const obs::Histogram resolve_hist =
-      obs::MetricsRegistry::global().histogram("batch.resolve_seconds");
-  group_runs.add();
-  const TrialId trials = source.trials();
-  // Pool-free backends must stay off the pool end to end (single-thread
-  // contract; MapReduce map tasks run them from pool workers, where
-  // blocking can deadlock).
-  const ParallelConfig par_cfg =
-      pool_free(config.backend)
-          ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
-          : ParallelConfig{config.pool, config.trial_grain};
-
-  data::ResolverCache local_cache;
-  data::ResolverCache& cache = resolver_cache_for(config, source, local_cache);
-
-  // Output buffers are sized for the whole source up front; samplers are
-  // pure functions of each contract's ELT, so both are block-invariant.
-  for (AnalysisRun& run : group) {
-    const finance::Portfolio& portfolio = *run.portfolio;
-
-    run.result.portfolio_ylt = data::YearLossTable(trials, "portfolio");
-    run.result.reinstatement_premium =
-        data::YearLossTable(trials, "reinstatement-premium");
-    if (config.keep_contract_ylts) {
-      run.result.contract_ylts.reserve(portfolio.size());
-      for (const auto& contract : portfolio.contracts()) {
-        run.result.contract_ylts.emplace_back(trials,
-                                              "contract-" + std::to_string(contract.id()));
-      }
-    }
-    if (config.compute_oep) {
-      run.result.portfolio_occurrence_ylt = data::YearLossTable(trials, "portfolio-oep");
-    }
-
-    if (config.secondary_uncertainty) {
-      run.samplers.reserve(portfolio.size());
-      for (const auto& contract : portfolio.contracts()) {
-        run.samplers.emplace_back(contract.elt());
-      }
-    }
-  }
-
-  const Philox4x32 philox(config.seed);
-  const auto executor = exec::make_executor(config);
-  exec::ExecutionPlan plan;
-  bool lowered = false;
-  std::vector<batch::Slot> slots;
-
-  for_each_trial_block(source, config, &local_cache,
-                       [&](const data::TrialBlock& block, TrialId base) {
-    const data::YearEventLossTable& yelt = *block.yelt;
-    const TrialId block_trials = yelt.trials();
-    const auto yelt_offsets = yelt.offsets();
-
-    // Per-block compact resolution of every contract's ELT, shared through
-    // the cache.
-    for (AnalysisRun& run : group) {
-      const finance::Portfolio& portfolio = *run.portfolio;
-      obs::Timer resolve_timer("batch.resolve");
-      std::vector<const data::EventLossTable*> elts;
-      elts.reserve(portfolio.size());
-      for (const auto& contract : portfolio.contracts()) {
-        elts.push_back(&contract.elt());
-      }
-      run.resolution = data::MultiResolution::build(elts, yelt, &cache, par_cfg);
-      const double resolve_s = resolve_timer.stop();
-      run.result.resolve_seconds += resolve_s;
-      resolve_hist.observe(resolve_s);
-      if (config.compute_oep) {
-        run.occurrence_accum.assign(yelt.entries(), 0.0);
-      }
-    }
-
-    // Flatten to slots (buffers were sized above, so the spans taken here
-    // stay valid). The slot order — analyses, contracts, layers — is the
-    // same every block, which is what lets the plan re-bind structurally.
-    slots.clear();
-    for (AnalysisRun& run : group) {
-      const finance::Portfolio& portfolio = *run.portfolio;
-      for (std::size_t c = 0; c < portfolio.size(); ++c) {
-        const auto& contract = portfolio.contract(c);
-        const data::CompactResolvedYelt& entry = run.resolution.entry(c);
-        run.result.elt_lookups +=
-            entry.hits() * static_cast<std::uint64_t>(contract.layers().size());
-        for (const auto& layer : contract.layers()) {
-          batch::Slot slot;
-          slot.hit_offsets = entry.trial_offsets().data();
-          slot.seqs = entry.seqs().data();
-          slot.rows = entry.rows().data();
-          slot.elt = &contract.elt();
-          slot.means = contract.elt().mean_loss().data();
-          slot.sampler = config.secondary_uncertainty ? &run.samplers[c] : nullptr;
-          slot.terms = layer.terms;
-          slot.reinstatements = layer.reinstatements;
-          slot.upfront_premium = layer.upfront_premium;
-          slot.contract_id = contract.id();
-          slot.contract_losses =
-              config.keep_contract_ylts
-                  ? run.result.contract_ylts[c].mutable_losses().subspan(
-                        block.trial_offset, block_trials)
-                  : std::span<Money>{};
-          slot.portfolio_losses = run.result.portfolio_ylt.mutable_losses().subspan(
-              block.trial_offset, block_trials);
-          slot.reinstatement_prem =
-              run.result.reinstatement_premium.mutable_losses().subspan(
-                  block.trial_offset, block_trials);
-          slot.occurrence_accum =
-              config.compute_oep ? run.occurrence_accum.data() : nullptr;
-          slots.push_back(slot);
-        }
-      }
-    }
-
-    // The one streamed pass: every trial chunk is walked once, serving
-    // every slot of every analysis in the group. A contract's layers form
-    // one gather group (one draw per occurrence feeds the whole tower);
-    // the scenario engine widens the same groups with its variants. The
-    // plan / executor layer (src/core/exec.hpp) owns the
-    // partitioning — Sequential runs inline, Threaded chunks trials on the
-    // pool — and, with device_info set, models the device run of each
-    // trial block's plan.
-    if (!lowered) {
-      EngineConfig lower_config = config;
-      lower_config.trial_base = base;
-      plan = exec::ExecutionPlan::lower(slots, yelt_offsets, block_trials, lower_config);
-      lowered = true;
-    } else {
-      plan.rebind(slots, yelt_offsets, block_trials, base);
-    }
-    (void)executor->execute(plan, philox);
-
-    for (AnalysisRun& run : group) {
-      if (config.compute_oep) {
-        batch::finalize_oep(run.result.portfolio_occurrence_ylt.mutable_losses().subspan(
-                                block.trial_offset, block_trials),
-                            run.occurrence_accum, yelt_offsets, {});
-      }
-      run.result.occurrences_processed +=
-          yelt.entries() * static_cast<std::uint64_t>(run.portfolio->layer_count());
-    }
-  });
-
-  // The pass is shared, so each analysis reports the group's wall-clock —
-  // the time it actually took to produce its result.
-  const double seconds = timer.stop();
-  for (AnalysisRun& run : group) {
-    run.result.seconds = seconds;
-  }
-}
-
-}  // namespace
-
-PortfolioBatchRunner::PortfolioBatchRunner(EngineConfig config) : config_(config) {
-  validate_engine_config(config_);
-}
-
-std::size_t PortfolioBatchRunner::add(const finance::Portfolio& portfolio,
-                                      const data::YearEventLossTable& yelt) {
-  RISKAN_REQUIRE(!portfolio.empty(), "portfolio must contain contracts");
-  RISKAN_REQUIRE(yelt.trials() > 0, "YELT must contain trials");
-  analyses_.push_back(Analysis{&portfolio, &yelt});
-  return analyses_.size() - 1;
-}
-
-std::size_t PortfolioBatchRunner::group_count() const noexcept {
-  std::vector<const data::YearEventLossTable*> seen;
-  for (const Analysis& a : analyses_) {
-    if (std::find(seen.begin(), seen.end(), a.yelt) == seen.end()) {
-      seen.push_back(a.yelt);
-    }
-  }
-  return seen.size();
-}
-
-std::vector<EngineResult> PortfolioBatchRunner::run() const {
-  // One observation window for the whole batch; the shared report is
-  // attached to every result (the pass is shared, so is its telemetry).
-  obs::RunObsScope obs_scope(config_.obs);
-  std::vector<EngineResult> results(analyses_.size());
-
-  // Group analyses by YELT identity (in-run pointer identity — referents
-  // are pinned by add()'s lifetime contract) so books sharing a table share
-  // its streamed pass.
-  std::vector<const data::YearEventLossTable*> group_yelts;
-  std::vector<std::vector<AnalysisRun>> groups;
-  for (std::size_t i = 0; i < analyses_.size(); ++i) {
-    const Analysis& a = analyses_[i];
-    std::size_t g = 0;
-    while (g < group_yelts.size() && group_yelts[g] != a.yelt) {
-      ++g;
-    }
-    if (g == group_yelts.size()) {
-      group_yelts.push_back(a.yelt);
-      groups.emplace_back();
-    }
-    AnalysisRun run;
-    run.portfolio = a.portfolio;
-    run.result_index = i;
-    groups[g].push_back(std::move(run));
-  }
-
-  // The groups must not re-observe inside this window: run_group takes the
-  // config as-is, so clear obs on the copy handed down.
-  EngineConfig inner = config_;
-  inner.obs = {};
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    data::InMemorySource source(*group_yelts[g]);
-    run_group(groups[g], source, inner);
-    for (AnalysisRun& run : groups[g]) {
-      results[run.result_index] = std::move(run.result);
-    }
-  }
-  const auto report = obs_scope.finish();
-  for (EngineResult& result : results) {
-    result.obs_report = report;
-  }
-  return results;
-}
-
 EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
                                  const data::YearEventLossTable& yelt,
                                  const EngineConfig& config) {
-  PortfolioBatchRunner runner(config);
-  runner.add(portfolio, yelt);
-  auto results = runner.run();
-  return std::move(results.front());
-}
-
-EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
-                                 data::TrialSource& source, const EngineConfig& config) {
-  validate_engine_config(config);
-  RISKAN_REQUIRE(!portfolio.empty(), "portfolio must contain contracts");
-  RISKAN_REQUIRE(source.trials() > 0, "trial source must contain trials");
-  if (config.adaptive.enabled()) {
-    // The adaptive driver re-enters run_aggregate_analysis per decision
-    // block; forcing batch_contracts keeps each block on this batched
-    // lowering (outputs are bit-identical either way).
-    EngineConfig batched = config;
-    batched.batch_contracts = true;
-    return adaptive::run_adaptive_aggregate(portfolio, source, batched);
-  }
-  obs::RunObsScope obs_scope(config.obs);
-  AnalysisRun run;
-  run.portfolio = &portfolio;
-  EngineConfig inner = config;
-  inner.obs = {};
-  run_group({&run, 1}, source, inner);
-  run.result.obs_report = obs_scope.finish();
-  return std::move(run.result);
+  EngineConfig batched = config;
+  batched.batch_contracts = true;
+  return run_aggregate_analysis(portfolio, yelt, batched);
 }
 
 }  // namespace riskan::core

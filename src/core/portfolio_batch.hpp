@@ -1,38 +1,28 @@
 // The trial kernel of aggregate analysis — core::batch::process_trials —
-// and the portfolio-batched front end over it.
+// and the batched convenience entry over it.
 //
-// Since the executor refactor this file holds the repo's ONE stage-2 trial
-// loop. Every entry point (per-contract run, batched run, scenario sweep,
-// MapReduce map task, pricer run_layer) lowers to a list of Slots, is
-// shaped into an exec::ExecutionPlan, and is dispatched onto this kernel by
-// an exec::Executor (Sequential / Threaded) — see src/core/exec.hpp for
-// the plan/executor layer.
+// This file holds the repo's ONE stage-2 trial loop. Every entry point
+// (run_aggregate_analysis, the scenario sweep, MapReduce map tasks, the
+// pricer's run_layer) lowers to a list of Slots, is shaped into an
+// exec::ExecutionPlan, and is dispatched onto this kernel by an
+// exec::Executor (Sequential / Threaded) — see src/core/exec.hpp for the
+// plan/executor layer.
 //
 // A Slot is one consumer of the streamed pass — a (contract, layer), with
 // one of two gather modes (a contract's layers share one gather group and
 // one secondary-uncertainty draw per occurrence; see Group):
-//   compact — hit-compacted CSR columns (data::CompactResolvedYelt): the
-//             batched regime; the pass touches 8 bytes per *hit*.
 //   lookup  — the YELT event column, each occurrence's row found in the
 //             kernel through the ELT's event→row table, or by binary search
 //             when the table is too sparse to carry one (the choice is made
-//             once per group from the table): the per-contract regime
-//             (`batch_contracts = false`); the pass touches 4 bytes and
-//             branches per *occurrence*, which is what E10's
-//             batched-vs-loop ratio measures.
+//             once per group from the table): the engine's default, and the
+//             only mode of streamed blocks; the pass touches 4 bytes and
+//             branches per *occurrence*.
+//   compact — hit-compacted CSR columns (data::CompactResolvedYelt) kept in
+//             the ResolverCache: resident runs with batch_contracts set,
+//             and the scenario sweep; the pass touches 8 bytes per *hit*,
+//             which is what E10's batched-vs-per-contract ratio measures.
 // Both run through the same per-trial loop structure, so outputs are
 // bit-identical across modes, backends and scheduling (tests enforce).
-//
-// The batched path pre-resolves every contract's ELT against the YELT
-// (data::MultiResolution, hit-compacted through the ResolverCache) and
-// flattens the book into compact slots; a single data-parallel pass over
-// trial chunks then walks each trial once and feeds every slot — per-
-// occurrence terms, annual terms, OEP scratch and reinstatement premium
-// exactly as the per-contract lowering orders them.
-//
-// The runner additionally groups *multiple* analyses by YELT identity:
-// books added over the same table are served by the same streamed pass,
-// each landing in its own EngineResult.
 #pragma once
 
 #include <cstddef>
@@ -53,14 +43,14 @@ inline constexpr std::uint32_t kMaskedOut = ~std::uint32_t{0};
 
 /// How a slot reaches its ELT rows (see the file header).
 enum class Gather : std::uint8_t {
-  Compact,  ///< hit-compacted CSR columns (batched regime)
-  Lookup,   ///< in-kernel event→row lookup per occurrence (per-contract regime)
+  Compact,  ///< hit-compacted CSR columns (cached resolutions)
+  Lookup,   ///< in-kernel event→row lookup per occurrence (the default)
 };
 
 /// One consumer of the streamed pass: a (contract, layer) with its gather
 /// inputs, optional per-slot transforms, financial terms and output sinks.
 ///
-/// The base batched engine uses inert transforms; the scenario engine
+/// run_aggregate_analysis uses inert transforms; the scenario engine
 /// (src/scenario) rides the same kernel with one slot per
 /// (scenario, contract, layer), each slot carrying its scenario's transform
 /// parameters:
@@ -96,7 +86,7 @@ struct Slot {
   const SecondarySampler* sampler = nullptr;  // null = use ELT means
   ContractId contract_id = 0;  // keys the occurrence streams (secondary.hpp)
 
-  // Per-slot transform hooks; defaults are inert (the base batched path).
+  // Per-slot transform hooks; defaults are inert (run_aggregate_analysis).
   double loss_scale = 1.0;
   const std::uint32_t* mask_seq = nullptr;
   Money conditioned_ground_up = -1.0;
@@ -163,55 +153,12 @@ void finalize_oep(std::span<Money> oep, std::span<const Money> occurrence_accum,
 
 namespace riskan::core {
 
-/// Batched counterpart of run_aggregate_analysis: same inputs, same
-/// bit-identical EngineResult, one streamed YELT pass for the whole
-/// portfolio instead of one per contract, gathering through compact
-/// resolutions kept in config.resolver_cache.
+/// run_aggregate_analysis with batch_contracts set: the same bit-identical
+/// EngineResult, with every contract gathering through a compact
+/// resolution of `yelt` kept in config.resolver_cache, so repeated runs
+/// over the same tables reuse it.
 EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
                                  const data::YearEventLossTable& yelt,
                                  const EngineConfig& config = {});
-
-/// Batched run over any data::TrialSource: the out-of-core twin of the
-/// in-memory overload (which wraps its table in a one-block source and
-/// calls this). The plan is lowered against the first trial block and
-/// re-bound per block — resolutions per block through the ResolverCache,
-/// per-trial outputs sliced by block, the block's trial offset riding the
-/// sampling stream base — so a streamed run is bit-identical to the
-/// in-memory one on every backend.
-EngineResult run_portfolio_batch(const finance::Portfolio& portfolio,
-                                 data::TrialSource& source,
-                                 const EngineConfig& config = {});
-
-/// Multi-book front end: register any number of (portfolio, YELT) analyses,
-/// then run them with one streamed pass per *distinct* YELT — contracts of
-/// different books sharing a table ride the same scan.
-class PortfolioBatchRunner {
- public:
-  explicit PortfolioBatchRunner(EngineConfig config = {});
-
-  /// Registers a book. Both referents must outlive run(). Returns the
-  /// index of this analysis in run()'s result vector.
-  std::size_t add(const finance::Portfolio& portfolio,
-                  const data::YearEventLossTable& yelt);
-
-  /// Runs every registered analysis; results are indexed as added. Each
-  /// result is bit-identical to run_aggregate_analysis on that
-  /// (portfolio, yelt) with the same config.
-  std::vector<EngineResult> run() const;
-
-  std::size_t analyses() const noexcept { return analyses_.size(); }
-  /// Distinct YELTs among the registered analyses (= streamed passes run()
-  /// will make).
-  std::size_t group_count() const noexcept;
-
- private:
-  struct Analysis {
-    const finance::Portfolio* portfolio = nullptr;
-    const data::YearEventLossTable* yelt = nullptr;
-  };
-
-  EngineConfig config_;
-  std::vector<Analysis> analyses_;
-};
 
 }  // namespace riskan::core

@@ -9,13 +9,13 @@
 // lowered once and re-bound per block — while a background prefetch
 // pipeline reads and decodes block c+1 as block c computes. Memory
 // high-water = the pipeline's decoded blocks plus the output YLTs and the
-// per-block OEP scratch: the per-contract lowering finds each block's rows
-// in the kernel, and the batched one keeps only the block's compact hit
-// columns, dropped with the block. The output is bit-identical to the
-// in-memory run (tested) with every engine feature available: both
+// per-block OEP scratch: every contract finds each block's rows in the
+// kernel, and nothing is resolved or cached (`batch_contracts` caches
+// compact resolutions of resident YELTs only). The output is bit-identical
+// to the in-memory run (tested) with every engine feature available: both
 // backends (Sequential/Threaded), the device model (`device_info`, one
-// modeled launch sequence per block), `batch_contracts`, per-contract
-// YLTs, OEP and reinstatement premium.
+// modeled launch sequence per block), per-contract YLTs, OEP and
+// reinstatement premium.
 // Scenario sweeps stream the same way via scenario::run_scenario_sweep's
 // TrialSource overload.
 #pragma once

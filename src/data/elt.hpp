@@ -67,9 +67,9 @@ class EventLossTable {
   /// the row of event e, or kNoRow. Built by from_rows when the id range is
   /// dense enough to be worth the memory (max id + 1 <= max(4096, 64 x
   /// rows)); empty otherwise, and callers fall back to find(). This is what
-  /// makes event→row resolution O(1) per occurrence: the per-contract
-  /// kernel reads it for every occurrence of every block, and the compact
-  /// build for every block a batched run streams.
+  /// makes event→row resolution O(1) per occurrence: the kernel's lookup
+  /// gather reads it for every occurrence of every block, and the compact
+  /// build for every YELT it resolves.
   std::span<const std::uint32_t> row_lookup() const noexcept { return row_lookup_; }
 
   /// Row of `event` in a table's row_lookup() `lookup`, or kNoRow (ids

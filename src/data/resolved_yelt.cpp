@@ -106,7 +106,7 @@ CompactResolvedYelt CompactResolvedYelt::build(const EventLossTable& elt,
   RISKAN_REQUIRE(elt.size() < static_cast<std::size_t>(EventLossTable::kNoRow),
                  "ELT too large for uint32 row indices");
   // Tables with a dense id range answer in O(1) through their event→row
-  // lookup (the hot path: a streamed batched run resolves every block);
+  // lookup (the hot path: a streamed sweep resolves every block);
   // sparse ones binary-search. Both give identical rows.
   const auto lookup = elt.row_lookup();
   if (!lookup.empty()) {

@@ -1,15 +1,15 @@
-// CompactResolvedYelt — the hit-compacted event→row resolution of the
-// batched and scenario lowerings, and the cache that keeps it.
+// CompactResolvedYelt — the hit-compacted event→row resolution of compact
+// gathers and the scenario sweep, and the cache that keeps it.
 //
-// The per-contract lowering resolves nothing up front: its trial kernel
-// reads each occurrence's row from the ELT's own event→row table
+// By default the engine resolves nothing up front: its trial kernel reads
+// each occurrence's row from the ELT's own event→row table
 // (EventLossTable::row_lookup), or binary-searches a table too sparse to
-// carry one, once per occurrence for the whole layer tower. The batched
-// and scenario lowerings instead walk only the occurrences that hit a
-// contract, which needs those hits listed per trial — this file's compact
-// CSR form, built straight from the ELT (no per-occurrence row column in
-// between) and shared across blocks, runs and scenarios through
-// ResolverCache.
+// carry one, once per occurrence for the whole layer tower. Compact
+// gathers (EngineConfig::batch_contracts over a resident YELT) and the
+// scenario sweep instead walk only the occurrences that hit a contract,
+// which needs those hits listed per trial — this file's compact CSR form,
+// built straight from the ELT (no per-occurrence row column in between)
+// and shared across runs and scenarios through ResolverCache.
 #pragma once
 
 #include <atomic>
@@ -27,8 +27,9 @@
 
 namespace riskan::data {
 
-/// Hit-compacted resolution — the SoA gather input of the portfolio-batched
-/// engine (core::PortfolioBatchRunner) and the scenario sweep.
+/// Hit-compacted resolution — the SoA gather input of compact runs
+/// (core::EngineConfig::batch_contracts over a resident YELT) and the
+/// scenario sweep.
 ///
 /// Only the occurrences whose event is in the ELT are kept, CSR-indexed by
 /// trial, as two parallel uint32 columns:
@@ -82,9 +83,9 @@ class CompactResolvedYelt {
 class ResolverCache;
 
 /// Compact resolutions of many contracts' ELTs against one shared YELT —
-/// what the batched engine builds up front so the trial-chunk pass is pure
+/// what a compact run builds up front so the trial-chunk pass is pure
 /// gathers. They come from (and stay shared through) a ResolverCache, so a
-/// warm batched run resolves nothing.
+/// warm compact run resolves nothing.
 class MultiResolution {
  public:
   MultiResolution() = default;

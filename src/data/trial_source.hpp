@@ -75,8 +75,9 @@ class TrialSource {
   virtual void reset() = 0;
 
   /// True when blocks are transient decodes that die with the pass — the
-  /// batched and scenario engines then resolve against a run-local
-  /// ResolverCache so dead keys never park in the process-wide cache.
+  /// engine then gathers by lookup and builds no compact resolution, and
+  /// the scenario sweep resolves against a run-local ResolverCache so dead
+  /// keys never park in the process-wide cache.
   virtual bool ephemeral_blocks() const noexcept = 0;
 };
 

@@ -66,7 +66,6 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
     core::EngineConfig engine;
     engine.seed = config.seed;
     engine.secondary_uncertainty = config.secondary_uncertainty;
-    engine.batch_contracts = config.batch_contracts;
     engine.adaptive = config.adaptive;
 
     std::vector<dist::BlockSpec> specs;
@@ -132,7 +131,6 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
       engine.compute_oep = false;
       engine.keep_contract_ylts = false;
       engine.trial_base = static_cast<TrialId>(split) * per_block;
-      engine.batch_contracts = config.batch_contracts;
 
       const auto block_result = core::run_aggregate_analysis(portfolio, source, engine);
       const auto losses = block_result.portfolio_ylt.losses();
@@ -175,13 +173,9 @@ AggregateJobResult run_aggregate_job(Dfs& dfs, const finance::Portfolio& portfol
         engine.compute_oep = false;
         engine.keep_contract_ylts = false;
         engine.trial_base = static_cast<TrialId>(split) * per_block;
-        // Each map task carries the whole contract group: with batching on,
-        // its YELT slice is streamed once serving every contract, instead
-        // of once per contract.
-        engine.batch_contracts = config.batch_contracts;
-        // The decoded slice is task-local; the ephemeral source makes the
-        // batched engine resolve through a run-local cache automatically,
-        // without parking dead keys in the process-wide cache.
+        // Each map task carries the whole contract group: one plan streams
+        // its YELT slice once for every contract. The slice is task-local,
+        // so the engine gathers by lookup and builds no resolution.
 
         const auto block_result = core::run_aggregate_analysis(portfolio, source, engine);
         const auto losses = block_result.portfolio_ylt.losses();

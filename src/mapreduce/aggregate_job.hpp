@@ -2,15 +2,15 @@
 // the paper's alternative stage-2 architecture (experiment E6).
 //
 // The YELT is split into trial-range blocks stored in the DFS; each map
-// task deserialises its block and lowers the whole contract group through
-// the same execution plan onto the same trial kernel the in-memory engine
-// uses (sequential executor — pool-free by contract, portfolio-batched by
-// default so the slice is streamed once for every contract, trial_base =
-// the block's first global trial so secondary-uncertainty streams line
-// up), and emits (trial, portfolio loss). The reduce is a per-trial sum — trivially
-// combiner-friendly, which is why this workload MapReduces well. The
-// output YLT is bit-identical to the in-memory engine's (integration tests
-// enforce this).
+// task deserialises its block and runs it through run_aggregate_analysis
+// like any other trial source (sequential executor — pool-free by
+// contract; one plan serves the whole contract group, gathering by
+// in-kernel lookup because the decoded slice dies with the task;
+// trial_base = the block's first global trial so secondary-uncertainty
+// streams line up), and emits (trial, portfolio loss). The reduce is a
+// per-trial sum — trivially combiner-friendly, which is why this workload
+// MapReduces well. The output YLT is bit-identical to the in-memory
+// engine's (integration tests enforce this).
 #pragma once
 
 #include <cstdint>
@@ -35,11 +35,6 @@ struct AggregateJobConfig {
   bool secondary_uncertainty = true;
   ThreadPool* pool = nullptr;
   std::string dfs_file = "yelt";
-  /// Run each map task portfolio-batched: the whole contract group is
-  /// served by one streamed pass over the task's YELT slice instead of a
-  /// per-contract re-walk (core::EngineConfig::batch_contracts). Outputs
-  /// are bit-identical either way.
-  bool batch_contracts = true;
   /// When set, the map phase rides the multi-process dist transport
   /// (src/dist/coordinator.hpp): DFS blocks are leased to forked worker
   /// processes with retry/re-queue and straggler re-execution, and the

@@ -71,7 +71,7 @@ struct ScenarioSpec {
   std::vector<TargetedOverride> overrides;
   std::vector<ContractId> dropped_contracts;
   /// Contracts added to the book for this scenario. Referents must outlive
-  /// the sweep (same lifetime contract as PortfolioBatchRunner::add).
+  /// the sweep.
   std::vector<const finance::Contract*> added_contracts;
   std::optional<PostEventConditioning> conditioning;
 

@@ -4,9 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/aggregate_engine.hpp"
 #include "core/secondary.hpp"
+#include "core/streaming.hpp"
+#include "data/resolved_yelt.hpp"
+#include "data/serialize.hpp"
+#include "data/trial_source.hpp"
+#include "obs/obs.hpp"
+#include "oracle.hpp"
+#include "util/bytes.hpp"
 #include "util/require.hpp"
 
 namespace riskan::core {
@@ -341,6 +349,96 @@ TEST(Engine, ReinstatementPremiumFlows) {
   // limit consumed = 300; reinstatable portion = min(300, 1*150) = 150 ->
   // full reinstatement premium of 10.
   EXPECT_DOUBLE_EQ(result.reinstatement_premium[0], 10.0);
+}
+
+/// Five two-layer contracts over a 600-trial YELT.
+oracle::Book five_contract_book() {
+  finance::PortfolioGenConfig pg;
+  pg.contracts = 5;
+  pg.catalog_events = 400;
+  pg.elt_rows = 120;
+  pg.layers_per_contract = 2;
+  data::YeltGenConfig yg;
+  yg.trials = 600;
+  yg.mean_events_per_year = 8.0;
+  return {finance::generate_portfolio(pg), data::generate_yelt(400, yg)};
+}
+
+double global_counter(const std::string& name) {
+  return obs::MetricsRegistry::global().snapshot().counter_value(name);
+}
+
+TEST(Engine, OnePlanPerTrialBlock) {
+  // Every contract's tower rides one plan per trial block, under either
+  // gather and on either backend: one execution for an in-memory run, one
+  // per block of a re-blocked source.
+  const auto book = five_contract_book();
+  for (const Backend backend : kAllBackends) {
+    const std::string executions = std::string("exec.") + to_string(backend) + ".executions";
+    for (const bool compact : {false, true}) {
+      data::ResolverCache cache;
+      EngineConfig config;
+      config.backend = backend;
+      config.batch_contracts = compact;
+      config.resolver_cache = &cache;
+      const std::string what =
+          std::string(to_string(backend)) + (compact ? "/compact" : "/lookup");
+
+      double before = global_counter(executions);
+      (void)run_aggregate_analysis(book.portfolio, book.yelt, config);
+      EXPECT_EQ(global_counter(executions) - before, 1.0) << what << " in memory";
+
+      data::InMemorySource whole(book.yelt);
+      data::ReblockedSource blocks(whole, 200);
+      ASSERT_EQ(blocks.block_count(), 3u);
+      before = global_counter(executions);
+      (void)run_aggregate_analysis(book.portfolio, blocks, config);
+      EXPECT_EQ(global_counter(executions) - before, 3.0) << what << " over 3 blocks";
+    }
+  }
+}
+
+TEST(Engine, StreamedBlocksBuildNoResolution) {
+  // batch_contracts caches compact resolutions of a resident YELT only. A
+  // streamed block dies with the pass, so its contracts gather by lookup:
+  // no resolution is built or probed, and the outputs still equal the
+  // resident compact run and the definition bit for bit.
+  const auto book = five_contract_book();
+  data::ResolverCache cache;
+  EngineConfig config;
+  config.batch_contracts = true;
+  config.resolver_cache = &cache;
+  const auto resident = run_aggregate_analysis(book.portfolio, book.yelt, config);
+  EXPECT_GT(resident.resolve_seconds, 0.0);
+  const auto expected = oracle::run_oracle(book.portfolio, book.yelt, config);
+  oracle::expect_equals_oracle(resident, expected, "resident compact");
+
+  const std::string path = ::testing::TempDir() + "riskan_engine_streamed.yeltc";
+  save_yelt_chunked(book.yelt, path, 250);
+  ByteWriter writer;
+  data::encode(book.yelt, writer);
+
+  data::ChunkedFileSource chunked(path);
+  data::InMemorySource whole(book.yelt);
+  data::ReblockedSource reblocked(whole, 200);
+  data::EncodedBlockSource encoded(writer.buffer());
+  const std::pair<const char*, data::TrialSource*> sources[] = {
+      {"chunked file", &chunked}, {"re-blocked", &reblocked}, {"encoded block", &encoded}};
+  for (const auto& [name, source] : sources) {
+    const double misses = global_counter("resolver.misses");
+    const auto streamed = run_aggregate_analysis(book.portfolio, *source, config);
+    EXPECT_EQ(streamed.resolve_seconds, 0.0) << name;
+    EXPECT_EQ(global_counter("resolver.misses"), misses) << name;
+    oracle::expect_equals_oracle(streamed, expected, name);
+    for (TrialId t = 0; t < book.yelt.trials(); ++t) {
+      ASSERT_EQ(streamed.portfolio_ylt[t], resident.portfolio_ylt[t]) << name << " " << t;
+      ASSERT_EQ(streamed.portfolio_occurrence_ylt[t], resident.portfolio_occurrence_ylt[t])
+          << name << " " << t;
+      ASSERT_EQ(streamed.reinstatement_premium[t], resident.reinstatement_premium[t])
+          << name << " " << t;
+    }
+  }
+  remove_file(path);
 }
 
 TEST(SecondarySampler, MeanConvergesToEltMean) {

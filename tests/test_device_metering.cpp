@@ -6,7 +6,7 @@
 // chunk, and shared-memory staging is greedy per block. Runs use a host
 // backend; the model only reads the plans it ran.
 //
-// The DeviceModel pin compares fourteen fixed configurations with == against
+// The DeviceModel pin compares thirteen fixed configurations with == against
 // values recorded from the DeviceSim executor that core/device_model
 // replaced. That executor reran the trial kernel inside simulated device
 // blocks only to meter traffic; every counter it metered is an integer
@@ -14,7 +14,12 @@
 // per launch summed in launch order, so a model that makes the same
 // residency, staging and metering decisions reproduces each value to the
 // bit. The modeled seconds are printed with %.17g, so each literal parses
-// back to the exact double.
+// back to the exact double. The rows named ".../lookup" ran one plan per
+// contract when they were recorded; since every run plans the whole book
+// at once, their traffic counters keep the recorded values and only their
+// launches, staged blocks and modeled seconds (and 5k/block4096's shared
+// bytes) were re-pinned: one plan packs every contract's table into one
+// residency chunk and stages each device block once, not once per contract.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -116,21 +121,20 @@ TEST(DeviceMetering, ResidencyCapShiftsGatherTrafficToGlobal) {
 }
 
 TEST(DeviceMetering, BatchedBookSharesLaunchesAcrossContracts) {
-  // Per-contract lowering launches once per contract (its layers share one
-  // plan); the batched plan packs every contract's table into shared
-  // residency chunks — with small tables, the whole book rides one launch.
-  // Residency is per gather source, not per layer, so a contract's tower
-  // and a batched book share their uploads.
+  // Every run is one plan for the whole book, so either gather packs every
+  // contract's table into shared residency chunks — with small tables, the
+  // whole book rides one launch. Residency is per gather source, not per
+  // layer, so a contract's tower shares its upload.
   const auto world = make_world(400, 200, /*contracts=*/4, /*layers=*/2);
-  EngineConfig loop;
-  loop.batch_contracts = false;
-  EngineConfig batched;
-  batched.batch_contracts = true;
-  const auto a = run_device(world, loop);
-  const auto b = run_device(world, batched);
-  EXPECT_EQ(a.launches, 4);  // one per contract, not per (contract, layer)
-  EXPECT_EQ(b.launches, 1);  // 4 x 200-row tables fit one constant segment
-  EXPECT_LT(b.modeled_seconds, a.modeled_seconds);
+  EngineConfig lookup;
+  lookup.batch_contracts = false;
+  EngineConfig compact;
+  compact.batch_contracts = true;
+  const auto a = run_device(world, lookup);
+  const auto b = run_device(world, compact);
+  EXPECT_EQ(a.launches, 1);  // 4 x 200-row tables fit one constant segment
+  EXPECT_EQ(b.launches, 1);
+  EXPECT_EQ(a.shared_staged_blocks, b.shared_staged_blocks);  // staged once, not per contract
 }
 
 TEST(DeviceMetering, TowerChargesOneDrawPerOccurrence) {
@@ -262,12 +266,12 @@ DeviceRunInfo run_case(const std::string& name, EngineConfig config) {
   DeviceRunInfo info;
   config.device_info = &info;
   World w;
-  if (name == "default/sampling-on") {
+  if (name == "default/sampling-on/lookup") {
     w = make_world();
-  } else if (name == "default/sampling-off") {
+  } else if (name == "default/sampling-off/lookup") {
     w = make_world();
     config.secondary_uncertainty = false;
-  } else if (name == "4x2/per-contract") {
+  } else if (name == "4x2/lookup") {
     w = make_world(400, 200, 4, 2);
   } else if (name == "4x2/batched") {
     w = make_world(400, 200, 4, 2);
@@ -278,16 +282,15 @@ DeviceRunInfo run_case(const std::string& name, EngineConfig config) {
     config.device_elt_chunk_rows = name == "8x500/batched/fit" ? 0 : 64;
   } else if (name.rfind("5k/block", 0) == 0) {
     w = make_world(5'000);
-    config.device_block_dim = std::stoi(name.substr(8));
+    config.device_block_dim = std::stoi(name.substr(8));  // "<dim>/lookup"
   } else if (name == "2k-rows/per-contract") {
     // 2000-row tables exceed the constant segment: partial residency.
     w = make_world(300, 2'000, 2, 1, 3'000);
   } else if (name == "11-tables/tight-packing") {
     w = tight_packing_world();
     config.batch_contracts = true;
-  } else if (name.rfind("streamed/3-blocks/", 0) == 0) {
+  } else if (name == "streamed/3-blocks/lookup") {
     w = make_world();
-    config.batch_contracts = name == "streamed/3-blocks/batched";
     data::InMemorySource whole(w.yelt);
     data::ReblockedSource blocks(whole, 150);
     (void)run_aggregate_analysis(w.portfolio, blocks, config);
@@ -323,32 +326,30 @@ struct Pinned {
 
 // {global read, global write, shared read, shared write, const read, flops}
 const Pinned kPinned[] = {
-    {"default/sampling-on", 7.0995652173913039e-05,
-     {31488, 19200, 31488, 31488, 208544, 838976}, 2, 8, 0},
-    {"default/sampling-off", 3.8639999999999996e-05,
-     {31488, 19200, 31488, 31488, 208544, 19696}, 2, 8, 0},
-    {"4x2/per-contract", 0.00014409429347826089,
-     {62976, 76800, 62976, 62976, 415016, 1708908}, 4, 16, 0},
+    {"default/sampling-on/lookup", 6.3995652173913045e-05,
+     {31488, 19200, 31488, 31488, 208544, 838976}, 1, 4, 0},
+    {"default/sampling-off/lookup", 3.1639999999999995e-05,
+     {31488, 19200, 31488, 31488, 208544, 19696}, 1, 4, 0},
+    {"4x2/lookup", 0.00012309429347826087,
+     {62976, 76800, 62976, 62976, 415016, 1708908}, 1, 4, 0},
     {"4x2/batched", 0.00013028166666666666,
      {59288, 194320, 59288, 59288, 415016, 1708644}, 1, 4, 0},
     {"8x500/batched/fit", 0.00051309565217391305,
      {127168, 165568, 127168, 127168, 890176, 3570304}, 4, 8, 0},
     {"8x500/batched/cap64", 0.0010462822222222223,
      {903408, 165568, 86176, 86176, 113936, 3570304}, 1, 1, 1},
-    {"5k/block8", 0.0008373143652173913,
-     {399768, 240000, 399768, 399768, 2615032, 10520128}, 2, 1250, 0},
-    {"5k/block128", 0.00022840478260869565,
-     {399768, 240000, 399768, 399768, 2615032, 10520128}, 2, 80, 0},
-    {"5k/block4096", 0.0014433652173913044,
-     {399768, 240000, 72800, 72800, 2615032, 10520128}, 2, 2, 2},
+    {"5k/block8/lookup", 0.00083031436521739134,
+     {399768, 240000, 399768, 399768, 2615032, 10520128}, 1, 625, 0},
+    {"5k/block128/lookup", 0.0002214047826086957,
+     {399768, 240000, 399768, 399768, 2615032, 10520128}, 1, 40, 0},
+    {"5k/block4096/lookup", 0.0014363652173913046,
+     {399768, 240000, 36400, 36400, 2615032, 10520128}, 1, 0, 2},
     {"2k-rows/per-contract", 9.6208518518518511e-05,
      {112436, 14400, 23536, 23536, 124796, 858384}, 2, 6, 0},
     {"11-tables/tight-packing", 7.1063043478260862e-05,
      {14864, 30032, 14864, 14864, 104048, 419984}, 2, 4, 0},
-    {"streamed/3-blocks/per-contract", 0.00018509782608695652,
-     {31488, 19200, 31488, 31488, 208544, 838976}, 6, 10, 0},
-    {"streamed/3-blocks/batched", 0.00016408804347826087,
-     {29792, 48776, 29792, 29792, 208544, 838922}, 3, 5, 0},
+    {"streamed/3-blocks/lookup", 0.00016409782608695653,
+     {31488, 19200, 31488, 31488, 208544, 838976}, 3, 5, 0},
     {"sweep/mask+conditioning", 0.00021116666666666666,
      {29792, 390208, 29792, 29792, 208544, 976416}, 1, 4, 0},
 };
@@ -416,7 +417,7 @@ TEST(DeviceModel, LeavesEveryOutputBitIdentical) {
           config.device_elt_chunk_rows = 50;
           const auto modeled = run_aggregate_analysis(w->portfolio, w->yelt, config);
           const std::string what = std::string(to_string(backend)) + "/" +
-                                   to_string(kernel) + (batch ? "/batched" : "/per-contract") +
+                                   to_string(kernel) + (batch ? "/compact" : "/lookup") +
                                    (w == &sparse ? "/sparse-ids" : "");
           expect_same_outputs(plain, modeled, what);
           EXPECT_GT(info.launches, 0) << what;

@@ -1,12 +1,13 @@
-// Portfolio-batched execution — one YELT pass serving every contract.
+// Compact gathers — `batch_contracts` runs over a resident YELT.
 //
-// The batched path is a pure loop-nest inversion of the per-contract
-// engine: same per-occurrence terms, same accumulation order per output
-// slot, so every result (portfolio AEP, per-contract YLTs, OEP,
-// reinstatement premium, lookup telemetry) must be bit-identical across
-// backends, grain sizes and secondary-uncertainty settings. These tests
-// are the contract that lets callers flip `batch_contracts` on without
-// re-validating numbers.
+// Every run plans the whole book once per trial block; `batch_contracts`
+// only switches each contract's gather from the in-kernel event→row lookup
+// to a cached compact resolution. Same per-occurrence terms, same
+// accumulation order per output slot, so every result (portfolio AEP,
+// per-contract YLTs, OEP, reinstatement premium, lookup telemetry) must be
+// bit-identical across gathers, backends, grain sizes and
+// secondary-uncertainty settings. These tests are the contract that lets
+// callers flip `batch_contracts` on without re-validating numbers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -119,10 +120,9 @@ TEST(PortfolioBatch, BitIdenticalAcrossBackendsGrainsAndSecondary) {
 }
 
 TEST(PortfolioBatch, DeviceSimBatchedMatchesPerContract) {
-  // With the device modeled (device_info), the batched plan still serves
-  // every contract bit-identically through both entry points, and models
-  // as one launch sequence for the book where the per-contract lowering
-  // models one per contract.
+  // With the device modeled (device_info), the compact plan still serves
+  // every contract bit-identically through both entry points, and either
+  // gather models one launch for the whole book: one plan per run.
   const auto portfolio = book(/*contracts=*/4, /*layers=*/2);
   const auto yelt = lens(800);
 
@@ -141,8 +141,8 @@ TEST(PortfolioBatch, DeviceSimBatchedMatchesPerContract) {
   expect_identical(per_contract, via_engine, "device model via engine");
   expect_identical(per_contract, via_runner, "device model via runner");
   EXPECT_EQ(via_engine.elt_lookups, per_contract.elt_lookups);
-  EXPECT_EQ(loop_info.launches, 4);
-  EXPECT_EQ(batched_info.launches, 2);  // one per batched run
+  EXPECT_EQ(loop_info.launches, 1);
+  EXPECT_EQ(batched_info.launches, 2);  // one per compact run
 }
 
 TEST(PortfolioBatch, DeviceSimBlockDimSweepIsBitIdentical) {
@@ -302,35 +302,7 @@ TEST(PortfolioBatch, TrialBaseAndLeanOutputsMatch) {
   }
 }
 
-TEST(PortfolioBatchRunner, GroupsBooksByYeltAndMatchesIndividualRuns) {
-  const auto book_a = book(/*contracts=*/3, /*layers=*/2, /*seed=*/11);
-  const auto book_b = book(/*contracts=*/5, /*layers=*/1, /*seed=*/22);
-  const auto shared_lens = lens(900);
-  const auto other_lens = lens(900, 800, /*seed=*/31);
-
-  EngineConfig config;
-  config.backend = Backend::Threaded;
-
-  PortfolioBatchRunner runner(config);
-  EXPECT_EQ(runner.add(book_a, shared_lens), 0u);
-  EXPECT_EQ(runner.add(book_b, shared_lens), 1u);
-  EXPECT_EQ(runner.add(book_a, other_lens), 2u);
-  EXPECT_EQ(runner.analyses(), 3u);
-  EXPECT_EQ(runner.group_count(), 2u);  // two distinct YELTs, three books
-
-  const auto results = runner.run();
-  ASSERT_EQ(results.size(), 3u);
-
-  config.batch_contracts = false;
-  expect_identical(run_aggregate_analysis(book_a, shared_lens, config), results[0],
-                   "book A over shared lens");
-  expect_identical(run_aggregate_analysis(book_b, shared_lens, config), results[1],
-                   "book B over shared lens");
-  expect_identical(run_aggregate_analysis(book_a, other_lens, config), results[2],
-                   "book A over other lens");
-}
-
-TEST(PortfolioBatchRunner, SharedResolverCacheIsReused) {
+TEST(PortfolioBatch, SharedResolverCacheIsReused) {
   const auto portfolio = book(/*contracts=*/4, /*layers=*/2);
   const auto yelt = lens(600);
   data::ResolverCache cache;

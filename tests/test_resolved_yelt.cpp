@@ -264,24 +264,31 @@ TEST(ResolverEquivalence, BitIdenticalAcrossBackendsGrainsAndSecondary) {
 
 TEST(ResolverEquivalence, DeviceModeledRunMatchesTheOracle) {
   // A run with the device modeled (residency capped per table) equals the
-  // definition, one launch per contract.
+  // definition under either gather, and models one launch for the book:
+  // the run is one plan, and the capped tables share one residency chunk.
   const auto w = equivalence_workload();
 
-  EngineConfig config;
-  config.backend = Backend::Threaded;
-  DeviceRunInfo info;
-  config.device_info = &info;
-  config.device_elt_chunk_rows = 64;  // cap constant-memory residency per table
-  oracle::expect_equals_oracle(run_aggregate_analysis(w.portfolio, w.yelt, config),
-                               oracle::run_oracle(w.portfolio, w.yelt, config),
-                               "device-modeled run");
-  EXPECT_EQ(info.launches, static_cast<int>(w.portfolio.size()));
+  for (const bool compact : {false, true}) {
+    data::ResolverCache cache;
+    EngineConfig config;
+    config.backend = Backend::Threaded;
+    config.batch_contracts = compact;
+    config.resolver_cache = &cache;
+    DeviceRunInfo info;
+    config.device_info = &info;
+    config.device_elt_chunk_rows = 64;  // cap constant-memory residency per table
+    const std::string what = compact ? "compact" : "lookup";
+    oracle::expect_equals_oracle(run_aggregate_analysis(w.portfolio, w.yelt, config),
+                                 oracle::run_oracle(w.portfolio, w.yelt, config),
+                                 "device-modeled run/" + what);
+    EXPECT_EQ(info.launches, 1) << what;
+  }
 }
 
 TEST(ResolverEquivalence, SharedCacheReusedAcrossRuns) {
-  // The per-contract lowering resolves in the kernel: a run never probes
-  // the cache, and a second run over the same tables repeats the first.
-  // (Batched reuse: PortfolioBatchRunner.SharedResolverCacheIsReused.)
+  // A lookup run resolves in the kernel: it never probes the cache, and a
+  // second run over the same tables repeats the first.
+  // (Batched reuse: PortfolioBatch.SharedResolverCacheIsReused.)
   const auto w = equivalence_workload();
   data::ResolverCache cache;
 

@@ -251,7 +251,6 @@ TEST(EngineConfigValidation, EveryEntryPointValidates) {
 
   EXPECT_THROW((void)run_aggregate_analysis(w.portfolio, w.yelt, config),
                ContractViolation);
-  EXPECT_THROW(PortfolioBatchRunner{config}, ContractViolation);
   EXPECT_THROW((void)run_portfolio_batch(w.portfolio, w.yelt, config),
                ContractViolation);
   const std::vector<scenario::ScenarioSpec> specs;

@@ -496,8 +496,9 @@ TEST(StreamedBatch, MultiBlockSourceThroughRunPortfolioBatch) {
   config.backend = Backend::Threaded;
   config.trial_grain = 32;
   const auto reference = core::run_portfolio_batch(w.portfolio, w.yelt, config);
+  config.batch_contracts = true;
   data::ChunkedFileSource source(path);
-  const auto streamed = core::run_portfolio_batch(w.portfolio, source, config);
+  const auto streamed = core::run_aggregate_analysis(w.portfolio, source, config);
   expect_equal_results(reference, streamed);
   remove_file(path);
 }
