@@ -88,7 +88,8 @@ core::EngineResult per_contract_loop(const finance::Portfolio& portfolio,
     const auto plan = core::exec::ExecutionPlan::lower(
         std::span<const core::batch::Slot>(slots.data() + first, p - first), yelt.offsets(),
         trials, config);
-    result.elt_lookups += executor->execute(plan, philox);
+    // One group, the tower: each row it found is one lookup per layer.
+    result.elt_lookups += executor->execute(plan, philox)[0] * (p - first);
   }
   core::batch::finalize_oep(result.portfolio_occurrence_ylt.mutable_losses(),
                             occurrence_accum, yelt.offsets(), {});

@@ -16,14 +16,24 @@
 // uncertainty is ON (the engine default and the realistic pricing regime);
 // the secondary-off ratio is reported alongside since it isolates the
 // streaming/terms dedupe from the sampling dedupe.
+//
+// With secondary uncertainty on it also times the same sweep streamed from
+// the YELT saved as a chunked file of 16 blocks (data::ChunkedFileSource),
+// after checking every run against the resident sweep bit for bit. A
+// streamed sweep gathers by lookup and builds no resolution, so its
+// streamed_resolve_seconds must read 0. That row is reported, not gated.
+#include <algorithm>
 #include <iostream>
 
 #include "bench/common.hpp"
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
+#include "core/streaming.hpp"
 #include "data/resolved_yelt.hpp"
+#include "data/trial_source.hpp"
 #include "scenario/sweep.hpp"
 #include "obs/obs.hpp"
+#include "util/bytes.hpp"
 
 using namespace riskan;
 
@@ -102,6 +112,29 @@ struct Regime {
   bool secondary;
 };
 
+/// Whether two runs' per-trial outputs are bit-identical.
+bool same_outputs(const core::EngineResult& a, const core::EngineResult& b) {
+  if (a.portfolio_ylt.trials() != b.portfolio_ylt.trials() ||
+      a.contract_ylts.size() != b.contract_ylts.size()) {
+    return false;
+  }
+  for (TrialId t = 0; t < a.portfolio_ylt.trials(); ++t) {
+    if (a.portfolio_ylt[t] != b.portfolio_ylt[t] ||
+        a.portfolio_occurrence_ylt[t] != b.portfolio_occurrence_ylt[t] ||
+        a.reinstatement_premium[t] != b.reinstatement_premium[t]) {
+      return false;
+    }
+  }
+  for (std::size_t c = 0; c < a.contract_ylts.size(); ++c) {
+    for (TrialId t = 0; t < a.portfolio_ylt.trials(); ++t) {
+      if (a.contract_ylts[c][t] != b.contract_ylts[c][t]) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -113,6 +146,9 @@ int main() {
                                 /*events_per_year=*/10.0, /*catalog_events=*/10'000,
                                 /*layers_per_contract=*/4);
   const auto specs = make_specs(w.portfolio);
+  const std::string path = "/tmp/riskan_bench_e11.yeltc";
+  const auto blocks =
+      core::save_yelt_chunked(w.yelt, path, std::max<TrialId>(1, trials / 16));
 
   bench::JsonReport json;
   json.set("experiment", std::string("e11_scenarios"));
@@ -181,8 +217,34 @@ int main() {
       json.set("plan_distinct_masks",
                static_cast<std::uint64_t>(sweep.plan.distinct_masks));
       json.set("plan_slots", static_cast<std::uint64_t>(sweep.plan.slots));
+
+      // The same sweep streamed from the chunked file, checked run by run
+      // against the resident sweep before it is timed.
+      const auto streamed_sweep = [&] {
+        data::ChunkedFileSource source(path);
+        return scenario::run_scenario_sweep(w.portfolio, source, specs, config);
+      };
+      const auto streamed = streamed_sweep();
+      bool same = same_outputs(sweep.base, streamed.base) &&
+                  streamed.scenarios.size() == sweep.scenarios.size();
+      for (std::size_t s = 0; same && s < sweep.scenarios.size(); ++s) {
+        same = same_outputs(sweep.scenarios[s], streamed.scenarios[s]);
+      }
+      if (!same) {
+        std::cerr << "STREAMED SWEEP MISMATCH — a run is not bit-identical to the resident "
+                     "sweep\n";
+        return 1;
+      }
+      const double streamed_s = best_seconds(reps, [&] { (void)streamed_sweep(); });
+      std::cout << "streamed sweep (" << blocks << " chunked blocks): "
+                << format_seconds(streamed_s) << ", resolution builds "
+                << format_seconds(streamed.base.resolve_seconds) << "\n";
+      json.set("streamed_blocks", static_cast<std::uint64_t>(blocks));
+      json.set("streamed_sweep_seconds", streamed_s);
+      json.set("streamed_resolve_seconds", streamed.base.resolve_seconds);
     }
   }
+  remove_file(path);
   bench::emit("e11_scenarios", table);
 
   std::cout << "\n[E11 verdict] sweep/independent with secondary uncertainty: "

@@ -9,8 +9,10 @@
 
 namespace riskan::core::adaptive {
 
-namespace detail {
+namespace {
 
+/// Shapes `out`'s per-trial tables like `proto`'s (same labels, same
+/// contract set, same OEP presence) but sized for `trials` trials.
 void init_result_shapes(const EngineResult& proto, TrialId trials, EngineResult& out) {
   out.portfolio_ylt = data::YearLossTable(trials, proto.portfolio_ylt.label());
   out.reinstatement_premium =
@@ -25,8 +27,6 @@ void init_result_shapes(const EngineResult& proto, TrialId trials, EngineResult&
   }
 }
 
-namespace {
-
 void copy_span(const data::YearLossTable& from, TrialId offset, data::YearLossTable& to) {
   RISKAN_ENSURE(offset + from.trials() <= to.trials(),
                 "adaptive block result overflows the preallocated output");
@@ -34,8 +34,8 @@ void copy_span(const data::YearLossTable& from, TrialId offset, data::YearLossTa
             to.mutable_losses().begin() + offset);
 }
 
-}  // namespace
-
+/// Copies one block result's per-trial outputs into `out` at trial
+/// `offset` and accumulates its counters/telemetry.
 void copy_block_result(const EngineResult& block, TrialId offset, EngineResult& out) {
   copy_span(block.portfolio_ylt, offset, out.portfolio_ylt);
   copy_span(block.reinstatement_premium, offset, out.reinstatement_premium);
@@ -52,6 +52,7 @@ void copy_block_result(const EngineResult& block, TrialId offset, EngineResult& 
   out.resolve_seconds += block.resolve_seconds;
 }
 
+/// Truncates every per-trial table of `result` to `trials` (the stop).
 void truncate_result(EngineResult& result, TrialId trials) {
   result.portfolio_ylt.truncate(trials);
   result.portfolio_occurrence_ylt.truncate(trials);
@@ -61,15 +62,12 @@ void truncate_result(EngineResult& result, TrialId trials) {
   }
 }
 
-}  // namespace detail
+}  // namespace
 
-EngineResult run_adaptive_aggregate(const finance::Portfolio& portfolio,
-                                    data::TrialSource& source,
-                                    const EngineConfig& config) {
+std::vector<EngineResult> run_adaptive(const BookRuns& runs, data::TrialSource& source,
+                                       const EngineConfig& config) {
   const AdaptiveConfig& adaptive = config.adaptive;
   RISKAN_REQUIRE(adaptive.enabled(), "adaptive driver invoked with adaptivity off");
-  validate_engine_config(config);
-  RISKAN_REQUIRE(source.trials() > 0, "trial source must contain trials");
   // The adaptive driver is the outermost scope of its run: the per-block
   // re-entries below carry a cleared obs config, so their spans/counters
   // accumulate into THIS scope's window instead of starting nested ones.
@@ -79,12 +77,11 @@ EngineResult run_adaptive_aggregate(const finance::Portfolio& portfolio,
   data::ReblockedSource grid(source, adaptive.block_trials, adaptive.max_trials);
   ConvergenceController controller(adaptive, grid.trials());
 
-  // Each grid block re-enters the plain entry point: adaptivity cleared
-  // (terminating the recursion after exactly one level) and the block's
-  // trial offset moved onto trial_base, so sampling streams — and hence
-  // every loss — match the same trials of a fixed-budget run bit for bit.
-  EngineResult out;
-  bool shaped = false;
+  // Each grid block re-enters the runner: adaptivity cleared (terminating
+  // the recursion after exactly one level) and the block's trial offset
+  // moved onto trial_base, so sampling streams — and hence every loss —
+  // match the same trials of a fixed-budget run bit for bit.
+  std::vector<EngineResult> out;
   data::TrialBlock block;
   while (!controller.should_stop() && grid.next(block)) {
     EngineConfig inner = config;
@@ -92,22 +89,30 @@ EngineResult run_adaptive_aggregate(const finance::Portfolio& portfolio,
     inner.obs = {};
     inner.trial_base = config.trial_base + block.trial_offset;
     data::SingleBlockSource one(block.yelt);
-    const EngineResult r = run_aggregate_analysis(portfolio, one, inner);
-    if (!shaped) {
-      detail::init_result_shapes(r, controller.trial_cap(), out);
-      shaped = true;
+    const std::vector<EngineResult> r = run_books(runs, one, inner);
+    if (out.empty()) {
+      out.resize(r.size());
+      for (std::size_t i = 0; i < r.size(); ++i) {
+        init_result_shapes(r[i], controller.trial_cap(), out[i]);
+      }
     }
-    detail::copy_block_result(r, block.trial_offset, out);
-    controller.fold(r.portfolio_ylt.losses(),
-                    config.compute_oep ? r.portfolio_occurrence_ylt.losses()
+    for (std::size_t i = 0; i < r.size(); ++i) {
+      copy_block_result(r[i], block.trial_offset, out[i]);
+    }
+    controller.fold(r[0].portfolio_ylt.losses(),
+                    config.compute_oep ? r[0].portfolio_occurrence_ylt.losses()
                                        : std::span<const Money>{});
   }
 
-  detail::truncate_result(out, controller.trials_folded());
-  out.adaptive = controller.report();
-  out.adaptive.trials_available = source.trials();
-  out.seconds = timer.stop();
-  out.obs_report = obs_scope.finish();
+  RISKAN_ENSURE(!out.empty(), "adaptive run stopped before its first decision block");
+  const double seconds = timer.stop();
+  for (EngineResult& result : out) {
+    truncate_result(result, controller.trials_folded());
+    result.seconds = seconds;
+  }
+  out[0].adaptive = controller.report();
+  out[0].adaptive.trials_available = source.trials();
+  out[0].obs_report = obs_scope.finish();
   return out;
 }
 

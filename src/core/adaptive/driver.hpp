@@ -1,19 +1,20 @@
-// The adaptive block driver — how an entry point runs "until converged".
+// The adaptive block driver — how a pass runs "until converged".
 //
-// run_adaptive_aggregate re-cuts any TrialSource onto the adaptive
-// decision grid (data::ReblockedSource), runs each grid block through the
-// *normal* entry point with adaptivity cleared and the block's offset
+// run_adaptive re-cuts any TrialSource onto the adaptive decision grid
+// (data::ReblockedSource), runs each grid block through the engine's block
+// runner (core::run_books) with adaptivity cleared and the block's offset
 // moved onto EngineConfig::trial_base (so every loss is bit-identical to
-// the same trial of a full fixed-budget run), folds the block's YLT
-// partials into a ConvergenceController, and stops early once the
-// monitored metrics converge. Outputs are the converged prefix: the YLTs
-// are truncated to the stopping trial count and EngineResult::adaptive
-// carries the report.
-//
-// The detail helpers are shared with the scenario sweep's adaptive path
-// (scenario/sweep.cpp), which drives the same loop over
-// run_scenario_sweep per block.
+// the same trial of a full fixed-budget run), copies every run's block
+// result, folds run 0's YLT partials into a ConvergenceController, and
+// stops early once the monitored metrics converge. Run 0 is the book of a
+// plain engine run, or the base book of a scenario sweep, so every
+// scenario stops at the base book's trial and the sweep's deltas stay
+// trial-aligned. Outputs are the converged prefix: every run's YLTs are
+// truncated to the stopping trial count, and run 0's
+// EngineResult::adaptive carries the report.
 #pragma once
+
+#include <vector>
 
 #include "core/aggregate_engine.hpp"
 
@@ -23,28 +24,11 @@ class TrialSource;
 
 namespace riskan::core::adaptive {
 
-/// Adaptive counterpart of run_aggregate_analysis over a source; called by
-/// the engine entry points when config.adaptive is enabled (never call
-/// with it disabled). Honours backends, OEP, contract YLTs — each block
-/// runs the exact non-adaptive path (its blocks are ephemeral, so every
-/// contract gathers by lookup).
-EngineResult run_adaptive_aggregate(const finance::Portfolio& portfolio,
-                                    data::TrialSource& source,
-                                    const EngineConfig& config);
-
-namespace detail {
-
-/// Shapes `out`'s per-trial tables like `proto`'s (same labels, same
-/// contract set, same OEP presence) but sized for `trials` trials.
-void init_result_shapes(const EngineResult& proto, TrialId trials, EngineResult& out);
-
-/// Copies one block result's per-trial outputs into `out` at trial
-/// `offset` and accumulates its counters/telemetry.
-void copy_block_result(const EngineResult& block, TrialId offset, EngineResult& out);
-
-/// Truncates every per-trial table of `result` to `trials` (the stop).
-void truncate_result(EngineResult& result, TrialId trials);
-
-}  // namespace detail
+/// Adaptive counterpart of run_books; called by the runner when
+/// config.adaptive is enabled (never call with it disabled). Honours
+/// backends, OEP, contract YLTs — each block runs the exact non-adaptive
+/// path (its blocks are ephemeral, so every contract gathers by lookup).
+std::vector<EngineResult> run_adaptive(const BookRuns& runs, data::TrialSource& source,
+                                       const EngineConfig& config);
 
 }  // namespace riskan::core::adaptive

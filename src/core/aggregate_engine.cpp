@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "core/adaptive/driver.hpp"
@@ -66,23 +67,15 @@ void validate_engine_config(const EngineConfig& config) {
   }
 }
 
-data::ResolverCache& resolver_cache_for(const EngineConfig& config,
-                                        const data::TrialSource& source,
-                                        data::ResolverCache& local) {
-  // Ephemeral blocks die with the pass, so caching their resolutions
-  // anywhere durable — the caller's cache included — only parks dead keys
-  // and evicts genuinely warm entries; the run-local cache (cleared per
-  // block) wins unconditionally there.
-  if (source.ephemeral_blocks()) {
-    return local;
-  }
-  return config.resolver_cache != nullptr ? *config.resolver_cache
-                                          : data::ResolverCache::shared();
-}
+namespace {
 
+/// Yields each of `source`'s blocks to `body` together with the block's
+/// effective sampling stream base (config.trial_base + block.trial_offset —
+/// the invariant that keeps streamed runs bit-identical to monolithic ones)
+/// and ENSUREs in-order delivery covering exactly source.trials().
+template <typename Body>
 void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
-                          data::ResolverCache* run_local_cache,
-                          const std::function<void(const data::TrialBlock&, TrialId)>& body) {
+                          const Body& body) {
   const TrialId trials = source.trials();
   data::TrialBlock block;
   TrialId seen = 0;
@@ -92,14 +85,44 @@ void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
                   "trial source delivered blocks out of order or past its trial count");
     body(block, config.trial_base + block.trial_offset);
     seen += block_trials;
-    // Ephemeral blocks resolve through the run-local cache (see
-    // resolver_cache_for); dropping those resolutions with the block keeps
-    // memory bounded and entries from outliving their table.
-    if (run_local_cache != nullptr && source.ephemeral_blocks()) {
-      run_local_cache->clear();
-    }
   }
   RISKAN_ENSURE(seen == trials, "trial source delivered fewer trials than declared");
+}
+
+/// Block-sized scratch of one run: grown on the calling thread, never
+/// shrunk, and zeroed by whoever uses it.
+struct Scratch {
+  std::unique_ptr<Money[]> cells;
+  std::size_t capacity = 0;
+
+  void reserve(std::size_t n) {
+    if (capacity < n) {
+      cells = std::make_unique_for_overwrite<Money[]>(n);
+      capacity = n;
+    }
+  }
+};
+
+}  // namespace
+
+BookRuns BookRuns::single(const finance::Portfolio& portfolio) {
+  BookRuns runs;
+  runs.runs.resize(1);
+  for (std::size_t c = 0; c < portfolio.size(); ++c) {
+    const finance::Contract& contract = portfolio.contract(c);
+    runs.contracts.push_back(&contract);
+    runs.runs[0].book.push_back(c);
+    for (const finance::Layer& layer : contract.layers()) {
+      SlotBlueprint bp;
+      bp.contract = c;
+      bp.contract_in_run = c;
+      bp.terms = layer.terms;
+      bp.reinstatements = layer.reinstatements;
+      bp.upfront_premium = layer.upfront_premium;
+      runs.blueprints.push_back(bp);
+    }
+  }
+  return runs;
 }
 
 EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
@@ -112,27 +135,34 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
 EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
                                     data::TrialSource& source,
                                     const EngineConfig& config) {
-  validate_engine_config(config);
   RISKAN_REQUIRE(!portfolio.empty(), "portfolio must contain contracts");
+  return std::move(run_books(BookRuns::single(portfolio), source, config).front());
+}
+
+std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& source,
+                                    const EngineConfig& config) {
+  validate_engine_config(config);
+  RISKAN_REQUIRE(!runs.runs.empty() && !runs.blueprints.empty(),
+                 "a pass needs at least one run with a slot");
   const TrialId trials = source.trials();
   RISKAN_REQUIRE(trials > 0, "trial source must contain trials");
 
-  // Adaptive stopping wraps this very entry point: the driver re-enters it
-  // per decision block with adaptivity cleared, so everything below runs
+  // Adaptive stopping wraps this very runner: the driver re-enters it per
+  // decision block with adaptivity cleared, so everything below runs
   // unchanged — bit-identically — whether the budget is fixed or adaptive.
   if (config.adaptive.enabled()) {
-    return adaptive::run_adaptive_aggregate(portfolio, source, config);
+    return adaptive::run_adaptive(runs, source, config);
   }
 
-  // The one lowering: per trial block, every contract's layer tower goes
-  // into one plan, in contract order, executed once. Each tower is one
-  // gather group (one resolution and draw per occurrence feeds the whole
-  // tower), and the kernel walks trial blocks outermost and groups in plan
-  // order, so every output cell sees contracts, then layers, in order. The
-  // plan is lowered against the first block and re-bound to each later
-  // one; per-trial outputs are sliced by block, and the block's trial
-  // offset rides the sampling stream base, so a streamed run is
-  // bit-identical to the in-memory one.
+  // The one lowering: per trial block, every run's slots go into one plan,
+  // in blueprint order, executed once. Each contract's slots — its layer
+  // tower in every run — are one gather group (one resolution and draw per
+  // occurrence feeds all of them), and the kernel walks trial blocks
+  // outermost and groups in plan order, so every output cell sees
+  // contracts, then layers, in order. The plan is lowered against the
+  // first block and re-bound to each later one; per-trial outputs are
+  // sliced by block, and the block's trial offset rides the sampling stream
+  // base, so a streamed run is bit-identical to the in-memory one.
   obs::RunObsScope obs_scope(config.obs);
   obs::Timer timer("engine.run");
   static const obs::Counter runs_counter =
@@ -141,27 +171,31 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
       obs::MetricsRegistry::global().histogram("engine.block_seconds");
   runs_counter.add();
 
-  EngineResult result;
-  result.portfolio_ylt = data::YearLossTable(trials, "portfolio");
-  result.reinstatement_premium = data::YearLossTable(trials, "reinstatement-premium");
-  if (config.keep_contract_ylts) {
-    result.contract_ylts.reserve(portfolio.size());
-    for (const auto& contract : portfolio.contracts()) {
-      result.contract_ylts.emplace_back(
-          trials, "contract-" + std::to_string(contract.id()));
+  const std::size_t run_count = runs.runs.size();
+  std::vector<EngineResult> results(run_count);
+  for (std::size_t r = 0; r < run_count; ++r) {
+    EngineResult& result = results[r];
+    result.portfolio_ylt = data::YearLossTable(trials, "portfolio");
+    result.reinstatement_premium = data::YearLossTable(trials, "reinstatement-premium");
+    if (config.keep_contract_ylts) {
+      result.contract_ylts.reserve(runs.runs[r].book.size());
+      for (const std::size_t c : runs.runs[r].book) {
+        result.contract_ylts.emplace_back(trials,
+                                          "contract-" + std::to_string(runs.contracts[c]->id()));
+      }
     }
-  }
-  if (config.compute_oep) {
-    result.portfolio_occurrence_ylt = data::YearLossTable(trials, "portfolio-oep");
+    if (config.compute_oep) {
+      result.portfolio_occurrence_ylt = data::YearLossTable(trials, "portfolio-oep");
+    }
   }
 
   // Samplers are pure functions of each contract's ELT — block-invariant,
-  // so they are built once per run.
+  // so they are built once per contract and shared by every run.
   std::vector<SecondarySampler> samplers;
   if (config.secondary_uncertainty) {
-    samplers.reserve(portfolio.size());
-    for (const auto& contract : portfolio.contracts()) {
-      samplers.emplace_back(contract.elt());
+    samplers.reserve(runs.contracts.size());
+    for (const finance::Contract* contract : runs.contracts) {
+      samplers.emplace_back(contract->elt());
     }
   }
 
@@ -173,74 +207,108 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
                                    ? *config.resolver_cache
                                    : data::ResolverCache::shared();
   std::vector<const data::EventLossTable*> elts;
-  for (const auto& contract : portfolio.contracts()) {
-    elts.push_back(&contract.elt());
+  for (const finance::Contract* contract : runs.contracts) {
+    elts.push_back(&contract->elt());
   }
-  // Pool-free backends must stay off the pool end to end, resolution
-  // builds included (single-thread contract).
-  const ParallelConfig resolve_par =
+  // Pool-free backends must stay off the pool end to end, resolution and
+  // mask builds and per-run work included (single-thread contract).
+  const ParallelConfig block_par =
       pool_free(config.backend)
           ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
           : ParallelConfig{config.pool, config.trial_grain};
+  const ParallelConfig per_run =
+      pool_free(config.backend) ? block_par : ParallelConfig{config.pool, 1};
+  const auto for_each_run = [&](const auto& body) {
+    parallel_for(
+        0, run_count,
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t r = lo; r < hi; ++r) {
+            body(r);
+          }
+        },
+        per_run);
+  };
   data::MultiResolution resolution;
+  std::vector<batch::MaskColumn> masks(runs.exclusions.size());
+  // OEP and conditioned scratch: one of each per run, sized to the largest
+  // block. Allocating it here on the calling thread, and only zeroing it in
+  // pool tasks, keeps it out of the pool threads' malloc arenas.
+  std::vector<Scratch> occurrence_accum(run_count);
+  std::vector<Scratch> conditioned_accum(run_count);
 
   const Philox4x32 philox(config.seed);
   const auto executor = exec::make_executor(config);
-  const std::uint64_t layer_count = portfolio.layer_count();
-  std::vector<batch::Slot> slots(layer_count);
+  std::vector<batch::Slot> slots(runs.blueprints.size());
   exec::ExecutionPlan plan;
   bool lowered = false;
+  double resolve_seconds = 0.0;
 
-  std::vector<Money> occurrence_accum;
-  for_each_trial_block(source, config, nullptr,
-                       [&](const data::TrialBlock& block, TrialId base) {
+  for_each_trial_block(source, config, [&](const data::TrialBlock& block, TrialId base) {
     obs::Timer block_timer("engine.block");
     const data::YearEventLossTable& yelt = *block.yelt;
     const TrialId block_trials = yelt.trials();
+    const std::uint64_t entries = yelt.entries();
     const auto yelt_offsets = yelt.offsets();
     if (compact) {
       const Stopwatch resolve_watch;
-      resolution = data::MultiResolution::build(elts, yelt, &cache, resolve_par);
-      result.resolve_seconds += resolve_watch.seconds();
+      resolution = data::MultiResolution::build(elts, yelt, &cache, block_par);
+      resolve_seconds += resolve_watch.seconds();
+    }
+    for (std::size_t m = 0; m < masks.size(); ++m) {
+      masks[m] = batch::MaskColumn::build(yelt, runs.exclusions[m], block_par);
     }
     if (config.compute_oep) {
-      occurrence_accum.assign(yelt.entries(), 0.0);
+      for (std::size_t r = 0; r < run_count; ++r) {
+        occurrence_accum[r].reserve(entries);
+        if (runs.runs[r].conditioned) {
+          conditioned_accum[r].reserve(block_trials);
+        }
+      }
+      for_each_run([&](std::size_t r) {
+        std::fill_n(occurrence_accum[r].cells.get(), entries, 0.0);
+        if (runs.runs[r].conditioned) {
+          std::fill_n(conditioned_accum[r].cells.get(), block_trials, 0.0);
+        }
+      });
     }
 
-    std::size_t p = 0;
-    for (std::size_t c = 0; c < portfolio.size(); ++c) {
-      const auto& contract = portfolio.contract(c);
-      for (const auto& layer : contract.layers()) {
-        batch::Slot& slot = slots[p++];
-        slot = batch::Slot{};
-        if (compact) {
-          const data::CompactResolvedYelt& entry = resolution.entry(c);
-          slot.hit_offsets = entry.trial_offsets().data();
-          slot.seqs = entry.seqs().data();
-          slot.rows = entry.rows().data();
-          result.elt_lookups += entry.hits();
-        } else {
-          slot.gather = batch::Gather::Lookup;
-          slot.events = yelt.events().data();
-        }
-        slot.elt = &contract.elt();
-        slot.means = contract.elt().mean_loss().data();
-        slot.sampler = config.secondary_uncertainty ? &samplers[c] : nullptr;
-        slot.terms = layer.terms;
-        slot.reinstatements = layer.reinstatements;
-        slot.upfront_premium = layer.upfront_premium;
-        slot.contract_id = contract.id();
-        slot.contract_losses =
-            config.keep_contract_ylts
-                ? result.contract_ylts[c].mutable_losses().subspan(block.trial_offset,
-                                                                   block_trials)
-                : std::span<Money>{};
-        slot.portfolio_losses =
-            result.portfolio_ylt.mutable_losses().subspan(block.trial_offset, block_trials);
-        slot.reinstatement_prem = result.reinstatement_premium.mutable_losses().subspan(
-            block.trial_offset, block_trials);
-        slot.occurrence_accum = config.compute_oep ? occurrence_accum.data() : nullptr;
+    for (std::size_t p = 0; p < slots.size(); ++p) {
+      const SlotBlueprint& bp = runs.blueprints[p];
+      const finance::Contract& contract = *runs.contracts[bp.contract];
+      EngineResult& result = results[bp.run];
+      batch::Slot& slot = slots[p];
+      slot = batch::Slot{};
+      if (compact) {
+        const data::CompactResolvedYelt& entry = resolution.entry(bp.contract);
+        slot.hit_offsets = entry.trial_offsets().data();
+        slot.seqs = entry.seqs().data();
+        slot.rows = entry.rows().data();
+      } else {
+        slot.gather = batch::Gather::Lookup;
+        slot.events = yelt.events().data();
       }
+      slot.elt = &contract.elt();
+      slot.means = contract.elt().mean_loss().data();
+      slot.sampler = config.secondary_uncertainty ? &samplers[bp.contract] : nullptr;
+      slot.contract_id = contract.id();
+      slot.loss_scale = bp.loss_scale;
+      slot.mask_seq = bp.mask >= 0 ? masks[bp.mask].adjusted_seq.data() : nullptr;
+      slot.conditioned_ground_up = bp.conditioned_ground_up;
+      slot.terms = bp.terms;
+      slot.reinstatements = bp.reinstatements;
+      slot.upfront_premium = bp.upfront_premium;
+      slot.contract_losses =
+          config.keep_contract_ylts
+              ? result.contract_ylts[bp.contract_in_run].mutable_losses().subspan(
+                    block.trial_offset, block_trials)
+              : std::span<Money>{};
+      slot.portfolio_losses =
+          result.portfolio_ylt.mutable_losses().subspan(block.trial_offset, block_trials);
+      slot.reinstatement_prem =
+          result.reinstatement_premium.mutable_losses().subspan(block.trial_offset,
+                                                                 block_trials);
+      slot.occurrence_accum = occurrence_accum[bp.run].cells.get();
+      slot.conditioned_accum = conditioned_accum[bp.run].cells.get();
     }
 
     if (!lowered) {
@@ -251,22 +319,40 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
     } else {
       plan.rebind(slots, yelt_offsets, block_trials, base);
     }
-    // Lookup groups report their found rows per slot; compact groups
-    // report 0 and were counted from their hits above.
-    result.elt_lookups += executor->execute(plan, philox);
+    const auto found = executor->execute(plan, philox);
 
     if (config.compute_oep) {
-      batch::finalize_oep(result.portfolio_occurrence_ylt.mutable_losses().subspan(
-                              block.trial_offset, block_trials),
-                          occurrence_accum, yelt_offsets, {});
+      for_each_run([&](std::size_t r) {
+        batch::finalize_oep(results[r].portfolio_occurrence_ylt.mutable_losses().subspan(
+                                block.trial_offset, block_trials),
+                            {occurrence_accum[r].cells.get(), entries}, yelt_offsets,
+                            runs.runs[r].conditioned
+                                ? std::span<const Money>(conditioned_accum[r].cells.get(),
+                                                         block_trials)
+                                : std::span<const Money>{});
+      });
     }
-    result.occurrences_processed += yelt.entries() * layer_count;
+    // Each slot is one (occurrence × layer) evaluation of its run, so a run
+    // is credited every YELT entry and every row its group found, once per
+    // slot it has in the group.
+    for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+      const batch::Group& group = plan.groups[g];
+      for (std::uint32_t p = group.begin; p < group.begin + group.size; ++p) {
+        EngineResult& result = results[runs.blueprints[p].run];
+        result.elt_lookups += found[g];
+        result.occurrences_processed += entries;
+      }
+    }
     block_hist.observe(block_timer.stop());
   });
 
-  result.seconds = timer.stop();
-  result.obs_report = obs_scope.finish();
-  return result;
+  const double seconds = timer.stop();
+  for (EngineResult& result : results) {
+    result.seconds = seconds;
+    result.resolve_seconds = resolve_seconds;
+  }
+  results.front().obs_report = obs_scope.finish();
+  return results;
 }
 
 std::vector<Money> run_layer(const finance::Contract& contract, const finance::Layer& layer,

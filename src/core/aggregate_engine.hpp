@@ -14,11 +14,13 @@
 // share, and accumulate into the contract's and the portfolio's YLT.
 //
 // There is exactly ONE implementation of that loop in the repo:
-// core::batch::process_trials (src/core/portfolio_batch.hpp). Every entry
-// point — this engine, the scenario sweep, MapReduce map tasks and the
-// pricer's run_layer — lowers its request into batch slots via an
-// exec::ExecutionPlan (src/core/exec.hpp) and dispatches it on a pluggable
-// executor, chosen on two orthogonal axes:
+// core::batch::process_trials (src/core/portfolio_batch.hpp), and exactly
+// one block runner around it: run_books below. Every entry point — this
+// engine, the scenario sweep, MapReduce map tasks and the pricer's
+// run_layer — describes its request as one or more runs over the same
+// trial source (BookRuns), and run_books lowers every run's slots into one
+// exec::ExecutionPlan (src/core/exec.hpp) per trial block and dispatches it
+// on a pluggable executor, chosen on two orthogonal axes:
 // EngineConfig::backend says where the plan runs —
 //   Sequential — single thread, pool-free; the baseline of the paper's
 //                "15x" claim (MapReduce map tasks rely on the pool-free
@@ -33,16 +35,18 @@
 // its modeled device launches, traffic and roofline time
 // (core/device_model.hpp) to the caller's DeviceRunInfo.
 //
-// The engine has one lowering: per trial block, every contract's layer
-// tower goes into one plan, executed once, so one streamed pass serves the
-// whole book. Each tower is one gather group. By default it finds each
-// occurrence's ELT row inside the kernel, through the ELT's own event→row
-// table (data::EventLossTable::row_lookup), or by binary search when the
-// table is too sparse to carry one, and builds and caches nothing. A
-// resident YELT run with EngineConfig::batch_contracts set gathers through
-// compact per-(contract, YELT) resolutions (data::CompactResolvedYelt)
-// cached in data::ResolverCache instead, which pays off when the same
-// tables are run again. Streamed blocks always gather by lookup.
+// The runner has one lowering: per trial block, every contract's layer
+// tower, in every run, goes into one plan, executed once, so one streamed
+// pass serves the whole book and every variant of it. Each contract is one
+// gather group. By default it finds each occurrence's ELT row inside the
+// kernel, through the ELT's own event→row table
+// (data::EventLossTable::row_lookup), or by binary search when the table is
+// too sparse to carry one, and builds and caches nothing. A resident YELT
+// run with EngineConfig::batch_contracts set (run_portfolio_batch and every
+// scenario sweep set it) gathers through compact per-(contract, YELT)
+// resolutions (data::CompactResolvedYelt) cached in data::ResolverCache
+// instead, which pays off when the same tables are run again. Streamed
+// blocks always gather by lookup, transforms included.
 #pragma once
 
 #include <cstdint>
@@ -156,10 +160,10 @@ struct EngineConfig {
   /// the backend executes adds its modeled launches, staging, traffic and
   /// roofline time (core/device_model.hpp) here. Outputs do not change.
   DeviceRunInfo* device_info = nullptr;
-  /// Cache of the compact resolutions that batch_contracts runs and
-  /// scenario sweeps gather through, shared across runs; nullptr = the
-  /// process-wide data::ResolverCache::shared(). Runs that gather by
-  /// lookup never touch it.
+  /// Cache of the compact resolutions that batch_contracts runs (resident
+  /// scenario sweeps included) gather through, shared across runs;
+  /// nullptr = the process-wide data::ResolverCache::shared(). Runs that
+  /// gather by lookup never touch it.
   data::ResolverCache* resolver_cache = nullptr;
   /// Cache compact resolutions of a resident YELT: each contract gathers
   /// through its (contract, YELT) data::CompactResolvedYelt from
@@ -210,8 +214,9 @@ struct EngineResult {
   std::uint64_t occurrences_processed = 0;
   std::uint64_t elt_lookups = 0;
   /// Wall-clock spent looking up and building compact resolutions
-  /// (batch_contracts runs over a resident YELT, and scenario sweeps);
-  /// included in `seconds`. 0 when every group gathered by lookup.
+  /// (batch_contracts runs over a resident YELT, resident scenario sweeps
+  /// included); included in `seconds`. 0 when every group gathered by
+  /// lookup, as every streamed run does.
   double resolve_seconds = 0.0;
   /// Convergence report of an adaptive run (enabled = false otherwise):
   /// stopping trial count, stop reason, per-metric estimates and CIs.
@@ -235,32 +240,69 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
 /// plan (one per run, holding every contract: lowered on the first block,
 /// re-bound per block, with each block's trial offset keying the sampling
 /// streams), so the outputs are bit-identical to the in-memory run across
-/// every backend, with per-contract YLTs and OEP available.
+/// every backend, with per-contract YLTs and OEP available. This is
+/// run_books over BookRuns::single(portfolio).
 EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
                                     data::TrialSource& source,
                                     const EngineConfig& config = {});
 
-/// Resolver cache for a run over `source`: always `local` when the
-/// source's blocks are transient decodes (their resolutions must not park
-/// dead keys in any durable cache, the caller's included — the block
-/// driver clears `local` between blocks); otherwise config.resolver_cache
-/// when set, else ResolverCache::shared().
-data::ResolverCache& resolver_cache_for(const EngineConfig& config,
-                                        const data::TrialSource& source,
-                                        data::ResolverCache& local);
+/// One planned (run, contract, layer) slot of a pass, before any trial
+/// block or output buffer exists: the layer's terms with the run's
+/// overrides applied, and the run's transforms.
+struct SlotBlueprint {
+  std::size_t run = 0;              ///< index into BookRuns::runs
+  std::size_t contract = 0;         ///< index into BookRuns::contracts
+  std::size_t contract_in_run = 0;  ///< position in the run's own book
+  finance::LayerTerms terms;
+  finance::Reinstatements reinstatements;
+  Money upfront_premium = 0.0;
+  double loss_scale = 1.0;
+  int mask = -1;                       ///< index into BookRuns::exclusions, -1 = none
+  Money conditioned_ground_up = -1.0;  ///< pre-scaled; < 0 = no conditioning
+};
 
-/// The one block-consumption driver every runner shares. Yields each of
-/// `source`'s blocks to `body` together with the block's effective
-/// sampling stream base (config.trial_base + block.trial_offset — the
-/// invariant that keeps streamed runs bit-identical to monolithic ones)
-/// and ENSUREs in-order delivery covering exactly source.trials().
-/// `run_local_cache` is the run's local resolver cache (the one
-/// resolver_cache_for selected for ephemeral sources), or nullptr for a
-/// runner that resolves nothing: after each ephemeral block it is cleared,
-/// so transient resolutions cannot outlive the block whose tables key them.
-void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
-                          data::ResolverCache* run_local_cache,
-                          const std::function<void(const data::TrialBlock&, TrialId)>& body);
+/// What one pass over a trial source computes: one or more runs (books)
+/// over a shared universe of contracts. The engine's description is one
+/// run with inert transforms; a scenario sweep's is the base book plus one
+/// run per scenario (scenario::ScenarioPlan builds it).
+struct BookRuns {
+  struct Run {
+    /// Indices into `contracts`, in the run's book order (its contract
+    /// YLTs come out in this order).
+    std::vector<std::size_t> book;
+    /// Whether any slot of the run injects a conditioned occurrence (the
+    /// run's OEP then needs per-trial conditioned scratch).
+    bool conditioned = false;
+  };
+
+  /// The distinct contracts of every run, in gather-group order.
+  std::vector<const finance::Contract*> contracts;
+  std::vector<Run> runs;
+  /// Distinct excluded-event sets, each sorted; blueprints index them.
+  std::vector<std::vector<EventId>> exclusions;
+  /// One blueprint per (run, contract, layer), in pass order:
+  /// contract-major, then layer, runs innermost, so each contract's slots
+  /// are contiguous and form one gather group.
+  std::vector<SlotBlueprint> blueprints;
+
+  /// One run of `portfolio` (which must outlive the description) with
+  /// inert transforms.
+  static BookRuns single(const finance::Portfolio& portfolio);
+};
+
+/// The one stage-2 block runner: runs every run of `runs` over `source` in
+/// one pass and returns one EngineResult per run, indexed as runs.runs.
+/// Per trial block it gathers compact (config.batch_contracts over a
+/// resident source: cached resolutions) or by lookup (everything else,
+/// building nothing), builds one MaskColumn per distinct exclusion set,
+/// fills the slots from the blueprints, lowers the plan on the first block
+/// and re-binds it after, executes it once, and finalises each run's OEP.
+/// A run's elt_lookups credits the rows each of its groups found once per
+/// slot it has in the group. With config.adaptive enabled the run stops on
+/// the convergence of run 0 (core/adaptive/driver.hpp); every run keeps
+/// the same prefix.
+std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& source,
+                                    const EngineConfig& config);
 
 /// Single-layer convenience used by the pricer and micro-benches: returns
 /// the layer's per-trial net losses (a 1-slot execution plan).

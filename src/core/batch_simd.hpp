@@ -10,7 +10,7 @@
 // every ~dozen hits) and classifies each gather group (vectorizable()):
 //
 //   vector-compact — compact-CSR group (a contract's layer tower, alone or
-//       with its scenario variants) with no mask column: the block's whole
+//       with its scenario variants) without a mask column: the block's whole
 //       hit range is walked in W-wide chunks. Each chunk's ground-up
 //       losses are resolved once for the group — the pre-sampled buffer
 //       (secondary on) or a means gather (multi-slot groups) — then each
@@ -21,7 +21,8 @@
 //       sums and the OEP accumulator bit-identical to the scalar kernel.
 //       The sub-width remainder of each chunk runs the scalar ops in the
 //       same order (the lane-tail contract).
-//   vector-dense — lookup group of any size over a table with an event→row
+//   vector-dense — lookup group (likewise a tower with its scenario
+//       variants) without a mask column, over a table with an event→row
 //       table, walking hits only: the pass that resolves ground-up losses
 //       (detail::collect_dense_hits — the batched sampler fill, or the row
 //       compaction ahead of the means gather) reads each occurrence's row
@@ -29,10 +30,10 @@
 //       occurrence's position and loss with its trial segment, and the
 //       per-slot lanes and folds run over that list. Skipping a miss is
 //       exactly the scalar kernel's `continue`.
-//   scalar — everything else (mask columns, lookups over tables too sparse
-//       to carry an event→row table) falls back to batch::process_trials
-//       for the (group, block) — same code, so equality across the full
-//       feature matrix holds by construction.
+//   scalar — everything else (mask columns under either gather, lookups
+//       over tables too sparse to carry an event→row table) falls back to
+//       batch::process_trials for the (group, block) — same code, so
+//       equality across the full feature matrix holds by construction.
 //
 // Shared outputs (the portfolio roll-up, a shared OEP accumulator) see the
 // same per-cell addition order as the scalar kernel: the block loop is
@@ -84,38 +85,37 @@ struct SimdStats {
 };
 
 /// Shared signature of the per-ISA kernels: process_trials' arguments plus
-/// the stats sink (chunk scratch lives on the kernel's own stack).
-using SimdKernelFn = std::uint64_t (*)(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats);
+/// the stats sink (chunk scratch lives on the kernel's own stack). Like
+/// process_trials, they count each group's found rows into Group::found.
+using SimdKernelFn = void (*)(std::span<const Slot> slots, std::span<const Group> groups,
+                              std::span<const std::uint64_t> yelt_offsets,
+                              const Philox4x32& philox, bool secondary, TrialId trial_base,
+                              TrialId lo, TrialId hi, std::span<Money> annual_scratch,
+                              SimdStats& stats);
 
 // Per-ISA kernels; each is defined only when its RISKAN_SIMD_* macro is
 // compiled in (exec::simd_dispatch() is the only referent).
-std::uint64_t process_trials_simd_avx2(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats);
-std::uint64_t process_trials_simd_neon(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats);
+void process_trials_simd_avx2(std::span<const Slot> slots, std::span<const Group> groups,
+                              std::span<const std::uint64_t> yelt_offsets,
+                              const Philox4x32& philox, bool secondary, TrialId trial_base,
+                              TrialId lo, TrialId hi, std::span<Money> annual_scratch,
+                              SimdStats& stats);
+void process_trials_simd_neon(std::span<const Slot> slots, std::span<const Group> groups,
+                              std::span<const std::uint64_t> yelt_offsets,
+                              const Philox4x32& philox, bool secondary, TrialId trial_base,
+                              TrialId lo, TrialId hi, std::span<Money> annual_scratch,
+                              SimdStats& stats);
 
 /// Widest group the vector kernel takes: one pass keeps slots × trials
 /// annual sums in a 32 KiB stack buffer, so a group wider than this cannot
 /// fit even one trial and runs the scalar kernel.
 inline constexpr std::size_t kVectorAnnuals = 4096;
 
-/// Whether the vector kernel runs gather group `gs` itself: a compact group
-/// without mask columns (a mask re-keys sampling per lane) or a lookup
-/// group whose table carries an event→row lookup, of at most
-/// kVectorAnnuals slots. The rest go to batch::process_trials.
+/// Whether the vector kernel runs gather group `gs` itself: a group of at
+/// most kVectorAnnuals slots without mask columns (a mask re-keys sampling
+/// per lane, whatever the gather), gathering compact or by lookup through a
+/// table that carries an event→row lookup. The rest go to
+/// batch::process_trials.
 bool vectorizable(const Slot* gs, std::uint32_t gsize) noexcept;
 
 /// Occurrence × slot evaluations of group `gs` over trials [t0, t1): its
@@ -160,6 +160,9 @@ namespace detail {
 
 /// batch-internal conditioned_annual of one (slot, trial).
 Money conditioned_annual_slot(const Slot& s, TrialId t);
+
+/// Adds `rows` to the group's found counter, atomically, when it has one.
+void add_found(const Group& group, std::uint64_t rows);
 
 /// batch-internal finish_slot_trial (aggregate terms, share, output sinks)
 /// over a block of trials: annuals[t - t0] is trial t's occurrence sum.

@@ -42,14 +42,13 @@ struct Avx2Ops {
 
 }  // namespace
 
-std::uint64_t process_trials_simd_avx2(std::span<const Slot> slots,
-                                       std::span<const Group> groups,
-                                       std::span<const std::uint64_t> yelt_offsets,
-                                       const Philox4x32& philox, bool secondary,
-                                       TrialId trial_base, TrialId lo, TrialId hi,
-                                       std::span<Money> annual_scratch, SimdStats& stats) {
-  return impl::process_trials_simd<Avx2Ops>(slots, groups, yelt_offsets, philox, secondary,
-                                            trial_base, lo, hi, annual_scratch, stats);
+void process_trials_simd_avx2(std::span<const Slot> slots, std::span<const Group> groups,
+                              std::span<const std::uint64_t> yelt_offsets,
+                              const Philox4x32& philox, bool secondary, TrialId trial_base,
+                              TrialId lo, TrialId hi, std::span<Money> annual_scratch,
+                              SimdStats& stats) {
+  impl::process_trials_simd<Avx2Ops>(slots, groups, yelt_offsets, philox, secondary, trial_base,
+                                   lo, hi, annual_scratch, stats);
 }
 
 void apply_occurrence_lanes_avx2(const finance::LayerTerms& terms, const Money* ground_up,

@@ -242,8 +242,8 @@ inline std::uint64_t vec_dense_pass(const Slot* gs, std::size_t gsize,
 /// kVectorAnnuals: seeds the annual sums (conditioned occurrences first),
 /// runs the compact or dense pass, and finishes the range slot by slot —
 /// per OEP cell the slots add in slot order and the slots finish in slot
-/// order, the scalar kernel's per-cell order. Returns the rows found
-/// (dense), once per occurrence.
+/// order, the scalar kernel's per-cell order. Returns the rows found, once
+/// per occurrence (a compact range's hits).
 template <typename V, bool kDense>
 inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
                                      const Philox4x32& philox, bool secondary,
@@ -269,6 +269,7 @@ inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
   } else {
     vec_compact_pass<V>(gs, gsize, philox, secondary, trial_base, a0, a1, yelt_offsets,
                         annuals, stats);
+    found = gs[0].hit_offsets[a1] - gs[0].hit_offsets[a0];
   }
   for (std::size_t i = 0; i < gsize; ++i) {
     detail::finish_slot_trials_out(gs[i], a0, a1, annuals + i * nt);
@@ -279,8 +280,7 @@ inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
 /// One vector (group, block): sub-blocks the block's trials so every
 /// slot's annuals fit the stack buffer. Sub-blocking keeps the per-cell
 /// order — for any trial, the group's slots still add in slot order, all
-/// before the next group runs. Returns the found-lookup count per slot
-/// (dense; scalar parity).
+/// before the next group runs. Returns the rows found, once per occurrence.
 template <typename V, bool kDense>
 inline std::uint64_t vec_group_block(const Slot* gs, std::size_t gsize,
                                      const Philox4x32& philox, bool secondary,
@@ -294,20 +294,19 @@ inline std::uint64_t vec_group_block(const Slot* gs, std::size_t gsize,
                                         std::min<TrialId>(t1, a0 + span), yelt_offsets,
                                         stats);
   }
-  return found * gsize;
+  return found;
 }
 
 /// The kernel: per (group, trial-block) classification, vector paths for
 /// compact and lookup groups, batch::process_trials for the rest. The block
 /// loop is outermost and groups run in plan order, so shared output cells
-/// accumulate in the scalar kernel's order.
+/// accumulate in the scalar kernel's order. Counts each group's found rows
+/// as process_trials does.
 template <typename V>
-std::uint64_t process_trials_simd(std::span<const Slot> slots, std::span<const Group> groups,
-                                  std::span<const std::uint64_t> yelt_offsets,
-                                  const Philox4x32& philox, bool secondary,
-                                  TrialId trial_base, TrialId lo, TrialId hi,
-                                  std::span<Money> annual_scratch, SimdStats& stats) {
-  std::uint64_t found = 0;
+void process_trials_simd(std::span<const Slot> slots, std::span<const Group> groups,
+                         std::span<const std::uint64_t> yelt_offsets, const Philox4x32& philox,
+                         bool secondary, TrialId trial_base, TrialId lo, TrialId hi,
+                         std::span<Money> annual_scratch, SimdStats& stats) {
   for (TrialId b0 = lo; b0 < hi; b0 += static_cast<TrialId>(kTrialBlock)) {
     const TrialId b1 = std::min<TrialId>(hi, b0 + static_cast<TrialId>(kTrialBlock));
     for (const Group& group : groups) {
@@ -316,21 +315,21 @@ std::uint64_t process_trials_simd(std::span<const Slot> slots, std::span<const G
         // Bit-identical by construction: the scalar kernel itself, one
         // (group, block) at a time (trial-major group order within the
         // block preserved per shared output cell — see the header).
-        const Group local{0, group.size};
-        found += process_trials(std::span<const Slot>(gs, group.size), {&local, 1},
-                                yelt_offsets, philox, secondary, trial_base, b0, b1,
-                                annual_scratch);
+        const Group local{0, group.size, group.found};
+        process_trials(std::span<const Slot>(gs, group.size), {&local, 1}, yelt_offsets, philox,
+                       secondary, trial_base, b0, b1, annual_scratch);
         stats.scalar_occurrences += group_occurrences(gs, group.size, yelt_offsets, b0, b1);
       } else if (gs[0].gather == Gather::Lookup) {
-        found += vec_group_block<V, true>(gs, group.size, philox, secondary, trial_base, b0,
-                                          b1, yelt_offsets, stats);
+        detail::add_found(group, vec_group_block<V, true>(gs, group.size, philox, secondary,
+                                                          trial_base, b0, b1, yelt_offsets,
+                                                          stats));
       } else {
-        (void)vec_group_block<V, false>(gs, group.size, philox, secondary, trial_base, b0,
-                                        b1, yelt_offsets, stats);
+        detail::add_found(group, vec_group_block<V, false>(gs, group.size, philox, secondary,
+                                                           trial_base, b0, b1, yelt_offsets,
+                                                           stats));
       }
     }
   }
-  return found;
 }
 
 /// Generic body of apply_occurrence_lanes for one ISA: full-width chunks

@@ -1,7 +1,6 @@
 #include "core/exec.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 #include "core/device_model.hpp"
 #include "core/simd.hpp"
@@ -28,8 +27,8 @@ struct ExecObs {
 };
 
 /// Per-slot invariants shared by lower() and rebind(): every slot carries
-/// exactly its gather mode's columns, scenario transforms stay compact-only,
-/// and the sampling/means inputs match the secondary setting.
+/// its gather mode's columns, and the sampling/means inputs match the
+/// secondary setting.
 void validate_slots(std::span<const batch::Slot> slots,
                     std::span<const std::uint64_t> yelt_offsets, TrialId trials,
                     bool secondary) {
@@ -46,15 +45,18 @@ void validate_slots(std::span<const batch::Slot> slots,
       case batch::Gather::Lookup:
         RISKAN_REQUIRE(s.events != nullptr || entries == 0,
                        "lookup slot needs the YELT event column");
-        RISKAN_REQUIRE(s.mask_seq == nullptr && s.loss_scale == 1.0 &&
-                           s.conditioned_ground_up < 0.0,
-                       "lookup slots take no scenario transforms");
         break;
     }
     RISKAN_REQUIRE(!secondary || s.sampler != nullptr,
                    "secondary sampling needs a per-slot sampler");
     RISKAN_REQUIRE(s.means != nullptr || secondary, "means-path slot needs ELT means");
   }
+}
+
+/// Zeroes the plan's found counters for a new execution; returns them.
+std::span<const std::uint64_t> zero_found(const ExecutionPlan& plan) {
+  std::fill_n(plan.found_rows.get(), plan.groups.size(), 0);
+  return {plan.found_rows.get(), plan.groups.size()};
 }
 
 /// The host trial kernel of the Sequential and Threaded executors
@@ -78,15 +80,16 @@ class HostKernel {
   }
 
   /// Trials [lo, hi) of `plan` through the vector or the scalar kernel.
-  std::uint64_t run(const ExecutionPlan& plan, const Philox4x32& philox, bool vector,
-                    TrialId lo, TrialId hi, batch::SimdStats& stats) const {
+  void run(const ExecutionPlan& plan, const Philox4x32& philox, bool vector, TrialId lo,
+           TrialId hi, batch::SimdStats& stats) const {
     std::vector<Money> scratch(plan.max_group_size);
     if (vector) {
-      return dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                              plan.secondary, plan.trial_base, lo, hi, scratch, stats);
+      dispatch_.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
+                       plan.trial_base, lo, hi, scratch, stats);
+    } else {
+      batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
+                            plan.trial_base, lo, hi, scratch);
     }
-    return batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
-                                 plan.secondary, plan.trial_base, lo, hi, scratch);
   }
 
   /// Publishes one execution's exec.simd.* telemetry (Auto only). A plan
@@ -130,12 +133,14 @@ class SequentialExecutor final : public Executor {
  public:
   explicit SequentialExecutor(Kernel kernel) : kernel_(kernel) {}
 
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
+  std::span<const std::uint64_t> execute(const ExecutionPlan& plan,
+                                         const Philox4x32& philox) override {
     static const ExecObs metrics("sequential");
     obs::Timer timer("exec.sequential");
     const bool vector = kernel_.vectorizes(plan);
     batch::SimdStats stats;
-    const std::uint64_t found = kernel_.run(plan, philox, vector, 0, plan.trials, stats);
+    const auto found = zero_found(plan);
+    kernel_.run(plan, philox, vector, 0, plan.trials, stats);
     kernel_.publish(plan, vector, stats);
     metrics.executions.add();
     metrics.seconds.observe(timer.stop());
@@ -151,26 +156,21 @@ class ThreadedExecutor final : public Executor {
   ThreadedExecutor(ThreadPool* pool, std::size_t grain, Kernel kernel)
       : pool_(pool), grain_(grain), kernel_(kernel) {}
 
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
+  std::span<const std::uint64_t> execute(const ExecutionPlan& plan,
+                                         const Philox4x32& philox) override {
     static const ExecObs metrics("threaded");
     obs::Timer timer("exec.threaded");
     const bool vector = kernel_.vectorizes(plan);
-    batch::SimdStats stats;
-    std::mutex stats_mutex;
-    const std::uint64_t found = parallel_reduce<std::uint64_t>(
-        0, plan.trials, 0,
+    const auto found = zero_found(plan);
+    const batch::SimdStats stats = parallel_reduce<batch::SimdStats>(
+        0, plan.trials, batch::SimdStats{},
         [&](std::size_t lo, std::size_t hi) {
           batch::SimdStats chunk_stats;
-          const std::uint64_t chunk_found =
-              kernel_.run(plan, philox, vector, static_cast<TrialId>(lo),
-                          static_cast<TrialId>(hi), chunk_stats);
-          if (vector) {
-            const std::lock_guard lock(stats_mutex);
-            stats += chunk_stats;
-          }
-          return chunk_found;
+          kernel_.run(plan, philox, vector, static_cast<TrialId>(lo), static_cast<TrialId>(hi),
+                      chunk_stats);
+          return chunk_stats;
         },
-        [](std::uint64_t a, std::uint64_t b) { return a + b; },
+        [](batch::SimdStats a, const batch::SimdStats& b) { return a += b; },
         ParallelConfig{pool_, grain_});
     kernel_.publish(plan, vector, stats);
     metrics.executions.add();
@@ -203,8 +203,9 @@ class ModeledDeviceExecutor final : public Executor {
   explicit ModeledDeviceExecutor(const EngineConfig& config)
       : host_(make_host_executor(config)), config_(config) {}
 
-  std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) override {
-    const std::uint64_t found = host_->execute(plan, philox);
+  std::span<const std::uint64_t> execute(const ExecutionPlan& plan,
+                                         const Philox4x32& philox) override {
+    const auto found = host_->execute(plan, philox);
     device_model::estimate(plan, config_, *config_.device_info);
     return found;
   }
@@ -230,8 +231,10 @@ ExecutionPlan ExecutionPlan::lower(std::span<const batch::Slot> slots,
   validate_slots(slots, yelt_offsets, trials, plan.secondary);
 
   plan.groups = batch::group_slots(slots);
-  for (const batch::Group& g : plan.groups) {
-    plan.max_group_size = std::max<std::size_t>(plan.max_group_size, g.size);
+  plan.found_rows = std::make_unique<std::uint64_t[]>(plan.groups.size());
+  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
+    plan.groups[g].found = &plan.found_rows[g];
+    plan.max_group_size = std::max<std::size_t>(plan.max_group_size, plan.groups[g].size);
   }
 
   return plan;

@@ -3,15 +3,16 @@
 //
 // The repo's aggregate-analysis entry points (run_aggregate_analysis —
 // which MapReduce map tasks and the pricer's run_layer call — and the
-// scenario sweep) all reduce to the same question: given a finished list
-// of batch::Slots over one trial block, run core::batch::process_trials
+// scenario sweep) all reach the engine's block runner (core::run_books),
+// which reduces every trial block to the same question: given a finished
+// list of batch::Slots over one trial block, run core::batch::process_trials
 // over [0, trials) on some hardware. This layer separates the two halves:
 //
 //   ExecutionPlan — the lowered form of a request: the slot list, its
 //       shared-gather groups, scratch sizing and the trial partition
-//       inputs. Lowering is backend-independent. A run lowers one plan for
-//       the whole book, executes it once per trial block, and re-binds it
-//       between blocks.
+//       inputs. Lowering is backend-independent. A pass lowers one plan
+//       for every slot of every run, executes it once per trial block, and
+//       re-binds it between blocks.
 //
 //   Executor — where the plan runs (EngineConfig::backend):
 //       SequentialExecutor — the whole range inline on the caller's
@@ -24,9 +25,9 @@
 //     vectorized kernel (core/batch_simd.hpp) on the runtime-dispatched ISA
 //     (core/simd.hpp) and publishes its lane telemetry as exec.simd.*. Auto
 //     runs the scalar kernel when no ISA dispatches, and also for a plan
-//     none of whose groups vectorize (a mask column, or a lookup over a
-//     table too sparse for an event→row table, makes a group scalar), so
-//     such a plan pays nothing for the vector kernel.
+//     none of whose groups vectorize (a mask column under either gather,
+//     or a lookup over a table too sparse for an event→row table, makes a
+//     group scalar), so such a plan pays nothing for the vector kernel.
 //     With EngineConfig::device_info set, make_executor wraps the host
 //     executor so that each plan it runs is also handed to the device model
 //     (core/device_model.hpp), which computes from the plan what the run
@@ -59,14 +60,18 @@ struct ExecutionPlan {
   TrialId trial_base = 0;
   bool secondary = false;
 
-  /// Maximal shared-gather runs of `slots` (batch::group_slots).
+  /// Maximal shared-gather runs of `slots` (batch::group_slots), each
+  /// counting its found rows into `found_rows`.
   std::vector<batch::Group> groups;
+  /// One counter per group; each execution zeroes them, and the kernel
+  /// adds to them. A unique array, so moving the plan keeps the groups'
+  /// pointers valid and copying one does not compile.
+  std::unique_ptr<std::uint64_t[]> found_rows;
   /// Slots in the largest group — per-chunk annual-scratch sizing.
   std::size_t max_group_size = 0;
 
   /// Lowers a finished slot list: groups slots, sizes scratch and
-  /// validates gather modes (each slot exactly one mode; lookup slots must
-  /// be transform-inert, alone or as a contract's layer tower).
+  /// validates each slot's gather columns and sampling inputs.
   static ExecutionPlan lower(std::span<const batch::Slot> slots,
                              std::span<const std::uint64_t> yelt_offsets, TrialId trials,
                              const EngineConfig& config);
@@ -91,9 +96,11 @@ class Executor {
   virtual ~Executor() = default;
 
   /// Runs the plan's full trial range through batch::process_trials.
-  /// Returns the kernel's lookup-slot found count, per slot (0 for
-  /// all-compact plans, whose hit telemetry comes from their resolutions).
-  virtual std::uint64_t execute(const ExecutionPlan& plan, const Philox4x32& philox) = 0;
+  /// Returns the rows each of plan.groups found, once per occurrence under
+  /// either gather (a compact group's hits): the plan's counters, valid
+  /// until its next execution.
+  virtual std::span<const std::uint64_t> execute(const ExecutionPlan& plan,
+                                                 const Philox4x32& philox) = 0;
 };
 
 /// Executor for config.backend, wired with the config's kernel / pool /

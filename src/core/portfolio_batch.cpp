@@ -1,6 +1,7 @@
 #include "core/portfolio_batch.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "core/batch_simd.hpp"
 #include "core/secondary.hpp"
@@ -235,9 +236,8 @@ std::uint64_t process_group_block(const Slot* gs, std::size_t gsize, const Philo
   return found;
 }
 
-/// process_group_block over the group's gather mode. Returns the found
-/// lookups of lookup groups per slot (occurrence × layer evaluations — the
-/// elt_lookups unit); compact groups report 0.
+/// process_group_block over the group's gather mode. Returns the rows
+/// found, once per occurrence (a compact group's hits).
 std::uint64_t process_group(const Slot* gs, std::size_t gsize, const Philox4x32& philox,
                             bool secondary, TrialId trial_base, TrialId t0, TrialId t1,
                             std::span<const std::uint64_t> yelt_offsets, Money* annuals) {
@@ -249,11 +249,10 @@ std::uint64_t process_group(const Slot* gs, std::size_t gsize, const Philox4x32&
     case Gather::Compact: {
       const std::uint32_t* rows = lead.rows;
       const std::uint32_t* seqs = lead.seqs;
-      (void)process_group_block(
+      return process_group_block(
           gs, gsize, philox, secondary, trial_base, t0, t1, lead.hit_offsets, yelt_offsets,
           [rows](std::uint64_t k) { return static_cast<std::size_t>(rows[k]); },
           [seqs](std::uint64_t k, std::uint64_t) { return seqs[k]; }, annuals);
-      return 0;
     }
     case Gather::Lookup: {
       // The table decides once per group: O(1) through its event→row
@@ -262,30 +261,60 @@ std::uint64_t process_group(const Slot* gs, std::size_t gsize, const Philox4x32&
       const EventId* events = lead.events;
       const auto lookup = lead.elt->row_lookup();
       if (!lookup.empty()) {
-        return gsize * process_group_block(
-                           gs, gsize, philox, secondary, trial_base, t0, t1,
-                           yelt_offsets.data(), yelt_offsets,
-                           [events, lookup](std::uint64_t i) {
-                             const std::uint32_t row =
-                                 data::EventLossTable::lookup_row(lookup, events[i]);
-                             return row == data::EventLossTable::kNoRow
-                                        ? data::EventLossTable::npos
-                                        : static_cast<std::size_t>(row);
-                           },
-                           full_range_seq, annuals);
+        return process_group_block(
+            gs, gsize, philox, secondary, trial_base, t0, t1, yelt_offsets.data(),
+            yelt_offsets,
+            [events, lookup](std::uint64_t i) {
+              const std::uint32_t row = data::EventLossTable::lookup_row(lookup, events[i]);
+              return row == data::EventLossTable::kNoRow ? data::EventLossTable::npos
+                                                          : static_cast<std::size_t>(row);
+            },
+            full_range_seq, annuals);
       }
       const data::EventLossTable* elt = lead.elt;
-      return gsize * process_group_block(
-                         gs, gsize, philox, secondary, trial_base, t0, t1,
-                         yelt_offsets.data(), yelt_offsets,
-                         [elt, events](std::uint64_t i) { return elt->find(events[i]); },
-                         full_range_seq, annuals);
+      return process_group_block(
+          gs, gsize, philox, secondary, trial_base, t0, t1, yelt_offsets.data(), yelt_offsets,
+          [elt, events](std::uint64_t i) { return elt->find(events[i]); }, full_range_seq,
+          annuals);
     }
   }
   return 0;
 }
 
 }  // namespace
+
+MaskColumn MaskColumn::build(const data::YearEventLossTable& yelt,
+                             std::span<const EventId> excluded_events, ParallelConfig cfg) {
+  MaskColumn mask;
+  mask.adjusted_seq.resize(yelt.entries());
+  const auto offsets = yelt.offsets();
+  const auto events = yelt.events();
+  const auto excluded_begin = excluded_events.begin();
+  const auto excluded_end = excluded_events.end();
+
+  std::uint32_t* out = mask.adjusted_seq.data();
+  RISKAN_DEBUG_ASSERT_ALIGNED(out);
+  mask.excluded_occurrences = parallel_reduce<std::uint64_t>(
+      0, yelt.trials(), 0,
+      [&](std::size_t lo, std::size_t hi) {
+        std::uint64_t excluded = 0;
+        for (std::size_t t = lo; t < hi; ++t) {
+          std::uint32_t excluded_before = 0;
+          for (std::uint64_t i = offsets[t]; i < offsets[t + 1]; ++i) {
+            if (std::binary_search(excluded_begin, excluded_end, events[i])) {
+              out[i] = kMaskedOut;
+              ++excluded_before;
+            } else {
+              out[i] = static_cast<std::uint32_t>(i - offsets[t]) - excluded_before;
+            }
+          }
+          excluded += excluded_before;
+        }
+        return excluded;
+      },
+      [](std::uint64_t a, std::uint64_t b) { return a + b; }, cfg);
+  return mask;
+}
 
 std::vector<Group> group_slots(std::span<const Slot> slots) {
   std::vector<Group> groups;
@@ -301,23 +330,21 @@ std::vector<Group> group_slots(std::span<const Slot> slots) {
   return groups;
 }
 
-std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group> groups,
-                             std::span<const std::uint64_t> yelt_offsets,
-                             const Philox4x32& philox, bool secondary, TrialId trial_base,
-                             TrialId lo, TrialId hi, std::span<Money> annual_scratch) {
-  std::uint64_t found = 0;
-
+void process_trials(std::span<const Slot> slots, std::span<const Group> groups,
+                    std::span<const std::uint64_t> yelt_offsets, const Philox4x32& philox,
+                    bool secondary, TrialId trial_base, TrialId lo, TrialId hi,
+                    std::span<Money> annual_scratch) {
   // Trial blocks outermost, groups in plan order within a block: for any
   // trial, the groups touch its shared output cells in plan order, as a
   // trial-major loop would.
   for (TrialId b0 = lo; b0 < hi; b0 += std::min(kTrialBlock, hi - b0)) {
     const TrialId b1 = b0 + std::min(kTrialBlock, hi - b0);
     for (const Group& group : groups) {
-      found += process_group(slots.data() + group.begin, group.size, philox, secondary,
-                             trial_base, b0, b1, yelt_offsets, annual_scratch.data());
+      detail::add_found(group,
+                        process_group(slots.data() + group.begin, group.size, philox, secondary,
+                                      trial_base, b0, b1, yelt_offsets, annual_scratch.data()));
     }
   }
-  return found;
 }
 
 void finalize_oep(std::span<Money> oep, std::span<const Money> occurrence_accum,
@@ -366,14 +393,14 @@ bool vectorizable(const Slot* gs, std::uint32_t gsize) noexcept {
   if (gsize > kVectorAnnuals) {
     return false;  // not even one trial's annuals fit the vector pass's buffer
   }
-  if (gs[0].gather == Gather::Lookup) {
-    // The dense pass reads the table's event→row lookup; a table too
-    // sparse to carry one binary-searches in the scalar kernel.
-    return !gs[0].elt->row_lookup().empty();
+  // loss_scale / conditioned_ground_up vectorize on either gather; a mask
+  // column re-keys sampling per lane and stays scalar.
+  if (std::any_of(gs, gs + gsize, [](const Slot& s) { return s.mask_seq != nullptr; })) {
+    return false;
   }
-  // loss_scale / conditioned_ground_up vectorize; a mask column re-keys
-  // sampling per lane and stays scalar.
-  return std::none_of(gs, gs + gsize, [](const Slot& s) { return s.mask_seq != nullptr; });
+  // The dense pass reads the table's event→row lookup; a table too sparse
+  // to carry one binary-searches in the scalar kernel.
+  return gs[0].gather == Gather::Compact || !gs[0].elt->row_lookup().empty();
 }
 
 std::uint64_t group_occurrences(const Slot* gs, std::uint32_t gsize,
@@ -392,6 +419,12 @@ namespace detail {
 // re-instantiating PRNG/beta templates under its own ISA.
 
 Money conditioned_annual_slot(const Slot& s, TrialId t) { return conditioned_annual(s, t); }
+
+void add_found(const Group& group, std::uint64_t rows) {
+  if (group.found != nullptr) {
+    std::atomic_ref<std::uint64_t>(*group.found).fetch_add(rows, std::memory_order_relaxed);
+  }
+}
 
 void finish_slot_trials_out(const Slot& s, TrialId t0, TrialId t1, const Money* annuals) {
   for (TrialId t = t0; t < t1; ++t) {

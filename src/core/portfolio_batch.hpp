@@ -3,14 +3,16 @@
 //
 // This file holds the repo's ONE stage-2 trial loop. Every entry point
 // (run_aggregate_analysis, the scenario sweep, MapReduce map tasks, the
-// pricer's run_layer) lowers to a list of Slots, is shaped into an
-// exec::ExecutionPlan, and is dispatched onto this kernel by an
-// exec::Executor (Sequential / Threaded) — see src/core/exec.hpp for the
-// plan/executor layer.
+// pricer's run_layer) reaches it through the engine's block runner
+// (core::run_books), which lowers its runs to a list of Slots, shapes them
+// into an exec::ExecutionPlan and dispatches that on an exec::Executor
+// (Sequential / Threaded) — see src/core/exec.hpp for the plan/executor
+// layer.
 //
-// A Slot is one consumer of the streamed pass — a (contract, layer), with
-// one of two gather modes (a contract's layers share one gather group and
-// one secondary-uncertainty draw per occurrence; see Group):
+// A Slot is one consumer of the streamed pass — a (run, contract, layer),
+// with one of two gather modes (a contract's layers, in every run, share
+// one gather group and one secondary-uncertainty draw per occurrence; see
+// Group):
 //   lookup  — the YELT event column, each occurrence's row found in the
 //             kernel through the ELT's event→row table, or by binary search
 //             when the table is too sparse to carry one (the choice is made
@@ -18,11 +20,13 @@
 //             only mode of streamed blocks; the pass touches 4 bytes and
 //             branches per *occurrence*.
 //   compact — hit-compacted CSR columns (data::CompactResolvedYelt) kept in
-//             the ResolverCache: resident runs with batch_contracts set,
-//             and the scenario sweep; the pass touches 8 bytes per *hit*,
-//             which is what E10's batched-vs-per-contract ratio measures.
-// Both run through the same per-trial loop structure, so outputs are
-// bit-identical across modes, backends and scheduling (tests enforce).
+//             the ResolverCache: runs with batch_contracts set over a
+//             resident YELT, resident scenario sweeps included; the pass
+//             touches 8 bytes per *hit*, which is what E10's
+//             batched-vs-per-contract ratio measures.
+// Both modes take every slot transform, and both run through the same
+// per-trial loop structure, so outputs are bit-identical across modes,
+// backends and scheduling (tests enforce).
 #pragma once
 
 #include <cstddef>
@@ -35,11 +39,34 @@
 #include "data/yelt.hpp"
 #include "finance/contract.hpp"
 #include "parallel/parallel_for.hpp"
+#include "util/aligned.hpp"
 
 namespace riskan::core::batch {
 
 /// Sentinel in a mask's adjusted-seq column: the occurrence is excluded.
 inline constexpr std::uint32_t kMaskedOut = ~std::uint32_t{0};
+
+/// Adjusted-sequence column of one distinct exclusion set: slot i (aligned
+/// with yelt.events()) holds the sequence number occurrence i would have in
+/// the physically filtered YELT, or kMaskedOut when the occurrence's event
+/// is excluded. Using the filtered-table sequence as the
+/// secondary-uncertainty stream key is what makes a mask scenario
+/// bit-identical to running on the filtered table. The column is
+/// contract-independent and YELT-position-aligned, so one build per trial
+/// block serves every slot of every run using the set, whichever gather the
+/// slot's group uses (both give an occurrence its YELT position as its
+/// cell).
+struct MaskColumn {
+  util::AlignedVector<std::uint32_t> adjusted_seq;  // gather column — 64-byte aligned
+  std::uint64_t excluded_occurrences = 0;
+
+  /// One streamed pass over the YELT, parallel over trial slabs (each
+  /// trial's slots are written independently of scheduling).
+  /// `excluded_events` must be sorted.
+  static MaskColumn build(const data::YearEventLossTable& yelt,
+                          std::span<const EventId> excluded_events,
+                          ParallelConfig cfg = {});
+};
 
 /// How a slot reaches its ELT rows (see the file header).
 enum class Gather : std::uint8_t {
@@ -47,18 +74,19 @@ enum class Gather : std::uint8_t {
   Lookup,   ///< in-kernel event→row lookup per occurrence (the default)
 };
 
-/// One consumer of the streamed pass: a (contract, layer) with its gather
-/// inputs, optional per-slot transforms, financial terms and output sinks.
+/// One consumer of the streamed pass: a (run, contract, layer) with its
+/// gather inputs, optional per-slot transforms, financial terms and output
+/// sinks.
 ///
 /// run_aggregate_analysis uses inert transforms; the scenario engine
 /// (src/scenario) rides the same kernel with one slot per
 /// (scenario, contract, layer), each slot carrying its scenario's transform
-/// parameters:
+/// parameters, under either gather:
 ///   loss_scale            — multiplies the sampled/mean ground-up loss
 ///                           (demand-surge inflation); 1.0 is an exact
 ///                           no-op.
 ///   mask_seq              — YELT-entry-aligned adjusted occurrence-sequence
-///                           column (scenario::MaskColumn): kMaskedOut drops
+///                           column (MaskColumn): kMaskedOut drops
 ///                           the occurrence, any other value is the sequence
 ///                           number the occurrence would have in a physically
 ///                           filtered YELT (the secondary-uncertainty stream
@@ -113,11 +141,17 @@ struct Slot {
 struct Group {
   std::uint32_t begin = 0;
   std::uint32_t size = 0;
+  /// Where the kernel counts the rows the group finds, once per occurrence
+  /// under either gather (a compact group's hits; a masked occurrence
+  /// still counts); null = not counted. The chunks of one execution share
+  /// the counter, so the kernel adds to it atomically, once per (group,
+  /// trial block).
+  std::uint64_t* found = nullptr;
 };
 
 /// Splits `slots` into maximal shared-gather groups (consecutive slots with
 /// identical hit columns, mean/sampler sources and contract ids — the layer
-/// id is not compared).
+/// id is not compared), with no found counters.
 std::vector<Group> group_slots(std::span<const Slot> slots);
 
 /// Processes trials [lo, hi) for every slot, group by group. Each
@@ -131,15 +165,13 @@ std::vector<Group> group_slots(std::span<const Slot> slots);
 /// occurrence range), so disjoint chunks never race. `annual_scratch`
 /// needs one entry per slot of the largest group.
 ///
-/// Returns the number of occurrences that resolved to an ELT row in lookup
-/// slots, counted per slot — occurrence × layer evaluations, like
-/// EngineResult::elt_lookups — although a group finds each row once
-/// (compact slots report hits via their resolution instead and contribute
-/// 0 here).
-std::uint64_t process_trials(std::span<const Slot> slots, std::span<const Group> groups,
-                             std::span<const std::uint64_t> yelt_offsets,
-                             const Philox4x32& philox, bool secondary, TrialId trial_base,
-                             TrialId lo, TrialId hi, std::span<Money> annual_scratch);
+/// Adds the rows each group finds in [lo, hi) to its Group::found
+/// counter, when it has one. The runner credits each run with its slots ×
+/// its groups' counts, which is EngineResult::elt_lookups.
+void process_trials(std::span<const Slot> slots, std::span<const Group> groups,
+                    std::span<const std::uint64_t> yelt_offsets, const Philox4x32& philox,
+                    bool secondary, TrialId trial_base, TrialId lo, TrialId hi,
+                    std::span<Money> annual_scratch);
 
 /// Per-trial OEP finalisation: oep[t] = max over the trial's occurrence
 /// accumulator range, seeded by the conditioned per-trial slot when

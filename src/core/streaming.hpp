@@ -17,7 +17,8 @@
 // modeled launch sequence per block), per-contract YLTs, OEP and
 // reinstatement premium.
 // Scenario sweeps stream the same way via scenario::run_scenario_sweep's
-// TrialSource overload.
+// TrialSource overload: the same block runner, lookup gathers carrying the
+// scenario transforms, and no resolution built.
 #pragma once
 
 #include <cstdint>

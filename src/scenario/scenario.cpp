@@ -1,6 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/require.hpp"
 
@@ -20,7 +21,11 @@ bool ScenarioSpec::is_identity() const noexcept {
 }
 
 void ScenarioSpec::validate() {
-  RISKAN_REQUIRE(loss_scale > 0.0, "scenario loss scale must be positive");
+  // A non-finite scale has no meaning, and the kernels disagree on it:
+  // 0 × inf is NaN, which the scalar and vector occurrence terms treat
+  // differently.
+  RISKAN_REQUIRE(std::isfinite(loss_scale) && loss_scale > 0.0,
+                 "scenario loss scale must be positive and finite");
   std::sort(excluded_events.begin(), excluded_events.end());
   excluded_events.erase(std::unique(excluded_events.begin(), excluded_events.end()),
                         excluded_events.end());
@@ -30,8 +35,9 @@ void ScenarioSpec::validate() {
   if (conditioning) {
     RISKAN_REQUIRE(conditioning->event != kInvalidEvent,
                    "conditioning needs a valid event id");
-    RISKAN_REQUIRE(conditioning->intensity_scale > 0.0,
-                   "conditioning intensity scale must be positive");
+    RISKAN_REQUIRE(std::isfinite(conditioning->intensity_scale) &&
+                       conditioning->intensity_scale > 0.0,
+                   "conditioning intensity scale must be positive and finite");
   }
 }
 

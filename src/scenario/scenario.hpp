@@ -59,13 +59,13 @@ struct TargetedOverride {
 /// subject to the scenario's loss_scale.
 struct PostEventConditioning {
   EventId event = kInvalidEvent;
-  double intensity_scale = 1.0;
+  double intensity_scale = 1.0;  ///< positive and finite
 };
 
 struct ScenarioSpec {
   std::string name;
 
-  double loss_scale = 1.0;
+  double loss_scale = 1.0;  ///< positive and finite
   /// Normalised (sorted, deduped) by validate().
   std::vector<EventId> excluded_events;
   std::vector<TargetedOverride> overrides;

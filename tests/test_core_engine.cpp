@@ -14,6 +14,7 @@
 #include "data/trial_source.hpp"
 #include "obs/obs.hpp"
 #include "oracle.hpp"
+#include "scenario/sweep.hpp"
 #include "util/bytes.hpp"
 #include "util/require.hpp"
 
@@ -395,6 +396,27 @@ TEST(Engine, OnePlanPerTrialBlock) {
       (void)run_aggregate_analysis(book.portfolio, blocks, config);
       EXPECT_EQ(global_counter(executions) - before, 3.0) << what << " over 3 blocks";
     }
+
+    // A scenario sweep's runs ride the same one plan per block.
+    std::vector<scenario::ScenarioSpec> specs(2);
+    specs[0].name = "surge";
+    specs[0].loss_scale = 1.2;
+    specs[1].name = "exclusion";
+    specs[1].excluded_events = {1, 2, 3};
+    data::ResolverCache cache;
+    EngineConfig config;
+    config.backend = backend;
+    config.resolver_cache = &cache;
+    const std::string what = std::string(to_string(backend)) + "/sweep";
+    double before = global_counter(executions);
+    (void)scenario::run_scenario_sweep(book.portfolio, book.yelt, specs, config);
+    EXPECT_EQ(global_counter(executions) - before, 1.0) << what << " in memory";
+
+    data::InMemorySource whole(book.yelt);
+    data::ReblockedSource blocks(whole, 200);
+    before = global_counter(executions);
+    (void)scenario::run_scenario_sweep(book.portfolio, blocks, specs, config);
+    EXPECT_EQ(global_counter(executions) - before, 3.0) << what << " over 3 blocks";
   }
 }
 

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <latch>
 #include <limits>
 #include <mutex>
@@ -28,11 +29,17 @@
 #include "core/aggregate_engine.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/post_event.hpp"
+#include "core/streaming.hpp"
 #include "data/resolved_yelt.hpp"
+#include "data/serialize.hpp"
+#include "data/trial_source.hpp"
 #include "finance/contract.hpp"
+#include "obs/obs.hpp"
+#include "oracle.hpp"
 #include "scenario/plan.hpp"
 #include "scenario/scenario.hpp"
 #include "scenario/sweep.hpp"
+#include "util/bytes.hpp"
 #include "util/require.hpp"
 #include "util/stats.hpp"
 
@@ -697,6 +704,23 @@ TEST(ScenarioSweep, RejectsIllFormedSpecs) {
   EXPECT_THROW(run_scenario_sweep(portfolio, yelt, bad_scale_span, {}),
                ContractViolation);
 
+  // Infinite scales are rejected too: 0 × inf is NaN, and the scalar and
+  // vector kernels would price it differently.
+  ScenarioSpec infinite_scale;
+  infinite_scale.name = "infinite-scale";
+  infinite_scale.loss_scale = std::numeric_limits<double>::infinity();
+  const std::span<const ScenarioSpec> infinite_scale_span(&infinite_scale, 1);
+  EXPECT_THROW(run_scenario_sweep(portfolio, yelt, infinite_scale_span, {}),
+               ContractViolation);
+
+  ScenarioSpec infinite_intensity;
+  infinite_intensity.name = "infinite-intensity";
+  infinite_intensity.conditioning = PostEventConditioning{
+      portfolio.contract(0).elt().event_ids()[0], std::numeric_limits<double>::infinity()};
+  const std::span<const ScenarioSpec> infinite_intensity_span(&infinite_intensity, 1);
+  EXPECT_THROW(run_scenario_sweep(portfolio, yelt, infinite_intensity_span, {}),
+               ContractViolation);
+
   ScenarioSpec empty_book;
   empty_book.name = "empty-book";
   for (const auto& contract : portfolio.contracts()) {
@@ -714,6 +738,104 @@ TEST(ScenarioSweep, RejectsIllFormedSpecs) {
   const std::span<const ScenarioSpec> ghost_event_span(&ghost_event, 1);
   EXPECT_THROW(run_scenario_sweep(portfolio, yelt, ghost_event_span, {}),
                ContractViolation);
+}
+
+double global_counter(const std::string& name) {
+  return obs::MetricsRegistry::global().snapshot().counter_value(name);
+}
+
+TEST(ScenarioSweep, StreamedSweepBuildsNoResolution) {
+  // A streamed block dies with the pass, so a streamed sweep gathers every
+  // run by lookup, transforms included: it builds and probes no
+  // resolution, and every run still equals the resident (compact) sweep
+  // bit for bit, and the base the definition. Two spec lists: every
+  // transform (a mask makes each group scalar), and every transform but the
+  // mask (loss scale and conditioning then run the vector lookup pass).
+  const auto portfolio = book(/*contracts=*/4, /*layers=*/2);
+  const auto yelt = lens(900);
+  const std::string path = ::testing::TempDir() + "riskan_sweep_no_resolution.yeltc";
+  core::save_yelt_chunked(yelt, path, 250);
+  ByteWriter writer;
+  data::encode(yelt, writer);
+
+  ScenarioSpec surge;
+  surge.name = "surge";
+  surge.loss_scale = 1.3;
+  ScenarioSpec drop;
+  drop.name = "drop";
+  drop.dropped_contracts = {portfolio.contract(1).id()};
+  ScenarioSpec restrike;
+  restrike.name = "re-strike";
+  TargetedOverride halve_share;
+  halve_share.contract = portfolio.contract(2).id();
+  halve_share.override.share = 0.5;
+  restrike.overrides.push_back(halve_share);
+  ScenarioSpec conditioned;
+  conditioned.name = "conditioned";
+  conditioned.loss_scale = 1.1;
+  conditioned.conditioning =
+      PostEventConditioning{portfolio.contract(0).elt().event_ids()[0], 2.0};
+  ScenarioSpec mask;
+  mask.name = "mask";
+  mask.excluded_events = busy_events();
+  const std::vector<std::vector<ScenarioSpec>> spec_lists = {
+      {surge, drop, restrike, conditioned, mask}, {surge, drop, restrike, conditioned}};
+
+  for (const auto& specs : spec_lists) {
+    const std::string list = specs.size() == 5 ? "with mask" : "without mask";
+    for (const bool secondary : {false, true}) {
+      core::EngineConfig definition;
+      definition.secondary_uncertainty = secondary;
+      const auto expected_base = oracle::run_oracle(portfolio, yelt, definition);
+      // The drop scenario's lookups are the definition's found rows ×
+      // layers over the materialised book, under either gather.
+      const std::uint64_t expected_drop_lookups =
+          oracle::run_oracle(materialize_portfolio(drop, portfolio), yelt, definition)
+              .elt_lookups;
+      for (const ExecRow& row : exec_rows()) {
+        core::EngineConfig config = definition;
+        data::ResolverCache cache;
+        config.resolver_cache = &cache;
+        const auto resident = run_scenario_sweep(portfolio, yelt, specs,
+                                                 with_row(config, row, /*reference=*/true));
+        ASSERT_GT(resident.base.resolve_seconds, 0.0) << "a resident sweep gathers compact";
+
+        data::ChunkedFileSource chunked(path);
+        data::InMemorySource whole(yelt);
+        data::ReblockedSource reblocked(whole, 200);
+        data::EncodedBlockSource encoded(writer.buffer());
+        const std::pair<const char*, data::TrialSource*> sources[] = {
+            {"chunked file", &chunked}, {"re-blocked", &reblocked}, {"encoded block", &encoded}};
+        for (const auto& [name, source] : sources) {
+          const std::string what = list + "/" + row_name(row) +
+                                   (secondary ? "/secondary/" : "/means/") + name;
+          const double misses = global_counter("resolver.misses");
+          const auto streamed =
+              run_scenario_sweep(portfolio, *source, specs, with_row(config, row, false));
+          EXPECT_EQ(global_counter("resolver.misses"), misses) << what;
+          EXPECT_EQ(cache.size(), portfolio.size()) << what;
+
+          const auto expect_run = [&](const core::EngineResult& expected,
+                                      const core::EngineResult& run, const std::string& id) {
+            EXPECT_EQ(run.resolve_seconds, 0.0) << what << " " << id;
+            expect_identical(expected, run, what + " " + id);
+            EXPECT_EQ(expected.elt_lookups, run.elt_lookups) << what << " " << id;
+            EXPECT_EQ(expected.occurrences_processed, run.occurrences_processed)
+                << what << " " << id;
+          };
+          expect_run(resident.base, streamed.base, "base");
+          ASSERT_EQ(streamed.scenarios.size(), specs.size()) << what;
+          for (std::size_t s = 0; s < specs.size(); ++s) {
+            expect_run(resident.scenarios[s], streamed.scenarios[s], specs[s].name);
+          }
+          oracle::expect_equals_oracle(streamed.base, expected_base, what + " base vs oracle");
+          EXPECT_EQ(resident.scenarios[1].elt_lookups, expected_drop_lookups) << what;
+          EXPECT_EQ(streamed.scenarios[1].elt_lookups, expected_drop_lookups) << what;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(MaskColumn, AdjustedSequencesMatchFilteredTable) {

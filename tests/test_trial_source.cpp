@@ -453,13 +453,22 @@ TEST_P(StreamedSweep, BitIdenticalToInMemorySweep) {
       "/tmp/riskan_sweep_" + std::to_string(static_cast<int>(backend)) + ".yeltc";
   core::save_yelt_chunked(w.yelt, path, 150);
 
-  std::vector<scenario::ScenarioSpec> specs(3);
+  std::vector<scenario::ScenarioSpec> specs(5);
   specs[0].name = "surge";
   specs[0].loss_scale = 1.25;
   specs[1].name = "exclusions";
   specs[1].excluded_events = {1, 3, 5, 7, 11, 42};
   specs[2].name = "drop";
   specs[2].dropped_contracts = {w.portfolio.contract(0).id()};
+  specs[3].name = "override";
+  scenario::TargetedOverride raise_attach;
+  raise_attach.contract = w.portfolio.contract(1).id();
+  raise_attach.override.occ_retention =
+      w.portfolio.contract(1).layers()[0].terms.occ_retention * 1.5;
+  specs[3].overrides.push_back(raise_attach);
+  specs[4].name = "conditioning";
+  specs[4].conditioning =
+      scenario::PostEventConditioning{w.portfolio.contract(2).elt().event_ids()[0], 1.5};
 
   EngineConfig config;
   config.backend = backend;
