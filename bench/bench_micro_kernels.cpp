@@ -43,14 +43,6 @@ void BM_PhiloxStreamUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_PhiloxStreamUniform);
 
-void BM_BetaSample(benchmark::State& state) {
-  Xoshiro256ss rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sample_beta(rng, 2.0, 5.0));
-  }
-}
-BENCHMARK(BM_BetaSample);
-
 void BM_SecondarySample(benchmark::State& state) {
   const auto elt = data::EventLossTable::from_rows({{1, 400.0, 120.0, 1000.0}});
   const core::SecondarySampler sampler(elt);

@@ -4,14 +4,19 @@
 // binary when RISKAN_BENCH_CSV_DIR is set.
 #pragma once
 
+#include <sched.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/simd.hpp"
 #include "data/yelt.hpp"
 #include "finance/contract.hpp"
 #include "obs/obs.hpp"
@@ -112,10 +117,19 @@ PairedRounds alternating_rounds(int rounds, const RunA& a, const RunB& b) {
   return out;
 }
 
+#ifndef RISKAN_BUILD_TYPE
+#define RISKAN_BUILD_TYPE "unknown"
+#endif
+
 /// Flat machine-readable bench record: ordered key→value pairs serialised
 /// as one JSON object, so future PRs can track a perf trajectory without
 /// parsing the ASCII tables. Numbers are emitted as numbers, everything
-/// else as strings.
+/// else as strings. Every record ends with the host_* provenance block
+/// perfbench prints: the CPUs this process may run on, the hardware
+/// threads, the SIMD ISA compiled and dispatched, the compiler and the
+/// build type (a compile definition of the bench targets). No git sha: a
+/// binary cannot know it without a configure-time stamp, which goes stale
+/// as soon as a file changes without a re-configure.
 class JsonReport {
  public:
   void set(const std::string& key, double value) {
@@ -131,16 +145,39 @@ class JsonReport {
   /// Writes `{ "k": v, ... }`. Keys are expected to be plain identifiers
   /// (no escaping is performed).
   void write(const std::string& path) const {
+    JsonReport record = *this;
+    record.add_provenance();
     std::ofstream out(path);
     out << "{\n";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-      out << "  \"" << entries_[i].first << "\": " << entries_[i].second;
-      out << (i + 1 < entries_.size() ? ",\n" : "\n");
+    for (std::size_t i = 0; i < record.entries_.size(); ++i) {
+      out << "  \"" << record.entries_[i].first << "\": " << record.entries_[i].second;
+      out << (i + 1 < record.entries_.size() ? ",\n" : "\n");
     }
     out << "}\n";
   }
 
  private:
+  void add_provenance() {
+    cpu_set_t cpus;
+    CPU_ZERO(&cpus);
+    const int nproc = sched_getaffinity(0, sizeof cpus, &cpus) == 0 ? CPU_COUNT(&cpus) : 0;
+    const auto simd = core::exec::simd_dispatch();
+#if defined(__clang__)
+    const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+    const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+    const std::string compiler = "unknown";
+#endif
+    set("host_nproc", static_cast<std::uint64_t>(nproc));
+    set("host_hardware_concurrency",
+        static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    set("host_simd_compiled", std::string(simd.compiled ? "true" : "false"));
+    set("host_simd_dispatched", std::string(simd.name));
+    set("host_compiler", compiler);
+    set("host_build_type", std::string(RISKAN_BUILD_TYPE));
+  }
+
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 

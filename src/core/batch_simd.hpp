@@ -47,13 +47,14 @@
 // detail::collect_dense_hits below, compiled in the portable TU) and
 // vectorizes everything downstream of the sample. The fill itself is
 // batched: SecondarySampler::sample_lanes draws every occurrence's Philox
-// blocks lane-parallel (util::PhiloxLanes) and resolves the common case —
+// blocks lane-parallel (util::PhiloxLanes) and decodes the common case —
 // degenerate rows and gamma pairs that accept on the first Marsaglia–Tsang
-// attempt — in a per-lane fast path, falling back to the scalar sampler on
-// a fresh stream, in occurrence order, for the rejection tail. Each
-// occurrence's stream is keyed exactly as the scalar kernel keys it, so
-// the draws are identical; docs/architecture.md carries the full
-// bit-identity argument.
+// attempt — W lanes per instruction (the AVX2 stamp below,
+// decode_first_attempts_avx2), falling back to the width-1 sampler on a
+// fresh stream for the rejection tail. Each occurrence's stream is keyed
+// exactly as the scalar kernel keys it, and both widths run the same lane
+// math (util/lane_math.hpp), so the draws are identical;
+// docs/architecture.md carries the full bit-identity argument.
 #pragma once
 
 #include <cstdint>
@@ -105,6 +106,24 @@ void process_trials_simd_neon(std::span<const Slot> slots, std::span<const Group
                               const Philox4x32& philox, bool secondary, TrialId trial_base,
                               TrialId lo, TrialId hi, std::span<Money> annual_scratch,
                               SimdStats& stats);
+
+/// The functions of util/lane_math.hpp, for lane_math_lanes.
+enum class LaneFn { Log, Exp, Cos2Pi };
+
+/// out[i] = f(in[i]) through util/lane_math.hpp at the dispatched width
+/// (the AVX2 stamp's 4 lanes; width 1 when no ISA is active). The property
+/// surface of the lane math's width independence: tests compare every
+/// element with the width-1 template bit for bit.
+void lane_math_lanes(LaneFn f, const double* in, std::size_t n, double* out);
+
+// Per-ISA body of lane_math_lanes, defined with its kernel.
+void lane_math_lanes_avx2(LaneFn f, const double* in, std::size_t n, double* out);
+
+/// The AVX2 stamp of SecondarySampler's first-attempt decode (4 lanes),
+/// defined with the AVX2 kernel; exec::simd_dispatch() hands it out.
+void decode_first_attempts_avx2(unsigned cls, std::size_t begin, std::size_t n,
+                                const std::uint64_t* words,
+                                SecondarySampler::LaneStage& stage);
 
 /// Widest group the vector kernel takes: one pass keeps slots × trials
 /// annual sums in a 32 KiB stack buffer, so a group wider than this cannot

@@ -31,8 +31,10 @@
 // rounded, min of distinct positives picks the same value, the masked-out
 // lanes are exact +0.0), and the fold pass consumes the occurrence losses
 // in occurrence order per (slot, trial), so every reduction order is the
-// scalar kernel's. No FMA, no reassociation, no reduced precision
-// anywhere.
+// scalar kernel's. No FMA (riskan compiles with -ffp-contract=off), no
+// reassociation, no reduced precision anywhere. Sampled ground-up losses
+// obey the same rule: the sampler's lane math (util/lane_math.hpp) is one
+// IEEE operation sequence at every width.
 #pragma once
 
 #include <algorithm>

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <string_view>
 
+#include "util/lane_math.hpp"
+
 namespace riskan::core::exec {
 
 namespace {
@@ -41,6 +43,7 @@ SimdDispatch simd_dispatch() {
       d.width = 4;
       d.name = "avx2";
       d.kernel = batch::process_trials_simd_avx2;
+      d.beta_decode = batch::decode_first_attempts_avx2;
       d.compiled = true;
       return d;
     }
@@ -91,6 +94,29 @@ void apply_occurrence_lanes(const finance::LayerTerms& terms, const Money* groun
   }
   for (std::size_t i = 0; i < n; ++i) {
     occ[i] = finance::apply_occurrence(terms, ground_up[i]);
+  }
+}
+
+void lane_math_lanes(LaneFn f, const double* in, std::size_t n, double* out) {
+#if defined(RISKAN_SIMD_AVX2)
+  if (exec::simd_dispatch().isa == exec::SimdIsa::Avx2) {
+    lane_math_lanes_avx2(f, in, n, out);
+    return;
+  }
+#endif
+  using S = lane_math::ScalarOps;
+  for (std::size_t i = 0; i < n; ++i) {
+    switch (f) {
+      case LaneFn::Log:
+        out[i] = lane_math::log<S>(in[i]);
+        break;
+      case LaneFn::Exp:
+        out[i] = lane_math::exp<S>(in[i]);
+        break;
+      case LaneFn::Cos2Pi:
+        out[i] = lane_math::cos_2pi<S>(in[i]);
+        break;
+    }
   }
 }
 

@@ -29,12 +29,17 @@ enum class SimdIsa {
 };
 
 /// The resolved dispatch decision: which ISA (if any) the vector kernels
-/// will run on, its Money lane width, and the kernel entry point.
+/// will run on, its Money lane width, and the kernel entry points.
 struct SimdDispatch {
   SimdIsa isa = SimdIsa::None;
   unsigned width = 0;  ///< Money lanes per vector; 0 = SIMD unavailable
   const char* name = "none";
   batch::SimdKernelFn kernel = nullptr;
+  /// The ISA's stamp of the sampler's first-attempt decode, `width` lanes
+  /// per instruction (at most SecondarySampler::kMaxDecodeWidth); null
+  /// means SecondarySampler::sample_lanes decodes at width 1 (no AArch64
+  /// stamp exists yet).
+  SecondarySampler::DecodeFn beta_decode = nullptr;
   /// Whether any wide kernel was compiled into this build at all; false
   /// means only the portable scalar kernel exists (an architecture without
   /// a stamp).

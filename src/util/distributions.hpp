@@ -5,9 +5,10 @@
 //     algorithms are unspecified, and the engines must produce bit-identical
 //     results across backends (see src/util/prng.hpp).
 //  2. The catastrophe-modelling and DFA substrates need distributions
-//     <random> lacks: beta (secondary uncertainty), truncated Pareto
-//     (severities), and a numerically careful normal inverse CDF for
-//     Gaussian-copula sampling in DFA.
+//     <random> lacks: gamma, truncated Pareto (severities), and a
+//     numerically careful normal inverse CDF for Gaussian-copula sampling
+//     in DFA. The secondary-uncertainty beta lives with its sampler
+//     (core/secondary.hpp), which draws it with util/lane_math.hpp.
 //
 // Every sampler is a free function template over a 64-bit
 // uniform_random_bit_generator, plus analytic pdf/cdf helpers where the
@@ -88,24 +89,16 @@ std::uint32_t sample_poisson(Rng& rng, double mean) {
 // Normal / lognormal
 // ---------------------------------------------------------------------------
 
-/// Box–Muller kernel on two open uniforms. Factored out of
-/// sample_standard_normal so the lane-parallel secondary fast path
-/// (core/secondary.cpp) evaluates the exact same expression on words it
-/// drew in batch — any transcendental stays this scalar libm call per
-/// lane, which is what keeps the committed values bit-identical to the
-/// scalar sampler.
-inline double normal_from_uniforms(double u1, double u2) noexcept {
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
-}
-
 /// Standard normal via Box–Muller (both branches consumed deterministically:
 /// exactly two uniforms per variate, which keeps counter-based replay
-/// aligned).
+/// aligned). This and the other samplers here call libm; they drive the
+/// input generators (YELT, catalogue, exposure, DFA), whose outputs are
+/// data. The secondary sampler draws with util/lane_math.hpp instead.
 template <typename Rng>
 double sample_standard_normal(Rng& rng) {
   const double u1 = to_unit_double_open(rng());
   const double u2 = to_unit_double_open(rng());
-  return normal_from_uniforms(u1, u2);
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
 }
 
 template <typename Rng>
@@ -131,21 +124,8 @@ inline double normal_cdf(double x) {
 }
 
 // ---------------------------------------------------------------------------
-// Gamma / Beta
+// Gamma
 // ---------------------------------------------------------------------------
-
-/// Marsaglia–Tsang acceptance for one attempt: `x` is the normal draw, `v3`
-/// the cubed shifted value (already checked > 0), `u` the open uniform. The
-/// squeeze and log tests consume no randomness, so the lane-parallel fast
-/// path (core/secondary.cpp) can run both and still bail to a scalar
-/// recompute on rejection without perturbing the stream.
-inline bool gamma_accept(double x, double v3, double u, double d) noexcept {
-  const double x2 = x * x;
-  if (u < 1.0 - 0.0331 * x2 * x2) {
-    return true;
-  }
-  return std::log(u) < 0.5 * x2 + d * (1.0 - v3 + std::log(v3));
-}
 
 /// Gamma(shape, scale=1) via Marsaglia–Tsang squeeze; boosts shape < 1.
 /// Draw order per attempt: two uniforms for the normal, then — only when
@@ -168,21 +148,12 @@ double sample_gamma(Rng& rng, double shape) {
     }
     v = v * v * v;
     const double u = to_unit_double_open(rng());
-    if (gamma_accept(x, v, u, d)) {
+    const double x2 = x * x;
+    if (u < 1.0 - 0.0331 * x2 * x2 ||
+        std::log(u) < 0.5 * x2 + d * (1.0 - v + std::log(v))) {
       return d * v;
     }
   }
-}
-
-/// Beta(alpha, beta) via two gammas. This is the secondary-uncertainty
-/// distribution of catastrophe modelling: per-event loss is
-/// Beta-distributed between 0 and the event's exposed limit.
-template <typename Rng>
-double sample_beta(Rng& rng, double alpha, double beta) {
-  RISKAN_REQUIRE(alpha > 0.0 && beta > 0.0, "beta parameters must be positive");
-  const double x = sample_gamma(rng, alpha);
-  const double y = sample_gamma(rng, beta);
-  return x / (x + y);
 }
 
 /// Method-of-moments beta parameters for a mean/stdev pair on [0, 1].

@@ -126,31 +126,6 @@ TEST_P(GammaMoments, ShapeMatchesMeanAndVariance) {
 INSTANTIATE_TEST_SUITE_P(ShapesBelowAndAboveOne, GammaMoments,
                          ::testing::Values(0.3, 0.7, 1.0, 2.0, 5.0, 20.0));
 
-struct BetaCase {
-  double alpha;
-  double beta;
-};
-
-class BetaMoments : public ::testing::TestWithParam<BetaCase> {};
-
-TEST_P(BetaMoments, MomentsMatch) {
-  const auto [alpha, beta] = GetParam();
-  const auto stats =
-      collect(11, [=](auto& rng) { return sample_beta(rng, alpha, beta); });
-  const double expected_mean = alpha / (alpha + beta);
-  const double s = alpha + beta;
-  const double expected_var = alpha * beta / (s * s * (s + 1.0));
-  EXPECT_NEAR(stats.mean(), expected_mean, 0.01);
-  EXPECT_NEAR(stats.variance(), expected_var, 0.01);
-  EXPECT_GE(stats.min(), 0.0);
-  EXPECT_LE(stats.max(), 1.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(ParameterSweep, BetaMoments,
-                         ::testing::Values(BetaCase{2.0, 5.0}, BetaCase{0.5, 0.5},
-                                           BetaCase{1.0, 1.0}, BetaCase{8.0, 2.0},
-                                           BetaCase{0.8, 3.0}));
-
 TEST(BetaFromMoments, RecoversParameters) {
   double alpha = 0.0;
   double beta = 0.0;
@@ -237,7 +212,6 @@ TEST(Contracts, NegativeParametersRejected) {
   Xoshiro256ss rng(14);
   EXPECT_THROW(sample_exponential(rng, -1.0), ContractViolation);
   EXPECT_THROW(sample_gamma(rng, 0.0), ContractViolation);
-  EXPECT_THROW(sample_beta(rng, -1.0, 2.0), ContractViolation);
   EXPECT_THROW(sample_truncated_pareto(rng, 1.0, 5.0, 2.0), ContractViolation);
   EXPECT_THROW(sample_normal(rng, 0.0, -1.0), ContractViolation);
 }
