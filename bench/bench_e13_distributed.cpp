@@ -10,14 +10,16 @@
 //                    in-process fallback path (workers = 0) for reference.
 //                    Every run is verified bit-identical to the
 //                    single-process engine before its time counts.
-//   recovery pair  — the MapReduce job on the dist transport (DFS-staged
-//                    blocks, 4 workers), clean vs with an injected hard
-//                    crash of worker 0 on its first task. The ratio is the
-//                    price of a worker death: detect EOF, respawn, re-queue
-//                    and re-execute the lost block. The retry counters
-//                    (MapReduceStats::blocks_retried / bytes_resent,
-//                    DistStats::worker_deaths) must move under the fault —
-//                    and the output must still be bit-identical.
+//   recovery pair  — the file-space job (run_distributed_aggregate over
+//                    one chunked YELT file of the same 16 blocks, 4
+//                    workers), clean vs with an injected hard crash of
+//                    worker 0 on its first task, timed in alternating
+//                    rounds; the gated overhead is the median per-round
+//                    crash/clean ratio. It is the price of a worker death:
+//                    detect EOF, respawn, re-queue and re-execute the lost
+//                    block. The retry counters (DistStats::blocks_retried,
+//                    bytes_resent, worker_deaths) must move under the
+//                    fault — and the output must still be bit-identical.
 //   lease expiry   — one stalled-worker run with a short lease, asserting
 //                    leases_expired > 0 and bit-identity (first completion
 //                    wins; the straggler's late duplicate is discarded).
@@ -35,9 +37,9 @@
 
 #include "bench/common.hpp"
 #include "core/aggregate_engine.hpp"
+#include "core/streaming.hpp"
 #include "data/serialize.hpp"
 #include "dist/coordinator.hpp"
-#include "mapreduce/aggregate_job.hpp"
 #include "util/bytes.hpp"
 
 using namespace riskan;
@@ -84,32 +86,6 @@ DistTiming best_dist(int reps, const finance::Portfolio& portfolio,
   return best;
 }
 
-struct JobTiming {
-  double seconds = -1.0;
-  mapreduce::MapReduceStats mr_stats;
-  dist::DistStats dist_stats;
-  bool identical = true;
-};
-
-JobTiming best_job(int reps, mapreduce::Dfs& dfs, const finance::Portfolio& portfolio,
-                   const data::YearEventLossTable& yelt,
-                   const mapreduce::AggregateJobConfig& config,
-                   const data::YearLossTable& reference) {
-  JobTiming best;
-  for (int r = 0; r < reps; ++r) {
-    const auto result = mapreduce::run_aggregate_job(dfs, portfolio, yelt, config);
-    if (!same_ylt(result.portfolio_ylt, reference)) {
-      best.identical = false;
-    }
-    if (best.seconds < 0.0 || result.job_seconds < best.seconds) {
-      best.seconds = result.job_seconds;
-      best.mr_stats = result.mr_stats;
-      best.dist_stats = result.dist_stats;
-    }
-  }
-  return best;
-}
-
 }  // namespace
 
 int main() {
@@ -117,6 +93,7 @@ int main() {
 
   const TrialId trials = bench::scaled_trials(24'000);
   const int reps = bench::quick_mode() ? 2 : 3;
+  const int rounds = bench::quick_mode() ? 5 : 9;
   const TrialId per_block = std::max<TrialId>(1, trials / 16);
 
   auto w = bench::make_workload(/*contracts=*/8, /*elt_rows=*/500, trials,
@@ -170,26 +147,37 @@ int main() {
     identical = identical && scaled[i].identical;
   }
 
-  // Recovery pair: the MapReduce job on the dist transport, clean vs one
-  // injected hard crash (worker 0, first task). The crash run pays for an
-  // EOF detection, a respawn and one block re-execution.
-  mapreduce::Dfs dfs({.root_dir = "/tmp/riskan-bench-e13-dfs"});
-  mapreduce::AggregateJobConfig job;
-  job.trials_per_block = per_block;
-  job.dfs_file = "e13-yelt";
-  job.dist = base;
-  job.dist->workers = 4;
+  // Recovery pair: the file-space job over one chunked file of the same
+  // blocks, clean vs one injected hard crash (worker 0, first task), in
+  // alternating rounds so that host drift lands on both arms. The crash
+  // run pays for an EOF detection, a respawn and one block re-execution.
+  const std::string yelt_path = "/tmp/riskan_bench_e13.yeltc";
+  core::save_yelt_chunked(w.yelt, yelt_path, per_block);
+  dist::DistConfig clean = base;
+  clean.workers = 4;
   // Immediate first re-queue: the pair prices detection + respawn +
   // re-execution, not the exponential-backoff politeness delay (which is
   // for *repeated* failures and would dominate a quick-mode run).
-  job.dist->backoff_initial_seconds = 0.0;
-  const JobTiming clean_job = best_job(reps, dfs, w.portfolio, w.yelt, job, reference);
-
-  mapreduce::AggregateJobConfig crash_job_config = job;
-  crash_job_config.dist->faults.crash = {/*worker=*/0, /*at_task=*/1};
-  const JobTiming crash_job =
-      best_job(reps, dfs, w.portfolio, w.yelt, crash_job_config, reference);
-  dfs.remove(job.dfs_file);
+  clean.backoff_initial_seconds = 0.0;
+  dist::DistConfig crash = clean;
+  crash.faults.crash = {/*worker=*/0, /*at_task=*/1};
+  dist::DistStats clean_stats;
+  dist::DistStats crash_stats;
+  const auto file_run = [&](const dist::DistConfig& config, dist::DistStats& stats) {
+    const auto result = dist::run_distributed_aggregate(w.portfolio, engine, yelt_path, config);
+    identical = identical && same_ylt(result.portfolio_ylt, reference);
+    stats = result.stats;
+  };
+  const auto recovery =
+      bench::alternating_rounds(rounds, [&] { file_run(clean, clean_stats); },
+                                [&] { file_run(crash, crash_stats); });
+  remove_file(yelt_path);
+  std::vector<double> recovery_ratios;  // crash / clean, per round
+  for (int r = 0; r < rounds; ++r) {
+    recovery_ratios.push_back(recovery.b[r] / recovery.a[r]);
+  }
+  const double clean_s = bench::median(recovery.a);
+  const double crash_s = bench::median(recovery.b);
 
   // Lease-expiry probe: a short lease and a stalled worker — the block is
   // re-executed elsewhere and the straggler's late duplicate discarded.
@@ -200,8 +188,7 @@ int main() {
   stall.faults.stall_seconds = 0.6;
   const auto stalled =
       dist::run_distributed_aggregate(w.portfolio, engine, specs, fetch, stall);
-  identical = identical && clean_job.identical && crash_job.identical &&
-              same_ylt(stalled.portfolio_ylt, reference);
+  identical = identical && same_ylt(stalled.portfolio_ylt, reference);
 
   if (!identical) {
     std::cerr << "DIST MISMATCH — some regime's output is not bit-identical "
@@ -213,7 +200,7 @@ int main() {
   const double two_ratio = scaled[1].seconds / single_s;
   const double four_ratio = scaled[2].seconds / single_s;
   const double eight_ratio = scaled[3].seconds / single_s;
-  const double recovery_overhead = crash_job.seconds / clean_job.seconds;
+  const double recovery_overhead = bench::median(recovery_ratios);
 
   // Scaling needs the cores to scale onto: with < 4 hardware threads the
   // 4 workers time-slice one CPU and four/single is ~1.0 by construction,
@@ -233,28 +220,29 @@ int main() {
                    std::to_string(scaled[i].stats.worker_deaths),
                    std::to_string(scaled[i].stats.blocks_retried)});
   }
-  table.add_row({"job, 4 workers, clean", format_seconds(clean_job.seconds), "-",
-                 std::to_string(clean_job.dist_stats.workers_spawned),
-                 std::to_string(clean_job.dist_stats.worker_deaths),
-                 std::to_string(clean_job.dist_stats.blocks_retried)});
-  table.add_row({"job, 4 workers, crash fault", format_seconds(crash_job.seconds), "-",
-                 std::to_string(crash_job.dist_stats.workers_spawned),
-                 std::to_string(crash_job.dist_stats.worker_deaths),
-                 std::to_string(crash_job.dist_stats.blocks_retried)});
+  table.add_row({"file, 4 workers, clean", format_seconds(clean_s), "-",
+                 std::to_string(clean_stats.workers_spawned),
+                 std::to_string(clean_stats.worker_deaths),
+                 std::to_string(clean_stats.blocks_retried)});
+  table.add_row({"file, 4 workers, crash fault", format_seconds(crash_s), "-",
+                 std::to_string(crash_stats.workers_spawned),
+                 std::to_string(crash_stats.worker_deaths),
+                 std::to_string(crash_stats.blocks_retried)});
   bench::emit("e13_distributed", table);
 
   std::cout << "\n" << specs.size() << " blocks x " << per_block << " trials, "
             << format_bytes(static_cast<double>(encoded_bytes))
-            << " encoded; crash-run MapReduce ledger: blocks_retried "
-            << crash_job.mr_stats.blocks_retried << ", bytes_resent "
-            << format_bytes(static_cast<double>(crash_job.mr_stats.bytes_resent))
-            << ", leases_expired " << crash_job.mr_stats.leases_expired
+            << " encoded; file rows: median of " << rounds
+            << " alternating rounds; crash-run ledger: blocks_retried "
+            << crash_stats.blocks_retried << ", bytes_resent "
+            << format_bytes(static_cast<double>(crash_stats.bytes_resent))
+            << ", leases_expired " << crash_stats.leases_expired
             << "; stall-run leases_expired " << stalled.stats.leases_expired
             << ", duplicates_discarded " << stalled.stats.duplicates_discarded << "\n";
 
-  const bool counters_moved = crash_job.mr_stats.blocks_retried >= 1 &&
-                              crash_job.mr_stats.bytes_resent >= 1 &&
-                              crash_job.dist_stats.worker_deaths >= 1 &&
+  const bool counters_moved = crash_stats.blocks_retried >= 1 &&
+                              crash_stats.bytes_resent >= 1 &&
+                              crash_stats.worker_deaths >= 1 &&
                               stalled.stats.leases_expired >= 1;
   const bool scaling_ok = four_ratio <= four_bar;
   const bool recovery_ok = recovery_overhead <= 1.5;
@@ -285,18 +273,17 @@ int main() {
   json.set("two_over_single_ratio", two_ratio);
   json.set("four_over_single_ratio", four_ratio);
   json.set("eight_over_single_ratio", eight_ratio);
-  json.set("recovery_clean_seconds", clean_job.seconds);
-  json.set("recovery_crash_seconds", crash_job.seconds);
+  json.set("recovery_clean_seconds", clean_s);
+  json.set("recovery_crash_seconds", crash_s);
   // Deliberately not a *_ratio key: the crash surcharge is a few percent of
   // one run, so run-to-run noise would dominate a trajectory gate. The
   // binary enforces the <= 1.5x bar itself.
   json.set("recovery_overhead_x", recovery_overhead);
-  json.set("crash_blocks_retried", crash_job.mr_stats.blocks_retried);
-  json.set("crash_bytes_resent", crash_job.mr_stats.bytes_resent);
-  json.set("crash_worker_deaths",
-           static_cast<std::uint64_t>(crash_job.dist_stats.worker_deaths));
+  json.set("crash_blocks_retried", crash_stats.blocks_retried);
+  json.set("crash_bytes_resent", crash_stats.bytes_resent);
+  json.set("crash_worker_deaths", static_cast<std::uint64_t>(crash_stats.worker_deaths));
   json.set("crash_workers_respawned",
-           static_cast<std::uint64_t>(crash_job.dist_stats.workers_respawned));
+           static_cast<std::uint64_t>(crash_stats.workers_respawned));
   json.set("stall_leases_expired", stalled.stats.leases_expired);
   json.set("stall_duplicates_discarded", stalled.stats.duplicates_discarded);
   json.set("task_bytes_sent", scaled[2].stats.task_bytes_sent);

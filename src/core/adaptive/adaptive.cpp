@@ -93,7 +93,7 @@ ConvergenceController::ConvergenceController(const AdaptiveConfig& config,
 void ConvergenceController::fold(std::span<const Money> aggregate,
                                  std::span<const Money> occurrence) {
   RISKAN_REQUIRE(folded_ < cap_, "fold past the adaptive trial cap");
-  // Clip to the cap: on grids coarser than the cap (mapreduce/dist blocks)
+  // Clip to the cap: on grids coarser than the cap (dist blocks)
   // the final fold takes exactly the cap prefix, matching the grid the
   // single-process driver cuts.
   const TrialId take =

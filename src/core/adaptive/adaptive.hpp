@@ -121,9 +121,9 @@ struct AdaptiveReport {
 
 /// Folds per-block YLT partials in trial order and answers "stop now?".
 /// Pure accumulator — it never runs trials itself, so the per-block
-/// drivers (core/adaptive/driver, the scenario sweep, the MapReduce job,
-/// the dist coordinator's completion frontier) all share one stopping
-/// rule and therefore one stopping trial count.
+/// drivers (core/adaptive/driver, which runs plain runs and scenario
+/// sweeps, and the dist coordinator's completion frontier) share one
+/// stopping rule and therefore one stopping trial count.
 class ConvergenceController {
  public:
   /// `trials_available` is what the source can offer; the effective cap is

@@ -16,14 +16,14 @@
 // There is exactly ONE implementation of that loop in the repo:
 // core::batch::process_trials (src/core/portfolio_batch.hpp), and exactly
 // one block runner around it: run_books below. Every entry point — this
-// engine, the scenario sweep, MapReduce map tasks and the pricer's
+// engine, the scenario sweep, forked dist workers and the pricer's
 // run_layer — describes its request as one or more runs over the same
 // trial source (BookRuns), and run_books lowers every run's slots into one
 // exec::ExecutionPlan (src/core/exec.hpp) per trial block and dispatches it
 // on a pluggable executor, chosen on two orthogonal axes:
 // EngineConfig::backend says where the plan runs —
 //   Sequential — single thread, pool-free; the baseline of the paper's
-//                "15x" claim (MapReduce map tasks rely on the pool-free
+//                "15x" claim (forked dist workers rely on the pool-free
 //                contract).
 //   Threaded   — parallel trial chunks on the shared-memory pool.
 // — and EngineConfig::kernel says which host kernel runs there: Auto (the
@@ -98,10 +98,10 @@ inline constexpr Backend kAllBackends[] = {Backend::Sequential, Backend::Threade
 inline constexpr Kernel kAllKernels[] = {Kernel::Scalar, Kernel::Auto};
 
 /// Backends bound to the caller's thread (never the pool): resolution
-/// builds and block decodes under them must run inline, both for the
-/// single-thread contract (MapReduce map tasks invoke the engine from pool
-/// workers, where submitting and blocking can deadlock) and for dist
-/// workers, which are forked processes without a pool.
+/// builds and block decodes under them must run inline. Dist workers need
+/// this, because they are forked processes and a fork carries none of the
+/// pool's threads; so does any caller that runs the engine from a pool
+/// task, where submitting and blocking can deadlock.
 constexpr bool pool_free(Backend backend) noexcept { return backend == Backend::Sequential; }
 
 /// A run's modeled device telemetry (EngineConfig::device_info), for the
@@ -143,8 +143,8 @@ struct EngineConfig {
   ThreadPool* pool = nullptr;
   /// Global id of this YELT's first trial. Secondary-uncertainty streams
   /// are keyed by (trial_base + local trial), so a partition of the YELT
-  /// processed separately (MapReduce splits) reproduces the exact losses of
-  /// a monolithic run.
+  /// processed separately (dist blocks, adaptive grid blocks) reproduces
+  /// the exact losses of a monolithic run.
   TrialId trial_base = 0;
   /// Trials per modeled device block; one thread per trial.
   int device_block_dim = 128;
@@ -170,9 +170,9 @@ struct EngineConfig {
   /// resolver_cache, built on first use, instead of the in-kernel event→row
   /// lookup. A warm cache makes repeated runs over the same tables faster;
   /// a cold run also pays the build. Sources with ephemeral blocks
-  /// (streamed files, DFS blocks, re-blocked grids) ignore it and gather by
-  /// lookup, since a resolution of a block that dies with the pass is
-  /// never reused. Outputs are bit-identical either way.
+  /// (streamed files, encoded blocks, re-blocked grids) ignore it and
+  /// gather by lookup, since a resolution of a block that dies with the
+  /// pass is never reused. Outputs are bit-identical either way.
   bool batch_contracts = false;
   /// Convergence-adaptive stopping (core/adaptive): with
   /// adaptive.target_rel_err > 0 the run consumes trials in decision

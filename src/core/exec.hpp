@@ -2,7 +2,7 @@
 // reaches the one trial kernel.
 //
 // The repo's aggregate-analysis entry points (run_aggregate_analysis —
-// which MapReduce map tasks and the pricer's run_layer call — and the
+// which forked dist workers and the pricer's run_layer call — and the
 // scenario sweep) all reach the engine's block runner (core::run_books),
 // which reduces every trial block to the same question: given a finished
 // list of batch::Slots over one trial block, run core::batch::process_trials
@@ -16,8 +16,8 @@
 //
 //   Executor — where the plan runs (EngineConfig::backend):
 //       SequentialExecutor — the whole range inline on the caller's
-//           thread; never touches a pool (MapReduce map tasks run from
-//           pool workers and rely on this).
+//           thread; never touches a pool (forked dist workers, which
+//           carry none of the pool's threads, rely on this).
 //       ThreadedExecutor — parallel_reduce over trial chunks
 //           (EngineConfig::trial_grain is the chunk knob).
 //     Both host executors run the kernel EngineConfig::kernel names:

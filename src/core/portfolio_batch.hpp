@@ -2,7 +2,7 @@
 // and the batched convenience entry over it.
 //
 // This file holds the repo's ONE stage-2 trial loop. Every entry point
-// (run_aggregate_analysis, the scenario sweep, MapReduce map tasks, the
+// (run_aggregate_analysis, the scenario sweep, forked dist workers, the
 // pricer's run_layer) reaches it through the engine's block runner
 // (core::run_books), which lowers its runs to a list of Slots, shapes them
 // into an exec::ExecutionPlan and dispatches that on an exec::Executor

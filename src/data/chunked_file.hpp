@@ -2,9 +2,10 @@
 // space" approach.
 //
 // A ChunkedFile holds N independently readable chunks (byte blobs) behind a
-// footer directory. The MapReduce layer stores YELT splits as chunks and
-// hands each to a mapper; the out-of-core TrialSource (data/trial_source.hpp)
-// streams trial blocks from one. Layout (version 2):
+// footer directory. Stage 2 stores one encoded YELT trial block per chunk:
+// the out-of-core TrialSource (data/trial_source.hpp) streams the blocks in
+// order, and the dist runtime (dist/coordinator.hpp) leases each chunk to a
+// forked worker. Layout (version 2):
 //
 //   [chunk 0 bytes][chunk 1 bytes]...[directory][footer: magic, dir offset]
 //   directory: u64 count, then per chunk: u64 size, u32 crc32

@@ -2,8 +2,8 @@
 //
 // Simple tagged little-endian format (magic + version + columns). Stage
 // boundaries in a production deployment are files: stage 1 emits ELT files,
-// stage 2 reads ELT+YELT files and writes YLT files, the MapReduce backend
-// splits YELT files into DFS blocks. Tests round-trip every table type.
+// stage 2 reads ELT+YELT files and writes YLT files, and a chunked YELT file
+// holds one encoded trial block per chunk. Tests round-trip every table type.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +27,7 @@ YearEventLossTable decode_yelt(ByteReader& reader);
 /// Encodes trials [lo, hi) of `table` as a standalone YELT, slicing the
 /// column spans directly (offsets rebased to the slice) — byte-identical to
 /// encoding a rebuilt sub-table, without the per-trial Builder::add copy.
-/// This is how trial blocks reach chunked files and DFS splits.
+/// This is how trial blocks reach chunked files and dist workers.
 void encode_yelt_slice(const YearEventLossTable& table, TrialId lo, TrialId hi,
                        ByteWriter& writer);
 

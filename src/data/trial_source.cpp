@@ -180,31 +180,36 @@ void ReblockedSource::reset() {
   index_ = 0;
 }
 
-ChunkedFileSource::ChunkedFileSource(const std::string& path, Options options)
-    : reader_(path), options_(options) {
-  // Header peeks size the run before anything is decoded: per-chunk trial
-  // counts come from the fixed-size YELT headers, not from decoding.
-  chunk_trials_.reserve(reader_.chunk_count());
-  chunk_offsets_.reserve(reader_.chunk_count());
-  for (std::size_t c = 0; c < reader_.chunk_count(); ++c) {
-    const auto header = reader_.read_chunk_prefix(c, kYeltHeaderBytes);
-    const TrialId chunk_trials = peek_yelt_trials(header);
+std::vector<TrialId> chunk_trials(ChunkedFileReader& reader) {
+  std::vector<TrialId> trials;
+  trials.reserve(reader.chunk_count());
+  for (std::size_t c = 0; c < reader.chunk_count(); ++c) {
+    const auto header = reader.read_chunk_prefix(c, kYeltHeaderBytes);
+    const TrialId count = peek_yelt_trials(header);
     // The prefix peek is outside the CRC (which covers whole chunks), so
     // bound the count by the chunk's actual bytes before sizing anything
     // from it: the encoded layout carries trials+1 u64 offsets after the
     // header, so a corrupted count cannot pass this and OOM the run — it
     // fails here, or the CRC catches it at read time.
-    const std::size_t chunk_bytes = reader_.chunk_size(c);
+    const std::size_t chunk_bytes = reader.chunk_size(c);
     if (!(chunk_bytes >= kYeltHeaderBytes + sizeof(std::uint64_t) &&
-          static_cast<std::uint64_t>(chunk_trials) <=
+          static_cast<std::uint64_t>(count) <=
               (chunk_bytes - kYeltHeaderBytes) / sizeof(std::uint64_t) - 1)) {
       throw CorruptChunkError(
           "chunk header trial count exceeds the chunk's size (corrupt chunk " +
           std::to_string(c) + ")");
     }
+    trials.push_back(count);
+  }
+  return trials;
+}
+
+ChunkedFileSource::ChunkedFileSource(const std::string& path, Options options)
+    : reader_(path), options_(options), chunk_trials_(chunk_trials(reader_)) {
+  chunk_offsets_.reserve(chunk_trials_.size());
+  for (const TrialId count : chunk_trials_) {
     chunk_offsets_.push_back(trials_);
-    chunk_trials_.push_back(chunk_trials);
-    trials_ += chunk_trials;
+    trials_ += count;
   }
 
   if (options_.prefetch) {

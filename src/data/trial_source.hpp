@@ -7,7 +7,7 @@
 // Executors); this file is its data-plane twin. A TrialSource yields the
 // YELT as an ordered sequence of trial blocks, and every engine entry point
 // consumes blocks instead of assuming one resident table — so in-memory,
-// out-of-core and MapReduce runs are the same code path with different
+// out-of-core and distributed runs are the same code path with different
 // sources, and their outputs are bit-identical (each block carries its
 // trial offset, which keys the counter-based sampling streams).
 //
@@ -21,9 +21,9 @@
 //                       decode/I-O cost hides behind the trial kernel
 //                       instead of serialising against it. Memory
 //                       high-water = the queue depth in decoded blocks.
-//   EncodedBlockSource— adapter over one encoded YELT blob (a DFS block):
-//                       the MapReduce map task's decode path, expressed as
-//                       a single-block source.
+//   EncodedBlockSource— adapter over one encoded YELT blob (one chunk of
+//                       a chunked file): a dist worker's decode path,
+//                       expressed as a single-block source.
 #pragma once
 
 #include <atomic>
@@ -98,12 +98,12 @@ class InMemorySource final : public TrialSource {
   bool served_ = false;
 };
 
-/// Adapter over one encoded YELT blob — how a MapReduce map task or a
-/// dist-layer worker lowers its block through the same data plane as every
-/// other entry point. The blob is decoded at construction; the span need
-/// not outlive the ctor. A short or corrupted payload throws the typed
-/// riskan::CorruptChunkError (util/io_error.hpp) — garbage bytes can never
-/// silently decode into trials.
+/// Adapter over one encoded YELT blob — how a dist worker (or the
+/// coordinator's in-process fallback) lowers its block through the same
+/// data plane as every other entry point. The blob is decoded at
+/// construction; the span need not outlive the ctor. A short or corrupted
+/// payload throws the typed riskan::CorruptChunkError (util/io_error.hpp) —
+/// garbage bytes can never silently decode into trials.
 class EncodedBlockSource final : public TrialSource {
  public:
   explicit EncodedBlockSource(std::span<const std::byte> encoded);
@@ -151,8 +151,8 @@ class SingleBlockSource final : public TrialSource {
 /// grid — convergence is checked after each grid block, and the grid is a
 /// pure function of (block_trials, trials), NOT of how the inner source
 /// happened to chunk its data, so the stopping trial count is identical
-/// whether the YELT arrives as one resident table, file chunks, or DFS
-/// blocks. Inner blocks that already land on the grid pass through
+/// whether the YELT arrives as one resident table or as file chunks of any
+/// size. Inner blocks that already land on the grid pass through
 /// zero-copy; otherwise trials are re-sliced through a Builder.
 class ReblockedSource final : public TrialSource {
  public:
@@ -193,6 +193,13 @@ struct ChunkedFileSourceStats {
   /// behind compute, ~produce_seconds when nothing overlaps.
   double wait_seconds = 0.0;
 };
+
+/// Trials of each chunk of a chunked YELT file (core::save_yelt_chunked's
+/// layout: one encoded YELT per chunk), read from the fixed-size YELT
+/// headers without decoding or CRC-checking a chunk. A header count the
+/// chunk's bytes cannot hold throws CorruptChunkError. ChunkedFileSource
+/// and the dist runtime's file entry size their runs with it.
+std::vector<TrialId> chunk_trials(ChunkedFileReader& reader);
 
 /// Streams trial blocks from a chunked YELT file (core::save_yelt_chunked's
 /// layout: one encoded YELT per chunk). With prefetch on (default), a

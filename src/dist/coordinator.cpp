@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/adaptive/adaptive.hpp"
+#include "data/chunked_file.hpp"
 #include "data/trial_source.hpp"
 #include "dist/frame.hpp"
 #include "dist/worker.hpp"
@@ -795,6 +796,27 @@ DistResult run_distributed_aggregate(const finance::Portfolio& portfolio,
   out.seconds = timer.stop();
   publish_dist_stats(out.stats);
   return out;
+}
+
+DistResult run_distributed_aggregate(const finance::Portfolio& portfolio,
+                                     const core::EngineConfig& engine,
+                                     const std::string& chunked_yelt_path,
+                                     const DistConfig& config) {
+  data::ChunkedFileReader reader(chunked_yelt_path);
+  std::vector<BlockSpec> specs;
+  TrialId trial_base = 0;
+  for (const TrialId trials : data::chunk_trials(reader)) {
+    specs.push_back({specs.size(), trial_base, trials});
+    trial_base += trials;
+  }
+  // One reader serves every lease: the coordinator fetches from its one
+  // thread, and read_chunk verifies the chunk's CRC-32 on each read.
+  return run_distributed_aggregate(
+      portfolio, engine, specs,
+      [&reader](const BlockSpec& spec) {
+        return reader.read_chunk(static_cast<std::size_t>(spec.id));
+      },
+      config);
 }
 
 }  // namespace riskan::dist

@@ -2,16 +2,19 @@
 // scheduling of encoded trial blocks across forked worker processes, with
 // retry, re-queue, straggler re-execution and bit-identical recovery.
 //
-// The paper's stage-2 MapReduce architecture assumes a fault-tolerant
-// runtime underneath (Hadoop re-executes failed and straggling tasks and
-// takes the first completion). This layer supplies that runtime for real
-// processes: the coordinator owns a work queue of trial blocks; each
-// assignment is a *lease* with a deadline; a worker Acks on receipt (the
-// heartbeat) and replies with per-trial losses. Expired leases re-queue the
-// block with exponential backoff under a bounded attempt budget; dead
-// workers (EOF, torn frame, CRC mismatch) are replaced from a respawn
-// budget; stragglers keep running and their late duplicates are discarded
-// by block id — first completion wins.
+// The paper's second stage-2 strategy works a large distributed file space
+// with "MapReduce or Hadoop style computations", which assume a
+// fault-tolerant runtime underneath: failed and straggling tasks are
+// re-executed and the first completion wins (Dean & Ghemawat, OSDI'04).
+// This layer is that runtime for real processes, and a file-space job is
+// this runtime over one chunked YELT file (the path overload below). The
+// coordinator owns a work queue of trial blocks; each assignment is a
+// *lease* with a deadline; a worker Acks on receipt (the heartbeat) and
+// replies with per-trial losses. Expired leases re-queue the block with
+// exponential backoff under a bounded attempt budget; dead workers (EOF,
+// torn frame, CRC mismatch) are replaced from a respawn budget; stragglers
+// keep running and their late duplicates are discarded by block id — first
+// completion wins.
 //
 // Bit-identical recovery is free by construction: blocks partition the
 // trial space disjointly, each Task frame carries the block's global trial
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/aggregate_engine.hpp"
@@ -47,8 +51,8 @@ struct BlockSpec {
   TrialId trials = 0;
 };
 
-/// Fetches the encoded bytes of a block (a DFS read, a chunked-file read,
-/// or an in-memory slice). Called lazily at assignment time — and again on
+/// Fetches the encoded bytes of a block (a chunked-file read or an
+/// in-memory slice). Called lazily at assignment time — and again on
 /// re-assignment, so retries re-read rather than pin every block resident.
 using BlockFetcher =
     std::function<std::vector<std::byte>(const BlockSpec& spec)>;
@@ -87,6 +91,18 @@ DistResult run_distributed_aggregate(const finance::Portfolio& portfolio,
                                      const core::EngineConfig& engine,
                                      std::span<const BlockSpec> blocks,
                                      const BlockFetcher& fetch,
+                                     const DistConfig& config = {});
+
+/// The file-space job: the same run over a chunked YELT file
+/// (core::save_yelt_chunked's layout), one block per chunk. Block trial
+/// counts come from the chunk headers (data::chunk_trials), and each lease
+/// reads its chunk with the CRC-checking ChunkedFileReader::read_chunk, so
+/// a damaged chunk throws CorruptChunkError out of the run (after every
+/// worker is killed and reaped). The chunks are the adaptive decision
+/// grid, as the blocks are above.
+DistResult run_distributed_aggregate(const finance::Portfolio& portfolio,
+                                     const core::EngineConfig& engine,
+                                     const std::string& chunked_yelt_path,
                                      const DistConfig& config = {});
 
 }  // namespace riskan::dist

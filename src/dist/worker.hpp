@@ -4,7 +4,7 @@
 // engine configuration are already in its address space, so the protocol
 // only moves trial blocks in and per-trial losses out. The loop is
 // deliberately dumb — read Task, Ack, decode via data::EncodedBlockSource
-// (the same wire unit the MapReduce map task consumes), run the one trial
+// (the same encoded YELT a chunked file holds per chunk), run the one trial
 // kernel on the pool-free Sequential backend with the block's global trial
 // base keying the sampling streams, reply Result — so bit-identical
 // recovery falls out of the engine's determinism instead of being

@@ -1,7 +1,7 @@
 // Observability facade: per-run configuration, end-of-run reports, and the
 // Timer that replaces ad-hoc Stopwatch call sites on engine paths.
 //
-//   ObsConfig   — rides EngineConfig / AggregateJobConfig; validated up
+//   ObsConfig   — rides EngineConfig; validated up
 //                 front by validate_obs_config (bad trace paths and bucket
 //                 configs are rejected before any work starts, matching
 //                 the PR-4 validate_engine_config pattern).

@@ -1,7 +1,7 @@
 // Bounded single-producer / single-consumer ring buffer.
 //
-// Used by the MapReduce shuffle (one mapper feeding one partition writer)
-// and available to pipelines that stream table chunks between stages. The
+// The handoff of data::ChunkedFileSource's prefetch pipeline: its one
+// prefetch thread pushes decoded trial blocks and the engine pops them. The
 // implementation is the classic Lamport ring with C++20 atomics:
 // wait-free for both sides, one cache line per index to avoid false sharing.
 #pragma once

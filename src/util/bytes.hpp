@@ -1,7 +1,8 @@
 // Little-endian binary serialization primitives.
 //
-// The chunked table files (src/data/chunked_file.hpp) and the simulated
-// distributed file space (src/mapreduce/dfs.hpp) both write through these.
+// The table files (src/data/serialize.hpp), the chunked files
+// (src/data/chunked_file.hpp) and the dist runtime's frames
+// (src/dist/frame.hpp) all write through these.
 // The format is explicitly little-endian so files round-trip across hosts.
 #pragma once
 

@@ -1,4 +1,4 @@
-#include "core/program.hpp"
+#include "program_reference.hpp"
 
 #include <algorithm>
 #include <optional>

@@ -1,5 +1,10 @@
 // Reinsurance program engine — ordered layers with inuring recoveries.
 //
+// A test-side reference, beside the oracle (oracle.hpp): no entry point
+// runs inuring programs, so the library keeps one trial loop and this
+// per-occurrence cascade checks the layer tower against it
+// (tests/test_program.cpp).
+//
 // The flat aggregate engine treats every layer independently against the
 // same ground-up loss, which is exact for side-by-side quota shares and
 // non-overlapping towers. Real programs also contain *inuring* structures:

@@ -2,8 +2,8 @@
 // trial count is contractual — a pure function of (seed, config, data) —
 // so every test here pins bit-identity, not tolerance: the adaptive run's
 // YLT must equal the *prefix* of the fixed-budget run across backends,
-// source chunkings, dist worker counts, and the MapReduce runtime; with
-// adaptivity off nothing may change at all. The stratified sampler gets
+// source chunkings and dist worker counts; with adaptivity off nothing may
+// change at all. The stratified sampler gets
 // the same treatment: strata partition the trial population exactly,
 // Neyman allocations conserve the budget, and every drawn loss equals the
 // same trial of a full run bit for bit.
@@ -22,8 +22,6 @@
 #include "data/trial_source.hpp"
 #include "dist/coordinator.hpp"
 #include "finance/contract.hpp"
-#include "mapreduce/aggregate_job.hpp"
-#include "mapreduce/dfs.hpp"
 #include "scenario/sweep.hpp"
 #include "util/bytes.hpp"
 #include "util/require.hpp"
@@ -531,53 +529,6 @@ TEST(AdaptiveDist, DisabledAdaptivityLeavesTheRuntimeUntouched) {
   lean.keep_contract_ylts = false;
   const auto reference = core::run_aggregate_analysis(world().portfolio, world().yelt, lean);
   expect_same_ylt(result.portfolio_ylt, reference.portfolio_ylt);
-}
-
-// ---------------------------------------------------------------------------
-// MapReduce job
-// ---------------------------------------------------------------------------
-
-TEST(AdaptiveMapReduce, InProcessAndDistRuntimesStopIdentically) {
-  mapreduce::DfsConfig dfs_config;
-  dfs_config.root_dir = "/tmp/riskan-dfs-test-adaptive";
-  mapreduce::Dfs dfs(dfs_config);
-
-  mapreduce::AggregateJobConfig job;
-  job.trials_per_block = kBlock;  // the decision grid of BOTH runtimes
-  job.adaptive = tuned();
-
-  const auto in_process =
-      mapreduce::run_aggregate_job(dfs, world().portfolio, world().yelt, job);
-  ASSERT_TRUE(in_process.adaptive_report.enabled);
-  EXPECT_EQ(in_process.adaptive_report.stop_reason, StopReason::Converged);
-  EXPECT_LT(in_process.adaptive_report.trials_run, kTrials);
-  EXPECT_EQ(in_process.portfolio_ylt.trials(), in_process.adaptive_report.trials_run);
-  EXPECT_EQ(in_process.mr_stats.reduce_groups, in_process.adaptive_report.trials_run);
-
-  mapreduce::AggregateJobConfig dist_job = job;
-  dist_job.dist.emplace();
-  dist_job.dist->workers = 4;
-  const auto dist_run =
-      mapreduce::run_aggregate_job(dfs, world().portfolio, world().yelt, dist_job);
-  EXPECT_EQ(dist_run.adaptive_report.trials_run, in_process.adaptive_report.trials_run);
-  expect_same_ylt(dist_run.portfolio_ylt, in_process.portfolio_ylt);
-
-  // And the adaptive prefix is exactly the head of the fixed-budget job.
-  mapreduce::AggregateJobConfig fixed = job;
-  fixed.adaptive = {};
-  const auto full = mapreduce::run_aggregate_job(dfs, world().portfolio, world().yelt, fixed);
-  expect_prefix(in_process.portfolio_ylt, full.portfolio_ylt);
-}
-
-TEST(AdaptiveMapReduce, RejectsOccurrenceMetrics) {
-  mapreduce::DfsConfig dfs_config;
-  dfs_config.root_dir = "/tmp/riskan-dfs-test-adaptive-occ";
-  mapreduce::Dfs dfs(dfs_config);
-  mapreduce::AggregateJobConfig job;
-  job.adaptive = tuned();
-  job.adaptive.metrics |= kOccTvar;
-  EXPECT_THROW(mapreduce::run_aggregate_job(dfs, world().portfolio, world().yelt, job),
-               ContractViolation);
 }
 
 // ---------------------------------------------------------------------------

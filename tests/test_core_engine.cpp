@@ -196,7 +196,7 @@ TEST_F(BackendEquivalence, DeviceBlockDimIsExact) {
 
 TEST_F(BackendEquivalence, TrialBasePartitioningIsExact) {
   // Split the YELT in two, run halves with trial_base, and compare to the
-  // monolithic run — the MapReduce backend's correctness property.
+  // monolithic run — the property every dist block relies on.
   EngineConfig config;
   config.backend = Backend::Sequential;
   config.compute_oep = false;

@@ -4,22 +4,28 @@
 // run exactly (EXPECT_EQ on doubles, no tolerance): blocks partition the
 // trial space, each Task frame carries the block's global trial base, and
 // the reduce is per-trial assignment, so retries, re-queues and straggler
-// re-execution cannot change a single bit.
+// re-execution cannot change a single bit. The file-space job (the runtime
+// over one chunked YELT file) is held to the in-memory engine the same way,
+// and a damaged chunk must fail it without leaving a child process behind.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstddef>
 #include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/aggregate_engine.hpp"
+#include "core/streaming.hpp"
+#include "data/chunked_file.hpp"
 #include "data/serialize.hpp"
 #include "data/trial_source.hpp"
 #include "dist/coordinator.hpp"
 #include "dist/frame.hpp"
 #include "finance/contract.hpp"
-#include "mapreduce/aggregate_job.hpp"
-#include "mapreduce/dfs.hpp"
 #include "util/bytes.hpp"
 #include "util/io_error.hpp"
 #include "util/require.hpp"
@@ -312,39 +318,132 @@ TEST(DistFrame, RoundTripAndCorruptionDetected) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: the MapReduce job riding the dist transport
+// The file-space job: the runtime over one chunked YELT file
 // ---------------------------------------------------------------------------
 
-TEST(DistJob, MapReduceJobOnDistTransportBitIdenticalUnderCrash) {
-  const auto& w = world();
+/// A five-contract book over 900 trials, so that 128- and 500-trial chunks
+/// both leave an uneven last chunk.
+struct FileWorld {
+  finance::Portfolio portfolio;
+  data::YearEventLossTable yelt;
+};
 
-  mapreduce::AggregateJobConfig in_process;
-  in_process.trials_per_block = kPerBlock;
-  mapreduce::DfsConfig dfs_config;
-  dfs_config.root_dir = "/tmp/riskan-dfs-dist-inproc";
-  mapreduce::Dfs dfs_a(dfs_config);
-  const auto expected =
-      mapreduce::run_aggregate_job(dfs_a, w.portfolio, w.yelt, in_process);
+const FileWorld& file_world() {
+  static const FileWorld w = [] {
+    FileWorld built;
+    finance::PortfolioGenConfig pg;
+    pg.contracts = 5;
+    pg.catalog_events = 200;
+    pg.elt_rows = 60;
+    built.portfolio = finance::generate_portfolio(pg);
+    data::YeltGenConfig yg;
+    yg.trials = 900;
+    built.yelt = data::generate_yelt(200, yg);
+    return built;
+  }();
+  return w;
+}
 
-  mapreduce::AggregateJobConfig distributed = in_process;
-  distributed.dist = DistConfig{};
-  distributed.dist->workers = 2;
-  distributed.dist->faults.crash = {1, 1};  // second worker dies on task 1
-  dfs_config.root_dir = "/tmp/riskan-dfs-dist-workers";
-  mapreduce::Dfs dfs_b(dfs_config);
-  const auto actual =
-      mapreduce::run_aggregate_job(dfs_b, w.portfolio, w.yelt, distributed);
-
-  ASSERT_EQ(actual.portfolio_ylt.trials(), expected.portfolio_ylt.trials());
-  for (TrialId t = 0; t < actual.portfolio_ylt.trials(); ++t) {
-    ASSERT_EQ(actual.portfolio_ylt[t], expected.portfolio_ylt[t]) << "trial " << t;
+/// file_world()'s YELT saved as a chunked file, removed with the object.
+class YeltFile {
+ public:
+  YeltFile(const std::string& name, TrialId trials_per_chunk)
+      : path_("/tmp/riskan_dist_" + name + ".yeltc") {
+    core::save_yelt_chunked(file_world().yelt, path_, trials_per_chunk);
   }
-  // The recovery ledger surfaces through MapReduceStats (and is non-zero
-  // under the injected fault).
-  EXPECT_GE(actual.mr_stats.blocks_retried, 1u);
-  EXPECT_GE(actual.mr_stats.bytes_resent, 1u);
-  EXPECT_GE(actual.dist_stats.worker_deaths, 1u);
-  EXPECT_EQ(expected.mr_stats.blocks_retried, 0u);
+  ~YeltFile() { remove_file(path_); }
+  YeltFile(const YeltFile&) = delete;
+  YeltFile& operator=(const YeltFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+core::EngineConfig file_engine(bool secondary) {
+  core::EngineConfig engine;
+  engine.secondary_uncertainty = secondary;
+  return engine;
+}
+
+void expect_in_memory_ylt(const data::YearLossTable& ylt, bool secondary) {
+  const auto expected = core::run_aggregate_analysis(
+      file_world().portfolio, file_world().yelt, file_engine(secondary));
+  ASSERT_EQ(ylt.trials(), expected.portfolio_ylt.trials());
+  for (TrialId t = 0; t < ylt.trials(); ++t) {
+    ASSERT_EQ(ylt[t], expected.portfolio_ylt[t]) << "trial " << t;
+  }
+}
+
+/// (sampling on, trials per chunk, workers)
+class DistYeltFile
+    : public ::testing::TestWithParam<std::tuple<bool, TrialId, std::size_t>> {};
+
+INSTANTIATE_TEST_SUITE_P(SamplingChunksWorkers, DistYeltFile,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Values(TrialId{128}, TrialId{500}),
+                                            ::testing::Values(std::size_t{0}, std::size_t{2},
+                                                              std::size_t{4})));
+
+TEST_P(DistYeltFile, EqualsTheInMemoryYlt) {
+  const auto [secondary, per_chunk, workers] = GetParam();
+  const YeltFile file("equal_" + std::to_string(per_chunk) + "_" + std::to_string(workers) +
+                          (secondary ? "_on" : "_off"),
+                      per_chunk);
+  DistConfig config;
+  config.workers = workers;
+  const auto result = run_distributed_aggregate(file_world().portfolio,
+                                                file_engine(secondary), file.path(), config);
+  expect_in_memory_ylt(result.portfolio_ylt, secondary);
+  const TrialId trials = file_world().yelt.trials();
+  EXPECT_EQ(result.stats.blocks_total, (trials + per_chunk - 1) / per_chunk);
+  EXPECT_EQ(result.stats.fell_back_in_process, workers == 0);
+}
+
+TEST(DistYeltFileFaults, WorkerCrashBitIdentical) {
+  const YeltFile file("crash", 128);
+  DistConfig config;
+  config.workers = 2;
+  config.faults.crash = {1, 1};  // the second worker dies on its first task
+  const auto result =
+      run_distributed_aggregate(file_world().portfolio, file_engine(true), file.path(), config);
+  expect_in_memory_ylt(result.portfolio_ylt, true);
+  EXPECT_GE(result.stats.worker_deaths, 1u);
+  EXPECT_GE(result.stats.blocks_retried, 1u);
+  EXPECT_GE(result.stats.bytes_resent, 1u);
+}
+
+TEST(DistYeltFileFaults, CorruptChunkThrowsAndLeavesNoChild) {
+  const YeltFile file("corrupt", 128);
+  std::size_t victim = 0;
+  {
+    data::ChunkedFileReader reader(file.path());
+    ASSERT_GT(reader.chunk_count(), 3u);
+    victim = reader.chunk_size(0) + reader.chunk_size(1) + reader.chunk_size(2) / 2;
+  }
+  // Flip one byte in the middle of chunk 2's payload: its CRC no longer
+  // matches, so the lease that reads it must fail the run.
+  auto bytes = read_file(file.path());
+  bytes[victim] ^= std::byte{0x5A};
+  write_file(file.path(), bytes);
+
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    DistConfig config;
+    config.workers = workers;
+    EXPECT_THROW((void)run_distributed_aggregate(file_world().portfolio, file_engine(true),
+                                                 file.path(), config),
+                 CorruptChunkError)
+        << workers << " workers";
+    // The coordinator killed and reaped every worker on its way out: no
+    // orphan keeps running and no zombie is left to reap.
+    int status = 0;
+    errno = 0;
+    const pid_t reaped = waitpid(-1, &status, WNOHANG);
+    const int error = errno;
+    EXPECT_EQ(reaped, -1) << workers << " workers";
+    EXPECT_EQ(error, ECHILD) << workers << " workers";
+  }
 }
 
 }  // namespace

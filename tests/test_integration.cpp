@@ -12,7 +12,6 @@
 #include "core/pricer.hpp"
 #include "data/serialize.hpp"
 #include "dfa/dfa_engine.hpp"
-#include "mapreduce/aggregate_job.hpp"
 #include "util/bytes.hpp"
 #include "warehouse/cube.hpp"
 
@@ -147,25 +146,6 @@ TEST_F(FullPipeline, FileBasedStageBoundariesRoundTrip) {
   }
   remove_file(elt_path);
   remove_file(yelt_path);
-}
-
-TEST_F(FullPipeline, MapReducePathAgreesWithInMemory) {
-  core::EngineConfig config;
-  config.backend = core::Backend::Threaded;
-  config.compute_oep = false;
-  config.keep_contract_ylts = false;
-  const auto in_memory = core::run_aggregate_analysis(*portfolio_, *yelt_, config);
-
-  mapreduce::DfsConfig dfs_config;
-  dfs_config.root_dir = "/tmp/riskan-dfs-integration";
-  mapreduce::Dfs dfs(dfs_config);
-  mapreduce::AggregateJobConfig job;
-  job.trials_per_block = 333;
-  const auto mr = mapreduce::run_aggregate_job(dfs, *portfolio_, *yelt_, job);
-
-  for (TrialId t = 0; t < yelt_->trials(); ++t) {
-    ASSERT_EQ(in_memory.portfolio_ylt[t], mr.portfolio_ylt[t]);
-  }
 }
 
 TEST_F(FullPipeline, PricingQuoteFromModelledElt) {

@@ -285,7 +285,7 @@ TEST(PortfolioBatch, TrialBaseAndLeanOutputsMatch) {
 
   EngineConfig config;
   config.backend = Backend::Threaded;
-  config.trial_base = 12'345;  // MapReduce split regime
+  config.trial_base = 12'345;  // a dist block's regime
   config.compute_oep = false;
   config.keep_contract_ylts = false;
 

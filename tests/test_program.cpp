@@ -2,9 +2,9 @@
 #include <gtest/gtest.h>
 
 #include "core/aggregate_engine.hpp"
-#include "core/program.hpp"
 #include "data/yelt.hpp"
 #include "oracle.hpp"
+#include "program_reference.hpp"
 #include "util/require.hpp"
 
 namespace riskan::core {

@@ -426,7 +426,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(StreamedEquivalence, TrialBaseOffsetsCompose) {
   // A streamed run under a global trial_base matches the in-memory run
-  // under the same base (MapReduce-style composition).
+  // under the same base (how dist blocks compose).
   const auto w = make_workload(3, 200);
   const std::string path = "/tmp/riskan_equiv_base.yeltc";
   core::save_yelt_chunked(w.yelt, path, 64);
