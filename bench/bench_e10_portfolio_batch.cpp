@@ -39,7 +39,7 @@ namespace {
 
 /// The per-contract baseline over one resident YELT: each contract's layer
 /// tower is its own plan of lookup slots, and the plans run in contract
-/// order on the config's executor (so with device_info set each plan is
+/// order on the config's backend (so with device_info set each plan is
 /// modeled on its own), followed by the OEP finalisation. Always produces
 /// the full roll-up E10 times (contract YLTs and OEP). Bit-identical to the
 /// engine's one-plan run.
@@ -63,7 +63,6 @@ core::EngineResult per_contract_loop(const finance::Portfolio& portfolio,
   std::vector<Money> occurrence_accum(yelt.entries(), 0.0);
 
   const Philox4x32 philox(config.seed);
-  const auto executor = core::exec::make_executor(config);
   std::vector<core::batch::Slot> slots(portfolio.layer_count());
   std::size_t p = 0;
   for (std::size_t c = 0; c < portfolio.size(); ++c) {
@@ -87,9 +86,9 @@ core::EngineResult per_contract_loop(const finance::Portfolio& portfolio,
     }
     const auto plan = core::exec::ExecutionPlan::lower(
         std::span<const core::batch::Slot>(slots.data() + first, p - first), yelt.offsets(),
-        trials, config);
+        trials, config.trial_base, config.secondary_uncertainty);
     // One group, the tower: each row it found is one lookup per layer.
-    result.elt_lookups += executor->execute(plan, philox)[0] * (p - first);
+    result.elt_lookups += core::exec::execute(plan, philox, config)[0] * (p - first);
   }
   core::batch::finalize_oep(result.portfolio_occurrence_ylt.mutable_losses(),
                             occurrence_accum, yelt.offsets(), {});

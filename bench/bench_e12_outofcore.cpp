@@ -1,20 +1,19 @@
 // E12 — out-of-core streaming vs in-memory stage 2.
 //
-// After the TrialSource refactor, an out-of-core run rides the exact
-// execution machinery of the in-memory engine: the plan is lowered once and
-// re-bound per trial block, and a background prefetch pipeline
-// (data::ChunkedFileSource) reads+decodes block c+1 while block c computes.
-// This bench measures what that unification costs and what the overlap
-// buys, on the E10 headline workload (16 contracts x 4 layers, full
-// roll-up outputs, secondary off to stress the data plane rather than the
-// sampler):
+// An out-of-core run rides the exact execution machinery of the in-memory
+// engine: the runner lowers one plan per trial block, and a background
+// prefetch pipeline (data::ChunkedFileSource) reads+decodes block c+1 while
+// block c computes. This bench measures what that unification costs and
+// what the overlap buys, on the E10 headline workload (16 contracts x 4
+// layers, full roll-up outputs, secondary off to stress the data plane
+// rather than the sampler):
 //
 //   in-memory     — run_aggregate_analysis over the resident YELT
 //                   (Threaded), gathering by in-kernel lookup: the
 //                   streamed/in-memory ratio's denominator.
-//   streamed      — the same run over a ChunkedFileSource, prefetch on
-//                   (double-buffered), Threaded: the production
-//                   out-of-core configuration, and the ratio's numerator.
+//   streamed      — the same run over a ChunkedFileSource, prefetch on,
+//                   Threaded: the production out-of-core configuration,
+//                   and the ratio's numerator.
 //   overlap pair  — sync-decode vs prefetch under the *Sequential*
 //                   backend: with one compute thread, any second hardware
 //                   thread is free to run the producer, so the pair
@@ -26,8 +25,13 @@
 // streamed block dies with its pass, so lookup is the only gather it
 // has), so the ratio isolates the data plane: read, decode and the
 // prefetch pipeline. The resident compact gather (batch_contracts), cold
-// (a fresh resolver cache per rep, 16 compact builds) and warm, is
+// (a fresh resolver cache per round, 16 compact builds) and warm, is
 // reported in two rows for scale.
+//
+// Each pair is timed in alternating rounds (bench::alternating_rounds), so
+// host drift lands on both arms; a row is its arm's median round, and each
+// gated ratio is the median of the per-round ratios. A streamed round opens
+// its source inside the clock, as a caller of run_aggregate_streaming does.
 //
 // Outputs are verified bit-identical across the regimes before timing.
 // Acceptance bars: streamed/in-memory <= 1.5x, and prefetch beats the
@@ -36,6 +40,7 @@
 #include <algorithm>
 #include <iostream>
 #include <thread>
+#include <vector>
 
 #include "bench/common.hpp"
 #include "core/aggregate_engine.hpp"
@@ -46,47 +51,6 @@
 using namespace riskan;
 
 namespace {
-
-template <typename Run>
-double best_seconds(int reps, const Run& run) {
-  double best = -1.0;
-  for (int r = 0; r < reps; ++r) {
-    obs::Timer watch("bench.rep");
-    run();
-    const double s = watch.stop();
-    if (best < 0.0 || s < best) {
-      best = s;
-    }
-  }
-  return best;
-}
-
-struct StreamedTiming {
-  double seconds = -1.0;
-  data::ChunkedFileSourceStats stats;  // telemetry of the *winning* rep
-};
-
-/// Best-of-reps streamed run; wall-clock and pipeline telemetry are kept
-/// from the same (fastest) rep so derived metrics describe the run whose
-/// time is reported.
-StreamedTiming best_streamed(int reps, const std::string& path, bool prefetch,
-                             const finance::Portfolio& portfolio,
-                             const core::EngineConfig& config) {
-  StreamedTiming best;
-  for (int r = 0; r < reps; ++r) {
-    data::ChunkedFileSource::Options opts;
-    opts.prefetch = prefetch;
-    data::ChunkedFileSource source(path, opts);
-    obs::Timer watch("bench.rep");
-    core::run_aggregate_analysis(portfolio, source, config);
-    const double s = watch.stop();
-    if (best.seconds < 0.0 || s < best.seconds) {
-      best.seconds = s;
-      best.stats = source.stats();
-    }
-  }
-  return best;
-}
 
 bool same_results(const core::EngineResult& a, const core::EngineResult& b) {
   if (a.portfolio_ylt.trials() != b.portfolio_ylt.trials()) {
@@ -120,7 +84,7 @@ int main() {
   // 2.1–2.5×, which says nothing about the data plane at the size the bar
   // and the record are set for.
   const TrialId trials = 50'000;
-  const int reps = bench::quick_mode() ? 2 : 3;
+  const int rounds = bench::quick_mode() ? 5 : 9;
   const TrialId per_chunk = std::max<TrialId>(1, trials / 16);
 
   auto w = bench::make_workload(/*contracts=*/16, /*elt_rows=*/1'000, trials,
@@ -164,51 +128,95 @@ int main() {
     }
   }
 
+  using Stats = data::ChunkedFileSourceStats;
+  // One streamed run over a freshly opened source; its pipeline telemetry
+  // is appended to `stats`, one entry per round.
+  const auto streamed_run = [&](bool prefetch, const core::EngineConfig& engine,
+                                std::vector<Stats>& stats) {
+    data::ChunkedFileSource::Options opts;
+    opts.prefetch = prefetch;
+    data::ChunkedFileSource source(path, opts);
+    core::run_aggregate_analysis(w.portfolio, source, engine);
+    stats.push_back(source.stats());
+  };
+  const auto per_round_ratios = [](const bench::PairedRounds& timed) {
+    std::vector<double> ratios;  // b / a, per round
+    for (std::size_t r = 0; r < timed.a.size(); ++r) {
+      ratios.push_back(timed.b[r] / timed.a[r]);
+    }
+    return ratios;
+  };
+  const auto median_of = [](const std::vector<Stats>& stats,
+                            double Stats::*field) {
+    std::vector<double> values;
+    for (const auto& s : stats) {
+      values.push_back(s.*field);
+    }
+    return bench::median(values);
+  };
+
   // Resident compact gather, for scale: warm (cache primed by the gate)
-  // and cold (a fresh cache per rep, so every rep builds its resolutions).
-  const double compact_warm_s = best_seconds(reps, [&] {
-    core::run_aggregate_analysis(w.portfolio, w.yelt, compact);
-  });
-  const double compact_cold_s = best_seconds(reps, [&] {
-    data::ResolverCache cold;
-    compact.resolver_cache = &cold;
-    core::run_aggregate_analysis(w.portfolio, w.yelt, compact);
-  });
+  // and cold (a fresh cache per round, so every round builds its
+  // resolutions).
+  const auto compact_rounds = bench::alternating_rounds(
+      rounds, [&] { core::run_aggregate_analysis(w.portfolio, w.yelt, compact); },
+      [&] {
+        data::ResolverCache cold;
+        core::EngineConfig cold_config = compact;
+        cold_config.resolver_cache = &cold;
+        core::run_aggregate_analysis(w.portfolio, w.yelt, cold_config);
+      });
 
-  // The ratio's denominator: the resident run by lookup.
-  const double inmemory_s = best_seconds(reps, [&] {
-    core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-  });
-
-  // Streamed reps gather by lookup and touch no resolver cache.
-  const StreamedTiming streamed =
-      best_streamed(reps, path, /*prefetch=*/true, w.portfolio, config);
+  // The gated pair: the resident run by lookup (the ratio's denominator)
+  // against the streamed run with prefetch on. Streamed rounds gather by
+  // lookup and touch no resolver cache.
+  std::vector<Stats> streamed_stats;
+  const auto gated = bench::alternating_rounds(
+      rounds, [&] { core::run_aggregate_analysis(w.portfolio, w.yelt, config); },
+      [&] { streamed_run(/*prefetch=*/true, config, streamed_stats); });
 
   // The overlap pair runs Sequential: one compute thread leaves any second
   // hardware thread free for the producer, so prefetch-vs-sync measures
   // the pipeline, not pool scheduling noise.
   core::EngineConfig seq = config;
   seq.backend = core::Backend::Sequential;
-  const StreamedTiming sync_seq =
-      best_streamed(reps, path, /*prefetch=*/false, w.portfolio, seq);
-  const StreamedTiming prefetch_seq =
-      best_streamed(reps, path, /*prefetch=*/true, w.portfolio, seq);
+  std::vector<Stats> sync_stats;
+  std::vector<Stats> prefetch_stats;
+  const auto overlap = bench::alternating_rounds(
+      rounds, [&] { streamed_run(/*prefetch=*/false, seq, sync_stats); },
+      [&] { streamed_run(/*prefetch=*/true, seq, prefetch_stats); });
 
-  const double streamed_ratio = streamed.seconds / inmemory_s;
-  const double prefetch_over_sync = prefetch_seq.seconds / sync_seq.seconds;
+  const double compact_warm_s = bench::median(compact_rounds.a);
+  const double compact_cold_s = bench::median(compact_rounds.b);
+  const double inmemory_s = bench::median(gated.a);
+  const double streamed_s = bench::median(gated.b);
+  const double sync_seq_s = bench::median(overlap.a);
+  const double prefetch_seq_s = bench::median(overlap.b);
+  const std::vector<double> streamed_ratios = per_round_ratios(gated);
+  const std::vector<double> overlap_ratios = per_round_ratios(overlap);
+  const double streamed_ratio = bench::median(streamed_ratios);
+  const double prefetch_over_sync = bench::median(overlap_ratios);
+  const auto [streamed_ratio_min, streamed_ratio_max] =
+      std::minmax_element(streamed_ratios.begin(), streamed_ratios.end());
+  const auto [overlap_ratio_min, overlap_ratio_max] =
+      std::minmax_element(overlap_ratios.begin(), overlap_ratios.end());
   // Overlap needs a second hardware thread to run the producer on; a
   // 1-thread host serialises the pipeline by construction, so there the
   // gate degrades to a generous overhead bound (the two regimes differ by
   // a few ms there, which is inside shared-host timing noise).
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
   const double prefetch_bar = hw_threads > 1 ? 1.0 : 1.25;
-  // Fraction of the read+decode cost hidden behind compute: 1 when the
-  // consumer never stalls, 0 when every produced byte was waited for.
-  const double overlap_efficiency =
-      prefetch_seq.stats.produce_seconds > 0.0
-          ? std::max(0.0, 1.0 - prefetch_seq.stats.wait_seconds /
-                                    prefetch_seq.stats.produce_seconds)
-          : 0.0;
+  // Fraction of the read+decode cost hidden behind compute, per Sequential
+  // prefetch round: 1 when the consumer never stalls, 0 when every
+  // produced byte was waited for.
+  std::vector<double> efficiencies;
+  for (const auto& s : prefetch_stats) {
+    efficiencies.push_back(
+        s.produce_seconds > 0.0 ? std::max(0.0, 1.0 - s.wait_seconds / s.produce_seconds)
+                                : 0.0);
+  }
+  const double overlap_efficiency = bench::median(efficiencies);
+  const std::uint64_t bytes_streamed = streamed_stats.front().bytes_read;
 
   ReportTable table({"regime", "wall-clock", "vs in-memory", "decode busy", "stall"});
   table.add_row({"in-memory, compact warm", format_seconds(compact_warm_s),
@@ -216,22 +224,25 @@ int main() {
   table.add_row({"in-memory, compact cold", format_seconds(compact_cold_s),
                  format_fixed(compact_cold_s / inmemory_s, 2) + "x", "-", "-"});
   table.add_row({"in-memory (lookup)", format_seconds(inmemory_s), "1.00x", "-", "-"});
-  table.add_row({"streamed, prefetch", format_seconds(streamed.seconds),
+  table.add_row({"streamed, prefetch", format_seconds(streamed_s),
                  format_fixed(streamed_ratio, 2) + "x",
-                 format_seconds(streamed.stats.produce_seconds),
-                 format_seconds(streamed.stats.wait_seconds)});
-  table.add_row({"streamed, sync (sequential)", format_seconds(sync_seq.seconds), "-",
-                 format_seconds(sync_seq.stats.produce_seconds), "-"});
-  table.add_row({"streamed, prefetch (sequential)", format_seconds(prefetch_seq.seconds),
-                 "-", format_seconds(prefetch_seq.stats.produce_seconds),
-                 format_seconds(prefetch_seq.stats.wait_seconds)});
+                 format_seconds(median_of(streamed_stats, &Stats::produce_seconds)),
+                 format_seconds(median_of(streamed_stats, &Stats::wait_seconds))});
+  table.add_row({"streamed, sync (sequential)", format_seconds(sync_seq_s), "-",
+                 format_seconds(median_of(sync_stats, &Stats::produce_seconds)), "-"});
+  table.add_row({"streamed, prefetch (sequential)", format_seconds(prefetch_seq_s), "-",
+                 format_seconds(median_of(prefetch_stats, &Stats::produce_seconds)),
+                 format_seconds(median_of(prefetch_stats, &Stats::wait_seconds))});
   bench::emit("e12_outofcore", table);
 
   std::cout << "\n" << blocks << " blocks x " << per_chunk << " trials, "
-            << format_bytes(static_cast<double>(streamed.stats.bytes_read))
-            << " streamed; prefetch/sync (sequential) "
-            << format_fixed(prefetch_over_sync, 2) << "x, overlap efficiency "
-            << format_fixed(overlap_efficiency * 100.0, 0) << "%\n";
+            << format_bytes(static_cast<double>(bytes_streamed))
+            << " streamed; rows are medians of " << rounds
+            << " alternating rounds; per-round streamed/in-memory "
+            << format_fixed(*streamed_ratio_min, 2) << "-"
+            << format_fixed(*streamed_ratio_max, 2) << "x, prefetch/sync (sequential) "
+            << format_fixed(*overlap_ratio_min, 2) << "-" << format_fixed(*overlap_ratio_max, 2)
+            << "x; overlap efficiency " << format_fixed(overlap_efficiency * 100.0, 0) << "%\n";
 
   std::cout << "\n[E12 verdict] streamed/in-memory "
             << format_fixed(streamed_ratio, 2) << "x "
@@ -250,15 +261,20 @@ int main() {
   json.set("trials", static_cast<std::uint64_t>(trials));
   json.set("blocks", static_cast<std::uint64_t>(blocks));
   json.set("trials_per_chunk", static_cast<std::uint64_t>(per_chunk));
-  json.set("bytes_streamed", streamed.stats.bytes_read);
+  json.set("rounds", static_cast<std::uint64_t>(rounds));
+  json.set("bytes_streamed", bytes_streamed);
   json.set("inmemory_compact_warm_seconds", compact_warm_s);
   json.set("inmemory_compact_cold_seconds", compact_cold_s);
   json.set("inmemory_seconds", inmemory_s);
-  json.set("streamed_prefetch_seconds", streamed.seconds);
-  json.set("overlap_sync_seconds", sync_seq.seconds);
-  json.set("overlap_prefetch_seconds", prefetch_seq.seconds);
+  json.set("streamed_prefetch_seconds", streamed_s);
+  json.set("overlap_sync_seconds", sync_seq_s);
+  json.set("overlap_prefetch_seconds", prefetch_seq_s);
   json.set("streamed_over_inmemory_ratio", streamed_ratio);
+  json.set("streamed_over_inmemory_ratio_min", *streamed_ratio_min);
+  json.set("streamed_over_inmemory_ratio_max", *streamed_ratio_max);
   json.set("prefetch_over_sync", prefetch_over_sync);
+  json.set("prefetch_over_sync_min", *overlap_ratio_min);
+  json.set("prefetch_over_sync_max", *overlap_ratio_max);
   json.set("overlap_efficiency", overlap_efficiency);
   json.set("hardware_threads", static_cast<std::uint64_t>(hw_threads));
   const std::string json_path = bench::artifact_path("BENCH_e12.json");

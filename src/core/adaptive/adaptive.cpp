@@ -95,7 +95,7 @@ void ConvergenceController::fold(std::span<const Money> aggregate,
   RISKAN_REQUIRE(folded_ < cap_, "fold past the adaptive trial cap");
   // Clip to the cap: on grids coarser than the cap (dist blocks)
   // the final fold takes exactly the cap prefix, matching the grid the
-  // single-process driver cuts.
+  // single-process runner cuts.
   const TrialId take =
       std::min<TrialId>(static_cast<TrialId>(aggregate.size()), cap_ - folded_);
   RISKAN_REQUIRE(take > 0, "fold of an empty trial block");

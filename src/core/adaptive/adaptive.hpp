@@ -120,10 +120,10 @@ struct AdaptiveReport {
 };
 
 /// Folds per-block YLT partials in trial order and answers "stop now?".
-/// Pure accumulator — it never runs trials itself, so the per-block
-/// drivers (core/adaptive/driver, which runs plain runs and scenario
-/// sweeps, and the dist coordinator's completion frontier) share one
-/// stopping rule and therefore one stopping trial count.
+/// Pure accumulator — it never runs trials itself, so the engine's block
+/// runner (core::run_books, which runs plain runs and scenario sweeps) and
+/// the dist coordinator's completion frontier share one stopping rule and
+/// therefore one stopping trial count.
 class ConvergenceController {
  public:
   /// `trials_available` is what the source can offer; the effective cap is
@@ -134,7 +134,7 @@ class ConvergenceController {
   /// `aggregate` is the block's AEP slice; `occurrence` its OEP slice
   /// (pass empty when OEP is off — required to be non-empty only when an
   /// occurrence metric is monitored). Trials past the cap are clipped, so
-  /// a cap landing mid-block folds exactly the grid prefix every driver
+  /// a cap landing mid-block folds exactly the grid prefix every caller
   /// agrees on.
   void fold(std::span<const Money> aggregate, std::span<const Money> occurrence);
 
@@ -143,8 +143,6 @@ class ConvergenceController {
   bool converged() const;
 
   TrialId trials_folded() const noexcept { return folded_; }
-  /// The effective trial ceiling (output sizing for drivers).
-  TrialId trial_cap() const noexcept { return cap_; }
 
   AdaptiveReport report() const;
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 
-#include "core/adaptive/driver.hpp"
 #include "core/exec.hpp"
 #include "core/portfolio_batch.hpp"
 #include "core/secondary.hpp"
@@ -69,26 +69,6 @@ void validate_engine_config(const EngineConfig& config) {
 
 namespace {
 
-/// Yields each of `source`'s blocks to `body` together with the block's
-/// effective sampling stream base (config.trial_base + block.trial_offset —
-/// the invariant that keeps streamed runs bit-identical to monolithic ones)
-/// and ENSUREs in-order delivery covering exactly source.trials().
-template <typename Body>
-void for_each_trial_block(data::TrialSource& source, const EngineConfig& config,
-                          const Body& body) {
-  const TrialId trials = source.trials();
-  data::TrialBlock block;
-  TrialId seen = 0;
-  while (source.next(block)) {
-    const TrialId block_trials = block.yelt->trials();
-    RISKAN_ENSURE(block.trial_offset == seen && seen + block_trials <= trials,
-                  "trial source delivered blocks out of order or past its trial count");
-    body(block, config.trial_base + block.trial_offset);
-    seen += block_trials;
-  }
-  RISKAN_ENSURE(seen == trials, "trial source delivered fewer trials than declared");
-}
-
 /// Block-sized scratch of one run: grown on the calling thread, never
 /// shrunk, and zeroed by whoever uses it.
 struct Scratch {
@@ -144,25 +124,16 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
   validate_engine_config(config);
   RISKAN_REQUIRE(!runs.runs.empty() && !runs.blueprints.empty(),
                  "a pass needs at least one run with a slot");
-  const TrialId trials = source.trials();
-  RISKAN_REQUIRE(trials > 0, "trial source must contain trials");
-
-  // Adaptive stopping wraps this very runner: the driver re-enters it per
-  // decision block with adaptivity cleared, so everything below runs
-  // unchanged — bit-identically — whether the budget is fixed or adaptive.
-  if (config.adaptive.enabled()) {
-    return adaptive::run_adaptive(runs, source, config);
-  }
+  RISKAN_REQUIRE(source.trials() > 0, "trial source must contain trials");
 
   // The one lowering: per trial block, every run's slots go into one plan,
   // in blueprint order, executed once. Each contract's slots — its layer
   // tower in every run — are one gather group (one resolution and draw per
   // occurrence feeds all of them), and the kernel walks trial blocks
   // outermost and groups in plan order, so every output cell sees
-  // contracts, then layers, in order. The plan is lowered against the
-  // first block and re-bound to each later one; per-trial outputs are
-  // sliced by block, and the block's trial offset rides the sampling stream
-  // base, so a streamed run is bit-identical to the in-memory one.
+  // contracts, then layers, in order. Per-trial outputs are sliced by
+  // block, and the block's trial offset rides the sampling stream base, so
+  // a streamed run is bit-identical to the in-memory one.
   obs::RunObsScope obs_scope(config.obs);
   obs::Timer timer("engine.run");
   static const obs::Counter runs_counter =
@@ -170,6 +141,20 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
   static const obs::Histogram block_hist =
       obs::MetricsRegistry::global().histogram("engine.block_seconds");
   runs_counter.add();
+
+  // An adaptive pass walks the decision grid — blocks of block_trials,
+  // capped at max_trials, whatever the source's own chunking — and folds
+  // run 0's block slices into one controller, which stops the pass between
+  // blocks. Run 0 is the plain run's book or the sweep's base book, so
+  // every run keeps the same trial prefix as the fixed-budget pass.
+  std::optional<data::ReblockedSource> grid;
+  std::optional<adaptive::ConvergenceController> controller;
+  if (config.adaptive.enabled()) {
+    grid.emplace(source, config.adaptive.block_trials, config.adaptive.max_trials);
+    controller.emplace(config.adaptive, grid->trials());
+  }
+  data::TrialSource& blocks = grid ? *grid : source;
+  const TrialId trials = blocks.trials();
 
   const std::size_t run_count = runs.runs.size();
   std::vector<EngineResult> results(run_count);
@@ -201,8 +186,9 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
 
   // Groups gather by in-kernel lookup and build nothing, unless the run
   // caches compact resolutions of a resident YELT. A compact resolution of
-  // an ephemeral block would be built, read once and dropped.
-  const bool compact = config.batch_contracts && !source.ephemeral_blocks();
+  // an ephemeral block (a streamed chunk or a decision-grid block) would be
+  // built, read once and dropped.
+  const bool compact = config.batch_contracts && !blocks.ephemeral_blocks();
   data::ResolverCache& cache = config.resolver_cache != nullptr
                                    ? *config.resolver_cache
                                    : data::ResolverCache::shared();
@@ -237,16 +223,17 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
   std::vector<Scratch> conditioned_accum(run_count);
 
   const Philox4x32 philox(config.seed);
-  const auto executor = exec::make_executor(config);
   std::vector<batch::Slot> slots(runs.blueprints.size());
-  exec::ExecutionPlan plan;
-  bool lowered = false;
   double resolve_seconds = 0.0;
 
-  for_each_trial_block(source, config, [&](const data::TrialBlock& block, TrialId base) {
+  data::TrialBlock block;
+  TrialId seen = 0;
+  while (!(controller && controller->should_stop()) && blocks.next(block)) {
     obs::Timer block_timer("engine.block");
     const data::YearEventLossTable& yelt = *block.yelt;
     const TrialId block_trials = yelt.trials();
+    RISKAN_ENSURE(block.trial_offset == seen && seen + block_trials <= trials,
+                  "trial source delivered blocks out of order or past its trial count");
     const std::uint64_t entries = yelt.entries();
     const auto yelt_offsets = yelt.offsets();
     if (compact) {
@@ -272,6 +259,9 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
       });
     }
 
+    const auto block_slice = [&](data::YearLossTable& ylt) {
+      return ylt.mutable_losses().subspan(block.trial_offset, block_trials);
+    };
     for (std::size_t p = 0; p < slots.size(); ++p) {
       const SlotBlueprint& bp = runs.blueprints[p];
       const finance::Contract& contract = *runs.contracts[bp.contract];
@@ -297,34 +287,24 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
       slot.terms = bp.terms;
       slot.reinstatements = bp.reinstatements;
       slot.upfront_premium = bp.upfront_premium;
-      slot.contract_losses =
-          config.keep_contract_ylts
-              ? result.contract_ylts[bp.contract_in_run].mutable_losses().subspan(
-                    block.trial_offset, block_trials)
-              : std::span<Money>{};
-      slot.portfolio_losses =
-          result.portfolio_ylt.mutable_losses().subspan(block.trial_offset, block_trials);
-      slot.reinstatement_prem =
-          result.reinstatement_premium.mutable_losses().subspan(block.trial_offset,
-                                                                 block_trials);
+      slot.contract_losses = config.keep_contract_ylts
+                                 ? block_slice(result.contract_ylts[bp.contract_in_run])
+                                 : std::span<Money>{};
+      slot.portfolio_losses = block_slice(result.portfolio_ylt);
+      slot.reinstatement_prem = block_slice(result.reinstatement_premium);
       slot.occurrence_accum = occurrence_accum[bp.run].cells.get();
       slot.conditioned_accum = conditioned_accum[bp.run].cells.get();
     }
 
-    if (!lowered) {
-      EngineConfig lower_config = config;
-      lower_config.trial_base = base;
-      plan = exec::ExecutionPlan::lower(slots, yelt_offsets, block_trials, lower_config);
-      lowered = true;
-    } else {
-      plan.rebind(slots, yelt_offsets, block_trials, base);
-    }
-    const auto found = executor->execute(plan, philox);
+    const exec::ExecutionPlan plan =
+        exec::ExecutionPlan::lower(slots, yelt_offsets, block_trials,
+                                   config.trial_base + block.trial_offset,
+                                   config.secondary_uncertainty);
+    const auto found = exec::execute(plan, philox, config);
 
     if (config.compute_oep) {
       for_each_run([&](std::size_t r) {
-        batch::finalize_oep(results[r].portfolio_occurrence_ylt.mutable_losses().subspan(
-                                block.trial_offset, block_trials),
+        batch::finalize_oep(block_slice(results[r].portfolio_occurrence_ylt),
                             {occurrence_accum[r].cells.get(), entries}, yelt_offsets,
                             runs.runs[r].conditioned
                                 ? std::span<const Money>(conditioned_accum[r].cells.get(),
@@ -344,12 +324,33 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
       }
     }
     block_hist.observe(block_timer.stop());
-  });
+    seen += block_trials;
+    if (controller) {
+      controller->fold(block_slice(results[0].portfolio_ylt),
+                       config.compute_oep ? block_slice(results[0].portfolio_occurrence_ylt)
+                                          : std::span<Money>{});
+    }
+  }
+  RISKAN_ENSURE(seen == trials || (controller && controller->should_stop()),
+                "trial source delivered fewer trials than declared");
 
   const double seconds = timer.stop();
   for (EngineResult& result : results) {
     result.seconds = seconds;
     result.resolve_seconds = resolve_seconds;
+    if (controller) {
+      // The converged prefix: every run stops at run 0's trial.
+      result.portfolio_ylt.truncate(seen);
+      result.portfolio_occurrence_ylt.truncate(seen);
+      result.reinstatement_premium.truncate(seen);
+      for (data::YearLossTable& ylt : result.contract_ylts) {
+        ylt.truncate(seen);
+      }
+    }
+  }
+  if (controller) {
+    results.front().adaptive = controller->report();
+    results.front().adaptive.trials_available = source.trials();
   }
   results.front().obs_report = obs_scope.finish();
   return results;

@@ -19,8 +19,8 @@
 // engine, the scenario sweep, forked dist workers and the pricer's
 // run_layer — describes its request as one or more runs over the same
 // trial source (BookRuns), and run_books lowers every run's slots into one
-// exec::ExecutionPlan (src/core/exec.hpp) per trial block and dispatches it
-// on a pluggable executor, chosen on two orthogonal axes:
+// exec::ExecutionPlan (src/core/exec.hpp) per trial block and runs it with
+// exec::execute, on two orthogonal axes:
 // EngineConfig::backend says where the plan runs —
 //   Sequential — single thread, pool-free; the baseline of the paper's
 //                "15x" claim (forked dist workers rely on the pool-free
@@ -185,8 +185,8 @@ struct EngineConfig {
   /// chrome-trace export. Zero-initialized = off; the always-on global
   /// registry and RISKAN_TRACE/RISKAN_OBS env controls work regardless.
   /// Exactly one scope — the outermost entry point — observes a run:
-  /// delegating paths (adaptive driver re-entry, batch lowering, dist
-  /// workers) clear this on their inner configs.
+  /// delegating paths (the scenario sweep, batch lowering, dist workers)
+  /// clear this on their inner configs.
   obs::ObsConfig obs;
 };
 
@@ -236,12 +236,11 @@ EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
 /// The same analysis over any data::TrialSource — the one data plane behind
 /// every entry point. The in-memory overload wraps its table in a one-block
 /// InMemorySource and calls this; an out-of-core run passes a
-/// ChunkedFileSource and streams trial blocks through the *same* execution
-/// plan (one per run, holding every contract: lowered on the first block,
-/// re-bound per block, with each block's trial offset keying the sampling
-/// streams), so the outputs are bit-identical to the in-memory run across
-/// every backend, with per-contract YLTs and OEP available. This is
-/// run_books over BookRuns::single(portfolio).
+/// ChunkedFileSource and streams trial blocks through the *same* lowering
+/// (one plan per block, holding every contract, with each block's trial
+/// offset keying the sampling streams), so the outputs are bit-identical to
+/// the in-memory run across every backend, with per-contract YLTs and OEP
+/// available. This is run_books over BookRuns::single(portfolio).
 EngineResult run_aggregate_analysis(const finance::Portfolio& portfolio,
                                     data::TrialSource& source,
                                     const EngineConfig& config = {});
@@ -295,12 +294,16 @@ struct BookRuns {
 /// Per trial block it gathers compact (config.batch_contracts over a
 /// resident source: cached resolutions) or by lookup (everything else,
 /// building nothing), builds one MaskColumn per distinct exclusion set,
-/// fills the slots from the blueprints, lowers the plan on the first block
-/// and re-binds it after, executes it once, and finalises each run's OEP.
-/// A run's elt_lookups credits the rows each of its groups found once per
-/// slot it has in the group. With config.adaptive enabled the run stops on
-/// the convergence of run 0 (core/adaptive/driver.hpp); every run keeps
-/// the same prefix.
+/// fills the slots from the blueprints, lowers one plan, executes it once
+/// (exec::execute), and finalises each run's OEP. A run's elt_lookups
+/// credits the rows each of its groups found once per slot it has in the
+/// group. With config.adaptive enabled the pass walks the decision grid
+/// (data::ReblockedSource over `source`, capped at max_trials), folds run
+/// 0's AEP slice (and its OEP slice when OEP is on) into one
+/// adaptive::ConvergenceController after each block, stops taking blocks
+/// once it says stop, and truncates every run's tables to the trials it
+/// folded; run 0's EngineResult::adaptive carries the report. A stopped
+/// pass leaves `source` mid-pass: reset() it before another.
 std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& source,
                                     const EngineConfig& config);
 

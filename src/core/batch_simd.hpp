@@ -1,8 +1,8 @@
 // The vectorized twin of core::batch::process_trials.
 //
 // One kernel per compiled ISA (AVX2: 4 Money lanes, NEON: 2), all stamped
-// from the width-generic template in batch_simd_impl.hpp. The Sequential
-// and Threaded executors run it under Kernel::Auto whenever
+// from the width-generic template in batch_simd_impl.hpp. exec::execute
+// runs it on either backend under Kernel::Auto whenever
 // exec::simd_dispatch() finds an ISA (core/simd.hpp); a plan none of whose
 // groups vectorize runs batch::process_trials directly. The kernel walks
 // trials in blocks (so the scalar per-trial bookkeeping amortizes over a
@@ -64,8 +64,8 @@
 
 namespace riskan::core::batch {
 
-/// Lane-utilization telemetry of Kernel::Auto executions, published by the
-/// Sequential and Threaded executors as exec.simd.* counters.
+/// Lane-utilization telemetry of Kernel::Auto executions, published by
+/// exec::execute as exec.simd.* counters.
 struct SimdStats {
   // Occurrence counts are per slot (occurrence × layer evaluations), like
   // EngineResult::occurrences_processed; sampler counts are per draw.

@@ -24,10 +24,10 @@
 //
 // It reads plans and never runs the trial kernel: every counter is an
 // integer function of hit offsets, YELT offsets and events, the tables and
-// the spec. exec::make_executor calls estimate() after the host
-// executor whenever EngineConfig::device_info is set, so the model follows
-// every plan (lookup or compact gathers, streamed blocks, scenario sweeps)
-// and never touches an output. The numbers are a model: they are reported
+// the spec. exec::execute calls estimate() after the host kernel runs
+// whenever EngineConfig::device_info is set, so the model follows every
+// plan (lookup or compact gathers, streamed blocks, scenario sweeps) and
+// never touches an output. The numbers are a model: they are reported
 // as modeled device time and traffic, never divided by a measured time.
 #pragma once
 

@@ -5,9 +5,9 @@
 // (run_aggregate_analysis, the scenario sweep, forked dist workers, the
 // pricer's run_layer) reaches it through the engine's block runner
 // (core::run_books), which lowers its runs to a list of Slots, shapes them
-// into an exec::ExecutionPlan and dispatches that on an exec::Executor
-// (Sequential / Threaded) — see src/core/exec.hpp for the plan/executor
-// layer.
+// into one exec::ExecutionPlan per trial block and runs that with
+// exec::execute (Sequential / Threaded) — see src/core/exec.hpp for the
+// plan layer.
 //
 // A Slot is one consumer of the streamed pass — a (run, contract, layer),
 // with one of two gather modes (a contract's layers, in every run, share

@@ -5,8 +5,8 @@
 // RISKAN_SIMD_NEON on aarch64; other architectures build the scalar kernel
 // only. At run time simd_dispatch() picks the widest compiled ISA the host
 // actually supports — AVX2 via cpuid, NEON unconditionally on aarch64 —
-// and hands back the kernel pointer the Sequential and Threaded executors
-// run under Kernel::Auto (core/aggregate_engine.hpp). Without a usable ISA
+// and hands back the kernel pointer exec::execute runs on either backend
+// under Kernel::Auto (core/aggregate_engine.hpp). Without a usable ISA
 // Auto runs the scalar kernel; nothing is rejected.
 //
 // Environment override (documented with RISKAN_OBS / RISKAN_TRACE in
@@ -50,7 +50,7 @@ struct SimdDispatch {
 
 /// Resolves the dispatch from the compiled kernels, the host CPU and the
 /// RISKAN_SIMD override. Cheap (a getenv and, on x86, a cached cpuid);
-/// called per executor construction.
+/// called once per Kernel::Auto execution.
 SimdDispatch simd_dispatch();
 
 /// True when Kernel::Auto runs the vector kernel here.

@@ -5,8 +5,8 @@
 // (less than 1TB)". When the YELT is enormous — a 50M-trial view does not
 // fit a node — the same engine streams it: the YELT lives on disk as a
 // chunked file of trial blocks (data::ChunkedFileSource), and the run rides
-// the exact execution machinery of the in-memory engine — the plan is
-// lowered once and re-bound per block — while a background prefetch
+// the exact execution machinery of the in-memory engine — one plan lowered
+// per block, holding every contract — while a background prefetch
 // pipeline reads and decodes block c+1 as block c computes. Memory
 // high-water = the pipeline's decoded blocks plus the output YLTs and the
 // per-block OEP scratch: every contract finds each block's rows in the

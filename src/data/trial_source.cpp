@@ -83,18 +83,6 @@ bool EncodedBlockSource::next(TrialBlock& block) {
   return true;
 }
 
-bool SingleBlockSource::next(TrialBlock& block) {
-  if (served_) {
-    return false;
-  }
-  served_ = true;
-  block.yelt = yelt_;
-  block.trial_offset = 0;
-  block.index = 0;
-  block.encoded_bytes = 0;
-  return true;
-}
-
 ReblockedSource::ReblockedSource(TrialSource& inner, TrialId block_trials,
                                  TrialId trial_cap)
     : inner_(&inner), block_trials_(block_trials) {
@@ -213,8 +201,7 @@ ChunkedFileSource::ChunkedFileSource(const std::string& path, Options options)
   }
 
   if (options_.prefetch) {
-    queue_ = std::make_unique<SpscQueue<Produced>>(
-        std::max<std::size_t>(2, options_.queue_depth));
+    queue_ = std::make_unique<SpscQueue<Produced>>(kPrefetchRing);
     prefetch_pool_ = std::make_unique<ThreadPool>(1);
     start_producer();
   }

@@ -3,8 +3,9 @@
 // The paper frames stage 2 as a data-management problem: in-memory
 // analytics carry "large but not enormous datasets"; beyond that the YELT
 // lives in a chunked file space and must be *streamed*. The compute side of
-// that split is the exec layer (core/exec.hpp: one ExecutionPlan, pluggable
-// Executors); this file is its data-plane twin. A TrialSource yields the
+// that split is the exec layer (core/exec.hpp: one ExecutionPlan per trial
+// block and one function that runs it); this file is its data-plane twin.
+// A TrialSource yields the
 // YELT as an ordered sequence of trial blocks, and every engine entry point
 // consumes blocks instead of assuming one resident table — so in-memory,
 // out-of-core and distributed runs are the same code path with different
@@ -20,7 +21,8 @@
 //                       c+1 is read and decoded while block c computes, so
 //                       decode/I-O cost hides behind the trial kernel
 //                       instead of serialising against it. Memory
-//                       high-water = the queue depth in decoded blocks.
+//                       high-water = ring + 2 decoded blocks (see
+//                       ChunkedFileSource::kPrefetchRing).
 //   EncodedBlockSource— adapter over one encoded YELT blob (one chunk of
 //                       a chunked file): a dist worker's decode path,
 //                       expressed as a single-block source.
@@ -75,9 +77,8 @@ class TrialSource {
   virtual void reset() = 0;
 
   /// True when blocks are transient decodes that die with the pass — the
-  /// engine then gathers by lookup and builds no compact resolution, and
-  /// the scenario sweep resolves against a run-local ResolverCache so dead
-  /// keys never park in the process-wide cache.
+  /// engine, scenario sweeps included, then gathers by lookup and builds no
+  /// compact resolution, so no dead key ever parks in a ResolverCache.
   virtual bool ephemeral_blocks() const noexcept = 0;
 };
 
@@ -120,35 +121,11 @@ class EncodedBlockSource final : public TrialSource {
   bool served_ = false;
 };
 
-/// One already-decoded block as a source — how the adaptive driver
-/// (core/adaptive) re-enters an entry point per decision block: each block
-/// taken from a ReblockedSource is wrapped and run through the normal
-/// TrialSource overload with the block's trial offset moved onto
-/// EngineConfig::trial_base. Marked ephemeral by default so re-entrant
-/// runs resolve through a run-local cache (the wrapped table may be a
-/// transient re-slice).
-class SingleBlockSource final : public TrialSource {
- public:
-  explicit SingleBlockSource(std::shared_ptr<const YearEventLossTable> yelt,
-                             bool ephemeral = true)
-      : yelt_(std::move(yelt)), ephemeral_(ephemeral) {}
-
-  TrialId trials() const override { return yelt_->trials(); }
-  std::size_t block_count() const override { return 1; }
-  bool next(TrialBlock& block) override;
-  void reset() override { served_ = false; }
-  bool ephemeral_blocks() const noexcept override { return ephemeral_; }
-
- private:
-  std::shared_ptr<const YearEventLossTable> yelt_;
-  bool ephemeral_;
-  bool served_ = false;
-};
-
 /// Re-blocks an inner source onto a fixed trial grid: blocks of exactly
 /// `block_trials` trials (short last block), optionally capped at
 /// `trial_cap` total trials. This is the adaptive controller's decision
-/// grid — convergence is checked after each grid block, and the grid is a
+/// grid — core::run_books walks it when EngineConfig::adaptive is enabled
+/// and checks convergence after each grid block — and the grid is a
 /// pure function of (block_trials, trials), NOT of how the inner source
 /// happened to chunk its data, so the stopping trial count is identical
 /// whether the YELT arrives as one resident table or as file chunks of any
@@ -203,23 +180,26 @@ std::vector<TrialId> chunk_trials(ChunkedFileReader& reader);
 
 /// Streams trial blocks from a chunked YELT file (core::save_yelt_chunked's
 /// layout: one encoded YELT per chunk). With prefetch on (default), a
-/// dedicated single-thread pool reads and decodes ahead through a bounded
-/// SPSC ring — double-buffered by default, so at most queue_depth decoded
-/// blocks are resident. The compute backends never see the pipeline: the
-/// prefetch worker is the source's own, not the engine pool, so Sequential
-/// consumers (including pool-worker callers) stay deadlock-free.
+/// dedicated single-thread pool reads and decodes ahead through an SPSC
+/// ring of kPrefetchRing blocks, so a pass keeps at most kPrefetchRing + 2
+/// decoded blocks resident: the ring's, the one a producer waiting on a
+/// full ring holds, and the one the engine is running. The compute backends
+/// never see the pipeline: the prefetch worker is the source's own, not the
+/// engine pool, so Sequential consumers (including pool-worker callers)
+/// stay deadlock-free.
 struct ChunkedFileSourceOptions {
   /// Read+decode block c+1 on a background thread while block c computes.
   /// Off = synchronous per-block decode (the E12 overlap baseline).
   bool prefetch = true;
-  /// Decoded blocks the pipeline may hold (>= 2; the memory high-water
-  /// knob of an out-of-core run).
-  std::size_t queue_depth = 2;
 };
 
 class ChunkedFileSource final : public TrialSource {
  public:
   using Options = ChunkedFileSourceOptions;
+
+  /// Decoded blocks the prefetch ring holds (a power of two, as SpscQueue
+  /// rounds up to one).
+  static constexpr std::size_t kPrefetchRing = 2;
 
   explicit ChunkedFileSource(const std::string& path, Options options = {});
   ~ChunkedFileSource() override;

@@ -73,9 +73,9 @@ ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
 /// calls this; a ChunkedFileSource streams the sweep over a book bigger
 /// than RAM. Streamed blocks gather by in-kernel lookup and build no
 /// resolution (EngineResult::resolve_seconds reads 0); per block the
-/// runner rebuilds only each distinct mask column and re-binds the same
-/// execution plan, so streamed sweeps are bit-identical to in-memory ones
-/// on every backend and kernel.
+/// runner rebuilds only each distinct mask column and lowers one execution
+/// plan, so streamed sweeps are bit-identical to in-memory ones on every
+/// backend and kernel.
 ScenarioSweepResult run_scenario_sweep(const finance::Portfolio& portfolio,
                                        data::TrialSource& source,
                                        std::span<const ScenarioSpec> specs,

@@ -86,8 +86,9 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected, table-driven) of `data` —
-/// the per-chunk integrity check of the chunked container files.
+/// CRC-32 (IEEE 802.3 polynomial, reflected, table-driven, eight bytes per
+/// step) of `data` — the per-chunk integrity check of the chunked container
+/// files and of dist frames.
 std::uint32_t crc32(std::span<const std::byte> data) noexcept;
 
 /// Whole-file helpers.

@@ -12,12 +12,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/adaptive/adaptive.hpp"
-#include "core/adaptive/driver.hpp"
 #include "core/adaptive/stratified.hpp"
 #include "core/aggregate_engine.hpp"
+#include "core/streaming.hpp"
 #include "data/serialize.hpp"
 #include "data/trial_source.hpp"
 #include "dist/coordinator.hpp"
@@ -303,6 +304,37 @@ TEST(AdaptiveStopping, SourceChunkingCannotMoveTheStoppingTrial) {
       core::run_aggregate_analysis(world().portfolio, awkward, adaptive_engine());
   EXPECT_EQ(result.adaptive.trials_run, reference.adaptive.trials_run);
   expect_same_ylt(result.portfolio_ylt, reference.portfolio_ylt);
+}
+
+TEST(AdaptiveStopping, StreamedFileStopsAtTheResidentTrial) {
+  // 333-trial file chunks do not line up with the 250-trial decision grid,
+  // and a stop leaves the prefetching pass mid-file: the streamed run must
+  // still stop where the resident run does, with the same outputs, and the
+  // source must rewind for a fixed pass over the whole file.
+  const std::string path = ::testing::TempDir() + "riskan_adaptive_streamed.yeltc";
+  core::save_yelt_chunked(world().yelt, path, 333);
+  for (const core::Backend backend : core::kAllBackends) {
+    const auto resident =
+        core::run_aggregate_analysis(world().portfolio, world().yelt, adaptive_engine(backend));
+    ASSERT_LT(resident.adaptive.trials_run, kTrials) << core::to_string(backend);
+
+    data::ChunkedFileSource streamed(path);
+    const auto result =
+        core::run_aggregate_analysis(world().portfolio, streamed, adaptive_engine(backend));
+    EXPECT_EQ(result.adaptive.trials_run, resident.adaptive.trials_run)
+        << core::to_string(backend);
+    EXPECT_EQ(result.adaptive.stop_reason, resident.adaptive.stop_reason);
+    expect_same_ylt(result.portfolio_ylt, resident.portfolio_ylt);
+    expect_same_ylt(result.portfolio_occurrence_ylt, resident.portfolio_occurrence_ylt);
+
+    streamed.reset();
+    core::EngineConfig fixed = adaptive_engine(backend);
+    fixed.adaptive = {};
+    const auto full = core::run_aggregate_analysis(world().portfolio, streamed, fixed);
+    expect_same_ylt(full.portfolio_ylt, world().full.portfolio_ylt);
+    expect_same_ylt(full.portfolio_occurrence_ylt, world().full.portfolio_occurrence_ylt);
+  }
+  remove_file(path);
 }
 
 TEST(AdaptiveStopping, BatchedAndPerContractPathsAgree) {

@@ -420,6 +420,51 @@ TEST(Engine, OnePlanPerTrialBlock) {
   }
 }
 
+TEST(Engine, AdaptivePassIsOneRun) {
+  // An adaptive pass is one engine run, resident or streamed, book or
+  // sweep, that executes one plan per decision block it folds.
+  const auto book = five_contract_book();
+  adaptive::AdaptiveConfig ad;
+  ad.target_rel_err = 0.5;
+  ad.block_trials = 100;
+  ad.min_trials = 300;
+  ad.min_batches = 2;
+  std::vector<scenario::ScenarioSpec> specs(2);
+  specs[0].name = "surge";
+  specs[0].loss_scale = 1.2;
+  specs[1].name = "exclusion";
+  specs[1].excluded_events = {1, 2, 3};
+  for (const Backend backend : kAllBackends) {
+    const std::string executions = std::string("exec.") + to_string(backend) + ".executions";
+    EngineConfig config;
+    config.backend = backend;
+    config.adaptive = ad;
+    for (const bool sweep : {false, true}) {
+      for (const bool reblocked : {false, true}) {
+        const std::string what = std::string(to_string(backend)) + (sweep ? "/sweep" : "/run") +
+                                 (reblocked ? " over 3 blocks" : " in memory");
+        data::InMemorySource whole(book.yelt);
+        data::ReblockedSource blocks(whole, 200);
+        ASSERT_EQ(blocks.block_count(), 3u);
+        data::TrialSource& source = reblocked ? static_cast<data::TrialSource&>(blocks) : whole;
+        const double runs_before = global_counter("engine.runs");
+        const double executions_before = global_counter(executions);
+        const double folded_before = global_counter("adaptive.blocks_folded");
+        const adaptive::AdaptiveReport report =
+            sweep ? scenario::run_scenario_sweep(book.portfolio, source, specs, config)
+                        .base.adaptive
+                  : run_aggregate_analysis(book.portfolio, source, config).adaptive;
+        ASSERT_TRUE(report.enabled) << what;
+        EXPECT_GE(report.blocks_folded, 3u) << what;
+        const double folded = global_counter("adaptive.blocks_folded") - folded_before;
+        EXPECT_EQ(folded, static_cast<double>(report.blocks_folded)) << what;
+        EXPECT_EQ(global_counter("engine.runs") - runs_before, 1.0) << what;
+        EXPECT_EQ(global_counter(executions) - executions_before, folded) << what;
+      }
+    }
+  }
+}
+
 TEST(Engine, StreamedBlocksBuildNoResolution) {
   // batch_contracts caches compact resolutions of a resident YELT only. A
   // streamed block dies with the pass, so its contracts gather by lookup:

@@ -406,7 +406,7 @@ TEST_P(StreamedEquivalence, BitIdenticalAcrossBackendsBatchingSecondary) {
   config.keep_contract_ylts = true;
   const auto reference = core::run_aggregate_analysis(w.portfolio, w.yelt, config);
 
-  // The kernel axis: a streamed run re-binds its plan per block, under
+  // The kernel axis: a streamed run lowers one plan per block, under
   // either host kernel.
   for (const core::Kernel kernel : core::kAllKernels) {
     config.kernel = kernel;

@@ -1,8 +1,11 @@
 // Formatting, report tables, binary I/O, alias table, and contract macros.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "util/alias_table.hpp"
 #include "util/bytes.hpp"
@@ -121,6 +124,34 @@ TEST(Bytes, FileRoundTrip) {
 
   remove_file(path);
   EXPECT_FALSE(file_exists(path));
+}
+
+TEST(Bytes, Crc32EqualsTheBitwiseDefinition) {
+  // The IEEE 802.3 check value, then every length 0..40 at every
+  // alignment 0..7 of a pseudo-random buffer against the polynomial
+  // applied one bit at a time: the eight-byte steps and the byte tail must
+  // both agree with the definition.
+  const char* check = "123456789";
+  EXPECT_EQ(crc32(std::as_bytes(std::span(check, 9))), 0xCBF43926u);
+  std::vector<std::byte> buffer(48);
+  std::uint32_t state = 12345;
+  for (std::byte& b : buffer) {
+    state = state * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(state >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 40; ++length) {
+      const std::span<const std::byte> data(buffer.data() + offset, length);
+      std::uint32_t crc = 0xFFFFFFFFu;
+      for (const std::byte b : data) {
+        crc ^= static_cast<std::uint32_t>(b);
+        for (int k = 0; k < 8; ++k) {
+          crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+        }
+      }
+      EXPECT_EQ(crc32(data), crc ^ 0xFFFFFFFFu) << "offset " << offset << " length " << length;
+    }
+  }
 }
 
 TEST(AliasTable, NormalisesProbabilities) {
