@@ -6,10 +6,9 @@
 // the trial structure C times and paid C fork/join barriers. That loop is
 // kept here, bench-local, as the baseline (per_contract_loop below).
 //
-// This bench sweeps book size on the full portfolio-roll-up workload
-// (per-contract YLTs and OEP kept, the examples/portfolio_analysis
-// configuration; secondary uncertainty off isolates the streaming path —
-// with it on, beta sampling dominates every arm equally) and reports:
+// This bench sweeps book size on the portfolio roll-up (per-contract YLTs
+// kept; secondary uncertainty off isolates the streaming path — with it
+// on, beta sampling dominates every arm equally) and reports:
 //   per-contract — the baseline loop, gathering by in-kernel lookup;
 //   batched      — the engine with batch_contracts set and a warm resolver
 //                  cache: one plan, compact gathers (the headline);
@@ -21,6 +20,12 @@
 // the gate reads the median per-round ratio. Acceptance bar: batched <= 0.7x
 // the per-contract loop on the >=16-contract shared-YELT book, and the
 // batched plan's modeled device time <= the loop's.
+//
+// Both arms run with OEP off. The kernel finishes a plan's OEP per trial
+// block, so a per-contract plan cannot build the book's OEP (each
+// contract's occurrence maximum is not the maximum of the book's summed
+// occurrence losses); the caller-owned, entries-sized occurrence column the
+// loop would need is the very scratch the engine no longer keeps.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -40,9 +45,8 @@ namespace {
 /// The per-contract baseline over one resident YELT: each contract's layer
 /// tower is its own plan of lookup slots, and the plans run in contract
 /// order on the config's backend (so with device_info set each plan is
-/// modeled on its own), followed by the OEP finalisation. Always produces
-/// the full roll-up E10 times (contract YLTs and OEP). Bit-identical to the
-/// engine's one-plan run.
+/// modeled on its own). Produces the roll-up E10 times (contract YLTs, no
+/// OEP). Bit-identical to the engine's one-plan run with OEP off.
 core::EngineResult per_contract_loop(const finance::Portfolio& portfolio,
                                      const data::YearEventLossTable& yelt,
                                      const core::EngineConfig& config) {
@@ -50,7 +54,6 @@ core::EngineResult per_contract_loop(const finance::Portfolio& portfolio,
   core::EngineResult result;
   result.portfolio_ylt = data::YearLossTable(trials, "portfolio");
   result.reinstatement_premium = data::YearLossTable(trials, "reinstatement-premium");
-  result.portfolio_occurrence_ylt = data::YearLossTable(trials, "portfolio-oep");
   for (const auto& contract : portfolio.contracts()) {
     result.contract_ylts.emplace_back(trials, "contract-" + std::to_string(contract.id()));
   }
@@ -60,7 +63,6 @@ core::EngineResult per_contract_loop(const finance::Portfolio& portfolio,
       samplers.emplace_back(contract.elt());
     }
   }
-  std::vector<Money> occurrence_accum(yelt.entries(), 0.0);
 
   const Philox4x32 philox(config.seed);
   std::vector<core::batch::Slot> slots(portfolio.layer_count());
@@ -82,7 +84,6 @@ core::EngineResult per_contract_loop(const finance::Portfolio& portfolio,
       slot.contract_losses = result.contract_ylts[c].mutable_losses();
       slot.portfolio_losses = result.portfolio_ylt.mutable_losses();
       slot.reinstatement_prem = result.reinstatement_premium.mutable_losses();
-      slot.occurrence_accum = occurrence_accum.data();
     }
     const auto plan = core::exec::ExecutionPlan::lower(
         std::span<const core::batch::Slot>(slots.data() + first, p - first), yelt.offsets(),
@@ -90,20 +91,18 @@ core::EngineResult per_contract_loop(const finance::Portfolio& portfolio,
     // One group, the tower: each row it found is one lookup per layer.
     result.elt_lookups += core::exec::execute(plan, philox, config)[0] * (p - first);
   }
-  core::batch::finalize_oep(result.portfolio_occurrence_ylt.mutable_losses(),
-                            occurrence_accum, yelt.offsets(), {});
   result.occurrences_processed = yelt.entries() * portfolio.layer_count();
   return result;
 }
 
-/// Whether every output of `a` equals `b`'s bit for bit; names the first
+/// Whether every output of `a` equals `b`'s bit for bit (AEP, reinstatement
+/// and contract tables, elt_lookups; OEP is off); names the first
 /// difference on stderr.
 bool same_outputs(const core::EngineResult& a, const core::EngineResult& b,
                   const std::string& what) {
   const TrialId trials = a.portfolio_ylt.trials();
   for (TrialId t = 0; t < trials; ++t) {
     if (a.portfolio_ylt[t] != b.portfolio_ylt[t] ||
-        a.portfolio_occurrence_ylt[t] != b.portfolio_occurrence_ylt[t] ||
         a.reinstatement_premium[t] != b.reinstatement_premium[t]) {
       std::cerr << what << " MISMATCH at trial " << t << " — outputs are not bit-identical\n";
       return false;
@@ -137,7 +136,7 @@ int main() {
   config.kernel = core::Kernel::Scalar;  // this bench measures the scalar kernel
   config.backend = core::Backend::Threaded;
   config.secondary_uncertainty = false;
-  config.compute_oep = true;       // the full roll-up outputs
+  config.compute_oep = false;  // a per-contract plan cannot build the book's OEP
   config.keep_contract_ylts = true;
 
   ReportTable table({"contracts", "layers", "per-contract", "batched",
@@ -147,7 +146,7 @@ int main() {
   json.set("experiment", std::string("e10_portfolio_batch"));
   json.set("trials", static_cast<std::uint64_t>(trials));
   json.set("secondary_uncertainty", std::string("off"));
-  json.set("compute_oep", std::string("on"));
+  json.set("compute_oep", std::string("off"));
   json.set("rounds", static_cast<std::uint64_t>(rounds));
 
   double headline_ratio = 0.0;

@@ -11,7 +11,10 @@
 // scales, exclusion masks, post-event conditioning, a contract drop) on the
 // E10 16-contract × 4-layer book, verifies the identity contract
 // (sweep base bit-identical to run_portfolio_batch) before timing, and
-// reports sweep wall-clock against 16 independent warm batched runs.
+// reports sweep wall-clock against 16 independent warm batched runs, the
+// two arms timed in alternating rounds (bench::alternating_rounds: 9
+// rounds, 5 in quick mode), so host drift lands on both; each arm's row is
+// its median round and the gated ratio is the median per-round ratio.
 // Acceptance bar: sweep <= 0.5x the independent runs. Secondary
 // uncertainty is ON (the engine default and the realistic pricing regime);
 // the secondary-off ratio is reported alongside since it isolates the
@@ -21,7 +24,8 @@
 // the YELT saved as a chunked file of 16 blocks (data::ChunkedFileSource),
 // after checking every run against the resident sweep bit for bit. A
 // streamed sweep gathers by lookup and builds no resolution, so its
-// streamed_resolve_seconds must read 0. That row is reported, not gated.
+// streamed_resolve_seconds must read 0. That row, the median of as many
+// lone runs as there are rounds, is reported, not gated.
 #include <algorithm>
 #include <iostream>
 
@@ -92,21 +96,6 @@ std::vector<scenario::ScenarioSpec> make_specs(const finance::Portfolio& portfol
   return specs;
 }
 
-/// Best-of-N wall-clock (first run warms resolver/page caches).
-template <typename Run>
-double best_seconds(int reps, const Run& run) {
-  double best = -1.0;
-  for (int r = 0; r < reps; ++r) {
-    obs::Timer watch("bench.rep");
-    run();
-    const double s = watch.stop();
-    if (best < 0.0 || s < best) {
-      best = s;
-    }
-  }
-  return best;
-}
-
 struct Regime {
   const char* label;
   bool secondary;
@@ -141,7 +130,7 @@ int main() {
   print_banner(std::cout, "E11: 16-scenario sweep vs 16 independent batched runs");
 
   const TrialId trials = bench::scaled_trials(50'000);
-  const int reps = bench::quick_mode() ? 2 : 3;
+  const int rounds = bench::quick_mode() ? 5 : 9;
   auto w = bench::make_workload(/*contracts=*/16, /*elt_rows=*/1'000, trials,
                                 /*events_per_year=*/10.0, /*catalog_events=*/10'000,
                                 /*layers_per_contract=*/4);
@@ -156,9 +145,10 @@ int main() {
   json.set("scenarios", static_cast<std::uint64_t>(specs.size()));
   json.set("contracts", static_cast<std::uint64_t>(w.portfolio.size()));
   json.set("layers", static_cast<std::uint64_t>(w.portfolio.layer_count()));
+  json.set("rounds", static_cast<std::uint64_t>(rounds));
 
   ReportTable table({"secondary", "16 independent", "sweep", "sweep/independent",
-                     "occurrences/s sweep"});
+                     "per-round range", "occurrences/s sweep"});
 
   double headline_ratio = 0.0;
   for (const Regime regime : {Regime{"on", true}, Regime{"off", false}}) {
@@ -185,16 +175,17 @@ int main() {
       }
     }
 
-    const double independent_s = best_seconds(reps, [&] {
-      for (std::size_t s = 0; s < specs.size(); ++s) {
-        core::run_portfolio_batch(w.portfolio, w.yelt, config);
-      }
-    });
-    const double sweep_s = best_seconds(reps, [&] {
-      scenario::run_scenario_sweep(w.portfolio, w.yelt, specs, config);
-    });
-
-    const double ratio = sweep_s / independent_s;
+    const bench::PairedSummary timed = bench::summarize(bench::alternating_rounds(
+        rounds,
+        [&] {
+          for (std::size_t s = 0; s < specs.size(); ++s) {
+            core::run_portfolio_batch(w.portfolio, w.yelt, config);
+          }
+        },
+        [&] { scenario::run_scenario_sweep(w.portfolio, w.yelt, specs, config); }));
+    const double independent_s = timed.a;
+    const double sweep_s = timed.b;
+    const double ratio = timed.ratio;
     // Occurrence walks the sweep serves per second (base + 16 scenarios).
     double swept_occurrences = static_cast<double>(sweep.base.occurrences_processed);
     for (const auto& result : sweep.scenarios) {
@@ -202,12 +193,16 @@ int main() {
     }
     table.add_row({regime.label, format_seconds(independent_s), format_seconds(sweep_s),
                    format_fixed(ratio, 2) + "x",
+                   format_fixed(timed.ratio_min, 2) + "-" + format_fixed(timed.ratio_max, 2) +
+                       "x",
                    format_rate(swept_occurrences / sweep_s)});
 
     const std::string prefix = std::string("secondary_") + regime.label + "_";
     json.set(prefix + "independent_seconds", independent_s);
     json.set(prefix + "sweep_seconds", sweep_s);
     json.set(prefix + "ratio", ratio);
+    json.set(prefix + "ratio_min", timed.ratio_min);
+    json.set(prefix + "ratio_max", timed.ratio_max);
     if (regime.secondary) {
       headline_ratio = ratio;
       json.set("plan_contracts_resolved",
@@ -235,7 +230,13 @@ int main() {
                      "sweep\n";
         return 1;
       }
-      const double streamed_s = best_seconds(reps, [&] { (void)streamed_sweep(); });
+      std::vector<double> streamed_times;
+      for (int r = 0; r < rounds; ++r) {
+        obs::Timer watch("bench.round");
+        (void)streamed_sweep();
+        streamed_times.push_back(watch.stop());
+      }
+      const double streamed_s = bench::median(streamed_times);
       std::cout << "streamed sweep (" << blocks << " chunked blocks): "
                 << format_seconds(streamed_s) << ", resolution builds "
                 << format_seconds(streamed.base.resolve_seconds) << "\n";

@@ -11,12 +11,17 @@
 // The workload is chosen to put weight where the vector kernel works: a
 // batched 16-contract book with dense hit lists (ELT covering ~40% of the
 // catalogue, ~30 qualifying events per trial-year). The headline row is
-// the kernel claim, so it runs secondary off (the beta sampler is
-// inherently scalar) and OEP off: the occurrence roll-up's scratch
-// zeroing and finalize scan are identical memory-bound work on both
-// sides, so leaving them in only shrinks every ratio toward 1 without
-// measuring anything about the kernel. Full-roll-up and secondary-on
-// rows are reported informationally right below it.
+// the kernel claim, so it runs secondary off and OEP off: it times the
+// occurrence algebra alone. The full-roll-up row adds OEP, which each
+// kernel accumulates and finishes per trial block in block-local scratch
+// (256 trials per scalar block, 1024 per vector block, one lane max scan
+// on both sides), and the secondary-on row adds sampling; both are
+// reported right below it, ungated by the bar.
+//
+// Every pair runs in alternating rounds (bench::alternating_rounds: 9
+// rounds, 5 in quick mode), so host drift lands on both arms: a row's
+// times are each arm's median round, its ratio the median per-round
+// ratio, with the least and largest per-round ratio beside it.
 //
 // Bit-identity of Auto with Scalar on Sequential and Threaded is verified
 // before any timing, across secondary {off, on} × OEP {off, on}.
@@ -32,26 +37,23 @@
 #include "core/portfolio_batch.hpp"
 #include "core/simd.hpp"
 #include "data/resolved_yelt.hpp"
-#include "obs/obs.hpp"
 
 using namespace riskan;
 
 namespace {
 
-/// Best-of-N wall-clock (first run warms the resolver cache; single-shot
-/// numbers are unusable on shared CI hosts).
-template <typename Run>
-double best_seconds(int reps, const Run& run) {
-  double best = -1.0;
-  for (int r = 0; r < reps; ++r) {
-    obs::Timer watch("bench.rep");
-    run();
-    const double s = watch.stop();
-    if (best < 0.0 || s < best) {
-      best = s;
-    }
-  }
-  return best;
+/// Times `config` under Kernel::Scalar (arm a) against Kernel::Auto (arm
+/// b) in alternating rounds.
+bench::PairedSummary scalar_vs_auto(int rounds, const finance::Portfolio& portfolio,
+                                    const data::YearEventLossTable& yelt,
+                                    const core::EngineConfig& config) {
+  core::EngineConfig scalar = config;
+  scalar.kernel = core::Kernel::Scalar;
+  core::EngineConfig vector = config;
+  vector.kernel = core::Kernel::Auto;
+  return bench::summarize(bench::alternating_rounds(
+      rounds, [&] { core::run_aggregate_analysis(portfolio, yelt, scalar); },
+      [&] { core::run_aggregate_analysis(portfolio, yelt, vector); }));
 }
 
 bool identical(const core::EngineResult& a, const core::EngineResult& b) {
@@ -105,7 +107,7 @@ int main() {
             << " Money lanes)\n\n";
 
   const TrialId trials = bench::scaled_trials(20'000);
-  const int reps = bench::quick_mode() ? 2 : 5;
+  const int rounds = bench::quick_mode() ? 5 : 9;
   auto w = bench::make_workload(/*contracts=*/16, /*elt_rows=*/4'000, trials,
                                 /*events_per_year=*/30.0, /*catalog_events=*/10'000,
                                 /*layers_per_contract=*/2);
@@ -141,7 +143,7 @@ int main() {
   std::cout << "bit-identity verified: Scalar == Auto on Sequential and Threaded "
                "(secondary off/on x OEP off/on)\n\n";
 
-  ReportTable table({"configuration", "scalar", "auto", "auto/scalar"});
+  ReportTable table({"configuration", "scalar", "auto", "auto/scalar", "per-round range"});
 
   struct Row {
     const char* label;
@@ -160,26 +162,20 @@ int main() {
     config.secondary_uncertainty = row.secondary;
     config.compute_oep = row.oep;
     config.backend = core::Backend::Sequential;
-    config.kernel = core::Kernel::Scalar;
-    const double seq_s = best_seconds(reps, [&] {
-      core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    });
-    config.kernel = core::Kernel::Auto;
-    const double simd_s = best_seconds(reps, [&] {
-      core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    });
-    const double ratio = simd_s / seq_s;
-
-    table.add_row({row.label, format_seconds(seq_s), format_seconds(simd_s),
-                   format_fixed(ratio, 2) + "x"});
+    const bench::PairedSummary timed = scalar_vs_auto(rounds, w.portfolio, w.yelt, config);
+    table.add_row({row.label, format_seconds(timed.a), format_seconds(timed.b),
+                   format_fixed(timed.ratio, 2) + "x",
+                   format_fixed(timed.ratio_min, 2) + "-" + format_fixed(timed.ratio_max, 2) +
+                       "x"});
     const std::string prefix = row.key_prefix;
-    json.set(prefix + "sequential_seconds", seq_s);
-    json.set(prefix + "simd_seconds", simd_s);
-    json.set(prefix.empty() ? "simd_vs_sequential_ratio"
-                            : prefix + "simd_vs_sequential_ratio",
-             ratio);
+    const std::string ratio_key = prefix + "simd_vs_sequential_ratio";
+    json.set(prefix + "sequential_seconds", timed.a);
+    json.set(prefix + "simd_seconds", timed.b);
+    json.set(ratio_key, timed.ratio);
+    json.set(ratio_key + "_min", timed.ratio_min);
+    json.set(ratio_key + "_max", timed.ratio_max);
     if (prefix.empty()) {
-      headline_ratio = ratio;
+      headline_ratio = timed.ratio;
     }
   }
 
@@ -188,20 +184,16 @@ int main() {
   config.secondary_uncertainty = false;
   config.compute_oep = false;
   config.backend = core::Backend::Threaded;
-  config.kernel = core::Kernel::Scalar;
-  const double thr_s = best_seconds(reps, [&] {
-    core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-  });
-  config.kernel = core::Kernel::Auto;
-  const double thr_simd_s = best_seconds(reps, [&] {
-    core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-  });
-  const double thr_ratio = thr_simd_s / thr_s;
-  table.add_row({"threaded: auto vs scalar", format_seconds(thr_s),
-                 format_seconds(thr_simd_s), format_fixed(thr_ratio, 2) + "x"});
-  json.set("threaded_seconds", thr_s);
-  json.set("threaded_simd_seconds", thr_simd_s);
-  json.set("threaded_simd_vs_threaded_ratio", thr_ratio);
+  const bench::PairedSummary threaded = scalar_vs_auto(rounds, w.portfolio, w.yelt, config);
+  table.add_row({"threaded: auto vs scalar", format_seconds(threaded.a),
+                 format_seconds(threaded.b), format_fixed(threaded.ratio, 2) + "x",
+                 format_fixed(threaded.ratio_min, 2) + "-" +
+                     format_fixed(threaded.ratio_max, 2) + "x"});
+  json.set("threaded_seconds", threaded.a);
+  json.set("threaded_simd_seconds", threaded.b);
+  json.set("threaded_simd_vs_threaded_ratio", threaded.ratio);
+  json.set("threaded_simd_vs_threaded_ratio_min", threaded.ratio_min);
+  json.set("threaded_simd_vs_threaded_ratio_max", threaded.ratio_max);
 
   bench::emit("e16_simd", table);
 
@@ -212,6 +204,7 @@ int main() {
             << "; all outputs bit-identical across kernels\n";
 
   json.set("trials", static_cast<std::uint64_t>(trials));
+  json.set("rounds", static_cast<std::uint64_t>(rounds));
   const std::string json_path = bench::artifact_path("BENCH_e16.json");
   json.write(json_path);
   std::cout << "\nwrote " << json_path << "\n";

@@ -9,16 +9,19 @@
 // attempt for both gamma marginals runs on that pre-drawn word budget, and
 // only the rejection tail falls back to the scalar sampler on a fresh
 // per-occurrence stream — which recomputes from the stream's start, so
-// results stay bit-identical to the scalar kernel. finalize_oep's
+// results stay bit-identical to the scalar kernel. The OEP's per-trial
 // running-max scan is vectorized alongside (order-invariant for its
-// non-negative input class).
+// non-negative input class); both kernels run it when they finish a trial
+// block's OEP.
 //
 // The workload matches E16 (batched 16-contract book, dense hit lists) so
 // the two reports compose: E16's secondary-on row was ~0.9x scalar
 // (sampling dominated and stayed scalar); the headline here is that same
 // secondary-on + OEP-on configuration, now gated at <= 0.7x. The
-// full-roll-up (means + OEP) row tracks the finalize_oep win against
-// E16's 0.71x.
+// full-roll-up (means + OEP) row tracks E16's OEP row. Every pair runs in
+// alternating rounds (bench::alternating_rounds: 9 rounds, 5 in quick
+// mode): a row's times are each arm's median round, its ratio the median
+// per-round ratio, with the least and largest beside it.
 //
 // Both sides run on the Sequential backend: Kernel::Scalar is the scalar
 // sampler and kernel, Kernel::Auto the vector ones. Bit-identity is
@@ -49,20 +52,18 @@ using namespace riskan;
 
 namespace {
 
-/// Best-of-N wall-clock (first run warms the resolver cache; single-shot
-/// numbers are unusable on shared CI hosts).
-template <typename Run>
-double best_seconds(int reps, const Run& run) {
-  double best = -1.0;
-  for (int r = 0; r < reps; ++r) {
-    obs::Timer watch("bench.rep");
-    run();
-    const double s = watch.stop();
-    if (best < 0.0 || s < best) {
-      best = s;
-    }
-  }
-  return best;
+/// Times `config` under Kernel::Scalar (arm a) against Kernel::Auto (arm
+/// b) in alternating rounds.
+bench::PairedSummary scalar_vs_auto(int rounds, const finance::Portfolio& portfolio,
+                                    const data::YearEventLossTable& yelt,
+                                    const core::EngineConfig& config) {
+  core::EngineConfig scalar = config;
+  scalar.kernel = core::Kernel::Scalar;
+  core::EngineConfig vector = config;
+  vector.kernel = core::Kernel::Auto;
+  return bench::summarize(bench::alternating_rounds(
+      rounds, [&] { core::run_aggregate_analysis(portfolio, yelt, scalar); },
+      [&] { core::run_aggregate_analysis(portfolio, yelt, vector); }));
 }
 
 bool identical(const core::EngineResult& a, const core::EngineResult& b) {
@@ -128,7 +129,7 @@ int main() {
             << " Money lanes)\n\n";
 
   const TrialId trials = bench::scaled_trials(20'000);
-  const int reps = bench::quick_mode() ? 2 : 5;
+  const int rounds = bench::quick_mode() ? 5 : 9;
   auto w = bench::make_workload(/*contracts=*/16, /*elt_rows=*/4'000, trials,
                                 /*events_per_year=*/30.0, /*catalog_events=*/10'000,
                                 /*layers_per_contract=*/2);
@@ -207,7 +208,7 @@ int main() {
                "(secondary off/on x OEP off/on) and dist workers {0, 2, 4} "
                "(secondary on)\n\n";
 
-  ReportTable table({"configuration", "scalar", "auto", "auto/scalar"});
+  ReportTable table({"configuration", "scalar", "auto", "auto/scalar", "per-round range"});
 
   struct Row {
     const char* label;
@@ -226,26 +227,20 @@ int main() {
     config.secondary_uncertainty = row.secondary;
     config.compute_oep = row.oep;
     config.backend = core::Backend::Sequential;
-    config.kernel = core::Kernel::Scalar;
-    const double seq_s = best_seconds(reps, [&] {
-      core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    });
-    config.kernel = core::Kernel::Auto;
-    const double simd_s = best_seconds(reps, [&] {
-      core::run_aggregate_analysis(w.portfolio, w.yelt, config);
-    });
-    const double ratio = simd_s / seq_s;
-
-    table.add_row({row.label, format_seconds(seq_s), format_seconds(simd_s),
-                   format_fixed(ratio, 2) + "x"});
+    const bench::PairedSummary timed = scalar_vs_auto(rounds, w.portfolio, w.yelt, config);
+    table.add_row({row.label, format_seconds(timed.a), format_seconds(timed.b),
+                   format_fixed(timed.ratio, 2) + "x",
+                   format_fixed(timed.ratio_min, 2) + "-" + format_fixed(timed.ratio_max, 2) +
+                       "x"});
     const std::string prefix = row.key_prefix;
-    json.set(prefix + "sequential_seconds", seq_s);
-    json.set(prefix + "simd_seconds", simd_s);
-    json.set(prefix.empty() ? "simd_vs_sequential_ratio"
-                            : prefix + "simd_vs_sequential_ratio",
-             ratio);
+    const std::string ratio_key = prefix + "simd_vs_sequential_ratio";
+    json.set(prefix + "sequential_seconds", timed.a);
+    json.set(prefix + "simd_seconds", timed.b);
+    json.set(ratio_key, timed.ratio);
+    json.set(ratio_key + "_min", timed.ratio_min);
+    json.set(ratio_key + "_max", timed.ratio_max);
     if (prefix.empty()) {
-      headline_ratio = ratio;
+      headline_ratio = timed.ratio;
     }
   }
 
@@ -280,6 +275,7 @@ int main() {
             << "; all outputs bit-identical across backends and dist workers\n";
 
   json.set("trials", static_cast<std::uint64_t>(trials));
+  json.set("rounds", static_cast<std::uint64_t>(rounds));
   const std::string json_path = bench::artifact_path("BENCH_e17.json");
   json.write(json_path);
   std::cout << "\nwrote " << json_path << "\n";

@@ -117,6 +117,25 @@ PairedRounds alternating_rounds(int rounds, const RunA& a, const RunB& b) {
   return out;
 }
 
+/// A paired timing as the gates read it: each arm's median round, and the
+/// median, least and largest per-round ratio b / a.
+struct PairedSummary {
+  double a = 0.0;
+  double b = 0.0;
+  double ratio = 0.0;
+  double ratio_min = 0.0;
+  double ratio_max = 0.0;
+};
+
+inline PairedSummary summarize(const PairedRounds& timed) {
+  std::vector<double> ratios;
+  for (std::size_t r = 0; r < timed.a.size(); ++r) {
+    ratios.push_back(timed.b[r] / timed.a[r]);
+  }
+  const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+  return {median(timed.a), median(timed.b), median(ratios), *lo, *hi};
+}
+
 #ifndef RISKAN_BUILD_TYPE
 #define RISKAN_BUILD_TYPE "unknown"
 #endif

@@ -276,7 +276,7 @@ StratifiedResult run_stratified_mean(const finance::Portfolio& portfolio,
     const TrialId t = order[h][next[h]++];
     batch::process_trials(slots, groups, yelt_offsets, philox,
                           engine.secondary_uncertainty, engine.trial_base, t,
-                          t + 1, annual_scratch);
+                          t + 1, annual_scratch, {});
     stats[h].add(portfolio_losses[t]);
     result.samples.push_back({t, portfolio_losses[t]});
   };

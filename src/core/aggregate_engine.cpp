@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -66,24 +65,6 @@ void validate_engine_config(const EngineConfig& config) {
                    "the device model needs a shared-memory arena");
   }
 }
-
-namespace {
-
-/// Block-sized scratch of one run: grown on the calling thread, never
-/// shrunk, and zeroed by whoever uses it.
-struct Scratch {
-  std::unique_ptr<Money[]> cells;
-  std::size_t capacity = 0;
-
-  void reserve(std::size_t n) {
-    if (capacity < n) {
-      cells = std::make_unique_for_overwrite<Money[]>(n);
-      capacity = n;
-    }
-  }
-};
-
-}  // namespace
 
 BookRuns BookRuns::single(const finance::Portfolio& portfolio) {
   BookRuns runs;
@@ -197,30 +178,15 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
     elts.push_back(&contract->elt());
   }
   // Pool-free backends must stay off the pool end to end, resolution and
-  // mask builds and per-run work included (single-thread contract).
+  // mask builds included (single-thread contract).
   const ParallelConfig block_par =
       pool_free(config.backend)
           ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
           : ParallelConfig{config.pool, config.trial_grain};
-  const ParallelConfig per_run =
-      pool_free(config.backend) ? block_par : ParallelConfig{config.pool, 1};
-  const auto for_each_run = [&](const auto& body) {
-    parallel_for(
-        0, run_count,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t r = lo; r < hi; ++r) {
-            body(r);
-          }
-        },
-        per_run);
-  };
   data::MultiResolution resolution;
   std::vector<batch::MaskColumn> masks(runs.exclusions.size());
-  // OEP and conditioned scratch: one of each per run, sized to the largest
-  // block. Allocating it here on the calling thread, and only zeroing it in
-  // pool tasks, keeps it out of the pool threads' malloc arenas.
-  std::vector<Scratch> occurrence_accum(run_count);
-  std::vector<Scratch> conditioned_accum(run_count);
+  // Each run's OEP slice of the block; the kernel finishes them.
+  std::vector<std::span<Money>> oep_tables(config.compute_oep ? run_count : 0);
 
   const Philox4x32 philox(config.seed);
   std::vector<batch::Slot> slots(runs.blueprints.size());
@@ -244,24 +210,12 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
     for (std::size_t m = 0; m < masks.size(); ++m) {
       masks[m] = batch::MaskColumn::build(yelt, runs.exclusions[m], block_par);
     }
-    if (config.compute_oep) {
-      for (std::size_t r = 0; r < run_count; ++r) {
-        occurrence_accum[r].reserve(entries);
-        if (runs.runs[r].conditioned) {
-          conditioned_accum[r].reserve(block_trials);
-        }
-      }
-      for_each_run([&](std::size_t r) {
-        std::fill_n(occurrence_accum[r].cells.get(), entries, 0.0);
-        if (runs.runs[r].conditioned) {
-          std::fill_n(conditioned_accum[r].cells.get(), block_trials, 0.0);
-        }
-      });
-    }
-
     const auto block_slice = [&](data::YearLossTable& ylt) {
       return ylt.mutable_losses().subspan(block.trial_offset, block_trials);
     };
+    for (std::size_t r = 0; r < oep_tables.size(); ++r) {
+      oep_tables[r] = block_slice(results[r].portfolio_occurrence_ylt);
+    }
     for (std::size_t p = 0; p < slots.size(); ++p) {
       const SlotBlueprint& bp = runs.blueprints[p];
       const finance::Contract& contract = *runs.contracts[bp.contract];
@@ -292,26 +246,14 @@ std::vector<EngineResult> run_books(const BookRuns& runs, data::TrialSource& sou
                                  : std::span<Money>{};
       slot.portfolio_losses = block_slice(result.portfolio_ylt);
       slot.reinstatement_prem = block_slice(result.reinstatement_premium);
-      slot.occurrence_accum = occurrence_accum[bp.run].cells.get();
-      slot.conditioned_accum = conditioned_accum[bp.run].cells.get();
+      slot.oep_run = config.compute_oep ? static_cast<std::uint32_t>(bp.run) : batch::kNoOep;
     }
 
     const exec::ExecutionPlan plan =
         exec::ExecutionPlan::lower(slots, yelt_offsets, block_trials,
                                    config.trial_base + block.trial_offset,
-                                   config.secondary_uncertainty);
+                                   config.secondary_uncertainty, oep_tables);
     const auto found = exec::execute(plan, philox, config);
-
-    if (config.compute_oep) {
-      for_each_run([&](std::size_t r) {
-        batch::finalize_oep(block_slice(results[r].portfolio_occurrence_ylt),
-                            {occurrence_accum[r].cells.get(), entries}, yelt_offsets,
-                            runs.runs[r].conditioned
-                                ? std::span<const Money>(conditioned_accum[r].cells.get(),
-                                                         block_trials)
-                                : std::span<const Money>{});
-      });
-    }
     // Each slot is one (occurrence × layer) evaluation of its run, so a run
     // is credited every YELT entry and every row its group found, once per
     // slot it has in the group.

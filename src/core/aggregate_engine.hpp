@@ -133,8 +133,8 @@ struct EngineConfig {
   /// Trials per parallel chunk (Threaded) — the chunking knob of E4.
   /// 0 = library default.
   std::size_t trial_grain = 0;
-  /// Also produce the per-trial maximum occurrence loss (OEP input).
-  /// Costs one Money per YELT occurrence of scratch.
+  /// Also produce the per-trial maximum occurrence loss (OEP input). The
+  /// kernel finishes it per trial block in block-local scratch.
   bool compute_oep = true;
   /// Keep per-contract YLTs in the result. Off saves contracts x trials
   /// doubles when only the portfolio view is needed (large benches).
@@ -269,9 +269,6 @@ struct BookRuns {
     /// Indices into `contracts`, in the run's book order (its contract
     /// YLTs come out in this order).
     std::vector<std::size_t> book;
-    /// Whether any slot of the run injects a conditioned occurrence (the
-    /// run's OEP then needs per-trial conditioned scratch).
-    bool conditioned = false;
   };
 
   /// The distinct contracts of every run, in gather-group order.
@@ -294,8 +291,9 @@ struct BookRuns {
 /// Per trial block it gathers compact (config.batch_contracts over a
 /// resident source: cached resolutions) or by lookup (everything else,
 /// building nothing), builds one MaskColumn per distinct exclusion set,
-/// fills the slots from the blueprints, lowers one plan, executes it once
-/// (exec::execute), and finalises each run's OEP. A run's elt_lookups
+/// fills the slots from the blueprints, and lowers and executes one plan
+/// (exec::execute) whose kernel also finishes each run's OEP slice of the
+/// block. A run's elt_lookups
 /// credits the rows each of its groups found once per slot it has in the
 /// group. With config.adaptive enabled the pass walks the decision grid
 /// (data::ReblockedSource over `source`, capped at max_trials), folds run

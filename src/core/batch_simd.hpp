@@ -18,7 +18,7 @@
 //       algebra lane-parallel into an occurrence-loss chunk, and a scalar
 //       fold pass consumes that chunk IN OCCURRENCE ORDER, advancing a
 //       trial cursor over the CSR offsets, which is what keeps the annual
-//       sums and the OEP accumulator bit-identical to the scalar kernel.
+//       sums and the OEP cells bit-identical to the scalar kernel.
 //       The sub-width remainder of each chunk runs the scalar ops in the
 //       same order (the lane-tail contract).
 //   vector-dense — lookup group (likewise a tower with its scenario
@@ -32,10 +32,15 @@
 //       exactly the scalar kernel's `continue`.
 //   scalar — everything else (mask columns under either gather, lookups
 //       over tables too sparse to carry an event→row table) falls back to
-//       batch::process_trials for the (group, block) — same code, so
-//       equality across the full feature matrix holds by construction.
+//       the scalar kernel's own group pass (detail::process_group_scalar)
+//       for the (group, block) — same code, so equality across the full
+//       feature matrix holds by construction.
 //
-// Shared outputs (the portfolio roll-up, a shared OEP accumulator) see the
+// Each block of kVectorTrialBlock trials accumulates every run's OEP cells
+// in block-local scratch (OepSink) and finishes them into the runs' OEP
+// tables after its last group, vector and fallback groups alike.
+//
+// Shared outputs (the portfolio roll-up, a run's OEP cells) see the
 // same per-cell addition order as the scalar kernel: the block loop is
 // outermost and groups run in plan order within it, so for any fixed trial
 // the groups touch that trial's cells in the scalar kernel's group order;
@@ -85,14 +90,19 @@ struct SimdStats {
   }
 };
 
+/// Trials per block of the vector kernel's outer loop: each block finishes
+/// its OEP after its last group, like process_trials' kTrialBlock.
+inline constexpr TrialId kVectorTrialBlock = 1024;
+
 /// Shared signature of the per-ISA kernels: process_trials' arguments plus
 /// the stats sink (chunk scratch lives on the kernel's own stack). Like
-/// process_trials, they count each group's found rows into Group::found.
+/// process_trials, they count each group's found rows into Group::found
+/// and finish each block's OEP into the sink's tables.
 using SimdKernelFn = void (*)(std::span<const Slot> slots, std::span<const Group> groups,
                               std::span<const std::uint64_t> yelt_offsets,
                               const Philox4x32& philox, bool secondary, TrialId trial_base,
                               TrialId lo, TrialId hi, std::span<Money> annual_scratch,
-                              SimdStats& stats);
+                              const OepSink& oep, SimdStats& stats);
 
 // Per-ISA kernels; each is defined only when its RISKAN_SIMD_* macro is
 // compiled in (exec::simd_dispatch() is the only referent).
@@ -100,12 +110,12 @@ void process_trials_simd_avx2(std::span<const Slot> slots, std::span<const Group
                               std::span<const std::uint64_t> yelt_offsets,
                               const Philox4x32& philox, bool secondary, TrialId trial_base,
                               TrialId lo, TrialId hi, std::span<Money> annual_scratch,
-                              SimdStats& stats);
+                              const OepSink& oep, SimdStats& stats);
 void process_trials_simd_neon(std::span<const Slot> slots, std::span<const Group> groups,
                               std::span<const std::uint64_t> yelt_offsets,
                               const Philox4x32& philox, bool secondary, TrialId trial_base,
                               TrialId lo, TrialId hi, std::span<Money> annual_scratch,
-                              SimdStats& stats);
+                              const OepSink& oep, SimdStats& stats);
 
 /// The functions of util/lane_math.hpp, for lane_math_lanes.
 enum class LaneFn { Log, Exp, Cos2Pi };
@@ -160,10 +170,11 @@ void apply_occurrence_lanes_neon(const finance::LayerTerms& terms, const Money* 
 
 /// Vectorized running max of values[0..n) seeded with `init`, dispatched
 /// like apply_occurrence_lanes (scalar loop when no ISA is active). Bitwise
-/// order-invariant for this input class — finalize_oep accumulators are
-/// non-NaN and >= +0.0 (sums of non-negative contributions seeded with
-/// 0.0), so no -0.0/NaN tie can make the lane max pick differently from the
-/// scalar scan.
+/// order-invariant for this input class — OEP cells are non-NaN and
+/// >= +0.0 (sums of non-negative contributions seeded with 0.0), so no
+/// -0.0/NaN tie can make the lane max pick differently from the scalar
+/// scan. The kernels' per-block OEP finish runs the dispatched ISA's body
+/// (OepSink::max_range).
 Money max_range_lanes(const Money* values, std::size_t n, Money init);
 
 // Per-ISA bodies of max_range_lanes, defined with their kernels.
@@ -177,8 +188,29 @@ namespace detail {
 // per-file -mavx2 TU never emits comdat PRNG/beta/finish code that could
 // be picked for a pre-AVX2 host.
 
-/// batch-internal conditioned_annual of one (slot, trial).
-Money conditioned_annual_slot(const Slot& s, TrialId t);
+/// batch-internal conditioned_annual of one (slot, trial): adds the
+/// conditioned occurrence's share to cond[i] when `cond` is non-null (the
+/// slot's OepSink::conditioned_cells, i the trial's index in the block).
+Money conditioned_annual_slot(const Slot& s, Money* cond, std::size_t i);
+
+/// The scalar kernel's pass of one group over the kernel block [b0, b1),
+/// of any length, without finishing the block's OEP: the vector kernel's
+/// fallback for a group it does not vectorize. Returns the rows found.
+std::uint64_t process_group_scalar(const Slot* gs, std::size_t gsize, const Philox4x32& philox,
+                                   bool secondary, TrialId trial_base, TrialId b0, TrialId b1,
+                                   std::span<const std::uint64_t> yelt_offsets, Money* annuals,
+                                   const OepSink& oep);
+
+/// Zeroes the OEP scratch of the kernel block [b0, b1) (no-op when `oep`
+/// has no tables).
+void open_oep_block(const OepSink& oep, std::span<const std::uint64_t> yelt_offsets,
+                    TrialId b0, TrialId b1);
+
+/// Writes each table's per-trial maximum of the kernel block [b0, b1) —
+/// the trial's occurrence cells, seeded with its conditioned cell — once
+/// the block's last group has run.
+void finish_oep_block(const OepSink& oep, std::span<const std::uint64_t> yelt_offsets,
+                      TrialId b0, TrialId b1);
 
 /// Adds `rows` to the group's found counter, atomically, when it has one.
 void add_found(const Group& group, std::uint64_t rows);

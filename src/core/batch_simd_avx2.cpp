@@ -133,9 +133,9 @@ void process_trials_simd_avx2(std::span<const Slot> slots, std::span<const Group
                               std::span<const std::uint64_t> yelt_offsets,
                               const Philox4x32& philox, bool secondary, TrialId trial_base,
                               TrialId lo, TrialId hi, std::span<Money> annual_scratch,
-                              SimdStats& stats) {
+                              const OepSink& oep, SimdStats& stats) {
   impl::process_trials_simd<Avx2Ops>(slots, groups, yelt_offsets, philox, secondary, trial_base,
-                                   lo, hi, annual_scratch, stats);
+                                   lo, hi, annual_scratch, oep, stats);
 }
 
 void lane_math_lanes_avx2(LaneFn f, const double* in, std::size_t n, double* out) {
@@ -164,7 +164,7 @@ void apply_occurrence_lanes_avx2(const finance::LayerTerms& terms, const Money* 
 }
 
 Money max_range_lanes_avx2(const Money* values, std::size_t n, Money init) {
-  // Safe to reorder bitwise for finalize_oep's input class (non-NaN,
+  // Safe to reorder bitwise for the OEP cells' input class (non-NaN,
   // >= +0.0): vmaxpd picks b on ties, std::max keeps a — but equal
   // non-negative doubles share one bit pattern, so the pick cannot differ.
   std::size_t k = 0;

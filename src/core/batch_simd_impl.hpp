@@ -11,7 +11,7 @@
 //   Vec mask_and(Vec, Vec)                   bitwise and (value ∧ mask)
 //   Vec gather(const Money* base, const std::uint32_t* idx)
 //
-// Shape: trials are walked in blocks of kTrialBlock; per (group, block)
+// Shape: trials are walked in blocks of kVectorTrialBlock; per (group, block)
 // the vector paths resolve the ground-up losses of the block's hits once
 // per stack chunk (sampled or gathered, shared by every slot of the
 // group), then per slot a pure vector pass (scale, terms, store) and a
@@ -48,8 +48,6 @@ namespace riskan::core::batch {
 
 namespace impl {
 
-/// Trials per finish batch (bounds the stack annuals buffer).
-inline constexpr std::size_t kTrialBlock = 1024;
 /// Occurrences per compact vector chunk (bounds the stack occ/ground-up
 /// buffers; 2048 Money = 16 KiB each, L1/L2-resident with the gather
 /// sources).
@@ -110,12 +108,13 @@ inline void slot_lanes(const Slot& s, const Money* gu, std::size_t n, Money* occ
 /// group's CSR hits in kOccChunk chunks, each chunk's ground-up losses
 /// resolved once (the batched sampler fill, or a means gather), then per
 /// slot the lanes and an occurrence-order fold with a trial cursor over the
-/// hit offsets. `annuals` holds gsize rows of (a1 − a0) trial sums.
+/// hit offsets. `annuals` holds gsize rows of (a1 − a0) trial sums; OEP
+/// cells are indexed from `origin`, the kernel block's first position.
 template <typename V>
 inline void vec_compact_pass(const Slot* gs, std::size_t gsize, const Philox4x32& philox,
                              bool secondary, TrialId trial_base, TrialId a0, TrialId a1,
                              std::span<const std::uint64_t> yelt_offsets, Money* annuals,
-                             SimdStats& stats) {
+                             const OepSink& oep, std::uint64_t origin, SimdStats& stats) {
   alignas(64) Money occ_chunk[kOccChunk];
   alignas(64) Money gu_chunk[kOccChunk];
   const Slot& lead = gs[0];
@@ -142,12 +141,12 @@ inline void vec_compact_pass(const Slot* gs, std::size_t gsize, const Philox4x32
       slot_lanes<V>(s, gu_chunk, n, occ_chunk, stats);
 
       // Occurrence-order fold, one trial segment at a time: the annual
-      // sums and the OEP accumulator see the losses exactly as the scalar
-      // loop would, with the annual in a register per segment. Zero losses
-      // join their OEP cells too — adding +0.0 to a sum of non-negative
+      // sums and the OEP cells see the losses exactly as the scalar loop
+      // would, with the annual in a register per segment. Zero losses join
+      // their OEP cells too — adding +0.0 to a sum of non-negative
       // contributions changes no bit — so no loss value steers a branch.
       Money* const an = annuals + i * nt;
-      Money* const accum = s.occurrence_accum;
+      Money* const accum = oep.occurrence_cells(s);
       const Money share = s.terms.share;
       const std::uint32_t* seqs = lead.seqs + c0;
       TrialId t = tc;
@@ -160,7 +159,7 @@ inline void vec_compact_pass(const Slot* gs, std::size_t gsize, const Philox4x32
             static_cast<std::size_t>(std::min<std::uint64_t>(offsets[t + 1] - c0, n));
         Money a = an[t - a0];
         if (accum != nullptr) {
-          const std::uint64_t trial_begin = yelt_offsets[t];
+          const std::uint64_t trial_begin = yelt_offsets[t] - origin;
           for (; j < seg_end; ++j) {
             const Money occ = occ_chunk[j];
             a += occ;
@@ -189,7 +188,8 @@ inline std::uint64_t vec_dense_pass(const Slot* gs, std::size_t gsize,
                                     const Philox4x32& philox, bool secondary,
                                     TrialId trial_base, TrialId a0, TrialId a1,
                                     std::span<const std::uint64_t> yelt_offsets,
-                                    Money* annuals, SimdStats& stats) {
+                                    Money* annuals, const OepSink& oep, std::uint64_t origin,
+                                    SimdStats& stats) {
   alignas(64) Money occ_chunk[detail::kDenseHits];
   detail::DenseHits hits;
   const Slot& lead = gs[0];
@@ -215,7 +215,7 @@ inline std::uint64_t vec_dense_pass(const Slot* gs, std::size_t gsize,
       // annual in a register per segment; a trial split across chunks
       // resumes from its stored sum.
       Money* const an = annuals + k * nt;
-      Money* const accum = s.occurrence_accum;
+      Money* const accum = oep.occurrence_cells(s);
       const Money share = s.terms.share;
       std::size_t j = 0;
       for (std::size_t q = 0; q < hits.segs; ++q) {
@@ -226,7 +226,7 @@ inline std::uint64_t vec_dense_pass(const Slot* gs, std::size_t gsize,
           for (; j < seg_end; ++j) {
             const Money occ = occ_chunk[j];
             a += occ;
-            accum[hits.pos[j]] += occ * share;
+            accum[hits.pos[j] - origin] += occ * share;
           }
         } else {
           for (; j < seg_end; ++j) {
@@ -240,37 +240,40 @@ inline std::uint64_t vec_dense_pass(const Slot* gs, std::size_t gsize,
   return found;
 }
 
-/// One vector (group, trial range [a0, a1)), gsize × (a1 − a0) ≤
-/// kVectorAnnuals: seeds the annual sums (conditioned occurrences first),
-/// runs the compact or dense pass, and finishes the range slot by slot —
-/// per OEP cell the slots add in slot order and the slots finish in slot
-/// order, the scalar kernel's per-cell order. Returns the rows found, once
-/// per occurrence (a compact range's hits).
+/// One vector (group, trial range [a0, a1)) of the kernel block that starts
+/// at trial b0, gsize × (a1 − a0) ≤ kVectorAnnuals: seeds the annual sums
+/// (conditioned occurrences first), runs the compact or dense pass, and
+/// finishes the range slot by slot — per OEP cell the slots add in slot
+/// order and the slots finish in slot order, the scalar kernel's per-cell
+/// order. Returns the rows found, once per occurrence (a compact range's
+/// hits).
 template <typename V, bool kDense>
 inline std::uint64_t vec_group_range(const Slot* gs, std::size_t gsize,
                                      const Philox4x32& philox, bool secondary,
                                      TrialId trial_base, TrialId a0, TrialId a1,
                                      std::span<const std::uint64_t> yelt_offsets,
-                                     SimdStats& stats) {
+                                     const OepSink& oep, TrialId b0, SimdStats& stats) {
   Money annuals[kVectorAnnuals];
   const std::size_t nt = a1 - a0;
   for (std::size_t i = 0; i < gsize; ++i) {
     Money* an = annuals + i * nt;
     if (gs[i].conditioned_ground_up >= 0.0) {
+      Money* const cond = oep.conditioned_cells(gs[i]);
       for (TrialId t = a0; t < a1; ++t) {
-        an[t - a0] = detail::conditioned_annual_slot(gs[i], t);
+        an[t - a0] = detail::conditioned_annual_slot(gs[i], cond, t - b0);
       }
     } else {
       std::fill(an, an + nt, 0.0);
     }
   }
+  const std::uint64_t origin = yelt_offsets[b0];
   std::uint64_t found = 0;
   if constexpr (kDense) {
     found = vec_dense_pass<V>(gs, gsize, philox, secondary, trial_base, a0, a1, yelt_offsets,
-                              annuals, stats);
+                              annuals, oep, origin, stats);
   } else {
     vec_compact_pass<V>(gs, gsize, philox, secondary, trial_base, a0, a1, yelt_offsets,
-                        annuals, stats);
+                        annuals, oep, origin, stats);
     found = gs[0].hit_offsets[a1] - gs[0].hit_offsets[a0];
   }
   for (std::size_t i = 0; i < gsize; ++i) {
@@ -288,49 +291,54 @@ inline std::uint64_t vec_group_block(const Slot* gs, std::size_t gsize,
                                      const Philox4x32& philox, bool secondary,
                                      TrialId trial_base, TrialId t0, TrialId t1,
                                      std::span<const std::uint64_t> yelt_offsets,
-                                     SimdStats& stats) {
-  const auto span = static_cast<TrialId>(std::min(kTrialBlock, kVectorAnnuals / gsize));
+                                     const OepSink& oep, SimdStats& stats) {
+  const auto span = static_cast<TrialId>(
+      std::min<std::size_t>(kVectorTrialBlock, kVectorAnnuals / gsize));
   std::uint64_t found = 0;
   for (TrialId a0 = t0; a0 < t1; a0 += span) {
     found += vec_group_range<V, kDense>(gs, gsize, philox, secondary, trial_base, a0,
-                                        std::min<TrialId>(t1, a0 + span), yelt_offsets,
-                                        stats);
+                                        std::min<TrialId>(t1, a0 + span), yelt_offsets, oep,
+                                        t0, stats);
   }
   return found;
 }
 
 /// The kernel: per (group, trial-block) classification, vector paths for
-/// compact and lookup groups, batch::process_trials for the rest. The block
-/// loop is outermost and groups run in plan order, so shared output cells
-/// accumulate in the scalar kernel's order. Counts each group's found rows
-/// as process_trials does.
+/// compact and lookup groups, the scalar kernel's group pass for the rest.
+/// The block loop is outermost and groups run in plan order, so shared
+/// output cells accumulate in the scalar kernel's order, and each block's
+/// OEP is finished after its last group. Counts each group's found rows as
+/// process_trials does.
 template <typename V>
 void process_trials_simd(std::span<const Slot> slots, std::span<const Group> groups,
                          std::span<const std::uint64_t> yelt_offsets, const Philox4x32& philox,
                          bool secondary, TrialId trial_base, TrialId lo, TrialId hi,
-                         std::span<Money> annual_scratch, SimdStats& stats) {
-  for (TrialId b0 = lo; b0 < hi; b0 += static_cast<TrialId>(kTrialBlock)) {
-    const TrialId b1 = std::min<TrialId>(hi, b0 + static_cast<TrialId>(kTrialBlock));
+                         std::span<Money> annual_scratch, const OepSink& oep,
+                         SimdStats& stats) {
+  for (TrialId b0 = lo; b0 < hi; b0 += kVectorTrialBlock) {
+    const TrialId b1 = std::min<TrialId>(hi, b0 + kVectorTrialBlock);
+    detail::open_oep_block(oep, yelt_offsets, b0, b1);
     for (const Group& group : groups) {
       const Slot* gs = slots.data() + group.begin;
       if (!vectorizable(gs, group.size)) {
-        // Bit-identical by construction: the scalar kernel itself, one
-        // (group, block) at a time (trial-major group order within the
-        // block preserved per shared output cell — see the header).
-        const Group local{0, group.size, group.found};
-        process_trials(std::span<const Slot>(gs, group.size), {&local, 1}, yelt_offsets, philox,
-                       secondary, trial_base, b0, b1, annual_scratch);
+        // Bit-identical by construction: the scalar kernel's own group
+        // pass over the block, which leaves the block's OEP open for the
+        // groups after it.
+        detail::add_found(group, detail::process_group_scalar(
+                                     gs, group.size, philox, secondary, trial_base, b0, b1,
+                                     yelt_offsets, annual_scratch.data(), oep));
         stats.scalar_occurrences += group_occurrences(gs, group.size, yelt_offsets, b0, b1);
       } else if (gs[0].gather == Gather::Lookup) {
         detail::add_found(group, vec_group_block<V, true>(gs, group.size, philox, secondary,
                                                           trial_base, b0, b1, yelt_offsets,
-                                                          stats));
+                                                          oep, stats));
       } else {
         detail::add_found(group, vec_group_block<V, false>(gs, group.size, philox, secondary,
                                                            trial_base, b0, b1, yelt_offsets,
-                                                           stats));
+                                                           oep, stats));
       }
     }
+    detail::finish_oep_block(oep, yelt_offsets, b0, b1);
   }
 }
 

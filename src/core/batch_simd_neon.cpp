@@ -49,9 +49,9 @@ void process_trials_simd_neon(std::span<const Slot> slots, std::span<const Group
                               std::span<const std::uint64_t> yelt_offsets,
                               const Philox4x32& philox, bool secondary, TrialId trial_base,
                               TrialId lo, TrialId hi, std::span<Money> annual_scratch,
-                              SimdStats& stats) {
+                              const OepSink& oep, SimdStats& stats) {
   impl::process_trials_simd<NeonOps>(slots, groups, yelt_offsets, philox, secondary, trial_base,
-                                   lo, hi, annual_scratch, stats);
+                                   lo, hi, annual_scratch, oep, stats);
 }
 
 void apply_occurrence_lanes_neon(const finance::LayerTerms& terms, const Money* ground_up,
@@ -60,7 +60,7 @@ void apply_occurrence_lanes_neon(const finance::LayerTerms& terms, const Money* 
 }
 
 Money max_range_lanes_neon(const Money* values, std::size_t n, Money init) {
-  // Safe to reorder bitwise for finalize_oep's input class (non-NaN,
+  // Safe to reorder bitwise for the OEP cells' input class (non-NaN,
   // >= +0.0): equal non-negative doubles share one bit pattern, so the
   // tie leg of vmaxq cannot diverge from std::max's.
   std::size_t k = 0;

@@ -221,7 +221,7 @@ void estimate(const exec::ExecutionPlan& plan, const EngineConfig& config,
           meter_column(hits * 2 * sizeof(std::uint32_t), column_staged[src] != 0);
           meter_rows(hits);
           for (std::uint32_t i = 0; i < group.size; ++i) {
-            if (plan.slots[group.begin + i].occurrence_accum != nullptr) {
+            if (plan.slots[group.begin + i].oep_run != batch::kNoOep) {
               launch.global_write_bytes += hits * sizeof(Money);
             }
           }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
 
 #include "core/device_model.hpp"
 #include "core/simd.hpp"
@@ -65,11 +66,53 @@ void publish_simd(const ExecutionPlan& plan, const SimdDispatch& dispatch, bool 
   sampler_tail.add(static_cast<double>(stats.sampler_tail));
 }
 
+/// The largest YELT span of `window` consecutive trials of [0, trials).
+std::uint64_t widest_span(std::span<const std::uint64_t> offsets, std::size_t trials,
+                          std::size_t window) {
+  std::uint64_t widest = offsets[std::min(window, trials)] - offsets[0];
+  for (std::size_t t = 1; t + window <= trials; ++t) {
+    widest = std::max(widest, offsets[t + window] - offsets[t]);
+  }
+  return widest;
+}
+
+/// The scratch slabs of one execution, allocated by the calling thread and
+/// lent to the chunks: as many as chunks can run at once, so a chunk always
+/// finds one free.
+class Slabs {
+ public:
+  Slabs(std::size_t count, std::size_t size)
+      : memory_(std::make_unique_for_overwrite<Money[]>(count * size)) {
+    for (std::size_t i = 0; i < count; ++i) {
+      free_.push_back(memory_.get() + i * size);
+    }
+  }
+
+  Money* take() {
+    const std::lock_guard lock(mutex_);
+    RISKAN_ENSURE(!free_.empty(), "more chunks ran at once than the execution has slabs");
+    Money* slab = free_.back();
+    free_.pop_back();
+    return slab;
+  }
+
+  void give_back(Money* slab) {
+    const std::lock_guard lock(mutex_);
+    free_.push_back(slab);
+  }
+
+ private:
+  std::unique_ptr<Money[]> memory_;
+  std::mutex mutex_;
+  std::vector<Money*> free_;
+};
+
 }  // namespace
 
 ExecutionPlan ExecutionPlan::lower(std::span<const batch::Slot> slots,
                                    std::span<const std::uint64_t> yelt_offsets,
-                                   TrialId trials, TrialId trial_base, bool secondary) {
+                                   TrialId trials, TrialId trial_base, bool secondary,
+                                   std::span<const std::span<Money>> oep) {
   RISKAN_REQUIRE(!slots.empty(), "execution plan needs at least one slot");
   // Every slot carries its gather mode's columns, and the sampling/means
   // inputs match the secondary setting.
@@ -91,6 +134,11 @@ ExecutionPlan ExecutionPlan::lower(std::span<const batch::Slot> slots,
     RISKAN_REQUIRE(!secondary || s.sampler != nullptr,
                    "secondary sampling needs a per-slot sampler");
     RISKAN_REQUIRE(s.means != nullptr || secondary, "means-path slot needs ELT means");
+    RISKAN_REQUIRE(s.oep_run == batch::kNoOep || s.oep_run < oep.size(),
+                   "slot's OEP table is not in the plan");
+  }
+  for (const std::span<Money> table : oep) {
+    RISKAN_REQUIRE(table.size() == trials, "an OEP table needs one cell per trial");
   }
 
   ExecutionPlan plan;
@@ -99,6 +147,7 @@ ExecutionPlan ExecutionPlan::lower(std::span<const batch::Slot> slots,
   plan.trials = trials;
   plan.trial_base = trial_base;
   plan.secondary = secondary;
+  plan.oep = oep;
   plan.groups = batch::group_slots(slots);
   plan.found_rows = std::make_unique<std::uint64_t[]>(plan.groups.size());
   for (std::size_t g = 0; g < plan.groups.size(); ++g) {
@@ -116,11 +165,12 @@ std::span<const std::uint64_t> execute(const ExecutionPlan& plan, const Philox4x
   // Under Kernel::Auto the dispatched vector kernel runs the plan when at
   // least one group vectorizes; otherwise the scalar kernel runs it
   // directly, so a plan of mask-column groups or of lookup groups over
-  // sparse tables costs nothing extra.
+  // sparse tables costs nothing extra. Either kernel finishes OEP with the
+  // dispatched lane max scan, resolved here once.
   const bool simd = config.kernel == Kernel::Auto;
-  const SimdDispatch dispatch = simd ? simd_dispatch() : SimdDispatch{};
+  const SimdDispatch dispatch = simd_dispatch();
   const bool vector =
-      dispatch.kernel != nullptr &&
+      simd && dispatch.kernel != nullptr &&
       std::any_of(plan.groups.begin(), plan.groups.end(), [&plan](const batch::Group& g) {
         return batch::vectorizable(plan.slots.data() + g.begin, g.size);
       });
@@ -131,20 +181,44 @@ std::span<const std::uint64_t> execute(const ExecutionPlan& plan, const Philox4x
   const ParallelConfig par =
       sequential ? ParallelConfig{nullptr, std::numeric_limits<std::size_t>::max()}
                  : ParallelConfig{config.pool, config.trial_grain};
+  // A kernel block never extends past its chunk, so a slab's OEP cells
+  // cover the widest YELT span of min(kernel block, chunk) trials; one slab
+  // per chunk that can run at once.
+  const riskan::detail::Split split = riskan::detail::split(plan.trials, par);
+  const std::size_t window = std::min<std::size_t>(
+      vector ? batch::kVectorTrialBlock : batch::kTrialBlock, split.grain);
+  batch::OepSink oep;
+  if (!plan.oep.empty() && plan.trials > 0) {
+    oep.tables = plan.oep;
+    oep.cells = widest_span(plan.yelt_offsets, plan.trials, window);
+    oep.trials = window;
+    oep.max_range = dispatch.max_range;
+  }
+  const std::size_t slab_size = plan.max_group_size + plan.oep.size() * oep.stride();
+  Slabs slabs(split.pool == nullptr
+                  ? 1
+                  : std::min(split.pool->thread_count(),
+                             (plan.trials + split.grain - 1) / split.grain),
+              slab_size);
+
   const batch::SimdStats stats = parallel_reduce<batch::SimdStats>(
       0, plan.trials, batch::SimdStats{},
       [&](std::size_t lo, std::size_t hi) {
         batch::SimdStats chunk_stats;
-        std::vector<Money> scratch(plan.max_group_size);
+        Money* const slab = slabs.take();
+        const std::span<Money> annuals(slab, plan.max_group_size);
+        batch::OepSink chunk_oep = oep;
+        chunk_oep.scratch = slab + plan.max_group_size;
         if (vector) {
           dispatch.kernel(plan.slots, plan.groups, plan.yelt_offsets, philox, plan.secondary,
                           plan.trial_base, static_cast<TrialId>(lo), static_cast<TrialId>(hi),
-                          scratch, chunk_stats);
+                          annuals, chunk_oep, chunk_stats);
         } else {
           batch::process_trials(plan.slots, plan.groups, plan.yelt_offsets, philox,
                                 plan.secondary, plan.trial_base, static_cast<TrialId>(lo),
-                                static_cast<TrialId>(hi), scratch);
+                                static_cast<TrialId>(hi), annuals, chunk_oep);
         }
+        slabs.give_back(slab);
         return chunk_stats;
       },
       [](batch::SimdStats a, const batch::SimdStats& b) { return a += b; }, par);

@@ -9,10 +9,10 @@
 // over [0, trials) on some hardware. This layer separates the two halves:
 //
 //   ExecutionPlan — the lowered form of one block of a request: the slot
-//       list, its shared-gather groups, scratch sizing and the trial
-//       partition inputs. Lowering is backend-independent. A pass lowers one
-//       plan per trial block, holding every slot of every run, and executes
-//       it once.
+//       list, its shared-gather groups, each run's OEP table, scratch
+//       sizing and the trial partition inputs. Lowering is
+//       backend-independent. A pass lowers one plan per trial block,
+//       holding every slot of every run, and executes it once.
 //
 //   execute — runs a plan where EngineConfig::backend says:
 //       Sequential — the whole range as one inline chunk on the caller's
@@ -27,7 +27,10 @@
 //     kernel when no ISA dispatches, and also for a plan none of whose
 //     groups vectorize (a mask column under either gather, or a lookup over
 //     a table too sparse for an event→row table, makes a group scalar), so
-//     such a plan pays nothing for the vector kernel. With
+//     such a plan pays nothing for the vector kernel. Each trial chunk
+//     borrows a scratch slab that execute allocated on the calling thread
+//     (one per chunk that can run at once), in which the kernel accumulates
+//     and finishes each run's OEP one kernel block at a time. With
 //     EngineConfig::device_info set, each plan it runs is also handed to the
 //     device model (core/device_model.hpp), which computes from the plan
 //     what the run would launch, stage and move on the modeled many-core
@@ -59,6 +62,9 @@ struct ExecutionPlan {
   /// Sampling stream base of the block's first trial.
   TrialId trial_base = 0;
   bool secondary = false;
+  /// Each run's OEP table over the block's trials, indexed by
+  /// Slot::oep_run; the kernel writes them. Empty = OEP off.
+  std::span<const std::span<Money>> oep;
 
   /// Maximal shared-gather runs of `slots` (batch::group_slots), each
   /// counting its found rows into `found_rows`.
@@ -71,16 +77,21 @@ struct ExecutionPlan {
   std::size_t max_group_size = 0;
 
   /// Lowers a finished slot list over one trial block: groups slots, sizes
-  /// scratch and validates each slot's gather columns and, with
-  /// `secondary` set, its sampler (its ELT means otherwise).
+  /// scratch and validates each slot's gather columns, its OEP table and,
+  /// with `secondary` set, its sampler (its ELT means otherwise).
   static ExecutionPlan lower(std::span<const batch::Slot> slots,
                              std::span<const std::uint64_t> yelt_offsets, TrialId trials,
-                             TrialId trial_base, bool secondary);
+                             TrialId trial_base, bool secondary,
+                             std::span<const std::span<Money>> oep = {});
 };
 
 /// Runs the plan's full trial range on config.backend with config.kernel,
 /// and, when config.device_info is set, adds its modeled device run
-/// (device_model::estimate) to *config.device_info. Returns the rows each
+/// (device_model::estimate) to *config.device_info. Each chunk of trials
+/// borrows one slab of scratch that this (the calling) thread allocated,
+/// one per chunk that can run at once: its annual sums and its kernel
+/// blocks' OEP cells, sized by the largest YELT span of min(kernel block,
+/// chunk) consecutive trials. No pool task allocates. Returns the rows each
 /// of plan.groups found, once per occurrence under either gather (a compact
 /// group's hits): the plan's counters, valid until its next execution.
 std::span<const std::uint64_t> execute(const ExecutionPlan& plan, const Philox4x32& philox,

@@ -5,8 +5,8 @@
 
 #include "core/batch_simd.hpp"
 #include "core/secondary.hpp"
-#include "core/simd.hpp"
 #include "finance/terms.hpp"
+#include "util/require.hpp"
 
 namespace riskan::core::batch {
 
@@ -35,14 +35,16 @@ inline Money ground_up_of(const Slot& s, const Philox4x32& philox, bool secondar
 }
 
 /// The conditioned occurrence of one (slot, trial), if any: applied before
-/// the trial's own occurrences. Returns its contribution to the annual sum.
-inline Money conditioned_annual(const Slot& s, TrialId t) {
+/// the trial's own occurrences. Returns its contribution to the annual sum,
+/// and adds its share to the trial's conditioned OEP cell, cond[i] (cond
+/// null = no OEP).
+inline Money conditioned_annual(const Slot& s, Money* cond, std::size_t i) {
   if (s.conditioned_ground_up < 0.0) {
     return 0.0;
   }
   const Money occ = finance::occurrence_loss(s.terms, s.conditioned_ground_up);
-  if (s.conditioned_accum != nullptr && occ > 0.0) {
-    s.conditioned_accum[t] += occ * s.terms.share;
+  if (cond != nullptr && occ > 0.0) {
+    cond[i] += occ * s.terms.share;
   }
   return occ;
 }
@@ -61,9 +63,8 @@ inline void finish_slot_trial(const Slot& s, TrialId t, Money annual) {
   }
 }
 
-/// Trials per block of the kernel's outer loop; occurrences per ground-up
-/// buffer of a sub-block; distinct mask columns a sub-block keeps resolved.
-constexpr TrialId kTrialBlock = 256;
+/// Occurrences per ground-up buffer of a sub-block; distinct mask columns a
+/// sub-block keeps resolved.
 constexpr std::size_t kChunk = 512;
 constexpr std::size_t kMaskViews = 4;
 
@@ -73,7 +74,8 @@ constexpr std::size_t kMaskViews = 4;
 constexpr Money kNoGroundUp = -1.0;
 
 /// One gather group — a contract's layer tower, with every scenario
-/// variant of it — over trials [t0, t1), t1 − t0 ≤ kTrialBlock.
+/// variant of it — over trials [t0, t1), t1 − t0 ≤ kTrialBlock, inside the
+/// OEP block that starts at trial b0.
 ///
 /// Whole trials are collected into sub-blocks of at most kChunk positions,
 /// resolving each found occurrence's ground-up loss ONCE — sampled from the
@@ -82,7 +84,9 @@ constexpr Money kNoGroundUp = -1.0;
 /// its transforms and occurrence terms over the whole sub-block in one
 /// branch-free pass, adding each loss to its trial's annual sum (kept per
 /// trial, so no trial's hit count steers a branch) and to its OEP cell,
-/// and finishes the sub-block's trials.
+/// and finishes the sub-block's trials. An OEP cell is the slot's table's
+/// cell of the occurrence's YELT position, indexed from the block's first
+/// position.
 ///
 /// Transforms: a conditioned occurrence seeds each trial's annual sum
 /// before the trial's own occurrences; loss_scale multiplies the ground-up
@@ -109,8 +113,10 @@ std::uint64_t process_group_block(const Slot* gs, std::size_t gsize, const Philo
                                   bool secondary, TrialId trial_base, TrialId t0, TrialId t1,
                                   const std::uint64_t* offsets,
                                   std::span<const std::uint64_t> yelt_offsets,
-                                  const RowAt& row_at, const SeqAt& seq_at, Money* annuals) {
+                                  const RowAt& row_at, const SeqAt& seq_at, Money* annuals,
+                                  const OepSink& oep, TrialId b0) {
   const Slot& lead = gs[0];
+  const std::uint64_t origin = yelt_offsets[b0];
   Money gu[kChunk];
   std::uint64_t cell[kChunk];
   std::uint32_t seqs[kChunk];
@@ -173,12 +179,12 @@ std::uint64_t process_group_block(const Slot* gs, std::size_t gsize, const Philo
                          Money* trial_sums) {
     const finance::LayerTerms terms = s.terms;
     const Money scale = s.loss_scale;
-    Money* const accum = s.occurrence_accum;
+    Money* const accum = oep.occurrence_cells(s);
     for (std::size_t k = 0; k < n; ++k) {
       const Money occ = finance::occurrence_loss(terms, ground_up[k] * scale);
       trial_sums[tix[k]] += occ;
       if (accum != nullptr) {
-        accum[cell[k]] += occ * terms.share;
+        accum[cell[k] - origin] += occ * terms.share;
       }
     }
   };
@@ -194,7 +200,7 @@ std::uint64_t process_group_block(const Slot* gs, std::size_t gsize, const Philo
     }
     if (offsets[t + 1] - offsets[t] > kChunk) {
       for (std::size_t i = 0; i < gsize; ++i) {
-        annuals[i] = conditioned_annual(gs[i], t);
+        annuals[i] = conditioned_annual(gs[i], oep.conditioned_cells(gs[i]), t - b0);
       }
       for (std::uint64_t j = offsets[t]; j < offsets[t + 1]; j += kChunk) {
         const std::size_t n =
@@ -224,8 +230,9 @@ std::uint64_t process_group_block(const Slot* gs, std::size_t gsize, const Philo
       const Slot& s = gs[i];
       // Conditioned occurrences come first: the event has already happened
       // when the trial year's own occurrences play out.
+      Money* const cond = oep.conditioned_cells(s);
       for (TrialId tt = tb; tt < t; ++tt) {
-        sums[tt - tb] = conditioned_annual(s, tt);
+        sums[tt - tb] = conditioned_annual(s, cond, tt - b0);
       }
       apply(s, slot_ground_up(s, tb, n), n, sums);
       for (TrialId tt = tb; tt < t; ++tt) {
@@ -240,7 +247,8 @@ std::uint64_t process_group_block(const Slot* gs, std::size_t gsize, const Philo
 /// found, once per occurrence (a compact group's hits).
 std::uint64_t process_group(const Slot* gs, std::size_t gsize, const Philox4x32& philox,
                             bool secondary, TrialId trial_base, TrialId t0, TrialId t1,
-                            std::span<const std::uint64_t> yelt_offsets, Money* annuals) {
+                            std::span<const std::uint64_t> yelt_offsets, Money* annuals,
+                            const OepSink& oep, TrialId b0) {
   const Slot& lead = gs[0];
   const auto full_range_seq = [](std::uint64_t i, std::uint64_t trial_begin) {
     return static_cast<std::uint32_t>(i - trial_begin);
@@ -252,7 +260,7 @@ std::uint64_t process_group(const Slot* gs, std::size_t gsize, const Philox4x32&
       return process_group_block(
           gs, gsize, philox, secondary, trial_base, t0, t1, lead.hit_offsets, yelt_offsets,
           [rows](std::uint64_t k) { return static_cast<std::size_t>(rows[k]); },
-          [seqs](std::uint64_t k, std::uint64_t) { return seqs[k]; }, annuals);
+          [seqs](std::uint64_t k, std::uint64_t) { return seqs[k]; }, annuals, oep, b0);
     }
     case Gather::Lookup: {
       // The table decides once per group: O(1) through its event→row
@@ -269,13 +277,13 @@ std::uint64_t process_group(const Slot* gs, std::size_t gsize, const Philox4x32&
               return row == data::EventLossTable::kNoRow ? data::EventLossTable::npos
                                                           : static_cast<std::size_t>(row);
             },
-            full_range_seq, annuals);
+            full_range_seq, annuals, oep, b0);
       }
       const data::EventLossTable* elt = lead.elt;
       return process_group_block(
           gs, gsize, philox, secondary, trial_base, t0, t1, yelt_offsets.data(), yelt_offsets,
           [elt, events](std::uint64_t i) { return elt->find(events[i]); }, full_range_seq,
-          annuals);
+          annuals, oep, b0);
     }
   }
   return 0;
@@ -333,59 +341,20 @@ std::vector<Group> group_slots(std::span<const Slot> slots) {
 void process_trials(std::span<const Slot> slots, std::span<const Group> groups,
                     std::span<const std::uint64_t> yelt_offsets, const Philox4x32& philox,
                     bool secondary, TrialId trial_base, TrialId lo, TrialId hi,
-                    std::span<Money> annual_scratch) {
+                    std::span<Money> annual_scratch, const OepSink& oep) {
   // Trial blocks outermost, groups in plan order within a block: for any
   // trial, the groups touch its shared output cells in plan order, as a
-  // trial-major loop would.
+  // trial-major loop would. The block's OEP is finished after its last
+  // group, once every cell has all its additions.
   for (TrialId b0 = lo; b0 < hi; b0 += std::min(kTrialBlock, hi - b0)) {
     const TrialId b1 = b0 + std::min(kTrialBlock, hi - b0);
+    detail::open_oep_block(oep, yelt_offsets, b0, b1);
     for (const Group& group : groups) {
-      detail::add_found(group,
-                        process_group(slots.data() + group.begin, group.size, philox, secondary,
-                                      trial_base, b0, b1, yelt_offsets, annual_scratch.data()));
+      detail::add_found(group, detail::process_group_scalar(
+                                   slots.data() + group.begin, group.size, philox, secondary,
+                                   trial_base, b0, b1, yelt_offsets, annual_scratch.data(), oep));
     }
-  }
-}
-
-void finalize_oep(std::span<Money> oep, std::span<const Money> occurrence_accum,
-                  std::span<const std::uint64_t> yelt_offsets,
-                  std::span<const Money> conditioned_accum) {
-  // Per-trial max over the accumulator range, lane-parallel where a wide
-  // ISA dispatches. Reordering the max is bitwise safe for this input:
-  // every accumulator cell is a sum of non-negative contributions seeded
-  // with 0.0 (no NaN, no -0.0), and equal non-negative doubles share one
-  // bit pattern, so any reduction order picks the same bits. The dispatch
-  // is resolved once per call, not per trial.
-  const exec::SimdDispatch dispatch = exec::simd_dispatch();
-  using MaxFn = Money (*)(const Money*, std::size_t, Money);
-  MaxFn max_fn = nullptr;
-  switch (dispatch.isa) {
-#if defined(RISKAN_SIMD_AVX2)
-    case exec::SimdIsa::Avx2:
-      max_fn = max_range_lanes_avx2;
-      break;
-#endif
-#if defined(RISKAN_SIMD_NEON)
-    case exec::SimdIsa::Neon:
-      max_fn = max_range_lanes_neon;
-      break;
-#endif
-    default:
-      break;
-  }
-  for (TrialId t = 0; t < static_cast<TrialId>(oep.size()); ++t) {
-    Money worst = conditioned_accum.empty() ? 0.0 : std::max(0.0, conditioned_accum[t]);
-    const std::uint64_t begin = yelt_offsets[t];
-    const std::uint64_t end = yelt_offsets[t + 1];
-    if (max_fn != nullptr) {
-      worst = max_fn(occurrence_accum.data() + begin,
-                     static_cast<std::size_t>(end - begin), worst);
-    } else {
-      for (std::uint64_t i = begin; i < end; ++i) {
-        worst = std::max(worst, occurrence_accum[i]);
-      }
-    }
-    oep[t] = worst;
+    detail::finish_oep_block(oep, yelt_offsets, b0, b1);
   }
 }
 
@@ -418,7 +387,65 @@ namespace detail {
 // with the portable baseline flags, so a wide TU links them instead of
 // re-instantiating PRNG/beta templates under its own ISA.
 
-Money conditioned_annual_slot(const Slot& s, TrialId t) { return conditioned_annual(s, t); }
+Money conditioned_annual_slot(const Slot& s, Money* cond, std::size_t i) {
+  return conditioned_annual(s, cond, i);
+}
+
+std::uint64_t process_group_scalar(const Slot* gs, std::size_t gsize, const Philox4x32& philox,
+                                   bool secondary, TrialId trial_base, TrialId b0, TrialId b1,
+                                   std::span<const std::uint64_t> yelt_offsets, Money* annuals,
+                                   const OepSink& oep) {
+  std::uint64_t found = 0;
+  for (TrialId a0 = b0; a0 < b1; a0 += std::min(kTrialBlock, b1 - a0)) {
+    found += process_group(gs, gsize, philox, secondary, trial_base, a0,
+                           a0 + std::min(kTrialBlock, b1 - a0), yelt_offsets, annuals, oep, b0);
+  }
+  return found;
+}
+
+void open_oep_block(const OepSink& oep, std::span<const std::uint64_t> yelt_offsets,
+                    TrialId b0, TrialId b1) {
+  if (oep.tables.empty()) {
+    return;
+  }
+  const std::uint64_t span = yelt_offsets[b1] - yelt_offsets[b0];
+  RISKAN_ENSURE(span <= oep.cells && b1 - b0 <= oep.trials,
+                "a kernel block outgrows its OEP scratch");
+  for (std::size_t r = 0; r < oep.tables.size(); ++r) {
+    Money* cells = oep.scratch + r * oep.stride();
+    std::fill_n(cells, span, 0.0);
+    std::fill_n(cells + oep.cells, b1 - b0, 0.0);
+  }
+}
+
+void finish_oep_block(const OepSink& oep, std::span<const std::uint64_t> yelt_offsets,
+                      TrialId b0, TrialId b1) {
+  // Per-trial max over the trial's cells, seeded with its conditioned
+  // cell, lane-parallel where a wide ISA dispatches. Reordering the max is
+  // bitwise safe for this input: every cell is a sum of non-negative
+  // contributions seeded with 0.0 (no NaN, no -0.0), and equal
+  // non-negative doubles share one bit pattern, so any reduction order
+  // picks the same bits.
+  const std::uint64_t origin = yelt_offsets[b0];
+  for (std::size_t r = 0; r < oep.tables.size(); ++r) {
+    const Money* cells = oep.scratch + r * oep.stride();
+    const Money* cond = cells + oep.cells;
+    const std::span<Money> table = oep.tables[r];
+    for (TrialId t = b0; t < b1; ++t) {
+      const Money* first = cells + (yelt_offsets[t] - origin);
+      const auto n = static_cast<std::size_t>(yelt_offsets[t + 1] - yelt_offsets[t]);
+      Money worst = std::max(0.0, cond[t - b0]);
+      if (oep.max_range != nullptr) {
+        worst = oep.max_range(first, n, worst);
+      } else {
+        for (std::size_t i = 0; i < n; ++i) {
+          worst = std::max(worst, first[i]);
+        }
+      }
+      table[t] = worst;
+    }
+  }
+}
 
 void add_found(const Group& group, std::uint64_t rows) {
   if (group.found != nullptr) {

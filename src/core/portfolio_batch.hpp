@@ -7,7 +7,8 @@
 // (core::run_books), which lowers its runs to a list of Slots, shapes them
 // into one exec::ExecutionPlan per trial block and runs that with
 // exec::execute (Sequential / Threaded) — see src/core/exec.hpp for the
-// plan layer.
+// plan layer. The kernel walks trials in blocks and finishes each run's OEP
+// per block (OepSink), so no OEP scratch outlives a block.
 //
 // A Slot is one consumer of the streamed pass — a (run, contract, layer),
 // with one of two gather modes (a contract's layers, in every run, share
@@ -68,6 +69,9 @@ struct MaskColumn {
                           ParallelConfig cfg = {});
 };
 
+/// Slot::oep_run of a slot that feeds no OEP table.
+inline constexpr std::uint32_t kNoOep = ~std::uint32_t{0};
+
 /// How a slot reaches its ELT rows (see the file header).
 enum class Gather : std::uint8_t {
   Compact,  ///< hit-compacted CSR columns (cached resolutions)
@@ -124,12 +128,13 @@ struct Slot {
   finance::Reinstatements reinstatements;
   Money upfront_premium = 0.0;
 
-  // Outputs. Spans/pointers belong to this slot's analysis (scenario).
+  // Outputs. Spans belong to this slot's analysis (scenario).
   std::span<Money> contract_losses;     // empty when contract YLTs are off
   std::span<Money> portfolio_losses;
   std::span<Money> reinstatement_prem;
-  Money* occurrence_accum = nullptr;    // per-occurrence OEP scratch; null = off
-  Money* conditioned_accum = nullptr;   // per-trial injected-occurrence scratch
+  /// The OEP table this slot's occurrences feed: an index into the
+  /// kernel's OepSink::tables (one per run); kNoOep = none.
+  std::uint32_t oep_run = kNoOep;
 };
 
 /// Contiguous run of slots sharing gather inputs and sampling identity
@@ -154,16 +159,55 @@ struct Group {
 /// id is not compared), with no found counters.
 std::vector<Group> group_slots(std::span<const Slot> slots);
 
+/// Trials per block of the scalar kernel's outer loop.
+inline constexpr TrialId kTrialBlock = 256;
+
+/// Running max of values[0..n) seeded with `init`: the per-trial OEP scan.
+using MaxRangeFn = Money (*)(const Money* values, std::size_t n, Money init);
+
+/// Where one kernel call accumulates and finishes OEP, one trial block at a
+/// time. Each table is one run's OEP over the plan's trials; Slot::oep_run
+/// indexes them. Every kernel block accumulates each table's occurrence
+/// cells and conditioned cells in block-local scratch — run r's occurrence
+/// cells are scratch[r * stride() + (YELT position − the block's first
+/// position)], its conditioned cells scratch[r * stride() + cells +
+/// (trial − the block's first trial)] — and after the block's last group
+/// writes each trial's maximum into the table. No tables = OEP off.
+struct OepSink {
+  std::span<const std::span<Money>> tables;
+  Money* scratch = nullptr;
+  /// Occurrence cells per table: at least the YELT span of any block of
+  /// the call.
+  std::size_t cells = 0;
+  /// Conditioned cells per table: at least the trials of any block.
+  std::size_t trials = 0;
+  /// The lane max scan; null = a scalar loop.
+  MaxRangeFn max_range = nullptr;
+
+  std::size_t stride() const noexcept { return cells + trials; }
+  /// Slot s's occurrence cells in the open block, or null when s feeds no
+  /// table.
+  Money* occurrence_cells(const Slot& s) const noexcept {
+    return s.oep_run == kNoOep ? nullptr : scratch + s.oep_run * stride();
+  }
+  /// Slot s's conditioned cells in the open block, or null.
+  Money* conditioned_cells(const Slot& s) const noexcept {
+    return s.oep_run == kNoOep ? nullptr : scratch + s.oep_run * stride() + cells;
+  }
+};
+
 /// Processes trials [lo, hi) for every slot, group by group. Each
 /// occurrence's ground-up loss is resolved once per group (sample or ELT
 /// mean) and every slot of the group applies its own transforms and terms;
 /// a masked slot whose adjusted sequence differs re-samples under the
 /// filtered-table stream key. Accumulation order per output cell matches a
 /// trial-major walk in slot order (annual sums in occurrence order; shared
-/// accumulators in slot order), which is what keeps every lowering
+/// OEP cells in slot order), which is what keeps every lowering
 /// bit-identical to every other. State is indexed by trial (or the trial's
 /// occurrence range), so disjoint chunks never race. `annual_scratch`
-/// needs one entry per slot of the largest group.
+/// needs one entry per slot of the largest group. Trials run in blocks of
+/// kTrialBlock, and each block finishes its OEP into `oep`'s tables after
+/// its last group.
 ///
 /// Adds the rows each group finds in [lo, hi) to its Group::found
 /// counter, when it has one. The runner credits each run with its slots ×
@@ -171,15 +215,7 @@ std::vector<Group> group_slots(std::span<const Slot> slots);
 void process_trials(std::span<const Slot> slots, std::span<const Group> groups,
                     std::span<const std::uint64_t> yelt_offsets, const Philox4x32& philox,
                     bool secondary, TrialId trial_base, TrialId lo, TrialId hi,
-                    std::span<Money> annual_scratch);
-
-/// Per-trial OEP finalisation: oep[t] = max over the trial's occurrence
-/// accumulator range, seeded by the conditioned per-trial slot when
-/// `conditioned_accum` is non-empty (scenario conditioning injects one
-/// extra occurrence per trial that has no slot in the occurrence range).
-void finalize_oep(std::span<Money> oep, std::span<const Money> occurrence_accum,
-                  std::span<const std::uint64_t> yelt_offsets,
-                  std::span<const Money> conditioned_accum);
+                    std::span<Money> annual_scratch, const OepSink& oep);
 
 }  // namespace riskan::core::batch
 

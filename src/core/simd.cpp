@@ -43,6 +43,7 @@ SimdDispatch simd_dispatch() {
       d.width = 4;
       d.name = "avx2";
       d.kernel = batch::process_trials_simd_avx2;
+      d.max_range = batch::max_range_lanes_avx2;
       d.beta_decode = batch::decode_first_attempts_avx2;
       d.compiled = true;
       return d;
@@ -61,6 +62,7 @@ SimdDispatch simd_dispatch() {
     d.width = 2;
     d.name = "neon";
     d.kernel = batch::process_trials_simd_neon;
+    d.max_range = batch::max_range_lanes_neon;
     d.compiled = true;
     return d;
   }
@@ -121,18 +123,8 @@ void lane_math_lanes(LaneFn f, const double* in, std::size_t n, double* out) {
 }
 
 Money max_range_lanes(const Money* values, std::size_t n, Money init) {
-  const auto dispatch = exec::simd_dispatch();
-  switch (dispatch.isa) {
-#if defined(RISKAN_SIMD_AVX2)
-    case exec::SimdIsa::Avx2:
-      return max_range_lanes_avx2(values, n, init);
-#endif
-#if defined(RISKAN_SIMD_NEON)
-    case exec::SimdIsa::Neon:
-      return max_range_lanes_neon(values, n, init);
-#endif
-    default:
-      break;
+  if (const MaxRangeFn max_range = exec::simd_dispatch().max_range) {
+    return max_range(values, n, init);
   }
   Money best = init;
   for (std::size_t i = 0; i < n; ++i) {

@@ -35,6 +35,9 @@ struct SimdDispatch {
   unsigned width = 0;  ///< Money lanes per vector; 0 = SIMD unavailable
   const char* name = "none";
   batch::SimdKernelFn kernel = nullptr;
+  /// The ISA's lane max scan (max_range_lanes' body); the kernels' OEP
+  /// finish runs it. Null means a scalar loop.
+  batch::MaxRangeFn max_range = nullptr;
   /// The ISA's stamp of the sampler's first-attempt decode, `width` lanes
   /// per instruction (at most SecondarySampler::kMaxDecodeWidth); null
   /// means SecondarySampler::sample_lanes decodes at width 1 (no AArch64

@@ -8,8 +8,9 @@
 // the exact execution machinery of the in-memory engine — one plan lowered
 // per block, holding every contract — while a background prefetch
 // pipeline reads and decodes block c+1 as block c computes. Memory
-// high-water = the pipeline's decoded blocks plus the output YLTs and the
-// per-block OEP scratch: every contract finds each block's rows in the
+// high-water = the pipeline's decoded blocks plus the output YLTs (the
+// kernel finishes OEP per trial block in scratch that fits in cache):
+// every contract finds each block's rows in the
 // kernel, and nothing is resolved or cached (`batch_contracts` caches
 // compact resolutions of resident YELTs only). The output is bit-identical
 // to the in-memory run (tested) with every engine feature available: both

@@ -36,6 +36,27 @@ inline std::size_t resolve_grain(std::size_t range, std::size_t threads, std::si
   return std::max<std::size_t>(1, range / std::max<std::size_t>(1, tasks));
 }
 
+/// How parallel_for / parallel_reduce cut a range of `range` indices under
+/// `cfg`: the pool the chunks run on — null when the range runs inline as
+/// one chunk, without touching (or lazily constructing) any pool, which
+/// sequential callers rely on — and the indices per chunk.
+struct Split {
+  ThreadPool* pool = nullptr;
+  std::size_t grain = 0;
+};
+
+inline Split split(std::size_t range, const ParallelConfig& cfg) {
+  if (cfg.grain >= range) {
+    return {nullptr, range};
+  }
+  ThreadPool& pool = cfg.pool ? *cfg.pool : ThreadPool::shared();
+  const std::size_t grain = resolve_grain(range, pool.thread_count(), cfg.grain);
+  if (range <= grain || pool.thread_count() == 1) {
+    return {nullptr, range};
+  }
+  return {&pool, grain};
+}
+
 /// Blocks until `remaining` reaches zero. A tiny latch (std::latch needs a
 /// fixed count at construction, which the chunk loop computes anyway, but
 /// this version also lets the caller run chunks inline when the pool is the
@@ -74,16 +95,8 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
     return;
   }
   const std::size_t range = end - begin;
-  if (cfg.grain >= range) {
-    // One chunk covers the range: run inline without touching (or lazily
-    // constructing) any pool — sequential callers rely on this.
-    body(begin, end);
-    return;
-  }
-  ThreadPool& pool = cfg.pool ? *cfg.pool : ThreadPool::shared();
-  const std::size_t grain = detail::resolve_grain(range, pool.thread_count(), cfg.grain);
-
-  if (range <= grain || pool.thread_count() == 1) {
+  const auto [pool, grain] = detail::split(range, cfg);
+  if (pool == nullptr) {
     body(begin, end);
     return;
   }
@@ -93,7 +106,7 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body,
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lo = begin + c * grain;
     const std::size_t hi = std::min(end, lo + grain);
-    pool.submit([&body, &gate, lo, hi] {
+    pool->submit([&body, &gate, lo, hi] {
       body(lo, hi);
       gate.done();
     });
@@ -112,14 +125,8 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, const ChunkFn&
     return identity;
   }
   const std::size_t range = end - begin;
-  if (cfg.grain >= range) {
-    // Same pool-free inline path as parallel_for.
-    return combine(std::move(identity), chunk_fn(begin, end));
-  }
-  ThreadPool& pool = cfg.pool ? *cfg.pool : ThreadPool::shared();
-  const std::size_t grain = detail::resolve_grain(range, pool.thread_count(), cfg.grain);
-
-  if (range <= grain || pool.thread_count() == 1) {
+  const auto [pool, grain] = detail::split(range, cfg);
+  if (pool == nullptr) {
     return combine(std::move(identity), chunk_fn(begin, end));
   }
 
@@ -129,7 +136,7 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, const ChunkFn&
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lo = begin + c * grain;
     const std::size_t hi = std::min(end, lo + grain);
-    pool.submit([&chunk_fn, &partials, &gate, c, lo, hi] {
+    pool->submit([&chunk_fn, &partials, &gate, c, lo, hi] {
       partials[c] = chunk_fn(lo, hi);
       gate.done();
     });

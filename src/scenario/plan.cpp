@@ -187,7 +187,6 @@ ScenarioPlan ScenarioPlan::build(const finance::Portfolio& base,
   for (std::size_t s = 0; s < specs.size(); ++s) {
     RISKAN_REQUIRE(!specs[s].conditioning || conditioning_hits[s],
                    "conditioning event is in no contract ELT of the scenario's book");
-    runs.runs[s].conditioned = conditioning_hits[s];
   }
   publish_plan_stats(plan.stats);
   return plan;

@@ -3,6 +3,7 @@
 // secondary-uncertainty statistics.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -506,6 +507,138 @@ TEST(Engine, StreamedBlocksBuildNoResolution) {
     }
   }
   remove_file(path);
+}
+
+/// Three two-layer contracts over a 2000-trial YELT whose trials 255, 256,
+/// 1023 and 1536 hold more than 512 occurrences each, so crowded trials
+/// sit on both sides of scalar (256) and vector (1024) kernel block edges.
+oracle::Book crowded_edge_book() {
+  constexpr EventId kCatalog = 300;
+  finance::PortfolioGenConfig pg;
+  pg.contracts = 3;
+  pg.catalog_events = kCatalog;
+  pg.elt_rows = 150;
+  pg.layers_per_contract = 2;
+  data::YeltGenConfig yg;
+  yg.trials = 2000;
+  yg.mean_events_per_year = 8.0;
+  const auto sparse = data::generate_yelt(kCatalog, yg);
+  yg.trials = 4;
+  yg.seed = 7;
+  yg.mean_events_per_year = 700.0;
+  const auto crowded = data::generate_yelt(kCatalog, yg);
+  const TrialId crowded_at[] = {255, 256, 1023, 1536};
+
+  data::YearEventLossTable::Builder builder;
+  std::size_t next_crowded = 0;
+  for (TrialId t = 0; t < sparse.trials(); ++t) {
+    const bool is_crowded = next_crowded < 4 && crowded_at[next_crowded] == t;
+    const auto& from = is_crowded ? crowded : sparse;
+    const TrialId from_trial = is_crowded ? static_cast<TrialId>(next_crowded++) : t;
+    builder.begin_trial();
+    const auto events = from.trial_events(from_trial);
+    const auto days = from.trial_days(from_trial);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      builder.add(events[i], days[i]);
+    }
+  }
+  return {finance::generate_portfolio(pg), builder.finish()};
+}
+
+TEST(Engine, OepIsExactAtBlockAndChunkEdges) {
+  // The kernel finishes every run's OEP per trial block in block-local
+  // scratch: 256 trials per scalar block and 1024 per vector block, cut
+  // short at each chunk's end. Chunk grains on both sides of both block
+  // sizes, over a YELT with crowded trials at the edges, must leave every
+  // run's OEP and AEP bit-identical to the one-chunk scalar run. The mask
+  // scenario drops contract 0, so under Kernel::Auto contract 0's group
+  // runs the vector pass while the masked groups fall back to the scalar
+  // pass inside the same block; all of them feed the base run's cells.
+  const auto book = crowded_edge_book();
+  ASSERT_GT(book.yelt.trial_size(255), 512u);
+  const auto& contracts = book.portfolio.contracts();
+  std::vector<scenario::ScenarioSpec> specs(5);
+  specs[0].name = "mask";
+  specs[0].excluded_events = {1, 2, 3, 5, 8, 13, 21, 34};
+  specs[0].dropped_contracts = {contracts[0].id()};
+  specs[1].name = "surge";
+  specs[1].loss_scale = 1.25;
+  specs[2].name = "post-event-a";
+  specs[2].conditioning =
+      scenario::PostEventConditioning{contracts[0].elt().event_ids()[3], 1.5};
+  specs[3].name = "post-event-b";
+  specs[3].conditioning =
+      scenario::PostEventConditioning{contracts[1].elt().event_ids()[7], 0.8};
+  specs[4].name = "drop";
+  specs[4].dropped_contracts = {contracts[2].id()};
+
+  const auto same_bits = [](const data::YearLossTable& a, const data::YearLossTable& b,
+                            const std::string& what) {
+    ASSERT_EQ(a.trials(), b.trials()) << what;
+    for (TrialId t = 0; t < a.trials(); ++t) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a[t]), std::bit_cast<std::uint64_t>(b[t]))
+          << what << " trial " << t;
+    }
+  };
+  const auto runs_of = [](const scenario::ScenarioSweepResult& sweep) {
+    std::vector<const EngineResult*> runs{&sweep.base};
+    for (const EngineResult& run : sweep.scenarios) {
+      runs.push_back(&run);
+    }
+    return runs;
+  };
+
+  for (const bool secondary : {false, true}) {
+    data::ResolverCache cache;
+    EngineConfig config;
+    config.secondary_uncertainty = secondary;
+    config.resolver_cache = &cache;
+    config.backend = Backend::Sequential;
+    config.kernel = Kernel::Scalar;
+    const auto reference = scenario::run_scenario_sweep(book.portfolio, book.yelt, specs, config);
+    const auto expected = oracle::run_oracle(book.portfolio, book.yelt, config);
+    const std::string regime = secondary ? "secondary" : "means";
+    ASSERT_EQ(expected.occurrence.size(), book.yelt.trials());
+    for (TrialId t = 0; t < book.yelt.trials(); ++t) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(reference.base.portfolio_occurrence_ylt[t]),
+                std::bit_cast<std::uint64_t>(expected.occurrence[t]))
+          << regime << " base OEP against the oracle, trial " << t;
+    }
+
+    for (const std::size_t grain : {0, 1, 255, 256, 257, 1023, 1024, 1025}) {
+      for (const Backend backend : kAllBackends) {
+        for (const Kernel kernel : kAllKernels) {
+          for (const bool reblocked : {false, true}) {
+            config.backend = backend;
+            config.kernel = kernel;
+            config.trial_grain = grain;
+            const std::string what = regime + "/" + to_string(backend) + "/" +
+                                     to_string(kernel) + "/grain " + std::to_string(grain) +
+                                     (reblocked ? "/3 blocks" : "/resident");
+            data::InMemorySource whole(book.yelt);
+            data::ReblockedSource blocks(whole, book.yelt.trials() / 3 + 1);
+            ASSERT_EQ(blocks.block_count(), 3u);
+            const auto sweep =
+                reblocked ? scenario::run_scenario_sweep(book.portfolio, blocks, specs, config)
+                          : scenario::run_scenario_sweep(book.portfolio, book.yelt, specs,
+                                                         config);
+            const auto got = runs_of(sweep);
+            const auto want = runs_of(reference);
+            ASSERT_EQ(got.size(), want.size()) << what;
+            for (std::size_t r = 0; r < got.size(); ++r) {
+              const std::string run = what + " run " + std::to_string(r);
+              same_bits(got[r]->portfolio_occurrence_ylt, want[r]->portfolio_occurrence_ylt,
+                        run + " OEP");
+              same_bits(got[r]->portfolio_ylt, want[r]->portfolio_ylt, run + " AEP");
+            }
+            if (HasFailure()) {
+              return;  // the first failing configuration says enough
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SecondarySampler, MeanConvergesToEltMean) {

@@ -240,7 +240,7 @@ TEST(SecondarySamplerLanes, RejectionHeavyRowsExerciseTheFallback) {
 }
 
 TEST(MaxRangeLanes, MatchesScalarMaxIncludingTails) {
-  // finalize_oep's vector scan: bitwise-equal to the scalar running max on
+  // The OEP finish's vector scan: bitwise-equal to the scalar running max on
   // its input class (non-NaN, >= +0.0) for every length and seed value,
   // including ties and sub-width tails.
   const std::vector<Money> values = {0.0, 3.5e6, 1.0, 3.5e6, 2e9,  0.0, 7.25,
@@ -663,9 +663,9 @@ TEST(SimdTower, GroupsWiderThanTheAnnualBufferMatchTheScalarKernel) {
   std::vector<Money> scratch(kSlots);
   batch::SimdStats stats;
   (void)batch::process_trials(scalar_slots, groups, yelt.offsets(), philox, true, 0, 0,
-                              yelt.trials(), scratch);
+                              yelt.trials(), scratch, {});
   (void)dispatch.kernel(simd_slots, groups, yelt.offsets(), philox, true, 0, 0,
-                        yelt.trials(), scratch, stats);
+                        yelt.trials(), scratch, {}, stats);
   EXPECT_EQ(stats.vector_occurrences, 0u);
   EXPECT_GT(stats.scalar_occurrences, 0u);
   for (TrialId t = 0; t < yelt.trials(); ++t) {
